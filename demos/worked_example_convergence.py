@@ -34,7 +34,8 @@ print("\nlimited backhaul capacities (relay/pico/macro = 20/12/30 Mbps):")
 s2 = dl.worked_example(dl.LIMITED_BACKHAUL)
 for policy in ("wf", "bdt", "greedy"):
     trace = dl.run(s2, policy, max_iter=100)
-    states = {uid: st.name for uid, st in trace.reports[-1].ue_states.items()}
+    states = {u.id: dl.BackhaulState(code).name
+              for u, code in zip(s2.ues, trace.reports[-1].state)}
     print(f"  {policy:6s} {trace.verdict.kind:12s} "
           f"avg power {trace.metrics['avg_total_power']:.3f} W   "
           f"network rate {trace.metrics['eta_n_final'] / 1e6:6.1f} Mbps   "

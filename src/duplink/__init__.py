@@ -17,7 +17,6 @@ from .backhaul import (
     BackhaulState,
     classify_state,
     network_capacity,
-    poa_access_rates,
     rate_differentials,
 )
 from .engine import (
@@ -31,11 +30,11 @@ from .engine import (
     step,
     trace_metrics,
     trace_to_csv,
-    trace_to_json,
 )
 from .equilibrium import (
     InapplicableCheck,
     IterationSystem,
+    affine_fixed_point,
     build_system,
     closed_form_equilibrium,
     rescaling_sinr_bound_check,
@@ -64,15 +63,10 @@ from .network import (
     validate_scenario,
 )
 from .policies import (
-    BdtPolicy,
-    FixedSinrPolicy,
-    GreedyPolicy,
-    Observation,
-    WaterfillingPolicy,
+    POLICY_NAMES,
     bdt_update,
     fm_update,
     greedy_update,
-    make_policy,
     rate_cap_power,
     waterfill,
 )

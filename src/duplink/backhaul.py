@@ -24,14 +24,18 @@ where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
-from .network import PoAKind, Scenario
+from .metrics import CrossGainMatrices
 
 
-class BackhaulState(Enum):
+class BackhaulState(IntEnum):
+    """Backhaul state S1..S9; the value is the state code in report arrays."""
+
+    __str__ = Enum.__str__  # "BackhaulState.S1" on every Python version
+
     S1 = 1
     S2 = 2
     S3 = 3
@@ -43,70 +47,69 @@ class BackhaulState(Enum):
     S9 = 9
 
 
-# (category of V1, category of V2) -> state, with categories
+# State code by (category of V1, category of V2), with categories
 # 0: V >= 0, 1: -tau <= V < 0, 2: V < -tau.
-_STATE_TABLE = {
-    (0, 0): BackhaulState.S1,
-    (1, 0): BackhaulState.S2,
-    (0, 1): BackhaulState.S3,
-    (1, 1): BackhaulState.S4,
-    (0, 2): BackhaulState.S5,
-    (2, 0): BackhaulState.S6,
-    (1, 2): BackhaulState.S7,
-    (2, 1): BackhaulState.S8,
-    (2, 2): BackhaulState.S9,
-}
+_STATE_TABLE = np.array([
+    [1, 3, 5],
+    [2, 4, 7],
+    [6, 8, 9],
+])
+
+
+def _category(v, tau):
+    """0, 1 or 2 per the table above, for a scalar or an array of V."""
+    return 2 - (v >= -tau) - (v >= 0)
 
 
 def classify_state(v1: float, v2: float, tau: float) -> BackhaulState:
     """Unique backhaul state for a pair of rate differentials."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
-
-    def category(v):
-        if v >= 0:
-            return 0
-        if v >= -tau:
-            return 1
-        return 2
-
-    return _STATE_TABLE[(category(v1), category(v2))]
+    return BackhaulState(int(_STATE_TABLE[_category(v1, tau), _category(v2, tau)]))
 
 
 @dataclass
 class BackhaulReport:
-    """Per-iteration snapshot of backhaul load and UE backhaul states."""
+    """Per-iteration snapshot of backhaul load and UE backhaul states.
+
+    Per-PoA arrays are indexed by PoA index (PoA id - 1), per-UE arrays by
+    UE index.
+    """
 
     eta_n: float
-    v: dict[int, float]                       # PoA id -> rate differential
-    gamma_relay_sum: float                    # relay traffic carried into the MBS
-    ue_states: dict[int, BackhaulState]       # dual-connectivity UEs only
-    v_per_link: dict[tuple[int, int], float]  # (UE id, link) -> V of its PoA
+    load: np.ndarray           # per PoA: access-rate demand
+    v: np.ndarray              # per PoA: rate differential
+    gamma_relay_sum: float     # relay traffic carried into the MBS
+    v1: np.ndarray             # per UE: V of its link-1 PoA
+    v2: np.ndarray             # per UE: V of its link-2 PoA, 0 without one
+    state: np.ndarray          # per UE: BackhaulState code, 0 on single-link UEs
 
 
-def poa_access_rates(s: Scenario, rate1: np.ndarray, rate2: np.ndarray) -> dict[int, float]:
-    """Aggregate access-rate demand arriving at each PoA."""
-    load = {p.id: 0.0 for p in s.poas}
-    for i, ue in enumerate(s.ues):
-        load[ue.poa_1] += float(rate1[i])
-        if ue.dual:
-            load[ue.poa_2] += float(rate2[i])
-    return load
+def _loads(m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray) -> np.ndarray:
+    """Access-rate demand per PoA, plus a last bin for absent second links.
+
+    Each PoA sums its links in UE order, link 1 before link 2.
+    """
+    rates = np.column_stack((rate1, rate2)).ravel()
+    return np.bincount(m.poa.ravel(), weights=rates, minlength=m.n_poas + 1)
 
 
-def network_capacity(s: Scenario, rate1: np.ndarray, rate2: np.ndarray) -> float:
+def _carried(m: CrossGainMatrices, load: np.ndarray) -> tuple[float, float]:
+    """(relay traffic carried into the macrocell, end-to-end network rate)."""
+    gamma = sum(np.minimum(m.capacity[m.relays], load[m.relays]).tolist())
+    total = min(m.capacity[m.macro], load[m.macro] + gamma)
+    total += sum(np.minimum(m.capacity[m.picos], load[m.picos]).tolist())
+    return gamma, float(total)
+
+
+def network_capacity(m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray) -> float:
     """Aggregate end-to-end data rate through the two-tier backhaul."""
-    load = poa_access_rates(s, rate1, rate2)
-    macro = s.macro()
-    relay_flow = sum(
-        min(r.backhaul_capacity, load[r.id]) for r in s.relays()
-    )
-    total = min(macro.backhaul_capacity, load[macro.id] + relay_flow)
-    total += sum(min(p.backhaul_capacity, load[p.id]) for p in s.picos())
-    return total
+    return _carried(m, _loads(m, rate1, rate2))[1]
 
 
-def rate_differentials(s: Scenario, rate1: np.ndarray, rate2: np.ndarray) -> BackhaulReport:
+def rate_differentials(
+    m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray, tau: float
+) -> BackhaulReport:
     """Full backhaul report for one set of per-link access rates.
 
     Relay differentials use min(relay capacity, max(V_macro, 0)) as the
@@ -114,30 +117,17 @@ def rate_differentials(s: Scenario, rate1: np.ndarray, rate2: np.ndarray) -> Bac
     backhaul has head-room for. Overload is not clamped; the magnitude of a
     negative differential is what the adaptation policy reacts to.
     """
-    load = poa_access_rates(s, rate1, rate2)
-    macro = s.macro()
-    gamma = sum(min(r.backhaul_capacity, load[r.id]) for r in s.relays())
-
-    v: dict[int, float] = {}
-    v_b = macro.backhaul_capacity - load[macro.id] - gamma
-    v[macro.id] = v_b
-    for p in s.picos():
-        v[p.id] = p.backhaul_capacity - load[p.id]
-    for r in s.relays():
-        v[r.id] = min(r.backhaul_capacity, max(v_b, 0.0)) - load[r.id]
-
-    v_per_link: dict[tuple[int, int], float] = {}
-    ue_states: dict[int, BackhaulState] = {}
-    for ue in s.ues:
-        v_per_link[(ue.id, 1)] = v[ue.poa_1]
-        if ue.dual:
-            v_per_link[(ue.id, 2)] = v[ue.poa_2]
-            ue_states[ue.id] = classify_state(v[ue.poa_1], v[ue.poa_2], s.tau)
-
-    return BackhaulReport(
-        eta_n=network_capacity(s, rate1, rate2),
-        v=v,
-        gamma_relay_sum=gamma,
-        ue_states=ue_states,
-        v_per_link=v_per_link,
-    )
+    if tau <= 0:
+        raise ValueError("tau must be > 0")
+    load = _loads(m, rate1, rate2)
+    gamma, eta_n = _carried(m, load)
+    v = np.empty(m.n_poas + 1)
+    v[:-1] = m.capacity - load[:-1]
+    v_b = v[m.macro] - gamma
+    v[m.macro] = v_b
+    v[m.relays] = np.minimum(m.capacity[m.relays], max(v_b, 0.0)) - load[m.relays]
+    v[-1] = 0.0
+    v1, v2 = v[m.poa[:, 0]], v[m.poa[:, 1]]
+    state = np.where(m.dual, _STATE_TABLE[_category(v1, tau), _category(v2, tau)], 0)
+    return BackhaulReport(eta_n=eta_n, load=load[:-1], v=v[:-1], gamma_relay_sum=gamma,
+                          v1=v1, v2=v2, state=state)

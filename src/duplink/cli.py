@@ -8,9 +8,10 @@ Two subcommands:
   experiment  seeded Monte Carlo presets sweeping tau/Z, UE count, backhaul
               scale, or small-cell count; writes trials.csv + summary.csv.
 
-Exit codes: 0 success, 2 usage error, 3 scenario validation error,
-4 runtime numerical failure. The default output directory can be set with
-the DUPLINK_OUT environment variable.
+Exit codes: 0 success, 2 usage error, 3 scenario validation error (including
+a missing gain and a non-finite number), 4 runtime numerical failure. The
+default output directory can be set with the DUPLINK_OUT environment
+variable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ import numpy as np
 
 from . import __version__
 from .engine import SweepPoint, aggregate, monte_carlo, run, trace_to_csv
-from .equilibrium import build_system, closed_form_equilibrium, mixed_population_system
+from .equilibrium import (
+    affine_fixed_point,
+    build_system,
+    closed_form_equilibrium,
+    mixed_population_system,
+    spectral_radius,
+)
 from .metrics import build_matrices
 from .network import load_scenario, validate_scenario
 from .policies import POLICY_NAMES
@@ -57,29 +64,27 @@ def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _equilibrium_payload(scenario, mat) -> dict | None:
+def _equilibrium_payload(mat) -> dict | None:
     """Predicted fixed point of the waterfilling regime, when contractive."""
-    p_max = np.array([u.p_max for u in scenario.ues])
-    sys_ = build_system(mat, p_max)
-    q = np.array([0.0 if u.dual else 1.0 for u in scenario.ues])
-    beta = np.array([u.fixed_sinr_target or 0.0 for u in scenario.ues])
+    sys_ = build_system(mat, mat.p_max)
+    q = np.where(mat.dual, 0.0, 1.0)
     if q.any():
-        a, c = mixed_population_system(mat, sys_, q, beta)
-        rho = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.size else 0.0
+        a, c = mixed_population_system(mat, sys_, q, mat.beta)
+        rho = spectral_radius(a)
         if rho >= 1.0:
             return None
-        p1 = np.linalg.solve(np.eye(len(q)) - a, c)
-        p2 = np.where(q == 1.0, 0.0, p_max - p1)
-        interior = bool(np.all(p1 > 0) and np.all(p1 < p_max))
+        p1 = affine_fixed_point(a, c, rho)
+        p2 = np.where(q == 1.0, 0.0, mat.p_max - p1)
+        interior = bool(np.all(p1 > 0) and np.all(p1 < mat.p_max))
         payload = {"spectral_radius": rho, "mixed_population": True}
     else:
         if sys_.spectral_radius >= 1.0:
             return None
-        p1, p2 = closed_form_equilibrium(sys_, p_max)
+        p1, p2 = closed_form_equilibrium(sys_, mat.p_max)
         interior = sys_.interior
         payload = {
             "spectral_radius": sys_.spectral_radius,
-            "spectral_radius_abs": sys_.spectral_radius_abs,
+            "spectral_radius_abs": spectral_radius(np.abs(sys_.m)),
             "mixed_population": False,
         }
     payload.update({
@@ -107,6 +112,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, z_factor=args.z)
 
     violations = validate_scenario(scenario)
+    if not violations:
+        try:
+            mat = build_matrices(scenario)
+        except KeyError as exc:  # a gain the channel layout requires is absent
+            violations = [exc.args[0]]
     if violations:
         print("scenario validation failed:", file=sys.stderr)
         for v in violations:
@@ -121,10 +131,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        mat = build_matrices(scenario)
         trace = run(scenario, args.policy, max_iter=args.iters, eps=args.eps,
                     window=args.window, m=mat)
-        equilibrium = _equilibrium_payload(scenario, mat)
+        equilibrium = _equilibrium_payload(mat)
         if equilibrium is not None:
             final = trace.states[-1]
             pred = np.array(equilibrium["predicted_p1"])

@@ -12,17 +12,16 @@ settling.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .backhaul import BackhaulReport, rate_differentials
+from .backhaul import BackhaulReport, BackhaulState, rate_differentials
 from .metrics import CrossGainMatrices, PowerState, build_matrices, compute_state
 from .network import Scenario
-from .policies import Observation, Policy, make_policy
+from .policies import POLICY_NAMES, bdt_update, fm_update, greedy_update, waterfill
 from .scenarios import GenParams, generate
 
 CONVERGED = "converged"
@@ -30,6 +29,12 @@ OSCILLATING = "oscillating"
 MAX_ITERATIONS = "max_iterations"
 
 _FEAS_SLACK = 1e-9
+
+# A custom policy decides every UE at once: policy(s, m, now, report)
+# returns the next (p1, p2) arrays, before the feasibility guard.
+PolicyFn = Callable[[Scenario, CrossGainMatrices, PowerState, BackhaulReport],
+                    tuple[np.ndarray, np.ndarray]]
+Policy = Union[str, PolicyFn]
 
 
 @dataclass
@@ -51,71 +56,71 @@ class Trace:
     metrics: dict
 
 
-def resolve_policies(s: Scenario, policy: str | Sequence[Policy]) -> list[Policy]:
-    """Per-UE policy list: single-link UEs always run fixed-SINR control."""
-    from .policies import FixedSinrPolicy
-
-    if isinstance(policy, str):
-        dual_policy = make_policy(policy)
-        return [FixedSinrPolicy() if not u.dual else dual_policy for u in s.ues]
-    policies = list(policy)
-    if len(policies) != s.n_ues:
-        raise ValueError(f"need one policy per UE ({s.n_ues}), got {len(policies)}")
-    return policies
+def _check_policy(policy: Policy) -> None:
+    if not callable(policy) and policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
 
 
-def initial_state(s: Scenario, m: CrossGainMatrices,
+def initial_state(m: CrossGainMatrices,
                   p0: Optional[tuple[np.ndarray, np.ndarray]] = None) -> PowerState:
     """Default start: each UE splits its budget equally over its links."""
     if p0 is not None:
         return compute_state(m, p0[0], p0[1])
-    p1 = np.array([u.p_max / 2 for u in s.ues])
-    p2 = np.array([u.p_max / 2 if u.dual else 0.0 for u in s.ues])
-    return compute_state(m, p1, p2)
+    half = m.p_max / 2
+    return compute_state(m, half, np.where(m.dual, half, 0.0))
+
+
+def _dual_update(policy: str, s: Scenario, m: CrossGainMatrices, now: PowerState,
+                 report: BackhaulReport, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The named policy on the dual-connectivity rows ``d``."""
+    budget = (m.p_max[d], now.e1[d], now.e2[d], m.w1[d], m.w2[d])
+    if policy == "bdt":
+        return bdt_update(report.state[d], now.p1[d], now.p2[d], *budget, s.z_factor)
+    if policy == "greedy":
+        return greedy_update(*budget, np.maximum(report.v1[d], 0.0),
+                             np.maximum(report.v2[d], 0.0))
+    return waterfill(*budget)  # "wf" and "mixed-fm"
 
 
 def step(
     s: Scenario,
     m: CrossGainMatrices,
     now: PowerState,
-    policies: Sequence[Policy],
+    policy: Policy,
     report: Optional[BackhaulReport] = None,
 ) -> PowerState:
-    """Apply every UE's policy once, using iteration-k observations only."""
+    """Apply the policy once to every UE, using iteration-k observations only.
+
+    A policy name applies to the dual-connectivity UEs; single-link UEs
+    always run the fixed-SINR update. A callable decides every UE.
+    """
+    _check_policy(policy)
     if report is None:
-        report = rate_differentials(s, now.rate1, now.rate2)
-    p1_next = np.empty(s.n_ues)
-    p2_next = np.empty(s.n_ues)
-    for i, ue in enumerate(s.ues):
-        obs = Observation(
-            p1=float(now.p1[i]),
-            p2=float(now.p2[i]),
-            e1=float(now.e1[i]),
-            e2=float(now.e2[i]),
-            w1=float(m.w1[i]),
-            w2=float(m.w2[i]),
-            p_max=ue.p_max,
-            v1=report.v_per_link[(ue.id, 1)],
-            v2=report.v_per_link.get((ue.id, 2), 0.0),
-            state=report.ue_states.get(ue.id),
-            tau=s.tau,
-            z=s.z_factor,
+        report = rate_differentials(m, now.rate1, now.rate2, s.tau)
+    if callable(policy):
+        p1, p2 = (np.asarray(p, dtype=float) for p in policy(s, m, now, report))
+    else:
+        p1, p2 = np.zeros(m.n), np.zeros(m.n)
+        p1[m.dual], p2[m.dual] = _dual_update(policy, s, m, now, report, m.dual)
+        single = ~m.dual
+        if single.any():
+            p1[single] = fm_update(now.e1[single], m.beta[single], m.p_max[single])
+    bad = ((p1 < -_FEAS_SLACK) | (p2 < -_FEAS_SLACK)
+           | (p1 + p2 > m.p_max * (1 + _FEAS_SLACK)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RuntimeError(
+            f"policy returned infeasible powers for UE {s.ues[i].id}: "
+            f"({p1[i]}, {p2[i]}) with p_max {m.p_max[i]}"
         )
-        p1_i, p2_i = policies[i].update(ue, obs)
-        if (p1_i < -_FEAS_SLACK or p2_i < -_FEAS_SLACK
-                or p1_i + p2_i > ue.p_max * (1 + _FEAS_SLACK)):
-            raise RuntimeError(
-                f"policy returned infeasible powers for UE {ue.id}: "
-                f"({p1_i}, {p2_i}) with p_max {ue.p_max}"
-            )
-        p1_next[i] = min(max(p1_i, 0.0), ue.p_max)
-        p2_next[i] = min(max(p2_i, 0.0), ue.p_max - p1_next[i])
-    return compute_state(m, p1_next, p2_next)
+    p1 = np.minimum(np.maximum(p1, 0.0), m.p_max)
+    p2 = np.minimum(np.maximum(p2, 0.0), m.p_max - p1)
+    return compute_state(m, p1, p2)
 
 
 def run(
     s: Scenario,
-    policy: str | Sequence[Policy],
+    policy: Policy,
     max_iter: int = 100,
     eps: float = 1e-6,
     window: int = 5,
@@ -124,6 +129,8 @@ def run(
 ) -> Trace:
     """Iterate the chosen policy and classify the outcome.
 
+    ``policy`` is a name from ``POLICY_NAMES`` or a callable
+    ``policy(s, m, now, report) -> (p1, p2)`` over all UEs.
     Convergence requires the infinity-norm power step to stay below ``eps``
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
@@ -131,12 +138,12 @@ def run(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    _check_policy(policy)
     if m is None:
         m = build_matrices(s)
-    policies = resolve_policies(s, policy)
 
-    states = [initial_state(s, m, p0)]
-    reports = [rate_differentials(s, states[0].rate1, states[0].rate2)]
+    states = [initial_state(m, p0)]
+    reports = [rate_differentials(m, states[0].rate1, states[0].rate2, s.tau)]
 
     if s.n_ues == 0:
         verdict = Verdict(CONVERGED, iteration=0)
@@ -144,20 +151,25 @@ def run(
         trace.metrics = trace_metrics(trace, s)
         return trace
 
+    # Row k holds iterate k's powers, p1 then p2.
+    n = m.n
+    powers = np.empty((max_iter + 1, 2 * n))
+    powers[0, :n], powers[0, n:] = states[0].p1, states[0].p2
     stable = 0
     verdict = Verdict(MAX_ITERATIONS)
     for k in range(max_iter):
-        nxt = step(s, m, states[-1], policies, reports[-1])
-        delta = _power_gap(states[-1], nxt)
+        nxt = step(s, m, states[-1], policy, reports[-1])
+        powers[k + 1, :n], powers[k + 1, n:] = nxt.p1, nxt.p2
+        delta = float(np.max(np.abs(powers[k + 1] - powers[k])))
         states.append(nxt)
-        reports.append(rate_differentials(s, nxt.rate1, nxt.rate2))
+        reports.append(rate_differentials(m, nxt.rate1, nxt.rate2, s.tau))
 
         stable = stable + 1 if delta < eps else 0
         if stable >= window:
             verdict = Verdict(CONVERGED, iteration=k + 1 - window + 1)
             break
         if delta >= eps:
-            revisit = _find_revisit(states, eps)
+            revisit = _find_revisit(powers[:k + 2], eps)
             if revisit is not None:
                 verdict = Verdict(OSCILLATING, period=revisit)
                 break
@@ -167,23 +179,13 @@ def run(
     return trace
 
 
-def _power_gap(a: PowerState, b: PowerState) -> float:
-    return float(
-        max(
-            np.max(np.abs(a.p1 - b.p1), initial=0.0),
-            np.max(np.abs(a.p2 - b.p2), initial=0.0),
-        )
-    )
-
-
-def _find_revisit(states: list[PowerState], eps: float) -> Optional[int]:
-    """Cycle length if the newest iterate matches an earlier non-adjacent one."""
-    last = states[-1]
-    k = len(states) - 1
-    for j in range(k - 2, -1, -1):
-        if _power_gap(states[j], last) < eps:
-            return k - j
-    return None
+def _find_revisit(powers: np.ndarray, eps: float) -> Optional[int]:
+    """Cycle length if the newest row matches an earlier non-adjacent one
+    (the latest such row)."""
+    k = powers.shape[0] - 1
+    gaps = np.max(np.abs(powers[:k - 1] - powers[k]), axis=1, initial=0.0)
+    hits = np.flatnonzero(gaps < eps)
+    return int(k - hits[-1]) if hits.size else None
 
 
 def trace_metrics(trace: Trace, s: Scenario) -> dict:
@@ -201,9 +203,6 @@ def trace_metrics(trace: Trace, s: Scenario) -> dict:
     }
 
 
-# --- trace serialization ------------------------------------------------------
-
-
 def trace_to_csv(trace: Trace, s: Scenario, path: str | Path) -> None:
     """One row per iteration: k, per-UE powers/rates/state, network rate."""
     header = ["k"]
@@ -211,47 +210,18 @@ def trace_to_csv(trace: Trace, s: Scenario, path: str | Path) -> None:
         header += [f"p1_{u.id}", f"p2_{u.id}", f"rate1_{u.id}", f"rate2_{u.id}",
                    f"state_{u.id}"]
     header.append("eta_n")
+    names = [""] + [state.name for state in BackhaulState]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for k, (st, rep) in enumerate(zip(trace.states, trace.reports)):
             row: list = [k]
-            for i, u in enumerate(s.ues):
-                state = rep.ue_states.get(u.id)
-                row += [
-                    repr(float(st.p1[i])), repr(float(st.p2[i])),
-                    repr(float(st.rate1[i])), repr(float(st.rate2[i])),
-                    state.name if state is not None else "",
-                ]
+            for p1, p2, r1, r2, code in zip(st.p1.tolist(), st.p2.tolist(),
+                                            st.rate1.tolist(), st.rate2.tolist(),
+                                            rep.state.tolist()):
+                row += [repr(p1), repr(p2), repr(r1), repr(r2), names[code]]
             row.append(repr(rep.eta_n))
             writer.writerow(row)
-
-
-def trace_to_dict(trace: Trace, s: Scenario) -> dict:
-    return {
-        "verdict": {
-            "kind": trace.verdict.kind,
-            "iteration": trace.verdict.iteration,
-            "period": trace.verdict.period,
-        },
-        "metrics": trace.metrics,
-        "iterations": [
-            {
-                "k": k,
-                "p1": [float(x) for x in st.p1],
-                "p2": [float(x) for x in st.p2],
-                "rate1": [float(x) for x in st.rate1],
-                "rate2": [float(x) for x in st.rate2],
-                "states": {str(uid): state.name for uid, state in rep.ue_states.items()},
-                "eta_n": rep.eta_n,
-            }
-            for k, (st, rep) in enumerate(zip(trace.states, trace.reports))
-        ],
-    }
-
-
-def trace_to_json(trace: Trace, s: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace, s), indent=2))
 
 
 # --- Monte Carlo sweeps ---------------------------------------------------------
@@ -298,27 +268,21 @@ def monte_carlo(
     rows = []
     for point_idx, point in enumerate(points):
         for trial in range(trials):
-            scenario = None
             for attempt in range(max_attempts):
                 if seed_list is not None:
                     seed = _trial_seed(seed_list[trial], point_idx, 0, attempt)
                 else:
                     seed = _trial_seed(seeds, point_idx, trial, attempt)
-                candidate = generate(replace(point.params, seed=seed))
-                if not require_contractive:
-                    scenario = candidate
+                scenario = generate(replace(point.params, seed=seed))
+                mat = build_matrices(scenario)
+                if (not require_contractive
+                        or build_system(mat, mat.p_max).spectral_radius < 1.0):
                     break
-                mat = build_matrices(candidate)
-                if build_system(mat, np.array([u.p_max for u in candidate.ues])
-                                ).spectral_radius < 1.0:
-                    scenario = candidate
-                    break
-            if scenario is None:
+            else:
                 raise RuntimeError(
                     f"no contractive scenario found for point {point.sweep_value!r}, "
                     f"trial {trial} after {max_attempts} attempts"
                 )
-            mat = build_matrices(scenario)
             for policy in policies:
                 trace = run(scenario, policy, max_iter=max_iter, eps=eps,
                             window=window, m=mat)

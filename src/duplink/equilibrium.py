@@ -37,7 +37,6 @@ class IterationSystem:
     m: np.ndarray
     n_vec: np.ndarray
     spectral_radius: float
-    spectral_radius_abs: float      # same, on the element-wise |m|
     fixed_point_p1: Optional[np.ndarray] = None
     interior: Optional[bool] = None
 
@@ -75,8 +74,27 @@ def build_system(mat: CrossGainMatrices, p_max: np.ndarray) -> IterationSystem:
         m=m,
         n_vec=n_vec,
         spectral_radius=spectral_radius(m),
-        spectral_radius_abs=spectral_radius(np.abs(m)),
     )
+
+
+def affine_fixed_point(a: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
+    """Fixed point x = c + a @ x of a contractive affine iteration.
+
+    ``rho`` is the spectral radius of ``a`` (see ``spectral_radius``); the
+    iteration must contract (rho < 1), else ValueError. Raises LinAlgError
+    when the solve fails or its residual is not negligible.
+    """
+    if rho >= 1.0:
+        raise ValueError(f"iteration does not contract (spectral radius {rho:.4f})")
+    try:
+        x = np.linalg.solve(np.eye(a.shape[0]) - a, c)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"(I - M) solve failed: {exc}") from exc
+    residual = np.max(np.abs(x - c - a @ x), initial=0.0)
+    scale = max(1.0, np.max(np.abs(x), initial=0.0))
+    if residual > _RESIDUAL_TOL * scale:
+        raise np.linalg.LinAlgError(f"fixed-point residual too large: {residual:.3e}")
+    return x
 
 
 def closed_form_equilibrium(
@@ -90,19 +108,7 @@ def closed_form_equilibrium(
     be trusted.
     """
     p_max = np.asarray(p_max, dtype=float)
-    if sys.spectral_radius >= 1.0:
-        raise ValueError(
-            f"iteration does not contract (spectral radius {sys.spectral_radius:.4f})"
-        )
-    n = sys.m.shape[0]
-    try:
-        p1_star = np.linalg.solve(np.eye(n) - sys.m, sys.n_vec)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"(I - M) solve failed: {exc}") from exc
-    residual = np.max(np.abs(p1_star - sys.n_vec - sys.m @ p1_star), initial=0.0)
-    scale = max(1.0, np.max(np.abs(p1_star), initial=0.0))
-    if residual > _RESIDUAL_TOL * scale:
-        raise np.linalg.LinAlgError(f"fixed-point residual too large: {residual:.3e}")
+    p1_star = affine_fixed_point(sys.m, sys.n_vec, sys.spectral_radius)
     sys.fixed_point_p1 = p1_star
     sys.interior = bool(np.all(p1_star > 0) and np.all(p1_star < p_max))
     return p1_star, p_max - p1_star
@@ -144,6 +150,8 @@ def rescaling_sinr_bound_check(trace, z: float, ue_id: int, link: int, k: int) -
     i = ue_id - 1
     if not 0 <= i < states[0].p1.shape[0]:
         raise InapplicableCheck(f"unknown UE id {ue_id}")
+    if link == 2 and trace.reports[k].state[i] == 0:
+        raise InapplicableCheck(f"UE {ue_id} has no link 2")
     p_attr = "p1" if link == 1 else "p2"
     g_attr = "sinr1" if link == 1 else "sinr2"
     p_k = getattr(states[k], p_attr)[i]
@@ -152,8 +160,8 @@ def rescaling_sinr_bound_check(trace, z: float, ue_id: int, link: int, k: int) -
         raise InapplicableCheck(
             f"UE {ue_id} link {link} power was not rescaled by z at k={k}"
         )
-    v_k = trace.reports[k].v_per_link.get((ue_id, link))
-    if v_k is None or v_k < 0:
+    v_k = (trace.reports[k].v1 if link == 1 else trace.reports[k].v2)[i]
+    if v_k < 0:
         raise InapplicableCheck(
             f"UE {ue_id} link {link} was not a non-bottleneck link at k={k}"
         )

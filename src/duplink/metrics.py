@@ -22,11 +22,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Scenario, noise_power
+from .network import Scenario
 
 
 @dataclass
 class CrossGainMatrices:
+    """The network as arrays, built once per scenario by ``build_matrices``.
+
+    Radio coupling: ``f11``..``f22``, ``d1``/``d2``, ``w1``/``w2`` and
+    ``lam`` as described in the module docstring.
+
+    Topology: ``poa[i, x - 1]`` is the PoA index (PoA id - 1) of UE i's
+    access link x; it is ``n_poas`` where UE i has no second link, so load
+    put there lands on no PoA. ``dual`` flags dual-connectivity UEs,
+    ``p_max`` holds the power budgets and ``beta`` the fixed SINR targets
+    (0 on dual UEs).
+
+    Backhaul: ``capacity`` per PoA index; ``relays`` and ``picos`` are the
+    PoA indices of each kind in scenario order, ``macro`` the macrocell's.
+    """
+
     f11: np.ndarray
     f12: np.ndarray
     f21: np.ndarray
@@ -36,10 +51,22 @@ class CrossGainMatrices:
     w1: np.ndarray
     w2: np.ndarray
     lam: np.ndarray  # 1 / (w1 + w2)
+    poa: np.ndarray
+    dual: np.ndarray
+    p_max: np.ndarray
+    beta: np.ndarray
+    capacity: np.ndarray
+    relays: np.ndarray
+    picos: np.ndarray
+    macro: int
 
     @property
     def n(self) -> int:
         return self.d1.shape[0]
+
+    @property
+    def n_poas(self) -> int:
+        return self.capacity.shape[0]
 
 
 @dataclass
@@ -57,63 +84,70 @@ class PowerState:
 
 
 def build_matrices(s: Scenario) -> CrossGainMatrices:
-    """Assemble the normalized cross-gain matrices of a validated scenario.
+    """Assemble the array form of a validated scenario.
 
-    Raises KeyError when a gain entry required by the channel layout is
-    missing from ``s.gains``.
+    Access links are grouped by channel, so only co-channel pairs are
+    visited. Raises KeyError when a gain entry required by the channel
+    layout is missing from ``s.gains``.
     """
     n = s.n_ues
-    f = {
-        (1, 1): np.zeros((n, n)),
-        (1, 2): np.zeros((n, n)),
-        (2, 1): np.zeros((n, n)),
-        (2, 2): np.zeros((n, n)),
-    }
-    d1 = np.zeros(n)
-    d2 = np.zeros(n)
-    w1 = np.zeros(n)
-    w2 = np.zeros(n)
+    n_poas = len(s.poas)
+    bandwidth = {c.id: c.bandwidth for c in s.channels}
+    d = {1: np.zeros(n), 2: np.zeros(n)}
+    w = {1: np.zeros(n), 2: np.zeros(n)}
+    poa = np.full((n, 2), n_poas)
 
-    def own_gain(ue, x):
-        poa_id, chan_id = ue.link(x)
-        key = (ue.id, poa_id, chan_id)
-        if key not in s.gains:
-            raise KeyError(f"missing own-link gain for UE {ue.id} link {x}: {key}")
-        return s.gains[key]
+    # channel id -> access links on it: (UE index, UE id, link, PoA id, own gain)
+    by_channel: dict[int, list[tuple[int, int, int, int, float]]] = {}
+    for i, ue in enumerate(s.ues):
+        for x in ((1, 2) if ue.dual else (1,)):
+            poa_id, chan_id = ue.link(x)
+            key = (ue.id, poa_id, chan_id)
+            if key not in s.gains:
+                raise KeyError(f"missing own-link gain for UE {ue.id} link {x}: {key}")
+            g_own = s.gains[key]
+            d[x][i] = s.noise_psd * bandwidth[chan_id] / g_own
+            w[x][i] = bandwidth[chan_id]
+            poa[i, x - 1] = poa_id - 1
+            by_channel.setdefault(chan_id, []).append((i, ue.id, x, poa_id, g_own))
 
-    for i, ue_i in enumerate(s.ues):
-        links_i = [1, 2] if ue_i.dual else [1]
-        for x in links_i:
-            g_own = own_gain(ue_i, x)
-            noise = noise_power(s, ue_i.id, x)
-            poa_id, chan_id = ue_i.link(x)
-            bandwidth = s.channel(chan_id).bandwidth
-            if x == 1:
-                d1[i] = noise / g_own
-                w1[i] = bandwidth
-            else:
-                d2[i] = noise / g_own
-                w2[i] = bandwidth
-            for j, ue_j in enumerate(s.ues):
+    # (transmitting link y, receiving link x) -> rows, columns, values of f_yx
+    entries = {(y, x): ([], [], []) for y in (1, 2) for x in (1, 2)}
+    for chan_id, links in by_channel.items():
+        for i, _, x, poa_id, g_own in links:
+            for j, ue_j, y, _, _ in links:
                 if j == i:
                     continue
-                links_j = [1, 2] if ue_j.dual else [1]
-                for y in links_j:
-                    _, chan_j = ue_j.link(y)
-                    if chan_j != chan_id:
-                        continue
-                    key = (ue_j.id, poa_id, chan_id)
-                    if key not in s.gains:
-                        raise KeyError(
-                            f"missing cross gain: UE {ue_j.id} -> PoA {poa_id} "
-                            f"on channel {chan_id}"
-                        )
-                    f[(y, x)][i, j] = s.gains[key] / g_own
+                g = s.gains.get((ue_j, poa_id, chan_id))
+                if g is None:
+                    raise KeyError(
+                        f"missing cross gain: UE {ue_j} -> PoA {poa_id} "
+                        f"on channel {chan_id}"
+                    )
+                rows, cols, values = entries[(y, x)]
+                rows.append(i)
+                cols.append(j)
+                values.append(g / g_own)
+    f = {}
+    for key, (rows, cols, values) in entries.items():
+        f[key] = np.zeros((n, n))
+        if values:
+            f[key][rows, cols] = values
 
-    lam = 1.0 / (w1 + w2)
+    capacity = np.zeros(n_poas)
+    for p in s.poas:
+        capacity[p.id - 1] = p.backhaul_capacity
     return CrossGainMatrices(
         f11=f[(1, 1)], f12=f[(1, 2)], f21=f[(2, 1)], f22=f[(2, 2)],
-        d1=d1, d2=d2, w1=w1, w2=w2, lam=lam,
+        d1=d[1], d2=d[2], w1=w[1], w2=w[2], lam=1.0 / (w[1] + w[2]),
+        poa=poa,
+        dual=np.array([u.dual for u in s.ues], dtype=bool),
+        p_max=np.array([u.p_max for u in s.ues], dtype=float),
+        beta=np.array([u.fixed_sinr_target or 0.0 for u in s.ues], dtype=float),
+        capacity=capacity,
+        relays=np.array([p.id - 1 for p in s.relays()], dtype=int),
+        picos=np.array([p.id - 1 for p in s.picos()], dtype=int),
+        macro=s.macro().id - 1,
     )
 
 

@@ -14,6 +14,7 @@ watts, rates in bit/s.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -136,6 +137,14 @@ def noise_power(s: Scenario, ue_id: int, link: int) -> float:
     return s.noise_psd * s.channel(chan_id).bandwidth
 
 
+def _positive(x) -> bool:
+    """A finite number > 0; NaN, infinities and non-numbers fail."""
+    try:
+        return 0 < x < math.inf
+    except TypeError:
+        return False
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """Check every structural invariant; returns one message per violation.
 
@@ -162,15 +171,18 @@ def validate_scenario(s: Scenario) -> list[str]:
             if p.kind is PoAKind.MACROCELL and p.id != n_r + n_p + 1:
                 bad.append(f"macrocell {p.id}: macrocell id must be {n_r + n_p + 1}")
     for p in s.poas:
-        if p.backhaul_capacity < 0:
-            bad.append(f"PoA {p.id}: backhaul_capacity must be >= 0")
+        cap = p.backhaul_capacity
+        if not (cap in (0, math.inf) or _positive(cap)):
+            bad.append(f"PoA {p.id}: backhaul_capacity must be >= 0 "
+                       f"(inf for unlimited), got {cap}")
 
     chan_ids = {c.id for c in s.channels}
     if len(chan_ids) != len(s.channels):
         bad.append("channel ids are not unique")
     for c in s.channels:
-        if c.bandwidth <= 0:
-            bad.append(f"channel {c.id}: bandwidth must be > 0")
+        if not _positive(c.bandwidth):
+            bad.append(f"channel {c.id}: bandwidth must be finite and > 0, "
+                       f"got {c.bandwidth}")
 
     ue_ids = [u.id for u in s.ues]
     if sorted(ue_ids) != list(range(1, len(s.ues) + 1)):
@@ -178,8 +190,8 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     poa_ids = {p.id for p in s.poas}
     for u in s.ues:
-        if u.p_max <= 0:
-            bad.append(f"UE {u.id}: p_max must be > 0")
+        if not _positive(u.p_max):
+            bad.append(f"UE {u.id}: p_max must be finite and > 0, got {u.p_max}")
         if u.poa_1 not in poa_ids:
             bad.append(f"UE {u.id}: unknown PoA {u.poa_1} on link 1")
         if u.chan_1 not in chan_ids:
@@ -198,8 +210,9 @@ def validate_scenario(s: Scenario) -> list[str]:
         else:
             if u.fixed_sinr_target is None:
                 bad.append(f"UE {u.id}: single-link UE needs fixed_sinr_target")
-            elif u.fixed_sinr_target <= 0:
-                bad.append(f"UE {u.id}: fixed_sinr_target must be > 0")
+            elif not _positive(u.fixed_sinr_target):
+                bad.append(f"UE {u.id}: fixed_sinr_target must be finite and > 0, "
+                           f"got {u.fixed_sinr_target}")
 
     # No two UEs may transmit to the same PoA on the same channel.
     used: dict[tuple[int, int], tuple[int, int]] = {}
@@ -219,14 +232,15 @@ def validate_scenario(s: Scenario) -> list[str]:
                 used[key] = (u.id, x)
 
     for (ue_id, poa_id, chan_id), g in s.gains.items():
-        if g <= 0:
-            bad.append(f"gain ({ue_id},{poa_id},{chan_id}) must be > 0, got {g}")
+        if not _positive(g):
+            bad.append(f"gain ({ue_id},{poa_id},{chan_id}) must be finite and > 0, "
+                       f"got {g}")
 
-    if s.noise_psd <= 0:
-        bad.append("noise_psd must be > 0")
-    if s.tau <= 0:
-        bad.append("tau must be > 0")
-    if not 0 < s.z_factor < 1:
+    if not _positive(s.noise_psd):
+        bad.append(f"noise_psd must be finite and > 0, got {s.noise_psd}")
+    if not _positive(s.tau):
+        bad.append(f"tau must be finite and > 0, got {s.tau}")
+    if not (_positive(s.z_factor) and s.z_factor < 1):
         bad.append(f"z_factor must be in (0, 1), got {s.z_factor}")
 
     return bad

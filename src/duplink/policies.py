@@ -1,210 +1,131 @@
-"""Per-UE transmit power adaptation policies.
+"""Per-UE transmit power adaptation policies, as array functions.
 
 All four policies are pure functions of quantities a UE observes locally:
 its own powers, the effective interference on each link, the bandwidths, and
-the rate differentials fed back from its PoAs. The simulation engine applies
-them synchronously, so every decision for iteration k+1 uses iteration-k
+the rate differentials fed back from its PoAs. Each function takes one
+value per UE (arrays of equal shape, or scalars for a single UE) and
+decides every UE independently. The simulation engine applies them
+synchronously, so every decision for iteration k+1 uses iteration-k
 measurements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Protocol
-
-from .backhaul import BackhaulState
-from .network import UE
+import numpy as np
 
 # Exponent guard: 2**x overflows float64 near x = 1024.
 _MAX_EXP = 512.0
 
+POLICY_NAMES = ("bdt", "wf", "greedy", "mixed-fm")
 
-def waterfill(p_max: float, e1: float, e2: float, w1: float, w2: float) -> tuple[float, float]:
+
+def _scalar(*arrays):
+    """Return 0-d results as numpy scalars, leave arrays as they are."""
+    return tuple(a[()] for a in arrays)
+
+
+def waterfill(p_max, e1, e2, w1, w2):
     """Rate-maximizing split of a power budget over two unequal-bandwidth links.
 
     Solves max w1*log2(1 + p1/e1) + w2*log2(1 + p2/e2) subject to
     p1 + p2 = p_max, p >= 0. The interior optimum equalizes the water levels
     (p1 + e1)/w1 = (p2 + e2)/w2; outside it one link gets the whole budget.
     """
-    if e1 <= 0 or e2 <= 0:
+    p_max, e1, e2, w1, w2 = (np.asarray(a, dtype=float) for a in (p_max, e1, e2, w1, w2))
+    if (e1 <= 0).any() or (e2 <= 0).any():
         raise ValueError("effective interference must be > 0")
-    if w1 <= 0 or w2 <= 0:
+    if (w1 <= 0).any() or (w2 <= 0).any():
         raise ValueError("bandwidths must be > 0")
-    if p_max <= 0:
+    if (p_max <= 0).any():
         raise ValueError("p_max must be > 0")
     p1 = (w1 * p_max - w2 * e1 + w1 * e2) / (w1 + w2)
-    p1 = min(p_max, max(0.0, p1))
-    return p1, p_max - p1
+    p1 = np.minimum(p_max, np.maximum(0.0, p1))
+    return _scalar(p1, p_max - p1)
 
 
-def rate_cap_power(e: float, w: float, r: float) -> float:
+def _pow2(x: np.ndarray) -> np.ndarray:
+    # Python's float power: numpy's vectorized power can differ from it in
+    # the last bit, and policy outputs must not depend on the numpy build.
+    return np.array([2.0 ** v for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def rate_cap_power(e, w, r):
     """Minimal transmit power that achieves rate r on a link: e*(2^(r/w) - 1)."""
-    if r <= 0:
-        return 0.0
+    e, w, r = (np.asarray(a, dtype=float) for a in (e, w, r))
     exponent = r / w
-    if exponent > _MAX_EXP:
-        return float("inf")
-    return e * (2.0 ** exponent - 1.0)
+    power = e * (_pow2(np.minimum(exponent, _MAX_EXP)) - 1.0)
+    return np.where(r <= 0, 0.0, np.where(exponent > _MAX_EXP, np.inf, power))[()]
 
 
-def greedy_update(
-    p_max: float,
-    e1: float,
-    e2: float,
-    w1: float,
-    w2: float,
-    v1_plus: float,
-    v2_plus: float,
-) -> tuple[float, float]:
+def greedy_update(p_max, e1, e2, w1, w2, v1_plus, v2_plus):
     """Locally optimal allocation: maximize the end-to-end rate improvement,
     then spend the least power that achieves it.
 
     The improvement on link x is min(v_x_plus, rate_x), i.e. access rate is
     only useful up to the backhaul head-room v_x_plus. Each link therefore
     has a cap power beyond which more power is wasted; the optimum is
-    waterfilling truncated at those caps.
+    waterfilling truncated at those caps. When both caps fit in the budget,
+    hitting them maximizes the improvement and any extra power is waste.
     """
     c1 = rate_cap_power(e1, w1, v1_plus)
     c2 = rate_cap_power(e2, w2, v2_plus)
-    if c1 + c2 <= p_max:
-        # Both caps reachable: hitting them maximizes the improvement and
-        # any extra power is pure waste.
-        return c1, c2
-    p1, p2 = waterfill(p_max, e1, e2, w1, w2)
-    if p1 > c1:
-        return c1, p_max - c1
-    if p2 > c2:
-        return p_max - c2, c2
-    return p1, p2
+    wf1, wf2 = waterfill(p_max, e1, e2, w1, w2)
+    both, over1, over2 = c1 + c2 <= p_max, wf1 > c1, wf2 > c2
+    p1 = np.where(both | over1, c1, np.where(over2, p_max - c2, wf1))
+    p2 = np.where(both, c2, np.where(over1, p_max - c1, np.where(over2, c2, wf2)))
+    return _scalar(p1, p2)
 
 
-def bdt_update(
-    state: BackhaulState,
-    p1_now: float,
-    p2_now: float,
-    p_max: float,
-    e1: float,
-    e2: float,
-    w1: float,
-    w2: float,
-    z: float,
-) -> tuple[float, float]:
+def _bdt_table(z: float) -> np.ndarray:
+    """Backhaul-state policy as a table: per state S1..S9 and link, the
+    coefficients of (p1, p2, p_max) in that link's next power. Every entry
+    is affine in z."""
+    return np.array([
+        [[0, 0, 0], [0, 0, 0]],      # S1: waterfill (row unused)
+        [[1, 0, 0], [-1, 0, 1]],     # S2: hold p1, p2 takes the rest of the budget
+        [[0, -1, 1], [0, 1, 0]],     # S3: hold p2, p1 takes the rest
+        [[1, 0, 0], [0, 1, 0]],      # S4: hold both
+        [[0, -z, 1], [0, z, 0]],     # S5: scale p2 by z, p1 takes the rest
+        [[z, 0, 0], [-z, 0, 1]],     # S6: scale p1 by z, p2 takes the rest
+        [[1, 0, 0], [0, z, 0]],      # S7: hold p1, scale p2
+        [[z, 0, 0], [0, 1, 0]],      # S8: scale p1, hold p2
+        [[z, 0, 0], [0, z, 0]],      # S9: scale both
+    ], dtype=float)
+
+
+_BDT_CONST = _bdt_table(0.0)
+_BDT_Z = _bdt_table(1.0) - _BDT_CONST
+
+
+def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):
     """One backhaul-state-driven power adaptation step.
 
     S1 waterfills; S4 holds; S2/S3 re-commit the full budget around the held
     link; S5/S6 scale the overloaded link by z and hand the freed power to
     the healthy link; S7-S9 shed power on overloaded links without
-    re-allocating it.
+    re-allocating it. ``state`` holds BackhaulState codes 1..9.
     """
     if not 0.0 < z < 1.0:
         raise ValueError("z must be in (0, 1)")
-    if state is BackhaulState.S1:
-        return waterfill(p_max, e1, e2, w1, w2)
-    if state is BackhaulState.S2:
-        return p1_now, p_max - p1_now
-    if state is BackhaulState.S3:
-        return p_max - p2_now, p2_now
-    if state is BackhaulState.S4:
-        return p1_now, p2_now
-    if state is BackhaulState.S5:
-        return p_max - z * p2_now, z * p2_now
-    if state is BackhaulState.S6:
-        return z * p1_now, p_max - z * p1_now
-    if state is BackhaulState.S7:
-        return p1_now, z * p2_now
-    if state is BackhaulState.S8:
-        return z * p1_now, p2_now
-    if state is BackhaulState.S9:
-        return z * p1_now, z * p2_now
-    raise ValueError(f"unknown state {state}")
+    state = np.asarray(state)
+    if ((state < 1) | (state > 9)).any():
+        raise ValueError(f"unknown state in {state}")
+    p1_now, p2_now, p_max = (np.asarray(a, dtype=float) for a in (p1_now, p2_now, p_max))
+    c = (_BDT_CONST + z * _BDT_Z)[state - 1]
+    p1 = c[..., 0, 0] * p1_now + c[..., 0, 1] * p2_now + c[..., 0, 2] * p_max
+    p2 = c[..., 1, 0] * p1_now + c[..., 1, 1] * p2_now + c[..., 1, 2] * p_max
+    s1 = state == 1
+    if s1.any():
+        wf1, wf2 = waterfill(p_max, e1, e2, w1, w2)
+        p1, p2 = np.where(s1, wf1, p1), np.where(s1, wf2, p2)
+    return _scalar(p1, p2)
 
 
-def fm_update(e: float, beta: float, p_max: float) -> float:
+def fm_update(e, beta, p_max):
     """Fixed-target-SINR update P <- beta * E, clipped to the power budget."""
-    if e <= 0:
+    e, beta = np.asarray(e, dtype=float), np.asarray(beta, dtype=float)
+    if (e <= 0).any():
         raise ValueError("effective interference must be > 0")
-    if beta <= 0:
+    if (beta <= 0).any():
         raise ValueError("beta must be > 0")
-    return min(beta * e, p_max)
-
-
-# --- policy objects used by the simulation engine ----------------------------
-
-
-@dataclass
-class Observation:
-    """Everything a UE can see when deciding its next transmit powers."""
-
-    p1: float
-    p2: float
-    e1: float
-    e2: float
-    w1: float
-    w2: float
-    p_max: float
-    v1: float
-    v2: float
-    state: Optional[BackhaulState]
-    tau: float
-    z: float
-
-    @property
-    def v1_plus(self) -> float:
-        return max(self.v1, 0.0)
-
-    @property
-    def v2_plus(self) -> float:
-        return max(self.v2, 0.0)
-
-
-class Policy(Protocol):
-    def update(self, ue: UE, obs: Observation) -> tuple[float, float]: ...
-
-
-class WaterfillingPolicy:
-    """Always waterfill the full budget, ignoring backhaul feedback."""
-
-    def update(self, ue: UE, obs: Observation) -> tuple[float, float]:
-        return waterfill(obs.p_max, obs.e1, obs.e2, obs.w1, obs.w2)
-
-
-class BdtPolicy:
-    """Backhaul-state-driven transmission."""
-
-    def update(self, ue: UE, obs: Observation) -> tuple[float, float]:
-        return bdt_update(
-            obs.state, obs.p1, obs.p2, obs.p_max,
-            obs.e1, obs.e2, obs.w1, obs.w2, obs.z,
-        )
-
-
-class GreedyPolicy:
-    """Instantaneously optimal rate-improvement allocation."""
-
-    def update(self, ue: UE, obs: Observation) -> tuple[float, float]:
-        return greedy_update(
-            obs.p_max, obs.e1, obs.e2, obs.w1, obs.w2,
-            obs.v1_plus, obs.v2_plus,
-        )
-
-
-class FixedSinrPolicy:
-    """Classical single-link power control toward the UE's SINR target."""
-
-    def update(self, ue: UE, obs: Observation) -> tuple[float, float]:
-        return fm_update(obs.e1, ue.fixed_sinr_target, obs.p_max), 0.0
-
-
-POLICY_NAMES = ("bdt", "wf", "greedy", "mixed-fm")
-
-
-def make_policy(name: str) -> Policy:
-    """Policy applied to dual-connectivity UEs; single-link UEs always run
-    the fixed-SINR update regardless of this choice."""
-    if name == "bdt":
-        return BdtPolicy()
-    if name in ("wf", "mixed-fm"):
-        return WaterfillingPolicy()
-    if name == "greedy":
-        return GreedyPolicy()
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    return np.minimum(beta * e, p_max)[()]

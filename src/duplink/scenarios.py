@@ -18,7 +18,7 @@ through the first links.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,7 +346,3 @@ def worked_example(case: str = HIGH_BACKHAUL) -> Scenario:
         meta={"generator": "worked_example", "case": case},
     )
 
-
-def example_with_params(case: str, **overrides) -> Scenario:
-    """Worked example with scalar fields (tau, z_factor, ...) overridden."""
-    return replace(worked_example(case), **overrides)

@@ -7,6 +7,7 @@ import pytest
 
 from duplink.metrics import CrossGainMatrices
 from duplink.network import noise_power
+from duplink.policies import waterfill
 
 
 def scalar_interference(s, p1, p2):
@@ -33,6 +34,50 @@ def scalar_interference(s, p1, p2):
     return e1, e2
 
 
+def synthetic_topology(n):
+    """Topology fields of CrossGainMatrices for synthetic systems: every UE
+    dual with unit budget, link 1 to a picocell (PoA index 0), link 2 to the
+    macrocell (index 1), unlimited backhaul."""
+    return dict(poa=np.tile([0, 1], (n, 1)), dual=np.ones(n, dtype=bool),
+                p_max=np.ones(n), beta=np.zeros(n), capacity=np.full(2, np.inf),
+                relays=np.zeros(0, dtype=int), picos=np.array([0]), macro=1)
+
+
+def scalar_rate_differentials(s, rate1, rate2):
+    """Rate differential per PoA id, straight from the scenario's PoA ids and
+    kinds with per-UE loops and dicts. Independent of the array incidence."""
+    load = {p.id: 0.0 for p in s.poas}
+    for i, ue in enumerate(s.ues):
+        load[ue.poa_1] += float(rate1[i])
+        if ue.dual:
+            load[ue.poa_2] += float(rate2[i])
+    macro = s.macro()
+    gamma = sum(min(r.backhaul_capacity, load[r.id]) for r in s.relays())
+    v = {macro.id: macro.backhaul_capacity - load[macro.id] - gamma}
+    for p in s.picos():
+        v[p.id] = p.backhaul_capacity - load[p.id]
+    for r in s.relays():
+        v[r.id] = min(r.backhaul_capacity, max(v[macro.id], 0.0)) - load[r.id]
+    return v
+
+
+class RescaleOnceThenHold:
+    """Custom policy: on the first step UE 1 scales its first-link power by
+    z, and afterwards holds; every other UE waterfills."""
+
+    def __init__(self, z):
+        self.z = z
+        self.fired = False
+
+    def __call__(self, s, m, now, report):
+        p1, p2 = waterfill(m.p_max, now.e1, now.e2, m.w1, m.w2)
+        p1[0], p2[0] = now.p1[0], now.p2[0]
+        if not self.fired:
+            self.fired = True
+            p1[0] = self.z * now.p1[0]
+        return p1, p2
+
+
 def random_system(rng, n, coupling=0.05):
     """Synthetic CrossGainMatrices with the structural invariants but
     otherwise arbitrary values; used for pure linear-algebra properties."""
@@ -54,6 +99,7 @@ def random_system(rng, n, coupling=0.05):
         w1=w1,
         w2=w2,
         lam=1.0 / (w1 + w2),
+        **synthetic_topology(n),
     )
 
 

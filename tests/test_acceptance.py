@@ -26,8 +26,9 @@ from duplink import (
     worked_example,
 )
 from duplink.engine import SweepPoint, aggregate, monte_carlo
-from duplink.policies import WaterfillingPolicy
 from duplink.scenarios import LIMITED_BACKHAUL
+
+from conftest import RescaleOnceThenHold
 
 
 def report(n, text):
@@ -184,7 +185,7 @@ def test_criterion_7_max_flow_oracle_equivalence():
                           eta_b=float(rng.uniform(10e6, 300e6)))
         rate1 = rng.uniform(0, 70e6, size=n_ues)
         rate2 = rng.uniform(0, 70e6, size=n_ues)
-        ours = network_capacity(s, rate1, rate2)
+        ours = network_capacity(build_matrices(s), rate1, rate2)
         oracle = networkx_max_flow(s, rate1, rate2)
         assert ours == pytest.approx(oracle, rel=1e-9)
     elapsed = time.monotonic() - t0
@@ -231,18 +232,6 @@ def test_criterion_8_mixed_population_equilibrium():
               f"worst dual power error {worst_p1:.2e} in {elapsed:.1f}s")
 
 
-class _RescaleOnceThenHold:
-    def __init__(self, z):
-        self.z = z
-        self.fired = False
-
-    def update(self, ue, obs):
-        if not self.fired:
-            self.fired = True
-            return self.z * obs.p1, obs.p2
-        return obs.p1, obs.p2
-
-
 def test_criterion_9_rescaling_sinr_bound():
     t0 = time.monotonic()
     used = 0
@@ -263,9 +252,8 @@ def test_criterion_9_rescaling_sinr_bound():
             continue
         used += 1
         z = s.z_factor
-        trace = run(s, [_RescaleOnceThenHold(z), WaterfillingPolicy()],
-                    max_iter=4, eps=1e-15, window=10,
-                    p0=(p1_star, p2_star), m=m)
+        trace = run(s, RescaleOnceThenHold(z), max_iter=4, eps=1e-15,
+                    window=10, p0=(p1_star, p2_star), m=m)
         assert rescaling_sinr_bound_check(trace, z, ue_id=1, link=1, k=0) is True
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

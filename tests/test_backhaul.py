@@ -9,11 +9,20 @@ from duplink import (
     PoA,
     PoAKind,
     Scenario,
+    build_matrices,
     classify_state,
     generate,
     network_capacity,
     rate_differentials,
 )
+
+
+def capacity(s, rate1, rate2):
+    return network_capacity(build_matrices(s), rate1, rate2)
+
+
+def report(s, rate1, rate2):
+    return rate_differentials(build_matrices(s), rate1, rate2, s.tau)
 
 
 def flow_scenario(n_relays, n_picos, ue_links, eta_r=30e6, eta_p=200e6, eta_b=100e6):
@@ -70,19 +79,19 @@ class TestNetworkCapacity:
     def test_single_ue_to_macro(self):
         s = flow_scenario(0, 0, [(1, 1)], eta_b=100e6)
         # both links on the macrocell, 10 Mbps total
-        assert network_capacity(s, np.array([6e6]), np.array([4e6])) == pytest.approx(10e6)
+        assert capacity(s, np.array([6e6]), np.array([4e6])) == pytest.approx(10e6)
 
     def test_macro_cap_binds(self):
         s = flow_scenario(0, 0, [(1, 1)], eta_b=10e6)
-        assert network_capacity(s, np.array([50e6]), np.array([0.0])) == pytest.approx(10e6)
+        assert capacity(s, np.array([50e6]), np.array([0.0])) == pytest.approx(10e6)
 
     def test_relay_capped_then_macro(self):
         # relay at 50 Mbps access, relay cap 30, macro cap 100 -> 30
         s = flow_scenario(1, 0, [(1, 2)], eta_r=30e6, eta_b=100e6)
         rate1 = np.array([50e6])
         rate2 = np.array([0.0])
-        assert network_capacity(s, rate1, rate2) == pytest.approx(30e6)
-        assert network_capacity(s, rate1, rate2) == pytest.approx(
+        assert capacity(s, rate1, rate2) == pytest.approx(30e6)
+        assert capacity(s, rate1, rate2) == pytest.approx(
             networkx_max_flow(s, rate1, rate2))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -101,7 +110,7 @@ class TestNetworkCapacity:
                           eta_b=float(rng.uniform(20e6, 200e6)))
         rate1 = rng.uniform(0, 60e6, size=n_ues)
         rate2 = rng.uniform(0, 60e6, size=n_ues)
-        ours = network_capacity(s, rate1, rate2)
+        ours = capacity(s, rate1, rate2)
         oracle = networkx_max_flow(s, rate1, rate2)
         assert ours == pytest.approx(oracle, rel=1e-9)
 
@@ -109,52 +118,53 @@ class TestNetworkCapacity:
         s = flow_scenario(1, 1, [(1, 3), (2, 3)], eta_r=30e6, eta_p=40e6, eta_b=50e6)
         rate1 = np.array([20e6, 35e6])
         rate2 = np.array([10e6, 5e6])
-        base = network_capacity(s, rate1, rate2)
-        assert network_capacity(s, rate1 * 1.2, rate2) >= base
+        base = capacity(s, rate1, rate2)
+        assert capacity(s, rate1 * 1.2, rate2) >= base
         s.poas[0] = PoA(id=1, kind=PoAKind.RELAY, position=(0, 0),
                         backhaul_capacity=60e6)
-        assert network_capacity(s, rate1, rate2) >= base
+        assert capacity(s, rate1, rate2) >= base
 
 
 class TestRateDifferentials:
+    # Per-PoA arrays are indexed by PoA id - 1.
     def test_no_traffic(self):
         s = flow_scenario(1, 1, [(1, 3), (2, 3)], eta_r=30e6, eta_p=40e6, eta_b=50e6)
-        rep = rate_differentials(s, np.zeros(2), np.zeros(2))
-        assert rep.v[1] == pytest.approx(min(30e6, 50e6))  # relay
-        assert rep.v[2] == pytest.approx(40e6)             # pico
-        assert rep.v[3] == pytest.approx(50e6)             # macro
+        rep = report(s, np.zeros(2), np.zeros(2))
+        assert rep.v[0] == pytest.approx(min(30e6, 50e6))  # relay
+        assert rep.v[1] == pytest.approx(40e6)             # pico
+        assert rep.v[2] == pytest.approx(50e6)             # macro
         assert rep.gamma_relay_sum == 0.0
         assert rep.eta_n == 0.0
 
     def test_overloaded_pico_goes_negative(self):
         s = flow_scenario(0, 1, [(1, 2)], eta_p=200e6, eta_b=1e9)
-        rep = rate_differentials(s, np.array([250e6]), np.array([0.0]))
-        assert rep.v[1] == pytest.approx(-50e6)
+        rep = report(s, np.array([250e6]), np.array([0.0]))
+        assert rep.v[0] == pytest.approx(-50e6)
 
     def test_relay_uses_macro_headroom(self):
         # Macro nearly full: relay ceiling is the macro headroom, not eta_r.
         s = flow_scenario(1, 0, [(1, 2)], eta_r=30e6, eta_b=50e6)
         rate1 = np.array([10e6])   # relay access
         rate2 = np.array([45e6])   # macro access
-        rep = rate_differentials(s, rate1, rate2)
+        rep = report(s, rate1, rate2)
         gamma = min(30e6, 10e6)
         v_b = 50e6 - 45e6 - gamma
-        assert rep.v[2] == pytest.approx(v_b)
-        assert rep.v[1] == pytest.approx(min(30e6, max(v_b, 0.0)) - 10e6)
-        assert rep.v[1] < 0  # overloaded despite eta_r headroom
+        assert rep.v[1] == pytest.approx(v_b)
+        assert rep.v[0] == pytest.approx(min(30e6, max(v_b, 0.0)) - 10e6)
+        assert rep.v[0] < 0  # overloaded despite eta_r headroom
 
     def test_negative_macro_headroom_clamps_to_zero(self):
         s = flow_scenario(1, 0, [(1, 2)], eta_r=30e6, eta_b=20e6)
-        rep = rate_differentials(s, np.array([5e6]), np.array([40e6]))
-        assert rep.v[2] < 0
-        assert rep.v[1] == pytest.approx(0.0 - 5e6)
+        rep = report(s, np.array([5e6]), np.array([40e6]))
+        assert rep.v[1] < 0
+        assert rep.v[0] == pytest.approx(0.0 - 5e6)
 
     def test_relay_delta_linearity(self):
         # Below the relay cap, +delta carried traffic lowers V_b by delta.
         s = flow_scenario(1, 0, [(1, 2)], eta_r=30e6, eta_b=100e6)
-        base = rate_differentials(s, np.array([10e6]), np.array([0.0]))
-        more = rate_differentials(s, np.array([14e6]), np.array([0.0]))
-        assert base.v[2] - more.v[2] == pytest.approx(4e6)
+        base = report(s, np.array([10e6]), np.array([0.0]))
+        more = report(s, np.array([14e6]), np.array([0.0]))
+        assert base.v[1] - more.v[1] == pytest.approx(4e6)
 
     def test_hand_evaluated_limited_case(self):
         # Independent spreadsheet-style evaluation of the v map. UE 1 links
@@ -163,25 +173,25 @@ class TestRateDifferentials:
                           eta_r=20e6, eta_p=12e6, eta_b=30e6)
         rate1 = np.array([47e6, 2e6])
         rate2 = np.array([4e6, 28e6])
-        rep = rate_differentials(s, rate1, rate2)
+        rep = report(s, rate1, rate2)
         gamma = min(20e6, 47e6)
         v_b = 30e6 - (2e6 + 4e6) - gamma
         v_p = 12e6 - 28e6
         v_r = min(20e6, max(v_b, 0.0)) - 47e6
         assert rep.gamma_relay_sum == pytest.approx(gamma)
-        assert rep.v[3] == pytest.approx(v_b)
-        assert rep.v[2] == pytest.approx(v_p)
-        assert rep.v[1] == pytest.approx(v_r)
+        assert rep.v[2] == pytest.approx(v_b)
+        assert rep.v[1] == pytest.approx(v_p)
+        assert rep.v[0] == pytest.approx(v_r)
         # per-link view matches the per-PoA map
-        assert rep.v_per_link[(1, 1)] == rep.v[1]
-        assert rep.v_per_link[(2, 2)] == rep.v[2]
+        assert rep.v1[0] == rep.v[0]
+        assert rep.v2[1] == rep.v[1]
 
-    def test_ue_states_follow_table(self):
+    def test_states_follow_table(self):
         s = flow_scenario(1, 1, [(1, 3), (3, 2)],
                           eta_r=20e6, eta_p=12e6, eta_b=60e6)
-        rep = rate_differentials(s, np.array([47e6, 2e6]), np.array([4e6, 28e6]))
-        assert rep.ue_states[1] == classify_state(rep.v[1], rep.v[3], s.tau)
-        assert rep.ue_states[2] == classify_state(rep.v[3], rep.v[2], s.tau)
+        rep = report(s, np.array([47e6, 2e6]), np.array([4e6, 28e6]))
+        assert rep.state[0] == classify_state(rep.v[0], rep.v[2], s.tau)
+        assert rep.state[1] == classify_state(rep.v[2], rep.v[1], s.tau)
 
 
 class TestClassifyState:
@@ -236,5 +246,5 @@ class TestGeneratedScenarioCapacity:
         s = generate(GenParams(n_ues=6, seed=seed))
         rate1 = rng.uniform(0, 80e6, size=6)
         rate2 = rng.uniform(0, 80e6, size=6)
-        assert network_capacity(s, rate1, rate2) == pytest.approx(
+        assert capacity(s, rate1, rate2) == pytest.approx(
             networkx_max_flow(s, rate1, rate2), rel=1e-9)

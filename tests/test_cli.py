@@ -52,6 +52,37 @@ class TestRunCommand:
         assert code == 3
         assert "distinct channels" in capsys.readouterr().err
 
+    def run_dict(self, tmp_path, d, *extra):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        return main(["run", "--scenario", str(path), "--policy", "bdt",
+                     "--out", str(tmp_path / "out"), *extra])
+
+    def test_missing_cochannel_gain_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        d["gains"] = [g for g in d["gains"] if g[:3] != [2, 1, 1]]
+        assert self.run_dict(tmp_path, d) == 3
+        err = capsys.readouterr().err
+        assert "missing cross gain: UE 2 -> PoA 1 on channel 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_p_max_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        d["ues"][0]["p_max"] = float("nan")
+        assert self.run_dict(tmp_path, d) == 3
+        assert "UE 1: p_max must be finite" in capsys.readouterr().err
+
+    def test_nan_gain_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        d["gains"][0][3] = float("nan")
+        assert self.run_dict(tmp_path, d) == 3
+        assert "gain (1,1,1) must be finite" in capsys.readouterr().err
+
+    def test_nan_tau_override_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        assert self.run_dict(tmp_path, d, "--tau", "nan") == 3
+        assert "tau must be finite" in capsys.readouterr().err
+
     def test_unparseable_scenario(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

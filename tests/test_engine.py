@@ -1,10 +1,10 @@
 import csv
-import json
 
 import numpy as np
 import pytest
 
 from duplink import (
+    BackhaulState,
     GenParams,
     build_matrices,
     build_system,
@@ -15,7 +15,7 @@ from duplink import (
     worked_example,
 )
 from duplink.backhaul import rate_differentials
-from duplink.engine import SweepPoint, aggregate, monte_carlo, trace_to_csv, trace_to_json
+from duplink.engine import SweepPoint, aggregate, monte_carlo, trace_to_csv
 from duplink.network import Scenario
 from duplink.scenarios import LIMITED_BACKHAUL
 
@@ -26,9 +26,8 @@ class TestStep:
         s = worked_example()
         m = build_matrices(s)
         sys_ = build_system(m, np.ones(2))
-        state = initial_state(s, m)
-        from duplink.engine import resolve_policies
-        nxt = step(s, m, state, resolve_policies(s, "wf"))
+        state = initial_state(m)
+        nxt = step(s, m, state, "wf")
         np.testing.assert_allclose(nxt.p1, sys_.n_vec + sys_.m @ state.p1, rtol=1e-12)
         np.testing.assert_allclose(nxt.p2, 1.0 - nxt.p1, rtol=1e-12)
 
@@ -40,8 +39,7 @@ class TestStep:
         trace = run(s, "bdt", max_iter=100, m=m)
         assert trace.verdict.converged
         final = trace.states[-1]
-        from duplink.engine import resolve_policies
-        again = step(s, m, final, resolve_policies(s, "bdt"))
+        again = step(s, m, final, "bdt")
         np.testing.assert_array_equal(again.p1, final.p1)
         np.testing.assert_array_equal(again.p2, final.p2)
 
@@ -49,31 +47,28 @@ class TestStep:
         s = generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=2,
                                backhaul_scale=100.0))
         m = build_matrices(s)
-        from duplink.engine import resolve_policies
         from duplink.policies import waterfill
-        state = initial_state(s, m)
-        nxt = step(s, m, state, resolve_policies(s, "bdt"))
+        state = initial_state(m)
+        nxt = step(s, m, state, "bdt")
         expected = waterfill(1.0, float(m.d1[0]), float(m.d2[0]),
                              float(m.w1[0]), float(m.w2[0]))
         assert (nxt.p1[0], nxt.p2[0]) == pytest.approx(expected)
 
     def test_infeasible_policy_rejected(self):
-        class Bad:
-            def update(self, ue, obs):
-                return obs.p_max, obs.p_max
+        def bad(s, m, now, report):
+            return m.p_max, m.p_max
 
         s = worked_example()
         m = build_matrices(s)
         with pytest.raises(RuntimeError, match="infeasible"):
-            step(s, m, initial_state(s, m), [Bad(), Bad()])
+            step(s, m, initial_state(m), bad)
 
     def test_deterministic(self):
         s = generate(GenParams(n_ues=6, seed=13))
         m = build_matrices(s)
-        from duplink.engine import resolve_policies
-        state = initial_state(s, m)
-        a = step(s, m, state, resolve_policies(s, "greedy"))
-        b = step(s, m, state, resolve_policies(s, "greedy"))
+        state = initial_state(m)
+        a = step(s, m, state, "greedy")
+        b = step(s, m, state, "greedy")
         np.testing.assert_array_equal(a.p1, b.p1)
         np.testing.assert_array_equal(a.p2, b.p2)
 
@@ -121,7 +116,7 @@ class TestRun:
         trace = run(s, "bdt", max_iter=100)
         totals = [float(np.sum(st.p1 + st.p2)) for st in trace.states]
         overloaded = [
-            all(state.name in ("S7", "S8", "S9") for state in rep.ue_states.values())
+            all(BackhaulState(code).name in ("S7", "S8", "S9") for code in rep.state)
             for rep in trace.reports
         ]
         saw_overload = False
@@ -138,6 +133,10 @@ class TestRun:
     def test_invalid_max_iter(self):
         with pytest.raises(ValueError):
             run(worked_example(), "wf", max_iter=0)
+
+    def test_unknown_policy_name(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            run(worked_example(), "anneal")
 
 
 class TestMetrics:
@@ -176,15 +175,6 @@ class TestTraceSerialization:
         # values survive the round trip exactly (repr-encoded floats)
         assert float(rows[3]["p1_1"]) == trace.states[3].p1[0]
         assert rows[0]["state_1"] in {f"S{i}" for i in range(1, 10)}
-
-    def test_json_trace(self, tmp_path):
-        s = worked_example()
-        trace = run(s, "wf", max_iter=10)
-        path = tmp_path / "trace.json"
-        trace_to_json(trace, s, path)
-        payload = json.loads(path.read_text())
-        assert payload["verdict"]["kind"] == trace.verdict.kind
-        assert len(payload["iterations"]) == len(trace.states)
 
 
 class TestMonteCarlo:

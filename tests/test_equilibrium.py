@@ -20,9 +20,7 @@ from duplink import (
     waterfill,
     worked_example,
 )
-from duplink.policies import WaterfillingPolicy
-
-from conftest import gelfand_radius, random_system
+from conftest import RescaleOnceThenHold, gelfand_radius, random_system
 
 
 class TestBuildSystem:
@@ -210,18 +208,6 @@ class TestMixedPopulationSystem:
                                     np.array([2.0, 1.0, 0.0]))
 
 
-class _RescaleOnceThenHold:
-    def __init__(self, z):
-        self.z = z
-        self.fired = False
-
-    def update(self, ue, obs):
-        if not self.fired:
-            self.fired = True
-            return self.z * obs.p1, obs.p2
-        return obs.p1, obs.p2
-
-
 def _rescaling_trace(seed, z=None):
     s = generate(GenParams(n_ues=2, n_relays=1, n_picos=1, seed=seed,
                            backhaul_scale=10.0))
@@ -234,8 +220,8 @@ def _rescaling_trace(seed, z=None):
     if not sys_.interior:
         return None, None
     z = s.z_factor if z is None else z
-    trace = run(s, [_RescaleOnceThenHold(z), WaterfillingPolicy()],
-                max_iter=4, eps=1e-15, window=10, p0=(p1_star, p2_star), m=mat)
+    trace = run(s, RescaleOnceThenHold(z), max_iter=4, eps=1e-15, window=10,
+                p0=(p1_star, p2_star), m=mat)
     return trace, z
 
 
@@ -256,7 +242,7 @@ class TestRescalingSinrBound:
                                backhaul_scale=10.0))
         mat = build_matrices(s)
         z = s.z_factor
-        trace = run(s, [_RescaleOnceThenHold(z)], max_iter=4, eps=1e-15,
+        trace = run(s, RescaleOnceThenHold(z), max_iter=4, eps=1e-15,
                     window=10, m=mat)
         assert rescaling_sinr_bound_check(trace, z, ue_id=1, link=1, k=0) is True
         g0 = trace.states[0].sinr1[0]
@@ -277,6 +263,6 @@ class TestRescalingSinrBound:
     def test_bottleneck_link_is_inapplicable(self):
         trace, z = _rescaling_trace(0)
         # fake a negative differential at k=0 for UE 1 link 1
-        trace.reports[0].v_per_link[(1, 1)] = -1.0
+        trace.reports[0].v1[0] = -1.0
         with pytest.raises(InapplicableCheck):
             rescaling_sinr_bound_check(trace, z, ue_id=1, link=1, k=0)

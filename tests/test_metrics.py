@@ -15,7 +15,7 @@ from duplink import (
 )
 from duplink.metrics import CrossGainMatrices
 
-from conftest import scalar_interference
+from conftest import scalar_interference, synthetic_topology
 
 
 class TestWorkedExampleMatrices:
@@ -173,6 +173,7 @@ class TestLinkRates:
             d1=np.ones(n), d2=np.ones(n),
             w1=np.array([w1]), w2=np.array([w2]),
             lam=np.array([1.0 / (w1 + w2)]),
+            **synthetic_topology(n),
         )
 
     def test_one_bit_per_hz(self):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,22 @@ def tiny_scenario(**overrides):
                   noise_psd=1e-19, tau=5e6, z_factor=0.9)
     fields.update(overrides)
     return Scenario(**fields)
+
+
+def set_number(s, name, value):
+    """Put ``value`` into one numeric field of the scenario."""
+    if name in ("p_max", "fixed_sinr_target"):
+        single = {"poa_2": None, "chan_2": None} if name == "fixed_sinr_target" else {}
+        s.ues[0] = replace(s.ues[0], **single, **{name: value})
+    elif name == "gain":
+        s.gains[(1, 1, 1)] = value
+    elif name == "bandwidth":
+        s.channels[0] = replace(s.channels[0], bandwidth=value)
+    elif name == "backhaul_capacity":
+        s.poas[0] = replace(s.poas[0], backhaul_capacity=value)
+    else:
+        setattr(s, name, value)
+    return s
 
 
 class TestValidation:
@@ -90,6 +107,21 @@ class TestValidation:
         s = tiny_scenario()
         s.gains[(1, 1, 1)] = -1.0
         assert any("gain" in b for b in validate_scenario(s))
+
+    @pytest.mark.parametrize("name,value", [
+        (name, value)
+        for name in ("p_max", "fixed_sinr_target", "gain", "bandwidth",
+                     "backhaul_capacity", "noise_psd", "tau", "z_factor")
+        for value in (math.nan, math.inf, -math.inf)
+        if (name, value) != ("backhaul_capacity", math.inf)  # unlimited backhaul
+    ])
+    def test_non_finite_numbers_rejected(self, name, value):
+        s = set_number(tiny_scenario(), name, value)
+        assert any(name in b for b in validate_scenario(s))
+
+    def test_unlimited_backhaul_is_legal(self):
+        s = set_number(tiny_scenario(), "backhaul_capacity", math.inf)
+        assert validate_scenario(s) == []
 
     def test_idempotent_and_side_effect_free(self):
         s = tiny_scenario()
