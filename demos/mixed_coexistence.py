@@ -19,18 +19,13 @@ s = dl.generate_mixed(
     beta_range=(1.5, 3.0),
 )
 m = dl.build_matrices(s)
-p_max = np.array([u.p_max for u in s.ues])
-system = dl.build_system(m, p_max)
-q = np.array([0.0 if u.dual else 1.0 for u in s.ues])
-beta = np.array([u.fixed_sinr_target or 0.0 for u in s.ues])
-
-a, c = dl.mixed_population_system(m, system, q, beta)
+a, c = dl.build_system(m)
 rho = dl.spectral_radius(a)
 print(f"combined iteration matrix spectral radius: {rho:.4f}")
 assert rho < 1.0, "draw another seed: this mix does not contract"
 
-p1_pred = np.linalg.solve(np.eye(len(q)) - a, c)
-trace = dl.run(s, "mixed-fm", max_iter=300, eps=1e-12, m=m)
+p1_pred, _ = dl.closed_form_equilibrium(m, a, c, rho)
+trace = dl.run(m, "mixed-fm", max_iter=300, eps=1e-12)
 final = trace.states[-1]
 
 print(f"simulation verdict: {trace.verdict.kind} "

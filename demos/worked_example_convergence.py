@@ -17,13 +17,14 @@ print(m.f11)
 print(m.f22)
 print("normalized noise:", m.d1, m.d2)
 
-system = dl.build_system(m, np.ones(2))
-print(f"\nspectral radius of the power iteration: {system.spectral_radius:.4f}")
-p1_star, p2_star = dl.closed_form_equilibrium(system, np.ones(2))
+a, c = dl.build_system(m)
+rho = dl.spectral_radius(a)
+print(f"\nspectral radius of the power iteration: {rho:.4f}")
+p1_star, p2_star = dl.closed_form_equilibrium(m, a, c, rho)
 print("predicted fixed point p1*:", p1_star, " p2*:", p2_star)
 
 for policy in ("wf", "bdt", "greedy"):
-    trace = dl.run(s, policy, max_iter=100, m=m)
+    trace = dl.run(m, policy, max_iter=100)
     err = np.max(np.abs(trace.states[-1].p1 - p1_star))
     print(f"  {policy:6s} {trace.verdict.kind:12s} "
           f"iterations={trace.metrics['iterations_run']:3d} "
@@ -31,11 +32,11 @@ for policy in ("wf", "bdt", "greedy"):
 
 # --- limited backhaul: hysteresis vs. greedy flip-flopping ------------------
 print("\nlimited backhaul capacities (relay/pico/macro = 20/12/30 Mbps):")
-s2 = dl.worked_example(dl.LIMITED_BACKHAUL)
+m2 = dl.build_matrices(dl.worked_example(dl.LIMITED_BACKHAUL))
 for policy in ("wf", "bdt", "greedy"):
-    trace = dl.run(s2, policy, max_iter=100)
-    states = {u.id: dl.BackhaulState(code).name
-              for u, code in zip(s2.ues, trace.reports[-1].state)}
+    trace = dl.run(m2, policy, max_iter=100)
+    states = {ue: dl.BackhaulState(code).name
+              for ue, code in zip(m2.ue_id.tolist(), trace.reports[-1].state)}
     print(f"  {policy:6s} {trace.verdict.kind:12s} "
           f"avg power {trace.metrics['avg_total_power']:.3f} W   "
           f"network rate {trace.metrics['eta_n_final'] / 1e6:6.1f} Mbps   "

@@ -33,12 +33,9 @@ from .engine import (
 )
 from .equilibrium import (
     InapplicableCheck,
-    IterationSystem,
-    affine_fixed_point,
     build_system,
     closed_form_equilibrium,
     rescaling_sinr_bound_check,
-    mixed_population_system,
     spectral_radius,
 )
 from .metrics import (
@@ -47,7 +44,6 @@ from .metrics import (
     build_matrices,
     compute_state,
     effective_interference,
-    link_rates,
 )
 from .network import (
     UE,

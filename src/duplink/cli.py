@@ -28,13 +28,7 @@ import numpy as np
 
 from . import __version__
 from .engine import SweepPoint, aggregate, monte_carlo, run, trace_to_csv
-from .equilibrium import (
-    affine_fixed_point,
-    build_system,
-    closed_form_equilibrium,
-    mixed_population_system,
-    spectral_radius,
-)
+from .equilibrium import build_system, closed_form_equilibrium, spectral_radius
 from .metrics import build_matrices
 from .network import load_scenario, validate_scenario
 from .policies import POLICY_NAMES
@@ -64,33 +58,23 @@ def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _equilibrium_payload(mat) -> dict | None:
-    """Predicted fixed point of the waterfilling regime, when contractive."""
-    sys_ = build_system(mat, mat.p_max)
-    q = np.where(mat.dual, 0.0, 1.0)
-    if q.any():
-        a, c = mixed_population_system(mat, sys_, q, mat.beta)
-        rho = spectral_radius(a)
-        if rho >= 1.0:
-            return None
-        p1 = affine_fixed_point(a, c, rho)
-        p2 = np.where(q == 1.0, 0.0, mat.p_max - p1)
-        interior = bool(np.all(p1 > 0) and np.all(p1 < mat.p_max))
-        payload = {"spectral_radius": rho, "mixed_population": True}
-    else:
-        if sys_.spectral_radius >= 1.0:
-            return None
-        p1, p2 = closed_form_equilibrium(sys_, mat.p_max)
-        interior = sys_.interior
-        payload = {
-            "spectral_radius": sys_.spectral_radius,
-            "spectral_radius_abs": spectral_radius(np.abs(sys_.m)),
-            "mixed_population": False,
-        }
+def _equilibrium_payload(m) -> dict | None:
+    """Predicted fixed point of the population's affine iteration, when
+    contractive."""
+    a, c = build_system(m)
+    rho = spectral_radius(a)
+    if rho >= 1.0:
+        return None
+    p1, p2 = closed_form_equilibrium(m, a, c, rho)
+    mixed = not m.dual.all()
+    payload = {"spectral_radius": rho}
+    if not mixed:
+        payload["spectral_radius_abs"] = spectral_radius(np.abs(a))
     payload.update({
+        "mixed_population": mixed,
         "predicted_p1": [float(x) for x in p1],
         "predicted_p2": [float(x) for x in p2],
-        "interior": interior,
+        "interior": bool(np.all(p1 > 0) and np.all(p1 < m.p_max)),
     })
     return payload
 
@@ -131,8 +115,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        trace = run(scenario, args.policy, max_iter=args.iters, eps=args.eps,
-                    window=args.window, m=mat)
+        trace = run(mat, args.policy, max_iter=args.iters, eps=args.eps,
+                    window=args.window)
         equilibrium = _equilibrium_payload(mat)
         if equilibrium is not None:
             final = trace.states[-1]
@@ -146,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    trace_to_csv(trace, scenario, out / "trace.csv")
+    trace_to_csv(trace, mat, out / "trace.csv")
     payload = dict(trace.metrics)
     payload["verdict"] = trace.verdict.kind
     payload["converged_at"] = trace.verdict.iteration

@@ -20,7 +20,6 @@ import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
 from .metrics import CrossGainMatrices, PowerState, build_matrices, compute_state
-from .network import Scenario
 from .policies import POLICY_NAMES, bdt_update, fm_update, greedy_update, waterfill
 from .scenarios import GenParams, generate
 
@@ -30,9 +29,9 @@ MAX_ITERATIONS = "max_iterations"
 
 _FEAS_SLACK = 1e-9
 
-# A custom policy decides every UE at once: policy(s, m, now, report)
+# A custom policy decides every UE at once: policy(m, now, report)
 # returns the next (p1, p2) arrays, before the feasibility guard.
-PolicyFn = Callable[[Scenario, CrossGainMatrices, PowerState, BackhaulReport],
+PolicyFn = Callable[[CrossGainMatrices, PowerState, BackhaulReport],
                     tuple[np.ndarray, np.ndarray]]
 Policy = Union[str, PolicyFn]
 
@@ -70,12 +69,12 @@ def initial_state(m: CrossGainMatrices,
     return compute_state(m, half, np.where(m.dual, half, 0.0))
 
 
-def _dual_update(policy: str, s: Scenario, m: CrossGainMatrices, now: PowerState,
+def _dual_update(policy: str, m: CrossGainMatrices, now: PowerState,
                  report: BackhaulReport, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The named policy on the dual-connectivity rows ``d``."""
     budget = (m.p_max[d], now.e1[d], now.e2[d], m.w1[d], m.w2[d])
     if policy == "bdt":
-        return bdt_update(report.state[d], now.p1[d], now.p2[d], *budget, s.z_factor)
+        return bdt_update(report.state[d], now.p1[d], now.p2[d], *budget, m.z)
     if policy == "greedy":
         return greedy_update(*budget, np.maximum(report.v1[d], 0.0),
                              np.maximum(report.v2[d], 0.0))
@@ -83,7 +82,6 @@ def _dual_update(policy: str, s: Scenario, m: CrossGainMatrices, now: PowerState
 
 
 def step(
-    s: Scenario,
     m: CrossGainMatrices,
     now: PowerState,
     policy: Policy,
@@ -96,12 +94,12 @@ def step(
     """
     _check_policy(policy)
     if report is None:
-        report = rate_differentials(m, now.rate1, now.rate2, s.tau)
+        report = rate_differentials(m, now.rate1, now.rate2, m.tau)
     if callable(policy):
-        p1, p2 = (np.asarray(p, dtype=float) for p in policy(s, m, now, report))
+        p1, p2 = (np.asarray(p, dtype=float) for p in policy(m, now, report))
     else:
         p1, p2 = np.zeros(m.n), np.zeros(m.n)
-        p1[m.dual], p2[m.dual] = _dual_update(policy, s, m, now, report, m.dual)
+        p1[m.dual], p2[m.dual] = _dual_update(policy, m, now, report, m.dual)
         single = ~m.dual
         if single.any():
             p1[single] = fm_update(now.e1[single], m.beta[single], m.p_max[single])
@@ -110,7 +108,7 @@ def step(
     if bad.any():
         i = int(np.argmax(bad))
         raise RuntimeError(
-            f"policy returned infeasible powers for UE {s.ues[i].id}: "
+            f"policy returned infeasible powers for UE {m.ue_id[i]}: "
             f"({p1[i]}, {p2[i]}) with p_max {m.p_max[i]}"
         )
     p1 = np.minimum(np.maximum(p1, 0.0), m.p_max)
@@ -119,18 +117,17 @@ def step(
 
 
 def run(
-    s: Scenario,
+    m: CrossGainMatrices,
     policy: Policy,
     max_iter: int = 100,
     eps: float = 1e-6,
     window: int = 5,
     p0: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    m: Optional[CrossGainMatrices] = None,
 ) -> Trace:
     """Iterate the chosen policy and classify the outcome.
 
     ``policy`` is a name from ``POLICY_NAMES`` or a callable
-    ``policy(s, m, now, report) -> (p1, p2)`` over all UEs.
+    ``policy(m, now, report) -> (p1, p2)`` over all UEs.
     Convergence requires the infinity-norm power step to stay below ``eps``
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
@@ -139,16 +136,14 @@ def run(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     _check_policy(policy)
-    if m is None:
-        m = build_matrices(s)
 
     states = [initial_state(m, p0)]
-    reports = [rate_differentials(m, states[0].rate1, states[0].rate2, s.tau)]
+    reports = [rate_differentials(m, states[0].rate1, states[0].rate2, m.tau)]
 
-    if s.n_ues == 0:
+    if m.n == 0:
         verdict = Verdict(CONVERGED, iteration=0)
         trace = Trace(states, reports, verdict, {})
-        trace.metrics = trace_metrics(trace, s)
+        trace.metrics = trace_metrics(trace, m)
         return trace
 
     # Row k holds iterate k's powers, p1 then p2.
@@ -158,11 +153,11 @@ def run(
     stable = 0
     verdict = Verdict(MAX_ITERATIONS)
     for k in range(max_iter):
-        nxt = step(s, m, states[-1], policy, reports[-1])
+        nxt = step(m, states[-1], policy, reports[-1])
         powers[k + 1, :n], powers[k + 1, n:] = nxt.p1, nxt.p2
         delta = float(np.max(np.abs(powers[k + 1] - powers[k])))
         states.append(nxt)
-        reports.append(rate_differentials(m, nxt.rate1, nxt.rate2, s.tau))
+        reports.append(rate_differentials(m, nxt.rate1, nxt.rate2, m.tau))
 
         stable = stable + 1 if delta < eps else 0
         if stable >= window:
@@ -175,7 +170,7 @@ def run(
                 break
 
     trace = Trace(states, reports, verdict, {})
-    trace.metrics = trace_metrics(trace, s)
+    trace.metrics = trace_metrics(trace, m)
     return trace
 
 
@@ -188,27 +183,25 @@ def _find_revisit(powers: np.ndarray, eps: float) -> Optional[int]:
     return int(k - hits[-1]) if hits.size else None
 
 
-def trace_metrics(trace: Trace, s: Scenario) -> dict:
+def trace_metrics(trace: Trace, m: CrossGainMatrices) -> dict:
     """Headline numbers of a finished run."""
     final = trace.states[-1]
-    in_use = {u.chan_1 for u in s.ues} | {u.chan_2 for u in s.ues if u.dual}
-    total_bw = sum(c.bandwidth for c in s.channels if c.id in in_use)
+    bandwidth = m.bandwidth_in_use
     eta_n = trace.reports[-1].eta_n
     totals = final.p1 + final.p2
     return {
         "eta_n_final": eta_n,
-        "eta_n_normalized": eta_n / total_bw if total_bw > 0 else 0.0,
-        "avg_total_power": float(np.mean(totals)) if s.n_ues else 0.0,
+        "eta_n_normalized": eta_n / bandwidth if bandwidth > 0 else 0.0,
+        "avg_total_power": float(np.mean(totals)) if m.n else 0.0,
         "iterations_run": len(trace.states) - 1,
     }
 
 
-def trace_to_csv(trace: Trace, s: Scenario, path: str | Path) -> None:
+def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
     """One row per iteration: k, per-UE powers/rates/state, network rate."""
     header = ["k"]
-    for u in s.ues:
-        header += [f"p1_{u.id}", f"p2_{u.id}", f"rate1_{u.id}", f"rate2_{u.id}",
-                   f"state_{u.id}"]
+    for ue in m.ue_id.tolist():
+        header += [f"p1_{ue}", f"p2_{ue}", f"rate1_{ue}", f"rate2_{ue}", f"state_{ue}"]
     header.append("eta_n")
     names = [""] + [state.name for state in BackhaulState]
     with open(path, "w", newline="") as fh:
@@ -257,7 +250,7 @@ def monte_carlo(
     generator rejects scenarios whose waterfilling iteration matrix has a
     spectral radius of 1 or more, re-drawing deterministically.
     """
-    from .equilibrium import build_system
+    from .equilibrium import build_system, spectral_radius
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -273,10 +266,8 @@ def monte_carlo(
                     seed = _trial_seed(seed_list[trial], point_idx, 0, attempt)
                 else:
                     seed = _trial_seed(seeds, point_idx, trial, attempt)
-                scenario = generate(replace(point.params, seed=seed))
-                mat = build_matrices(scenario)
-                if (not require_contractive
-                        or build_system(mat, mat.p_max).spectral_radius < 1.0):
+                mat = build_matrices(generate(replace(point.params, seed=seed)))
+                if not require_contractive or spectral_radius(build_system(mat)[0]) < 1.0:
                     break
             else:
                 raise RuntimeError(
@@ -284,8 +275,7 @@ def monte_carlo(
                     f"trial {trial} after {max_attempts} attempts"
                 )
             for policy in policies:
-                trace = run(scenario, policy, max_iter=max_iter, eps=eps,
-                            window=window, m=mat)
+                trace = run(mat, policy, max_iter=max_iter, eps=eps, window=window)
                 rows.append({
                     "sweep_var": point.sweep_var,
                     "sweep_value": point.sweep_value,

@@ -1,25 +1,23 @@
-"""Linear-system view of synchronous waterfilling and its fixed point.
+"""Linear-system view of the waterfilling regime and its fixed point.
 
 When every dual-connectivity UE waterfills its full budget, the first-link
 power vector evolves as the affine iteration
 
-    p1(k+1) = n_vec + m @ p1(k)
+    p1(k+1) = c + a @ p1(k)
 
-with m = Lam [W2 (F21 - F11) + W1 (F12 - F22)] and
-n_vec = Lam [W1 p_max - W2 d1 + W1 d2 + (W1 F22 - W2 F21) p_max],
+with a = Lam [W2 (F21 - F11) + W1 (F12 - F22)] and
+c = Lam [W1 p_max - W2 d1 + W1 d2 + (W1 F22 - W2 F21) p_max],
 where W1/W2/Lam act as diagonal (row) scalings. The iteration contracts to
-p1* = (I - m)^-1 n_vec whenever the spectral radius of m is below one, and
-the prediction is trustworthy when p1* lies strictly inside (0, p_max).
+p1* = (I - a)^-1 c whenever the spectral radius of a is below one, and the
+prediction is trustworthy when p1* lies strictly inside (0, p_max).
 
-A mixed population adds single-link UEs running fixed-target-SINR control;
-their rows replace the waterfilling update with beta * (d1 + F11 p1), which
-keeps the combined system affine.
+A single-link UE runs fixed-target-SINR control (Foschini-Miljanic), so its
+row is beta * (d1 + F11 p1 + F21 p2) with p2 = p_max - p1 on dual UEs, i.e.
+a = beta (F11 - F21) and c = beta (d1 + F21 p_max); the system of a mixed
+population stays affine.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,15 +28,6 @@ _RESIDUAL_TOL = 1e-9
 
 class InapplicableCheck(Exception):
     """Raised when a trajectory check's preconditions do not hold."""
-
-
-@dataclass
-class IterationSystem:
-    m: np.ndarray
-    n_vec: np.ndarray
-    spectral_radius: float
-    fixed_point_p1: Optional[np.ndarray] = None
-    interior: Optional[bool] = None
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -55,101 +44,64 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def build_system(mat: CrossGainMatrices, p_max: np.ndarray) -> IterationSystem:
-    """Iteration matrix and offset of the all-waterfilling power dynamics."""
-    p_max = np.asarray(p_max, dtype=float)
-    if p_max.shape != (mat.n,):
-        raise ValueError(f"p_max must have shape ({mat.n},)")
-    w1 = mat.w1[:, None]
-    w2 = mat.w2[:, None]
-    lam = mat.lam[:, None]
-    m = lam * (w2 * (mat.f21 - mat.f11) + w1 * (mat.f12 - mat.f22))
-    n_vec = mat.lam * (
-        mat.w1 * p_max
-        - mat.w2 * mat.d1
-        + mat.w1 * mat.d2
-        + (w1 * mat.f22 - w2 * mat.f21) @ p_max
+def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration matrix ``a`` and offset ``c`` of the first-link powers:
+    waterfilling rows for dual UEs, fixed-SINR rows for single-link UEs."""
+    w1 = m.w1[:, None]
+    w2 = m.w2[:, None]
+    a = m.lam[:, None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
+    c = m.lam * (
+        m.w1 * m.p_max
+        - m.w2 * m.d1
+        + m.w1 * m.d2
+        + (w1 * m.f22 - w2 * m.f21) @ m.p_max
     )
-    return IterationSystem(
-        m=m,
-        n_vec=n_vec,
-        spectral_radius=spectral_radius(m),
-    )
+    a = np.where(m.dual[:, None], a, m.beta[:, None] * (m.f11 - m.f21))
+    c = np.where(m.dual, c, m.beta * (m.d1 + m.f21 @ m.p_max))
+    return a, c
 
 
-def affine_fixed_point(a: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
-    """Fixed point x = c + a @ x of a contractive affine iteration.
+def closed_form_equilibrium(
+    m: CrossGainMatrices, a: np.ndarray, c: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed point (p1*, p2*) of the affine iteration p1 = c + a @ p1.
 
     ``rho`` is the spectral radius of ``a`` (see ``spectral_radius``); the
     iteration must contract (rho < 1), else ValueError. Raises LinAlgError
-    when the solve fails or its residual is not negligible.
+    when the solve fails or its residual is not negligible. Dual UEs spend
+    the rest of their budget on link 2; single-link UEs have p2* = 0. The
+    prediction describes the true dynamics only when p1* lies strictly
+    inside (0, p_max).
     """
     if rho >= 1.0:
         raise ValueError(f"iteration does not contract (spectral radius {rho:.4f})")
     try:
-        x = np.linalg.solve(np.eye(a.shape[0]) - a, c)
+        p1 = np.linalg.solve(np.eye(a.shape[0]) - a, c)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"(I - M) solve failed: {exc}") from exc
-    residual = np.max(np.abs(x - c - a @ x), initial=0.0)
-    scale = max(1.0, np.max(np.abs(x), initial=0.0))
+    residual = np.max(np.abs(p1 - c - a @ p1), initial=0.0)
+    scale = max(1.0, np.max(np.abs(p1), initial=0.0))
     if residual > _RESIDUAL_TOL * scale:
         raise np.linalg.LinAlgError(f"fixed-point residual too large: {residual:.3e}")
-    return x
+    return p1, np.where(m.dual, m.p_max - p1, 0.0)
 
 
-def closed_form_equilibrium(
-    sys: IterationSystem, p_max: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point (p1*, p2*) of the waterfilling iteration.
-
-    Requires spectral radius < 1. Stores the fixed point and the interiority
-    flag on ``sys``; an exterior fixed point means the un-clipped linear
-    model does not describe the true dynamics and the prediction should not
-    be trusted.
-    """
-    p_max = np.asarray(p_max, dtype=float)
-    p1_star = affine_fixed_point(sys.m, sys.n_vec, sys.spectral_radius)
-    sys.fixed_point_p1 = p1_star
-    sys.interior = bool(np.all(p1_star > 0) and np.all(p1_star < p_max))
-    return p1_star, p_max - p1_star
-
-
-def mixed_population_system(
-    mat: CrossGainMatrices,
-    sys: IterationSystem,
-    q: np.ndarray,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Affine system of a population mixing waterfilling and fixed-SINR UEs.
-
-    ``q`` flags the single-link fixed-target UEs (1) versus dual-connectivity
-    UEs (0); ``beta`` holds the SINR targets (positive exactly where q is 1).
-    Returns (iteration matrix, offset); the spectral radius of the matrix
-    gates convergence of the mixed dynamics.
-    """
-    q = np.asarray(q, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.any((beta > 0) != (q == 1)):
-        raise ValueError("beta must be positive exactly where q is 1")
-    qbar = 1.0 - q
-    a = qbar[:, None] * sys.m + (q * beta)[:, None] * mat.f11
-    c = qbar * sys.n_vec + q * beta * mat.d1
-    return a, c
-
-
-def rescaling_sinr_bound_check(trace, z: float, ue_id: int, link: int, k: int) -> bool:
+def rescaling_sinr_bound_check(trace, m: CrossGainMatrices, z: float, ue_id: int,
+                               link: int, k: int) -> bool:
     """Did the SINR of a rescaled non-bottleneck link obey gamma(k+2) > z^2 gamma(k)?
 
-    Applicable only when the trace is long enough, the link's rate
-    differential was nonnegative at iteration k, and the UE scaled that
+    ``m`` is the network the trace ran on; UE ``ue_id`` is looked up in
+    ``m.ue_id``. Applicable only when the trace is long enough, the link's
+    rate differential was nonnegative at iteration k, and the UE scaled that
     link's power by z between k and k+1. Raises InapplicableCheck otherwise.
     """
     states = trace.states
     if k < 0 or k + 2 >= len(states):
         raise InapplicableCheck(f"trace too short for k={k}")
-    i = ue_id - 1
-    if not 0 <= i < states[0].p1.shape[0]:
+    hits = np.flatnonzero(m.ue_id == ue_id)
+    if not hits.size:
         raise InapplicableCheck(f"unknown UE id {ue_id}")
+    i = int(hits[0])
     if link == 2 and trace.reports[k].state[i] == 0:
         raise InapplicableCheck(f"UE {ue_id} has no link 2")
     p_attr = "p1" if link == 1 else "p2"

@@ -40,6 +40,10 @@ class CrossGainMatrices:
 
     Backhaul: ``capacity`` per PoA index; ``relays`` and ``picos`` are the
     PoA indices of each kind in scenario order, ``macro`` the macrocell's.
+
+    Scenario constants: ``tau`` and ``z`` of the backhaul-state policy,
+    ``ue_id`` the UE ids in scenario order, and ``bandwidth_in_use`` the
+    summed bandwidth of the channels some UE transmits on.
     """
 
     f11: np.ndarray
@@ -59,6 +63,10 @@ class CrossGainMatrices:
     relays: np.ndarray
     picos: np.ndarray
     macro: int
+    tau: float
+    z: float
+    ue_id: np.ndarray
+    bandwidth_in_use: float
 
     @property
     def n(self) -> int:
@@ -137,6 +145,7 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     capacity = np.zeros(n_poas)
     for p in s.poas:
         capacity[p.id - 1] = p.backhaul_capacity
+    in_use = {u.chan_1 for u in s.ues} | {u.chan_2 for u in s.ues if u.dual}
     return CrossGainMatrices(
         f11=f[(1, 1)], f12=f[(1, 2)], f21=f[(2, 1)], f22=f[(2, 2)],
         d1=d[1], d2=d[2], w1=w[1], w2=w[2], lam=1.0 / (w[1] + w[2]),
@@ -148,6 +157,10 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
         relays=np.array([p.id - 1 for p in s.relays()], dtype=int),
         picos=np.array([p.id - 1 for p in s.picos()], dtype=int),
         macro=s.macro().id - 1,
+        tau=s.tau,
+        z=s.z_factor,
+        ue_id=np.array([u.id for u in s.ues], dtype=int),
+        bandwidth_in_use=float(sum(c.bandwidth for c in s.channels if c.id in in_use)),
     )
 
 
@@ -164,34 +177,29 @@ def effective_interference(
     return e1, e2
 
 
-def link_rates(
-    m: CrossGainMatrices,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shannon rate w * log2(1 + p/e) per link; zero where p or w is zero."""
-
-    def rates(p, e, w):
-        out = np.zeros_like(np.asarray(p, dtype=float))
-        active = (np.asarray(p) > 0) & (w > 0)
-        if np.any((np.asarray(e) <= 0) & active):
-            raise ValueError("nonpositive effective interference on an active link")
-        out[active] = w[active] * np.log2(1.0 + np.asarray(p)[active] / np.asarray(e)[active])
-        return out
-
-    return rates(p1, e1, m.w1), rates(p2, e2, m.w2)
+def _link(p: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SINR p/e (0 where e <= 0) and Shannon rate w * log2(1 + SINR) of one
+    link per UE; the rate is zero where p or w is zero."""
+    active = (p > 0) & (w > 0)
+    if np.any((e <= 0) & active):
+        raise ValueError("nonpositive effective interference on an active link")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(e > 0, p / np.where(e > 0, e, 1.0), 0.0)
+    rate = np.zeros_like(p)
+    rate[active] = w[active] * np.log2(1.0 + sinr[active])
+    return sinr, rate
 
 
 def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> PowerState:
-    """PowerState with interference, SINR and rates derived from the powers."""
+    """PowerState with interference, SINR and rates derived from the powers.
+
+    Raises ValueError when an active link (p > 0, w > 0) sees nonpositive
+    effective interference.
+    """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     e1, e2 = effective_interference(m, p1, p2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr1 = np.where(e1 > 0, p1 / np.where(e1 > 0, e1, 1.0), 0.0)
-        sinr2 = np.where(e2 > 0, p2 / np.where(e2 > 0, e2, 1.0), 0.0)
-    rate1, rate2 = link_rates(m, p1, p2, e1, e2)
+    sinr1, rate1 = _link(p1, e1, m.w1)
+    sinr2, rate2 = _link(p2, e2, m.w2)
     return PowerState(p1=p1, p2=p2, e1=e1, e2=e2, sinr1=sinr1, sinr2=sinr2,
                       rate1=rate1, rate2=rate2)

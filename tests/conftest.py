@@ -1,13 +1,16 @@
 """Shared helpers: independent oracles and synthetic system builders."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from duplink.equilibrium import build_system, closed_form_equilibrium, spectral_radius
 from duplink.metrics import CrossGainMatrices
 from duplink.network import noise_power
 from duplink.policies import waterfill
+from duplink.scenarios import GenParams, generate_mixed
 
 
 def scalar_interference(s, p1, p2):
@@ -35,12 +38,39 @@ def scalar_interference(s, p1, p2):
 
 
 def synthetic_topology(n):
-    """Topology fields of CrossGainMatrices for synthetic systems: every UE
-    dual with unit budget, link 1 to a picocell (PoA index 0), link 2 to the
-    macrocell (index 1), unlimited backhaul."""
+    """Topology and scenario fields of CrossGainMatrices for synthetic
+    systems: every UE dual with unit budget, link 1 to a picocell (PoA index
+    0), link 2 to the macrocell (index 1), unlimited backhaul, UE ids 1..n."""
     return dict(poa=np.tile([0, 1], (n, 1)), dual=np.ones(n, dtype=bool),
                 p_max=np.ones(n), beta=np.zeros(n), capacity=np.full(2, np.inf),
-                relays=np.zeros(0, dtype=int), picos=np.array([0]), macro=1)
+                relays=np.zeros(0, dtype=int), picos=np.array([0]), macro=1,
+                tau=5e6, z=0.9, ue_id=np.arange(1, n + 1), bandwidth_in_use=2e7)
+
+
+def fixed_ue_on_macro_channel():
+    """A valid mixed scenario where a fixed-SINR UE's only link shares a
+    channel with a dual UE's macrocell link (at a different PoA), so the
+    dual UE's second-link power reaches the fixed UE's receiver: f21 has a
+    nonzero entry in a fixed-SINR row. Generated files never do this."""
+    s = generate_mixed(GenParams(n_ues=3, n_relays=2, n_picos=2, seed=11), 3, (1.5, 3.0))
+    fixed = next(u for u in s.ues if not u.dual)
+    dual = next(u for u in s.ues if u.dual)
+    gains = dict(s.gains)
+    for ue in (fixed.id, dual.id):
+        gains[(ue, fixed.poa_1, dual.chan_2)] = s.gains[(ue, fixed.poa_1, fixed.chan_1)]
+    ues = [replace(u, chan_1=dual.chan_2) if u is fixed else u for u in s.ues]
+    return replace(s, ues=ues, gains=gains)
+
+
+def interior_equilibrium(m):
+    """Closed-form (p1*, p2*) when the population's affine system contracts
+    to a point strictly inside (0, p_max), else None."""
+    a, c = build_system(m)
+    rho = spectral_radius(a)
+    if rho >= 1.0:
+        return None
+    p1, p2 = closed_form_equilibrium(m, a, c, rho)
+    return (p1, p2) if np.all(p1 > 0) and np.all(p1 < m.p_max) else None
 
 
 def scalar_rate_differentials(s, rate1, rate2):
@@ -62,14 +92,15 @@ def scalar_rate_differentials(s, rate1, rate2):
 
 
 class RescaleOnceThenHold:
-    """Custom policy: on the first step UE 1 scales its first-link power by
-    z, and afterwards holds; every other UE waterfills."""
+    """Custom policy: on the first step the first UE in scenario order scales
+    its first-link power by z, and afterwards holds; every other UE
+    waterfills."""
 
     def __init__(self, z):
         self.z = z
         self.fired = False
 
-    def __call__(self, s, m, now, report):
+    def __call__(self, m, now, report):
         p1, p2 = waterfill(m.p_max, now.e1, now.e2, m.w1, m.w2)
         p1[0], p2[0] = now.p1[0], now.p2[0]
         if not self.fired:

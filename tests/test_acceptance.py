@@ -15,49 +15,45 @@ from duplink import (
     GenParams,
     build_matrices,
     build_system,
-    closed_form_equilibrium,
     generate,
     generate_mixed,
-    rescaling_sinr_bound_check,
-    mixed_population_system,
     network_capacity,
+    rescaling_sinr_bound_check,
     run,
+    spectral_radius,
     waterfill,
     worked_example,
 )
 from duplink.engine import SweepPoint, aggregate, monte_carlo
 from duplink.scenarios import LIMITED_BACKHAUL
 
-from conftest import RescaleOnceThenHold
+from conftest import RescaleOnceThenHold, interior_equilibrium
 
 
 def report(n, text):
     print(f"\n[acceptance] criterion {n} PASS: {text}")
 
 
-def contractive_scenarios(params, count, seed0=0):
+def contractive_networks(params, count, seed0=0):
     out = []
     seed = seed0
     while len(out) < count:
-        s = generate(replace(params, seed=seed))
-        m = build_matrices(s)
-        sys_ = build_system(m, np.array([u.p_max for u in s.ues]))
-        if sys_.spectral_radius < 1.0:
-            out.append((s, m))
+        m = build_matrices(generate(replace(params, seed=seed)))
+        if spectral_radius(build_system(m)[0]) < 1.0:
+            out.append(m)
         seed += 1
     return out
 
 
 def test_criterion_1_fixed_point_reproduction():
     t0 = time.monotonic()
-    s = worked_example()
-    m = build_matrices(s)
-    sys_ = build_system(m, np.ones(2))
-    p1_star, _ = closed_form_equilibrium(sys_, np.ones(2))
-    assert sys_.interior
+    m = build_matrices(worked_example())
+    equilibrium = interior_equilibrium(m)
+    assert equilibrium is not None
+    p1_star, _ = equilibrium
     errs = {}
     for policy in ("bdt", "wf"):
-        trace = run(s, policy, max_iter=100, m=m)
+        trace = run(m, policy, max_iter=100)
         assert trace.verdict.converged
         errs[policy] = float(np.max(np.abs(trace.states[-1].p1 - p1_star)))
         assert errs[policy] < 1e-6
@@ -69,9 +65,9 @@ def test_criterion_1_fixed_point_reproduction():
 
 def test_criterion_2_greedy_instability():
     t0 = time.monotonic()
-    s = worked_example(LIMITED_BACKHAUL)
-    greedy = run(s, "greedy", max_iter=100)
-    bdt = run(s, "bdt", max_iter=100)
+    m = build_matrices(worked_example(LIMITED_BACKHAUL))
+    greedy = run(m, "greedy", max_iter=100)
+    bdt = run(m, "bdt", max_iter=100)
     assert greedy.verdict.kind in ("oscillating", "max_iterations")
     assert bdt.verdict.converged
     elapsed = time.monotonic() - t0
@@ -86,13 +82,13 @@ def test_criterion_3_convergence_percentage():
     # where overloads are present but shallow enough to settle inside the
     # 100-iteration budget (deeper overloads converge too, just slower).
     t0 = time.monotonic()
-    scens = contractive_scenarios(GenParams(n_ues=10, backhaul_scale=1.4), 200)
+    scens = contractive_networks(GenParams(n_ues=10, backhaul_scale=1.4), 200)
     z_grid = (0.5, 0.7, 0.9, 0.95)
     pct = {}
     for z in z_grid:
         converged = 0
-        for s, m in scens:
-            trace = run(replace(s, z_factor=z), "bdt", max_iter=100, m=m)
+        for m in scens:
+            trace = run(replace(m, z=z), "bdt", max_iter=100)
             converged += trace.verdict.converged
         pct[z] = 100.0 * converged / len(scens)
     elapsed = time.monotonic() - t0
@@ -205,20 +201,16 @@ def test_criterion_8_mixed_population_equilibrium():
             GenParams(n_ues=2, n_relays=2, n_picos=2, seed=seed), n_fixed=2)
         seed += 1
         m = build_matrices(s)
-        p_max = np.array([u.p_max for u in s.ues])
-        sys_ = build_system(m, p_max)
-        q = np.array([0.0 if u.dual else 1.0 for u in s.ues])
-        beta = np.array([u.fixed_sinr_target or 0.0 for u in s.ues])
-        a, c = mixed_population_system(m, sys_, q, beta)
-        if np.max(np.abs(np.linalg.eigvals(a))) >= 1.0:
+        equilibrium = interior_equilibrium(m)
+        if equilibrium is None:
             continue
-        p1_star = np.linalg.solve(np.eye(len(q)) - a, c)
-        if not (np.all(p1_star > 0) and np.all(p1_star < p_max)):
-            continue
+        p1_star, _ = equilibrium
         used += 1
-        trace = run(s, "mixed-fm", max_iter=500, eps=1e-12, m=m)
+        trace = run(m, "mixed-fm", max_iter=500, eps=1e-12)
         final = trace.states[-1]
-        fixed = q == 1.0
+        # SINR oracle straight from the scenario, not from the matrices
+        fixed = np.array([not u.dual for u in s.ues])
+        beta = np.array([u.fixed_sinr_target or 0.0 for u in s.ues])
         sinr_err = float(np.max(np.abs(final.sinr1[fixed] - beta[fixed])
                                 / beta[fixed]))
         p1_err = float(np.max(np.abs(final.p1[~fixed] - p1_star[~fixed])))
@@ -237,24 +229,18 @@ def test_criterion_9_rescaling_sinr_bound():
     used = 0
     seed = 0
     while used < 50:
-        s = generate(GenParams(n_ues=2, n_relays=1, n_picos=1, seed=seed,
-                               backhaul_scale=10.0))
+        m = build_matrices(generate(GenParams(n_ues=2, n_relays=1, n_picos=1, seed=seed,
+                                              backhaul_scale=10.0)))
         seed += 1
-        m = build_matrices(s)
-        p_max = np.array([u.p_max for u in s.ues])
-        sys_ = build_system(m, p_max)
-        if sys_.spectral_radius >= 1.0:
-            continue
         if m.f11[0, 1] == 0 and m.f11[1, 0] == 0:
             continue
-        p1_star, p2_star = closed_form_equilibrium(sys_, p_max)
-        if not sys_.interior:
+        equilibrium = interior_equilibrium(m)
+        if equilibrium is None:
             continue
         used += 1
-        z = s.z_factor
-        trace = run(s, RescaleOnceThenHold(z), max_iter=4, eps=1e-15,
-                    window=10, p0=(p1_star, p2_star), m=m)
-        assert rescaling_sinr_bound_check(trace, z, ue_id=1, link=1, k=0) is True
+        trace = run(m, RescaleOnceThenHold(m.z), max_iter=4, eps=1e-15,
+                    window=10, p0=equilibrium)
+        assert rescaling_sinr_bound_check(trace, m, m.z, ue_id=1, link=1, k=0) is True
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report(9, f"SINR bound held on all 50 fading draws in {elapsed:.1f}s")

@@ -1,12 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from duplink import save_scenario, worked_example
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
 from duplink.network import scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
+
+from conftest import fixed_ue_on_macro_channel
 
 
 @pytest.fixture
@@ -30,6 +33,40 @@ class TestRunCommand:
         assert equilibrium["interior"] is True
         assert equilibrium["max_abs_error_p1"] < 1e-6
         assert "converged" in capsys.readouterr().out
+
+    def test_fixed_ue_on_macro_channel_equilibrium(self, tmp_path):
+        # The fixed-SINR row must count the dual UE's macrocell-link power.
+        path = tmp_path / "shared.json"
+        save_scenario(fixed_ue_on_macro_channel(), path)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--policy", "mixed-fm",
+                     "--out", str(out)]) == 0
+        equilibrium = json.loads((out / "equilibrium.json").read_text())
+        assert equilibrium["mixed_population"] is True
+        assert equilibrium["max_abs_error_p1"] < 1e-9
+
+    def test_eigenvalues_computed_once_per_matrix(self, scenario_file, tmp_path,
+                                                  monkeypatch):
+        # Once for the spectral radius; an all-dual file adds one for
+        # spectral_radius_abs.
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        mixed_file = tmp_path / "mixed.json"
+        save_scenario(fixed_ue_on_macro_channel(), mixed_file)
+        for path, expected in ((mixed_file, 1), (scenario_file, 2)):
+            calls.clear()
+            out = tmp_path / path.stem
+            assert main(["run", "--scenario", str(path), "--policy", "wf",
+                         "--out", str(out)]) == 0
+            assert len(calls) == expected
+            equilibrium = json.loads((out / "equilibrium.json").read_text())
+            assert ("spectral_radius_abs" in equilibrium) == (expected == 2)
 
     def test_unknown_policy_is_usage_error(self, scenario_file, tmp_path):
         code = main(["run", "--scenario", str(scenario_file),

@@ -8,9 +8,11 @@ from duplink import (
     GenParams,
     build_matrices,
     build_system,
+    closed_form_equilibrium,
     generate,
     initial_state,
     run,
+    spectral_radius,
     step,
     worked_example,
 )
@@ -22,98 +24,90 @@ from duplink.scenarios import LIMITED_BACKHAUL
 
 class TestStep:
     def test_matches_linear_system_in_waterfilling_regime(self):
-        # one synchronous waterfilling step == n_vec + m @ p1 while interior
-        s = worked_example()
-        m = build_matrices(s)
-        sys_ = build_system(m, np.ones(2))
+        # one synchronous waterfilling step == c + a @ p1 while interior
+        m = build_matrices(worked_example())
+        a, c = build_system(m)
         state = initial_state(m)
-        nxt = step(s, m, state, "wf")
-        np.testing.assert_allclose(nxt.p1, sys_.n_vec + sys_.m @ state.p1, rtol=1e-12)
+        nxt = step(m, state, "wf")
+        np.testing.assert_allclose(nxt.p1, c + a @ state.p1, rtol=1e-12)
         np.testing.assert_allclose(nxt.p2, 1.0 - nxt.p1, rtol=1e-12)
 
     def test_bdt_holds_in_tolerable_band(self):
         # drive the limited case to its resting point, then one more step
         # must leave the powers untouched (all UEs hold)
-        s = worked_example(LIMITED_BACKHAUL)
-        m = build_matrices(s)
-        trace = run(s, "bdt", max_iter=100, m=m)
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        trace = run(m, "bdt", max_iter=100)
         assert trace.verdict.converged
         final = trace.states[-1]
-        again = step(s, m, final, "bdt")
+        again = step(m, final, "bdt")
         np.testing.assert_array_equal(again.p1, final.p1)
         np.testing.assert_array_equal(again.p2, final.p2)
 
     def test_single_ue_jumps_to_waterfill_in_one_step(self):
-        s = generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=2,
-                               backhaul_scale=100.0))
-        m = build_matrices(s)
+        m = build_matrices(generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=2,
+                                              backhaul_scale=100.0)))
         from duplink.policies import waterfill
         state = initial_state(m)
-        nxt = step(s, m, state, "bdt")
+        nxt = step(m, state, "bdt")
         expected = waterfill(1.0, float(m.d1[0]), float(m.d2[0]),
                              float(m.w1[0]), float(m.w2[0]))
         assert (nxt.p1[0], nxt.p2[0]) == pytest.approx(expected)
 
     def test_infeasible_policy_rejected(self):
-        def bad(s, m, now, report):
+        def bad(m, now, report):
             return m.p_max, m.p_max
 
-        s = worked_example()
-        m = build_matrices(s)
-        with pytest.raises(RuntimeError, match="infeasible"):
-            step(s, m, initial_state(m), bad)
+        m = build_matrices(worked_example())
+        with pytest.raises(RuntimeError, match="infeasible powers for UE 1:"):
+            step(m, initial_state(m), bad)
 
     def test_deterministic(self):
-        s = generate(GenParams(n_ues=6, seed=13))
-        m = build_matrices(s)
+        m = build_matrices(generate(GenParams(n_ues=6, seed=13)))
         state = initial_state(m)
-        a = step(s, m, state, "greedy")
-        b = step(s, m, state, "greedy")
+        a = step(m, state, "greedy")
+        b = step(m, state, "greedy")
         np.testing.assert_array_equal(a.p1, b.p1)
         np.testing.assert_array_equal(a.p2, b.p2)
 
 
 class TestRun:
     def test_worked_example_converges_to_fixed_point(self):
-        s = worked_example()
-        m = build_matrices(s)
-        sys_ = build_system(m, np.ones(2))
-        from duplink.equilibrium import closed_form_equilibrium
-        p1_star, _ = closed_form_equilibrium(sys_, np.ones(2))
+        m = build_matrices(worked_example())
+        a, c = build_system(m)
+        p1_star, _ = closed_form_equilibrium(m, a, c, spectral_radius(a))
         for policy in ("bdt", "wf"):
-            trace = run(s, policy, max_iter=100, m=m)
+            trace = run(m, policy, max_iter=100)
             assert trace.verdict.converged
             assert np.max(np.abs(trace.states[-1].p1 - p1_star)) < 1e-6
 
     def test_greedy_oscillates_on_limited_backhaul(self):
-        trace = run(worked_example(LIMITED_BACKHAUL), "greedy", max_iter=100)
+        trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy", max_iter=100)
         assert trace.verdict.kind in ("oscillating", "max_iterations")
 
     def test_zero_ue_scenario_converges_immediately(self):
         s = worked_example()
         empty = Scenario(poas=s.poas, ues=[], channels=s.channels, gains={},
                          noise_psd=s.noise_psd, tau=s.tau, z_factor=s.z_factor)
-        trace = run(empty, "bdt")
+        trace = run(build_matrices(empty), "bdt")
         assert trace.verdict.converged and trace.verdict.iteration == 0
         assert trace.metrics["eta_n_final"] == 0.0
 
     def test_states_and_reports_equal_length(self):
-        trace = run(worked_example(), "wf", max_iter=30)
+        trace = run(build_matrices(worked_example()), "wf", max_iter=30)
         assert len(trace.states) == len(trace.reports)
 
     def test_feasibility_preserved_every_iteration(self):
         for policy in ("bdt", "wf", "greedy"):
             for seed in (1, 2):
-                s = generate(GenParams(n_ues=8, seed=seed, backhaul_scale=0.3))
-                trace = run(s, policy, max_iter=40)
+                m = build_matrices(generate(GenParams(n_ues=8, seed=seed, backhaul_scale=0.3)))
+                trace = run(m, policy, max_iter=40)
                 for st in trace.states:
                     assert np.all(st.p1 >= 0) and np.all(st.p2 >= 0)
                     assert np.all(st.p1 + st.p2 <= 1.0 + 1e-9)
 
     def test_bdt_sheds_power_while_overloaded(self):
         # all-overloaded start: total power strictly decreases until states change
-        s = worked_example(LIMITED_BACKHAUL)
-        trace = run(s, "bdt", max_iter=100)
+        trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "bdt", max_iter=100)
         totals = [float(np.sum(st.p1 + st.p2)) for st in trace.states]
         overloaded = [
             all(BackhaulState(code).name in ("S7", "S8", "S9") for code in rep.state)
@@ -127,45 +121,45 @@ class TestRun:
         assert saw_overload
 
     def test_max_iter_respected(self):
-        trace = run(worked_example(LIMITED_BACKHAUL), "greedy", max_iter=7)
+        trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy", max_iter=7)
         assert len(trace.states) <= 8
 
     def test_invalid_max_iter(self):
         with pytest.raises(ValueError):
-            run(worked_example(), "wf", max_iter=0)
+            run(build_matrices(worked_example()), "wf", max_iter=0)
 
     def test_unknown_policy_name(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            run(worked_example(), "anneal")
+            run(build_matrices(worked_example()), "anneal")
 
 
 class TestMetrics:
     def test_single_ue_normalization(self):
         s = generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=2,
                                backhaul_scale=100.0))
-        trace = run(s, "wf", max_iter=50)
+        trace = run(build_matrices(s), "wf", max_iter=50)
         in_use = {u.chan_1 for u in s.ues} | {u.chan_2 for u in s.ues}
         total_bw = sum(c.bandwidth for c in s.channels if c.id in in_use)
         assert trace.metrics["eta_n_normalized"] == pytest.approx(
             trace.metrics["eta_n_final"] / total_bw)
 
     def test_full_power_average(self):
-        trace = run(worked_example(), "wf", max_iter=50)
+        trace = run(build_matrices(worked_example()), "wf", max_iter=50)
         assert trace.metrics["avg_total_power"] == pytest.approx(1.0)
 
     def test_bdt_saves_power_on_limited_case(self):
-        s = worked_example(LIMITED_BACKHAUL)
-        bdt = run(s, "bdt", max_iter=100)
-        wf = run(s, "wf", max_iter=100)
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        bdt = run(m, "bdt", max_iter=100)
+        wf = run(m, "wf", max_iter=100)
         assert bdt.metrics["avg_total_power"] < wf.metrics["avg_total_power"]
 
 
 class TestTraceSerialization:
     def test_csv_schema_and_reparse(self, tmp_path):
-        s = worked_example(LIMITED_BACKHAUL)
-        trace = run(s, "bdt", max_iter=20)
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        trace = run(m, "bdt", max_iter=20)
         path = tmp_path / "trace.csv"
-        trace_to_csv(trace, s, path)
+        trace_to_csv(trace, m, path)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(trace.states)
@@ -186,7 +180,7 @@ class TestMonteCarlo:
         from duplink.engine import _trial_seed
         from dataclasses import replace
         seed = _trial_seed(123, 0, 0, 0)
-        trace = run(generate(replace(params, seed=seed)), "wf", max_iter=30)
+        trace = run(build_matrices(generate(replace(params, seed=seed))), "wf", max_iter=30)
         assert rows[0]["eta_n_normalized"] == trace.metrics["eta_n_normalized"]
         assert rows[0]["avg_total_power"] == trace.metrics["avg_total_power"]
 

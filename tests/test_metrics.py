@@ -10,7 +10,6 @@ from duplink import (
     effective_interference,
     generate,
     generate_mixed,
-    link_rates,
     worked_example,
 )
 from duplink.metrics import CrossGainMatrices
@@ -165,51 +164,44 @@ class TestEffectiveInterference:
 
 
 class TestLinkRates:
-    def example_matrices(self, w1, w2):
+    """Rates from ``compute_state`` on one interference-free UE, so the
+    effective interference of each link is its normalized noise."""
+
+    def rates(self, w1, w2, p1, e1, p2=0.0, e2=1.0):
         n = 1
-        return CrossGainMatrices(
+        m = CrossGainMatrices(
             f11=np.zeros((n, n)), f12=np.zeros((n, n)),
             f21=np.zeros((n, n)), f22=np.zeros((n, n)),
-            d1=np.ones(n), d2=np.ones(n),
+            d1=np.array([e1]), d2=np.array([e2]),
             w1=np.array([w1]), w2=np.array([w2]),
             lam=np.array([1.0 / (w1 + w2)]),
             **synthetic_topology(n),
         )
+        st = compute_state(m, np.array([p1]), np.array([p2]))
+        return st.rate1[0], st.rate2[0]
 
     def test_one_bit_per_hz(self):
-        m = self.example_matrices(1e6, 1e6)
-        r1, r2 = link_rates(m, np.array([0.2]), np.array([0.0]),
-                            np.array([0.2]), np.array([1.0]))
-        assert r1[0] == pytest.approx(1e6)
-        assert r2[0] == 0.0
+        r1, r2 = self.rates(1e6, 1e6, p1=0.2, e1=0.2)
+        assert r1 == pytest.approx(1e6)
+        assert r2 == 0.0
 
     def test_two_bits_per_hz(self):
-        m = self.example_matrices(5e6, 1e6)
-        r1, _ = link_rates(m, np.array([0.3]), np.array([0.0]),
-                           np.array([0.1]), np.array([1.0]))
-        assert r1[0] == pytest.approx(1e7)
+        r1, _ = self.rates(5e6, 1e6, p1=0.3, e1=0.1)
+        assert r1 == pytest.approx(1e7)
 
     def test_zero_power_zero_rate(self):
-        m = self.example_matrices(1e6, 5e6)
-        r1, r2 = link_rates(m, np.array([0.0]), np.array([0.0]),
-                            np.array([0.5]), np.array([0.5]))
-        assert r1[0] == 0.0 and r2[0] == 0.0
+        r1, r2 = self.rates(1e6, 5e6, p1=0.0, e1=0.5, p2=0.0, e2=0.5)
+        assert r1 == 0.0 and r2 == 0.0
 
     def test_nonpositive_interference_rejected(self):
-        m = self.example_matrices(1e6, 1e6)
         with pytest.raises(ValueError, match="interference"):
-            link_rates(m, np.array([0.1]), np.array([0.0]),
-                       np.array([0.0]), np.array([1.0]))
+            self.rates(1e6, 1e6, p1=0.1, e1=0.0)
 
     def test_rate_monotone_in_power_and_interference(self):
-        m = self.example_matrices(1e6, 1e6)
-        base, _ = link_rates(m, np.array([0.2]), np.array([0.0]),
-                             np.array([0.1]), np.array([1.0]))
-        more_power, _ = link_rates(m, np.array([0.3]), np.array([0.0]),
-                                   np.array([0.1]), np.array([1.0]))
-        more_noise, _ = link_rates(m, np.array([0.2]), np.array([0.0]),
-                                   np.array([0.2]), np.array([1.0]))
-        assert more_power[0] > base[0] > more_noise[0]
+        base, _ = self.rates(1e6, 1e6, p1=0.2, e1=0.1)
+        more_power, _ = self.rates(1e6, 1e6, p1=0.3, e1=0.1)
+        more_noise, _ = self.rates(1e6, 1e6, p1=0.2, e1=0.2)
+        assert more_power > base > more_noise
 
 
 class TestComputeState:
@@ -221,3 +213,15 @@ class TestComputeState:
         st = compute_state(m, p1, p2)
         np.testing.assert_allclose(st.sinr1 * st.e1, st.p1, rtol=1e-12)
         np.testing.assert_allclose(st.sinr2 * st.e2, st.p2, rtol=1e-12)
+
+    def test_rates_match_shannon_formula_bitwise(self, rng):
+        s = generate_mixed(GenParams(n_ues=6, seed=3), n_fixed=3)
+        m = build_matrices(s)
+        p1 = rng.uniform(0, 1, size=m.n) * (rng.random(m.n) < 0.8)
+        p2 = np.where(m.dual, rng.uniform(0, 0.5, size=m.n), 0.0)
+        st = compute_state(m, p1, p2)
+        for p, e, w, rate in ((p1, st.e1, m.w1, st.rate1), (p2, st.e2, m.w2, st.rate2)):
+            active = (p > 0) & (w > 0)
+            expected = np.zeros(m.n)
+            expected[active] = w[active] * np.log2(1.0 + p[active] / e[active])
+            np.testing.assert_array_equal(rate, expected)

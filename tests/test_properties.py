@@ -85,7 +85,7 @@ def test_step_matches_scalar_policies_per_ue(network):
         else:
             assert report.v2[i] == 0.0 and report.state[i] == 0
     for policy in POLICY_NAMES:
-        nxt = step(s, m, now, policy, report)
+        nxt = step(m, now, policy, report)
         for i, u in enumerate(s.ues):
             q1, q2 = scalar_decision(policy, s, u, i, now, v)
             q1 = min(max(q1, 0.0), u.p_max)
@@ -100,7 +100,7 @@ def test_every_policy_returns_feasible_powers(network):
     m = build_matrices(s)
     now = compute_state(m, *random_powers(s, np.random.default_rng(seed)))
     for policy in POLICY_NAMES:
-        nxt = step(s, m, now, policy)
+        nxt = step(m, now, policy)
         assert np.all(nxt.p1 >= 0) and np.all(nxt.p2 >= 0)
         assert np.all(nxt.p1 + nxt.p2 <= m.p_max * (1 + 1e-12))
         assert np.all(nxt.p2[~m.dual] == 0.0)

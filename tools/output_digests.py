@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Print one sha256 per duplink output, so two checkouts can be compared.
+
+Usage (from anywhere):
+
+    python tools/output_digests.py path/to/checkout/src > digests.txt
+
+duplink is imported from the given ``src/`` directory and the demos are run
+from the ``demos/`` directory next to it, so the same script checks any
+checkout, including an older one. The manifest covers:
+
+- ``trials.csv`` and ``summary.csv`` of the fig2b, fig3, fig4 and fig5
+  presets at ``--trials 10 --seed 7``;
+- ``trace.csv``, ``metrics.json`` and ``equilibrium.json`` of ``duplink run``
+  with every policy on: both worked-example cases, a 21-UE ``generate`` file,
+  a 6+3 mixed file, and two 160+40 mixed files (8 relays, 12 picocells), one
+  whose combined iteration is contractive (seed 1) and one whose is not
+  (seed 3);
+- the stdout of every demo.
+
+Two manifests that ``diff`` clean mean byte-identical outputs. A run takes
+about 15 seconds on a 2-core x86 VM; it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = ("fig2b", "fig3", "fig4", "fig5")
+POLICIES = ("bdt", "wf", "greedy", "mixed-fm")
+RUN_OUTPUTS = ("trace.csv", "metrics.json", "equilibrium.json")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha(path: Path) -> str:
+    return _sha(path.read_bytes()) if path.is_file() else "absent"
+
+
+def _main_quiet(cli, argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def scenario_files(dl, work: Path) -> dict[str, Path]:
+    """The scenario files the runs read, written with the checkout's own code."""
+    large = dict(n_ues=160, n_relays=8, n_picos=12)
+    scenarios = {
+        "worked_high": dl.worked_example(),
+        "worked_limited": dl.worked_example(dl.LIMITED_BACKHAUL),
+        "gen21": dl.generate(dl.GenParams(n_ues=21, seed=7)),
+        "mixed6+3": dl.generate_mixed(dl.GenParams(n_ues=6, seed=7), 3),
+        "mixed160+40_contractive": dl.generate_mixed(dl.GenParams(seed=1, **large), 40),
+        "mixed160+40_noncontractive": dl.generate_mixed(dl.GenParams(seed=3, **large), 40),
+    }
+    paths = {}
+    for name, s in scenarios.items():
+        paths[name] = work / f"{name}.json"
+        dl.save_scenario(s, paths[name])
+    return paths
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="the src/ directory of a duplink checkout")
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import duplink as dl
+    from duplink import cli
+
+    if Path(dl.__file__).resolve().parent != src / "duplink":
+        sys.exit(f"error: imported duplink from {dl.__file__}, not {src}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for preset in PRESETS:
+            out = work / "experiment" / preset
+            code = _main_quiet(cli, ["experiment", "--preset", preset, "--trials", "10",
+                                     "--seed", "7", "--out", str(out)])
+            for name in ("trials.csv", "summary.csv"):
+                print(f"experiment/{preset}/{name} exit={code} {_file_sha(out / name)}")
+
+        for scenario, path in scenario_files(dl, work).items():
+            for policy in POLICIES:
+                out = work / "run" / scenario / policy
+                code = _main_quiet(cli, ["run", "--scenario", str(path), "--policy", policy,
+                                         "--out", str(out)])
+                for name in RUN_OUTPUTS:
+                    print(f"run/{scenario}/{policy}/{name} exit={code} "
+                          f"{_file_sha(out / name)}")
+
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=src.parent,
+                              capture_output=True, check=False)
+        print(f"demo/{demo.name} exit={proc.returncode} {_sha(proc.stdout)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
