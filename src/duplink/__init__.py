@@ -16,7 +16,6 @@ from .backhaul import (
     BackhaulReport,
     BackhaulState,
     classify_state,
-    network_capacity,
     rate_differentials,
 )
 from .engine import (

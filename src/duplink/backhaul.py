@@ -76,7 +76,7 @@ class BackhaulReport:
     UE index.
     """
 
-    eta_n: float
+    eta_n: float               # end-to-end network capacity (max-flow)
     load: np.ndarray           # per PoA: access-rate demand
     v: np.ndarray              # per PoA: rate differential
     gamma_relay_sum: float     # relay traffic carried into the MBS
@@ -85,42 +85,28 @@ class BackhaulReport:
     state: np.ndarray          # per UE: BackhaulState code, 0 on single-link UEs
 
 
-def _loads(m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray) -> np.ndarray:
-    """Access-rate demand per PoA, plus a last bin for absent second links.
-
-    Each PoA sums its links in UE order, link 1 before link 2.
-    """
-    rates = np.column_stack((rate1, rate2)).ravel()
-    return np.bincount(m.poa.ravel(), weights=rates, minlength=m.n_poas + 1)
-
-
-def _carried(m: CrossGainMatrices, load: np.ndarray) -> tuple[float, float]:
-    """(relay traffic carried into the macrocell, end-to-end network rate)."""
-    gamma = sum(np.minimum(m.capacity[m.relays], load[m.relays]).tolist())
-    total = min(m.capacity[m.macro], load[m.macro] + gamma)
-    total += sum(np.minimum(m.capacity[m.picos], load[m.picos]).tolist())
-    return gamma, float(total)
-
-
-def network_capacity(m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray) -> float:
-    """Aggregate end-to-end data rate through the two-tier backhaul."""
-    return _carried(m, _loads(m, rate1, rate2))[1]
-
-
 def rate_differentials(
-    m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray, tau: float
+    m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray
 ) -> BackhaulReport:
-    """Full backhaul report for one set of per-link access rates.
+    """Full backhaul report for one set of per-link access rates, with UE
+    states classified by the tolerance ``m.tau``.
 
-    Relay differentials use min(relay capacity, max(V_macro, 0)) as the
-    effective ceiling: a relay cannot usefully carry more than the macrocell
-    backhaul has head-room for. Overload is not clamped; the magnitude of a
-    negative differential is what the adaptation policy reacts to.
+    Each PoA sums its links in UE order, link 1 before link 2; absent second
+    links land in an extra last bin. ``eta_n`` is the end-to-end network
+    capacity. Relay differentials use min(relay capacity, max(V_macro, 0)) as
+    the effective ceiling: a relay cannot usefully carry more than the
+    macrocell backhaul has head-room for. Overload is not clamped; the
+    magnitude of a negative differential is what the adaptation policy
+    reacts to.
     """
+    tau = m.tau
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    load = _loads(m, rate1, rate2)
-    gamma, eta_n = _carried(m, load)
+    rates = np.column_stack((rate1, rate2)).ravel()
+    load = np.bincount(m.poa.ravel(), weights=rates, minlength=m.n_poas + 1)
+    gamma = sum(np.minimum(m.capacity[m.relays], load[m.relays]).tolist())
+    eta_n = min(m.capacity[m.macro], load[m.macro] + gamma)
+    eta_n += sum(np.minimum(m.capacity[m.picos], load[m.picos]).tolist())
     v = np.empty(m.n_poas + 1)
     v[:-1] = m.capacity - load[:-1]
     v_b = v[m.macro] - gamma
@@ -129,5 +115,5 @@ def rate_differentials(
     v[-1] = 0.0
     v1, v2 = v[m.poa[:, 0]], v[m.poa[:, 1]]
     state = np.where(m.dual, _STATE_TABLE[_category(v1, tau), _category(v2, tau)], 0)
-    return BackhaulReport(eta_n=eta_n, load=load[:-1], v=v[:-1], gamma_relay_sum=gamma,
-                          v1=v1, v2=v2, state=state)
+    return BackhaulReport(eta_n=float(eta_n), load=load[:-1], v=v[:-1],
+                          gamma_relay_sum=gamma, v1=v1, v2=v2, state=state)

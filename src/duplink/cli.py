@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -50,6 +51,28 @@ def _default_out() -> str:
     return os.environ.get("DUPLINK_OUT", ".")
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
@@ -58,16 +81,22 @@ def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _equilibrium_payload(m) -> dict | None:
-    """Predicted fixed point of the population's affine iteration, when
-    contractive."""
+def _equilibrium_payload(m, trace, policy: str) -> dict | None:
+    """equilibrium.json: the predicted fixed point of the population's affine
+    iteration, when contractive, next to where the run ended.
+
+    The prediction is the waterfilling fixed point, with fixed-SINR rows on
+    single-link UEs; it describes ``policy`` only when that is ``wf`` (or
+    ``mixed-fm``, the same update).
+    """
     a, c = build_system(m)
     rho = spectral_radius(a)
     if rho >= 1.0:
         return None
     p1, p2 = closed_form_equilibrium(m, a, c, rho)
+    final = trace.states[-1]
     mixed = not m.dual.all()
-    payload = {"spectral_radius": rho}
+    payload = {"policy": policy, "prediction": "wf", "spectral_radius": rho}
     if not mixed:
         payload["spectral_radius_abs"] = spectral_radius(np.abs(a))
     payload.update({
@@ -75,6 +104,9 @@ def _equilibrium_payload(m) -> dict | None:
         "predicted_p1": [float(x) for x in p1],
         "predicted_p2": [float(x) for x in p2],
         "interior": bool(np.all(p1 > 0) and np.all(p1 < m.p_max)),
+        "simulated_p1": [float(x) for x in final.p1],
+        "simulated_p2": [float(x) for x in final.p2],
+        "max_abs_error_p1": float(np.max(np.abs(final.p1 - p1), initial=0.0)),
     })
     return payload
 
@@ -117,14 +149,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         trace = run(mat, args.policy, max_iter=args.iters, eps=args.eps,
                     window=args.window)
-        equilibrium = _equilibrium_payload(mat)
+        equilibrium = _equilibrium_payload(mat, trace, args.policy)
         if equilibrium is not None:
-            final = trace.states[-1]
-            pred = np.array(equilibrium["predicted_p1"])
-            equilibrium["simulated_p1"] = [float(x) for x in final.p1]
-            equilibrium["simulated_p2"] = [float(x) for x in final.p2]
-            equilibrium["max_abs_error_p1"] = float(
-                np.max(np.abs(final.p1 - pred), initial=0.0))
             (out / "equilibrium.json").write_text(json.dumps(equilibrium, indent=2))
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
@@ -244,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one scenario")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    p_run.add_argument("--iters", type=int, default=100)
-    p_run.add_argument("--eps", type=float, default=1e-6,
+    p_run.add_argument("--iters", type=_count, default=100)
+    p_run.add_argument("--eps", type=_positive, default=1e-6,
                        help="convergence threshold on the power step (watts)")
-    p_run.add_argument("--window", type=int, default=5,
+    p_run.add_argument("--window", type=_count, default=5,
                        help="consecutive stable iterations required")
     p_run.add_argument("--tau", type=float, default=None,
                        help="override the scenario's rate-differential threshold")
@@ -258,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo preset")
     p_exp.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p_exp.add_argument("--trials", type=int, required=True)
+    p_exp.add_argument("--trials", type=_count, required=True)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", default=_default_out())
     p_exp.set_defaults(func=cmd_experiment)
@@ -271,9 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "trials", 1) < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     return args.func(args)
 
 

@@ -12,6 +12,7 @@ settling.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -82,19 +83,15 @@ def _dual_update(policy: str, m: CrossGainMatrices, now: PowerState,
 
 
 def step(
-    m: CrossGainMatrices,
-    now: PowerState,
-    policy: Policy,
-    report: Optional[BackhaulReport] = None,
+    m: CrossGainMatrices, now: PowerState, policy: Policy, report: BackhaulReport
 ) -> PowerState:
-    """Apply the policy once to every UE, using iteration-k observations only.
+    """Apply the policy once to every UE, using iteration-k observations only:
+    the powers ``now`` and their backhaul ``report``.
 
     A policy name applies to the dual-connectivity UEs; single-link UEs
     always run the fixed-SINR update. A callable decides every UE.
     """
     _check_policy(policy)
-    if report is None:
-        report = rate_differentials(m, now.rate1, now.rate2, m.tau)
     if callable(policy):
         p1, p2 = (np.asarray(p, dtype=float) for p in policy(m, now, report))
     else:
@@ -135,39 +132,38 @@ def run(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     _check_policy(policy)
 
     states = [initial_state(m, p0)]
-    reports = [rate_differentials(m, states[0].rate1, states[0].rate2, m.tau)]
-
-    if m.n == 0:
-        verdict = Verdict(CONVERGED, iteration=0)
-        trace = Trace(states, reports, verdict, {})
-        trace.metrics = trace_metrics(trace, m)
-        return trace
-
-    # Row k holds iterate k's powers, p1 then p2.
+    reports = [rate_differentials(m, states[0].rate1, states[0].rate2)]
+    verdict = Verdict(CONVERGED, iteration=0)
     n = m.n
-    powers = np.empty((max_iter + 1, 2 * n))
-    powers[0, :n], powers[0, n:] = states[0].p1, states[0].p2
-    stable = 0
-    verdict = Verdict(MAX_ITERATIONS)
-    for k in range(max_iter):
-        nxt = step(m, states[-1], policy, reports[-1])
-        powers[k + 1, :n], powers[k + 1, n:] = nxt.p1, nxt.p2
-        delta = float(np.max(np.abs(powers[k + 1] - powers[k])))
-        states.append(nxt)
-        reports.append(rate_differentials(m, nxt.rate1, nxt.rate2, m.tau))
+    if n:  # an empty network has nothing to iterate
+        verdict = Verdict(MAX_ITERATIONS)
+        # Row k holds iterate k's powers, p1 then p2.
+        powers = np.empty((max_iter + 1, 2 * n))
+        powers[0, :n], powers[0, n:] = states[0].p1, states[0].p2
+        stable = 0
+        for k in range(max_iter):
+            nxt = step(m, states[-1], policy, reports[-1])
+            powers[k + 1, :n], powers[k + 1, n:] = nxt.p1, nxt.p2
+            delta = float(np.max(np.abs(powers[k + 1] - powers[k])))
+            states.append(nxt)
+            reports.append(rate_differentials(m, nxt.rate1, nxt.rate2))
 
-        stable = stable + 1 if delta < eps else 0
-        if stable >= window:
-            verdict = Verdict(CONVERGED, iteration=k + 1 - window + 1)
-            break
-        if delta >= eps:
-            revisit = _find_revisit(powers[:k + 2], eps)
-            if revisit is not None:
-                verdict = Verdict(OSCILLATING, period=revisit)
+            stable = stable + 1 if delta < eps else 0
+            if stable >= window:
+                verdict = Verdict(CONVERGED, iteration=k + 1 - window + 1)
                 break
+            if delta >= eps:
+                revisit = _find_revisit(powers[:k + 2], eps)
+                if revisit is not None:
+                    verdict = Verdict(OSCILLATING, period=revisit)
+                    break
 
     trace = Trace(states, reports, verdict, {})
     trace.metrics = trace_metrics(trace, m)
@@ -291,13 +287,9 @@ def monte_carlo(
 def aggregate(rows: Sequence[dict]) -> list[dict]:
     """Mean, standard error and convergence percentage per (point, policy)."""
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for row in rows:
         key = (row["sweep_var"], row["sweep_value"], row["policy"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
 
     def mean_se(values: list[float]) -> tuple[float, float]:
         arr = np.asarray(values, dtype=float)
@@ -305,8 +297,7 @@ def aggregate(rows: Sequence[dict]) -> list[dict]:
         return float(arr.mean()), se
 
     out = []
-    for key in order:
-        grp = groups[key]
+    for key, grp in groups.items():
         eta_mean, eta_se = mean_se([g["eta_n_normalized"] for g in grp])
         pow_mean, pow_se = mean_se([g["avg_total_power"] for g in grp])
         out.append({

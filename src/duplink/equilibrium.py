@@ -86,14 +86,15 @@ def closed_form_equilibrium(
     return p1, np.where(m.dual, m.p_max - p1, 0.0)
 
 
-def rescaling_sinr_bound_check(trace, m: CrossGainMatrices, z: float, ue_id: int,
-                               link: int, k: int) -> bool:
+def rescaling_sinr_bound_check(trace, m: CrossGainMatrices, ue_id: int, link: int,
+                               k: int) -> bool:
     """Did the SINR of a rescaled non-bottleneck link obey gamma(k+2) > z^2 gamma(k)?
 
-    ``m`` is the network the trace ran on; UE ``ue_id`` is looked up in
-    ``m.ue_id``. Applicable only when the trace is long enough, the link's
-    rate differential was nonnegative at iteration k, and the UE scaled that
-    link's power by z between k and k+1. Raises InapplicableCheck otherwise.
+    ``m`` is the network the trace ran on and ``z = m.z``; UE ``ue_id`` is
+    looked up in ``m.ue_id``. Applicable only when the trace is long enough,
+    the link's rate differential was nonnegative at iteration k, and the UE
+    scaled that link's power by z between k and k+1. Raises InapplicableCheck
+    otherwise.
     """
     states = trace.states
     if k < 0 or k + 2 >= len(states):
@@ -108,7 +109,7 @@ def rescaling_sinr_bound_check(trace, m: CrossGainMatrices, z: float, ue_id: int
     g_attr = "sinr1" if link == 1 else "sinr2"
     p_k = getattr(states[k], p_attr)[i]
     p_k1 = getattr(states[k + 1], p_attr)[i]
-    if not np.isclose(p_k1, z * p_k, rtol=1e-9, atol=0.0):
+    if not np.isclose(p_k1, m.z * p_k, rtol=1e-9, atol=0.0):
         raise InapplicableCheck(
             f"UE {ue_id} link {link} power was not rescaled by z at k={k}"
         )
@@ -119,4 +120,4 @@ def rescaling_sinr_bound_check(trace, m: CrossGainMatrices, z: float, ue_id: int
         )
     gamma_k = getattr(states[k], g_attr)[i]
     gamma_k2 = getattr(states[k + 2], g_attr)[i]
-    return bool(gamma_k2 > z * z * gamma_k)
+    return bool(gamma_k2 > m.z * m.z * gamma_k)

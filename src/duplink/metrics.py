@@ -29,8 +29,9 @@ from .network import Scenario
 class CrossGainMatrices:
     """The network as arrays, built once per scenario by ``build_matrices``.
 
-    Radio coupling: ``f11``..``f22``, ``d1``/``d2``, ``w1``/``w2`` and
-    ``lam`` as described in the module docstring.
+    Radio coupling: ``f11``..``f22``, ``d1``/``d2`` and ``w1``/``w2`` as
+    described in the module docstring; ``lam`` is derived from the
+    bandwidths.
 
     Topology: ``poa[i, x - 1]`` is the PoA index (PoA id - 1) of UE i's
     access link x; it is ``n_poas`` where UE i has no second link, so load
@@ -54,7 +55,6 @@ class CrossGainMatrices:
     d2: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    lam: np.ndarray  # 1 / (w1 + w2)
     poa: np.ndarray
     dual: np.ndarray
     p_max: np.ndarray
@@ -67,6 +67,10 @@ class CrossGainMatrices:
     z: float
     ue_id: np.ndarray
     bandwidth_in_use: float
+
+    @property
+    def lam(self) -> np.ndarray:
+        return 1.0 / (self.w1 + self.w2)
 
     @property
     def n(self) -> int:
@@ -148,7 +152,7 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     in_use = {u.chan_1 for u in s.ues} | {u.chan_2 for u in s.ues if u.dual}
     return CrossGainMatrices(
         f11=f[(1, 1)], f12=f[(1, 2)], f21=f[(2, 1)], f22=f[(2, 2)],
-        d1=d[1], d2=d[2], w1=w[1], w2=w[2], lam=1.0 / (w[1] + w[2]),
+        d1=d[1], d2=d[2], w1=w[1], w2=w[2],
         poa=poa,
         dual=np.array([u.dual for u in s.ues], dtype=bool),
         p_max=np.array([u.p_max for u in s.ues], dtype=float),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -248,86 +248,35 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 # --- JSON serialization -----------------------------------------------------
 #
-# Schema (field names round-trip exactly):
-#   {"poas": [{"id", "kind", "position": [x, y], "backhaul_capacity"}],
-#    "ues": [{"id", "position", "p_max", "poa_1", "chan_1",
-#             "poa_2"?, "chan_2"?, "fixed_sinr_target"?}],
-#    "channels": [{"id", "bandwidth"}],
-#    "gains": [[ue_id, poa_id, chan_id, value], ...],
-#    "noise_psd", "tau", "z_factor", "meta"}
+# The dataclass field names are the JSON keys. Unset optional fields are left
+# out, and gains are [ue_id, poa_id, chan_id, value] rows.
+
+
+def _row(obj) -> dict:
+    return {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    ues = []
-    for u in s.ues:
-        d = {
-            "id": u.id,
-            "position": list(u.position),
-            "p_max": u.p_max,
-            "poa_1": u.poa_1,
-            "chan_1": u.chan_1,
-        }
-        if u.dual:
-            d["poa_2"] = u.poa_2
-            d["chan_2"] = u.chan_2
-        if u.fixed_sinr_target is not None:
-            d["fixed_sinr_target"] = u.fixed_sinr_target
-        ues.append(d)
     return {
-        "poas": [
-            {
-                "id": p.id,
-                "kind": p.kind.value,
-                "position": list(p.position),
-                "backhaul_capacity": p.backhaul_capacity,
-            }
-            for p in s.poas
-        ],
-        "ues": ues,
-        "channels": [{"id": c.id, "bandwidth": c.bandwidth} for c in s.channels],
-        "gains": [[k[0], k[1], k[2], v] for k, v in sorted(s.gains.items())],
-        "noise_psd": s.noise_psd,
-        "tau": s.tau,
-        "z_factor": s.z_factor,
-        "meta": s.meta,
+        **_row(s),
+        "poas": [_row(p) for p in s.poas],
+        "ues": [_row(u) for u in s.ues],
+        "channels": [_row(c) for c in s.channels],
+        "gains": [[*k, v] for k, v in sorted(s.gains.items())],
     }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    poas = [
-        PoA(
-            id=p["id"],
-            kind=PoAKind(p["kind"]),
-            position=tuple(p["position"]),
-            backhaul_capacity=p["backhaul_capacity"],
-        )
-        for p in d["poas"]
-    ]
-    ues = [
-        UE(
-            id=u["id"],
-            position=tuple(u["position"]),
-            p_max=u["p_max"],
-            poa_1=u["poa_1"],
-            chan_1=u["chan_1"],
-            poa_2=u.get("poa_2"),
-            chan_2=u.get("chan_2"),
-            fixed_sinr_target=u.get("fixed_sinr_target"),
-        )
-        for u in d["ues"]
-    ]
-    channels = [Channel(id=c["id"], bandwidth=c["bandwidth"]) for c in d["channels"]]
-    gains = {(g[0], g[1], g[2]): g[3] for g in d["gains"]}
-    return Scenario(
-        poas=poas,
-        ues=ues,
-        channels=channels,
-        gains=gains,
-        noise_psd=d["noise_psd"],
-        tau=d["tau"],
-        z_factor=d["z_factor"],
-        meta=d.get("meta", {}),
-    )
+    """Inverse of ``scenario_to_dict``; a key that is not a field raises
+    TypeError naming it."""
+    return Scenario(**{
+        **d,
+        "poas": [PoA(**{**p, "kind": PoAKind(p["kind"]), "position": tuple(p["position"])})
+                 for p in d["poas"]],
+        "ues": [UE(**{**u, "position": tuple(u["position"])}) for u in d["ues"]],
+        "channels": [Channel(**c) for c in d["channels"]],
+        "gains": {(g[0], g[1], g[2]): g[3] for g in d["gains"]},
+    })
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

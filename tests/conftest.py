@@ -118,8 +118,6 @@ def random_system(rng, n, coupling=0.05):
         np.fill_diagonal(f, 0.0)
         return f
 
-    w1 = rng.choice([1e6, 5e6, 10e6], size=n)
-    w2 = rng.choice([1e6, 5e6, 10e6], size=n)
     return CrossGainMatrices(
         f11=cross(coupling),
         f12=cross(coupling),
@@ -127,9 +125,8 @@ def random_system(rng, n, coupling=0.05):
         f22=cross(coupling),
         d1=rng.uniform(1e-4, 0.1, size=n),
         d2=rng.uniform(1e-4, 0.1, size=n),
-        w1=w1,
-        w2=w2,
-        lam=1.0 / (w1 + w2),
+        w1=rng.choice([1e6, 5e6, 10e6], size=n),
+        w2=rng.choice([1e6, 5e6, 10e6], size=n),
         **synthetic_topology(n),
     )
 

@@ -17,7 +17,7 @@ from duplink import (
     build_system,
     generate,
     generate_mixed,
-    network_capacity,
+    rate_differentials,
     rescaling_sinr_bound_check,
     run,
     spectral_radius,
@@ -181,7 +181,7 @@ def test_criterion_7_max_flow_oracle_equivalence():
                           eta_b=float(rng.uniform(10e6, 300e6)))
         rate1 = rng.uniform(0, 70e6, size=n_ues)
         rate2 = rng.uniform(0, 70e6, size=n_ues)
-        ours = network_capacity(build_matrices(s), rate1, rate2)
+        ours = rate_differentials(build_matrices(s), rate1, rate2).eta_n
         oracle = networkx_max_flow(s, rate1, rate2)
         assert ours == pytest.approx(oracle, rel=1e-9)
     elapsed = time.monotonic() - t0
@@ -240,7 +240,7 @@ def test_criterion_9_rescaling_sinr_bound():
         used += 1
         trace = run(m, RescaleOnceThenHold(m.z), max_iter=4, eps=1e-15,
                     window=10, p0=equilibrium)
-        assert rescaling_sinr_bound_check(trace, m, m.z, ue_id=1, link=1, k=0) is True
+        assert rescaling_sinr_bound_check(trace, m, ue_id=1, link=1, k=0) is True
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report(9, f"SINR bound held on all 50 fading draws in {elapsed:.1f}s")

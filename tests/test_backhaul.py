@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,16 @@ from duplink import (
     build_matrices,
     classify_state,
     generate,
-    network_capacity,
     rate_differentials,
 )
 
 
 def capacity(s, rate1, rate2):
-    return network_capacity(build_matrices(s), rate1, rate2)
+    return rate_differentials(build_matrices(s), rate1, rate2).eta_n
 
 
 def report(s, rate1, rate2):
-    return rate_differentials(build_matrices(s), rate1, rate2, s.tau)
+    return rate_differentials(build_matrices(s), rate1, rate2)
 
 
 def flow_scenario(n_relays, n_picos, ue_links, eta_r=30e6, eta_p=200e6, eta_b=100e6):
@@ -192,6 +193,16 @@ class TestRateDifferentials:
         rep = report(s, np.array([47e6, 2e6]), np.array([4e6, 28e6]))
         assert rep.state[0] == classify_state(rep.v[0], rep.v[2], s.tau)
         assert rep.state[1] == classify_state(rep.v[2], rep.v[1], s.tau)
+
+    def test_tau_is_read_from_the_matrices(self):
+        m = build_matrices(flow_scenario(1, 1, [(1, 3), (3, 2)],
+                                         eta_r=20e6, eta_p=12e6, eta_b=60e6))
+        rate1, rate2 = np.array([47e6, 2e6]), np.array([4e6, 28e6])
+        assert np.any(rate_differentials(m, rate1, rate2).state >= 5)
+        wide = rate_differentials(replace(m, tau=1e12), rate1, rate2)
+        assert np.all(wide.state <= 4)  # nothing is overloaded
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            rate_differentials(replace(m, tau=0.0), rate1, rate2)
 
 
 class TestClassifyState:

@@ -120,6 +120,45 @@ class TestRunCommand:
         assert self.run_dict(tmp_path, d, "--tau", "nan") == 3
         assert "tau must be finite" in capsys.readouterr().err
 
+    def test_unknown_ue_key_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        d["ues"][1]["poa2"] = d["ues"][1].pop("poa_2")
+        assert self.run_dict(tmp_path, d) == 3
+        assert "'poa2'" in capsys.readouterr().err
+
+    def test_unknown_top_level_key_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        d["noise"] = d.pop("noise_psd")
+        assert self.run_dict(tmp_path, d) == 3
+        assert "'noise'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--iters", "0"), ("--iters", "-5"), ("--window", "0"), ("--window", "-3"),
+        ("--eps", "nan"), ("--eps", "-1"), ("--eps", "0"),
+    ])
+    def test_bad_run_parameter_is_usage_error(self, scenario_file, tmp_path, capsys,
+                                              flag, value):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario_file), "--policy", "bdt",
+                     flag, value, "--out", str(out)]) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equilibrium_names_policy_and_prediction(self, tmp_path):
+        # The prediction is the waterfilling fixed point whatever the policy,
+        # so a converged bdt run may sit far from it.
+        path = tmp_path / "limited.json"
+        save_scenario(worked_example(LIMITED_BACKHAUL), path)
+        for policy in ("bdt", "greedy", "wf"):
+            out = tmp_path / policy
+            assert main(["run", "--scenario", str(path), "--policy", policy,
+                         "--out", str(out)]) == 0
+            equilibrium = json.loads((out / "equilibrium.json").read_text())
+            assert equilibrium["policy"] == policy
+            assert equilibrium["prediction"] == "wf"
+        bdt = json.loads((tmp_path / "bdt" / "metrics.json").read_text())
+        assert bdt["verdict"] == "converged"
+
     def test_unparseable_scenario(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

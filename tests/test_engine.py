@@ -22,13 +22,17 @@ from duplink.network import Scenario
 from duplink.scenarios import LIMITED_BACKHAUL
 
 
+def report_of(m, state):
+    return rate_differentials(m, state.rate1, state.rate2)
+
+
 class TestStep:
     def test_matches_linear_system_in_waterfilling_regime(self):
         # one synchronous waterfilling step == c + a @ p1 while interior
         m = build_matrices(worked_example())
         a, c = build_system(m)
         state = initial_state(m)
-        nxt = step(m, state, "wf")
+        nxt = step(m, state, "wf", report_of(m, state))
         np.testing.assert_allclose(nxt.p1, c + a @ state.p1, rtol=1e-12)
         np.testing.assert_allclose(nxt.p2, 1.0 - nxt.p1, rtol=1e-12)
 
@@ -39,7 +43,7 @@ class TestStep:
         trace = run(m, "bdt", max_iter=100)
         assert trace.verdict.converged
         final = trace.states[-1]
-        again = step(m, final, "bdt")
+        again = step(m, final, "bdt", trace.reports[-1])
         np.testing.assert_array_equal(again.p1, final.p1)
         np.testing.assert_array_equal(again.p2, final.p2)
 
@@ -48,7 +52,7 @@ class TestStep:
                                               backhaul_scale=100.0)))
         from duplink.policies import waterfill
         state = initial_state(m)
-        nxt = step(m, state, "bdt")
+        nxt = step(m, state, "bdt", report_of(m, state))
         expected = waterfill(1.0, float(m.d1[0]), float(m.d2[0]),
                              float(m.w1[0]), float(m.w2[0]))
         assert (nxt.p1[0], nxt.p2[0]) == pytest.approx(expected)
@@ -59,13 +63,14 @@ class TestStep:
 
         m = build_matrices(worked_example())
         with pytest.raises(RuntimeError, match="infeasible powers for UE 1:"):
-            step(m, initial_state(m), bad)
+            state = initial_state(m)
+            step(m, state, bad, report_of(m, state))
 
     def test_deterministic(self):
         m = build_matrices(generate(GenParams(n_ues=6, seed=13)))
         state = initial_state(m)
-        a = step(m, state, "greedy")
-        b = step(m, state, "greedy")
+        a = step(m, state, "greedy", report_of(m, state))
+        b = step(m, state, "greedy", report_of(m, state))
         np.testing.assert_array_equal(a.p1, b.p1)
         np.testing.assert_array_equal(a.p2, b.p2)
 
@@ -127,6 +132,16 @@ class TestRun:
     def test_invalid_max_iter(self):
         with pytest.raises(ValueError):
             run(build_matrices(worked_example()), "wf", max_iter=0)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_invalid_window(self, window):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            run(build_matrices(worked_example()), "wf", window=window)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            run(build_matrices(worked_example()), "wf", eps=eps)
 
     def test_unknown_policy_name(self):
         with pytest.raises(ValueError, match="unknown policy"):

@@ -12,6 +12,7 @@ from duplink import (
     closed_form_equilibrium,
     compute_state,
     generate,
+    rate_differentials,
     rescaling_sinr_bound_check,
     run,
     spectral_radius,
@@ -38,11 +39,22 @@ class TestBuildSystem:
     def test_cancellation_when_links_mirror(self, rng):
         mat = random_system(rng, 4, coupling=0.1)
         mat.w2 = mat.w1.copy()
-        mat.lam = 1.0 / (mat.w1 + mat.w2)
         mat.f21 = mat.f11.copy()
         mat.f12 = mat.f22.copy()
         a, _ = build_system(mat)
         np.testing.assert_allclose(a, 0.0, atol=1e-18)
+
+    def test_replaced_bandwidths_match_a_rebuilt_network(self):
+        # lam follows w1/w2, so a bandwidth sweep by dataclasses.replace
+        # gives the same system as building the network with those channels.
+        s = worked_example()
+        mat = build_matrices(s)
+        wide = build_matrices(replace(s, channels=[
+            replace(ch, bandwidth=3 * ch.bandwidth + 1e6 * ch.id) for ch in s.channels]))
+        swept = replace(mat, w1=wide.w1, w2=wide.w2, d1=wide.d1, d2=wide.d2)
+        np.testing.assert_array_equal(swept.lam, 1.0 / (wide.w1 + wide.w2))
+        for got, want in zip(build_system(swept), build_system(wide)):
+            np.testing.assert_array_equal(got, want)
 
     def test_worked_example_hand_evaluation(self):
         # Everything from scratch: gains from geometry, then the 2x2 system
@@ -214,7 +226,7 @@ class TestMixedPopulationSystem:
         p1, p2 = equilibrium
         now = compute_state(mat, p1, p2)
         np.testing.assert_allclose(now.sinr1[fixed], mat.beta[fixed], rtol=1e-12)
-        nxt = step(mat, now, "mixed-fm")
+        nxt = step(mat, now, "mixed-fm", rate_differentials(mat, now.rate1, now.rate2))
         np.testing.assert_allclose(nxt.p1, p1, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(nxt.p2, p2, rtol=1e-12, atol=1e-15)
 
@@ -245,7 +257,7 @@ class TestRescalingSinrBound:
             trace, mat = _rescaling_trace(seed)
             if trace is None:
                 continue
-            assert rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=1, link=1, k=0) is True
+            assert rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0) is True
             found += 1
         assert found >= 20
 
@@ -255,7 +267,7 @@ class TestRescalingSinrBound:
                                                 backhaul_scale=10.0)))
         z = mat.z
         trace = run(mat, RescaleOnceThenHold(z), max_iter=4, eps=1e-15, window=10)
-        assert rescaling_sinr_bound_check(trace, mat, z, ue_id=1, link=1, k=0) is True
+        assert rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0) is True
         g0 = trace.states[0].sinr1[0]
         g2 = trace.states[2].sinr1[0]
         assert g2 == pytest.approx(z * g0, rel=1e-9)
@@ -264,30 +276,30 @@ class TestRescalingSinrBound:
         trace, mat = _rescaling_trace(0)
         assert trace is not None
         with pytest.raises(InapplicableCheck):
-            rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=1, link=1,
+            rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1,
                                        k=len(trace.states) - 2)
 
     def test_unrescaled_ue_is_inapplicable(self):
         trace, mat = _rescaling_trace(0)
         with pytest.raises(InapplicableCheck):
-            rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=2, link=1, k=0)
+            rescaling_sinr_bound_check(trace, mat, ue_id=2, link=1, k=0)
 
     def test_unknown_ue_is_inapplicable(self):
         trace, mat = _rescaling_trace(0)
         with pytest.raises(InapplicableCheck, match="unknown UE id 3"):
-            rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=3, link=1, k=0)
+            rescaling_sinr_bound_check(trace, mat, ue_id=3, link=1, k=0)
 
     def test_ue_ids_out_of_order(self):
         # UE 2 is listed first, so it is the one RescaleOnceThenHold rescales.
         trace, mat = _rescaling_trace(1, reverse=True)
         assert mat.ue_id.tolist() == [2, 1]
-        assert rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=2, link=1, k=0) is True
+        assert rescaling_sinr_bound_check(trace, mat, ue_id=2, link=1, k=0) is True
         with pytest.raises(InapplicableCheck, match="not rescaled"):
-            rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=1, link=1, k=0)
+            rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0)
 
     def test_bottleneck_link_is_inapplicable(self):
         trace, mat = _rescaling_trace(0)
         # fake a negative differential at k=0 for UE 1 link 1
         trace.reports[0].v1[0] = -1.0
         with pytest.raises(InapplicableCheck):
-            rescaling_sinr_bound_check(trace, mat, mat.z, ue_id=1, link=1, k=0)
+            rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0)

@@ -174,7 +174,6 @@ class TestLinkRates:
             f21=np.zeros((n, n)), f22=np.zeros((n, n)),
             d1=np.array([e1]), d2=np.array([e2]),
             w1=np.array([w1]), w2=np.array([w2]),
-            lam=np.array([1.0 / (w1 + w2)]),
             **synthetic_topology(n),
         )
         st = compute_state(m, np.array([p1]), np.array([p2]))

@@ -1,15 +1,17 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from duplink import (
     UE,
     Channel,
+    GenParams,
     PoA,
     PoAKind,
     Scenario,
+    generate_mixed,
     load_scenario,
     noise_power,
     save_scenario,
@@ -170,6 +172,28 @@ class TestJsonRoundTrip:
         s2 = load_scenario(path)
         assert scenario_to_dict(s2) == scenario_to_dict(s)
         assert validate_scenario(s2) == []
+
+    def test_mixed_file_round_trip_is_stable(self, tmp_path):
+        s = generate_mixed(GenParams(n_ues=6, seed=7), 3)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_scenario(s, first)
+        s2 = load_scenario(first)
+        save_scenario(s2, second)
+        assert s2 == s
+        assert second.read_bytes() == first.read_bytes()
+        for u in json.loads(first.read_text())["ues"]:  # unset fields are left out
+            unset = {"fixed_sinr_target"} if "poa_2" in u else {"poa_2", "chan_2"}
+            assert set(u) == {f.name for f in fields(UE)} - unset
+
+    def test_unknown_keys_are_rejected(self):
+        d = scenario_to_dict(worked_example())
+        d["ues"][0]["poa2"] = d["ues"][0].pop("poa_2")
+        with pytest.raises(TypeError, match="poa2"):
+            scenario_from_dict(d)
+        d = scenario_to_dict(worked_example())
+        d["z"] = 0.5
+        with pytest.raises(TypeError, match="'z'"):
+            scenario_from_dict(d)
 
     def test_single_link_fields_round_trip(self):
         s = tiny_scenario()

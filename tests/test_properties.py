@@ -76,7 +76,7 @@ def test_step_matches_scalar_policies_per_ue(network):
     m = build_matrices(s)
     now = compute_state(m, *random_powers(s, np.random.default_rng(seed)))
     v = scalar_rate_differentials(s, now.rate1, now.rate2)
-    report = rate_differentials(m, now.rate1, now.rate2, s.tau)
+    report = rate_differentials(m, now.rate1, now.rate2)
     for i, u in enumerate(s.ues):
         assert report.v1[i] == v[u.poa_1]
         if u.dual:
@@ -99,8 +99,9 @@ def test_every_policy_returns_feasible_powers(network):
     s, seed = network
     m = build_matrices(s)
     now = compute_state(m, *random_powers(s, np.random.default_rng(seed)))
+    report = rate_differentials(m, now.rate1, now.rate2)
     for policy in POLICY_NAMES:
-        nxt = step(m, now, policy)
+        nxt = step(m, now, policy, report)
         assert np.all(nxt.p1 >= 0) and np.all(nxt.p2 >= 0)
         assert np.all(nxt.p1 + nxt.p2 <= m.p_max * (1 + 1e-12))
         assert np.all(nxt.p2[~m.dual] == 0.0)
@@ -113,5 +114,5 @@ def test_eta_n_matches_networkx_max_flow(network):
     s, seed = network
     rng = np.random.default_rng(seed)
     rate1, rate2 = rng.uniform(0, 80e6, size=(2, len(s.ues)))
-    report = rate_differentials(build_matrices(s), rate1, rate2, s.tau)
+    report = rate_differentials(build_matrices(s), rate1, rate2)
     assert report.eta_n == pytest.approx(networkx_max_flow(s, rate1, rate2), rel=1e-9)

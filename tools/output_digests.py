@@ -11,8 +11,9 @@ checkout, including an older one. The manifest covers:
 
 - ``trials.csv`` and ``summary.csv`` of the fig2b, fig3, fig4 and fig5
   presets at ``--trials 10 --seed 7``;
-- ``trace.csv``, ``metrics.json`` and ``equilibrium.json`` of ``duplink run``
-  with every policy on: both worked-example cases, a 21-UE ``generate`` file,
+- the scenario files themselves, as ``save_scenario`` writes them, and the
+  ``trace.csv``, ``metrics.json`` and ``equilibrium.json`` of ``duplink run``
+  with every policy in ``POLICY_NAMES`` on each: both worked-example cases, a 21-UE ``generate`` file,
   a 6+3 mixed file, and two 160+40 mixed files (8 relays, 12 picocells), one
   whose combined iteration is contractive (seed 1) and one whose is not
   (seed 3);
@@ -35,7 +36,6 @@ import tempfile
 from pathlib import Path
 
 PRESETS = ("fig2b", "fig3", "fig4", "fig5")
-POLICIES = ("bdt", "wf", "greedy", "mixed-fm")
 RUN_OUTPUTS = ("trace.csv", "metrics.json", "equilibrium.json")
 
 
@@ -92,7 +92,8 @@ def main() -> int:
                 print(f"experiment/{preset}/{name} exit={code} {_file_sha(out / name)}")
 
         for scenario, path in scenario_files(dl, work).items():
-            for policy in POLICIES:
+            print(f"scenario/{scenario}.json {_file_sha(path)}")
+            for policy in dl.POLICY_NAMES:
                 out = work / "run" / scenario / policy
                 code = _main_quiet(cli, ["run", "--scenario", str(path), "--policy", policy,
                                          "--out", str(out)])
