@@ -27,7 +27,6 @@ from .engine import (
     monte_carlo,
     run,
     step,
-    trace_metrics,
     trace_to_csv,
 )
 from .equilibrium import (
@@ -43,6 +42,7 @@ from .metrics import (
     build_matrices,
     compute_state,
     effective_interference,
+    stack_matrices,
 )
 from .network import (
     UE,

@@ -23,6 +23,7 @@ where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -73,7 +74,8 @@ class BackhaulReport:
     """Per-iteration snapshot of backhaul load and UE backhaul states.
 
     Per-PoA arrays are indexed by PoA index (PoA id - 1), per-UE arrays by
-    UE index.
+    UE index. The report of a stack of networks has a leading batch axis on
+    every field, the scalars included.
     """
 
     eta_n: float               # end-to-end network capacity (max-flow)
@@ -83,6 +85,15 @@ class BackhaulReport:
     v1: np.ndarray             # per UE: V of its link-1 PoA
     v2: np.ndarray             # per UE: V of its link-2 PoA, 0 without one
     state: np.ndarray          # per UE: BackhaulState code, 0 on single-link UEs
+
+
+def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, the order in which Python's
+    ``sum`` adds a list. ``accumulate`` adds in that order; numpy's ``sum``
+    adds pairwise."""
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.add.accumulate(x, axis=-1)[..., -1]
 
 
 def rate_differentials(
@@ -97,23 +108,35 @@ def rate_differentials(
     the effective ceiling: a relay cannot usefully carry more than the
     macrocell backhaul has head-room for. Overload is not clamped; the
     magnitude of a negative differential is what the adaptation policy
-    reacts to.
+    reacts to. On a stack of networks (``stack_matrices``) every row is
+    reported as if alone.
     """
-    tau = m.tau
-    if tau <= 0:
+    tau = np.asarray(m.tau)
+    if (tau <= 0).any():
         raise ValueError("tau must be > 0")
-    rates = np.column_stack((rate1, rate2)).ravel()
-    load = np.bincount(m.poa.ravel(), weights=rates, minlength=m.n_poas + 1)
-    gamma = sum(np.minimum(m.capacity[m.relays], load[m.relays]).tolist())
-    eta_n = min(m.capacity[m.macro], load[m.macro] + gamma)
-    eta_n += sum(np.minimum(m.capacity[m.picos], load[m.picos]).tolist())
-    v = np.empty(m.n_poas + 1)
-    v[:-1] = m.capacity - load[:-1]
-    v_b = v[m.macro] - gamma
-    v[m.macro] = v_b
-    v[m.relays] = np.minimum(m.capacity[m.relays], max(v_b, 0.0)) - load[m.relays]
-    v[-1] = 0.0
-    v1, v2 = v[m.poa[:, 0]], v[m.poa[:, 1]]
-    state = np.where(m.dual, _STATE_TABLE[_category(v1, tau), _category(v2, tau)], 0)
-    return BackhaulReport(eta_n=float(eta_n), load=load[:-1], v=v[:-1],
-                          gamma_relay_sum=gamma, v1=v1, v2=v2, state=state)
+    batch = m.poa.shape[:-2]
+    bins = m.n_poas + 1
+    # One bincount for the whole stack: row b's PoAs are bins b * bins + poa.
+    size = bins * math.prod(batch)
+    index = m.poa + np.arange(0, size, bins).reshape(*batch, 1, 1)
+    rates = np.empty(index.shape)
+    rates[..., 0], rates[..., 1] = rate1, rate2
+    load = np.bincount(index.ravel(), weights=rates.ravel(),
+                       minlength=size).reshape(*batch, bins)
+    carried = np.minimum(m.capacity, load[..., :-1])
+    gamma = _sum_left_to_right(carried[..., m.relays])
+    eta_n = np.minimum(m.capacity[m.macro], load[..., m.macro] + gamma)
+    eta_n = eta_n + _sum_left_to_right(carried[..., m.picos])
+    v = np.zeros(load.shape)  # the last bin, where no PoA is, stays at V = 0
+    v[..., :-1] = m.capacity - load[..., :-1]
+    v[..., m.macro] -= gamma
+    headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
+    v[..., m.relays] = np.minimum(m.capacity[m.relays], headroom) - load[..., m.relays]
+    v_links = v.ravel()[index]  # V of each link's PoA, (..., n, 2)
+    category = _category(v_links, tau[..., None, None])
+    state = np.where(m.dual, _STATE_TABLE[category[..., 0], category[..., 1]], 0)
+    if not batch:
+        eta_n, gamma = float(eta_n), float(gamma)
+    return BackhaulReport(eta_n=eta_n, load=load[..., :-1], v=v[..., :-1],
+                          gamma_relay_sum=gamma, v1=v_links[..., 0], v2=v_links[..., 1],
+                          state=state)

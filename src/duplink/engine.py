@@ -7,20 +7,25 @@ SINR and rates for the new power vector. A run stops early once the power
 vector has been stable for a window of iterations, or is flagged as
 oscillating when it revisits an earlier, non-adjacent iterate without
 settling.
+
+One loop serves every run: it advances a stack of networks in lockstep,
+each row as if alone, and a one-network run is its one-row case. A Monte
+Carlo sweep runs all trials and policies of a sweep point as one stack.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
-from .metrics import CrossGainMatrices, PowerState, build_matrices, compute_state
+from .metrics import (CrossGainMatrices, PowerState, build_matrices, compute_state,
+                      stack_matrices)
 from .policies import POLICY_NAMES, bdt_update, fm_update, greedy_update, waterfill
 from .scenarios import GenParams, generate
 
@@ -50,15 +55,26 @@ class Verdict:
 
 @dataclass
 class Trace:
+    """A finished run. ``states`` and ``reports`` hold every iterate of a
+    one-network run, and only the last one of a network run in a stack."""
+
     states: list[PowerState]
     reports: list[BackhaulReport]
     verdict: Verdict
     metrics: dict
 
 
-def _check_policy(policy: Policy) -> None:
-    if not callable(policy) and policy not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+def _policy_names(policy) -> list:
+    """The distinct names in ``policy`` (a callable has none), in order of
+    first use. ``policy`` is a callable, a policy name, or one policy name
+    per network of a stack; ValueError on an unknown name."""
+    if callable(policy):
+        return []
+    names = list(dict.fromkeys(np.atleast_1d(policy).tolist()))
+    for name in names:
+        if name not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    return names
 
 
 def initial_state(m: CrossGainMatrices,
@@ -72,10 +88,11 @@ def initial_state(m: CrossGainMatrices,
 
 def _dual_update(policy: str, m: CrossGainMatrices, now: PowerState,
                  report: BackhaulReport, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The named policy on the dual-connectivity rows ``d``."""
+    """The named policy on the dual-connectivity UEs selected by the mask ``d``."""
     budget = (m.p_max[d], now.e1[d], now.e2[d], m.w1[d], m.w2[d])
     if policy == "bdt":
-        return bdt_update(report.state[d], now.p1[d], now.p2[d], *budget, m.z)
+        z = np.broadcast_to(np.asarray(m.z)[..., None], d.shape)[d]
+        return bdt_update(report.state[d], now.p1[d], now.p2[d], *budget, z)
     if policy == "greedy":
         return greedy_update(*budget, np.maximum(report.v1[d], 0.0),
                              np.maximum(report.v2[d], 0.0))
@@ -89,21 +106,27 @@ def step(
     the powers ``now`` and their backhaul ``report``.
 
     A policy name applies to the dual-connectivity UEs; single-link UEs
-    always run the fixed-SINR update. A callable decides every UE.
+    always run the fixed-SINR update. A callable decides every UE. On a
+    stack of networks (``stack_matrices``) ``policy`` may also hold one name
+    per network.
     """
-    _check_policy(policy)
+    names = _policy_names(policy)
     if callable(policy):
         p1, p2 = (np.asarray(p, dtype=float) for p in policy(m, now, report))
     else:
-        p1, p2 = np.zeros(m.n), np.zeros(m.n)
-        p1[m.dual], p2[m.dual] = _dual_update(policy, m, now, report, m.dual)
+        p1, p2 = np.zeros(m.d1.shape), np.zeros(m.d1.shape)
+        per_row = np.asarray(policy)[..., None]
+        for name in names:
+            d = m.dual & (per_row == name)
+            if d.any():
+                p1[d], p2[d] = _dual_update(name, m, now, report, d)
         single = ~m.dual
         if single.any():
             p1[single] = fm_update(now.e1[single], m.beta[single], m.p_max[single])
     bad = ((p1 < -_FEAS_SLACK) | (p2 < -_FEAS_SLACK)
            | (p1 + p2 > m.p_max * (1 + _FEAS_SLACK)))
     if bad.any():
-        i = int(np.argmax(bad))
+        i = np.unravel_index(np.argmax(bad), bad.shape)
         raise RuntimeError(
             f"policy returned infeasible powers for UE {m.ue_id[i]}: "
             f"({p1[i]}, {p2[i]}) with p_max {m.p_max[i]}"
@@ -120,7 +143,7 @@ def run(
     eps: float = 1e-6,
     window: int = 5,
     p0: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> Trace:
+) -> Trace | list[Trace]:
     """Iterate the chosen policy and classify the outcome.
 
     ``policy`` is a name from ``POLICY_NAMES`` or a callable
@@ -129,6 +152,11 @@ def run(
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
     while still moving.
+
+    On a stack of networks (``stack_matrices``) ``policy`` is a name or one
+    name per network, and the networks iterate in lockstep, each as if
+    alone; a network leaves the batch once it has its verdict. The result
+    is one Trace per network, holding only its last state and report.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -136,61 +164,115 @@ def run(
         raise ValueError("window must be >= 1")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    _check_policy(policy)
+    _policy_names(policy)  # rejects an unknown name before any work
+    if m.d1.ndim == 2:
+        if callable(policy):
+            raise ValueError("a stack of networks takes policy names")
+        names = np.broadcast_to(np.asarray(policy), m.d1.shape[:1])
+        return _lockstep(m, names, max_iter, eps, window, p0, None)
 
-    states = [initial_state(m, p0)]
-    reports = [rate_differentials(m, states[0].rate1, states[0].rate2)]
-    verdict = Verdict(CONVERGED, iteration=0)
-    n = m.n
-    if n:  # an empty network has nothing to iterate
-        verdict = Verdict(MAX_ITERATIONS)
-        # Row k holds iterate k's powers, p1 then p2.
-        powers = np.empty((max_iter + 1, 2 * n))
-        powers[0, :n], powers[0, n:] = states[0].p1, states[0].p2
-        stable = 0
-        for k in range(max_iter):
-            nxt = step(m, states[-1], policy, reports[-1])
-            powers[k + 1, :n], powers[k + 1, n:] = nxt.p1, nxt.p2
-            delta = float(np.max(np.abs(powers[k + 1] - powers[k])))
-            states.append(nxt)
-            reports.append(rate_differentials(m, nxt.rate1, nxt.rate2))
+    # One network is the one-row case, with its whole history kept.
+    if callable(policy):
+        custom = policy
 
-            stable = stable + 1 if delta < eps else 0
-            if stable >= window:
-                verdict = Verdict(CONVERGED, iteration=k + 1 - window + 1)
-                break
-            if delta >= eps:
-                revisit = _find_revisit(powers[:k + 2], eps)
-                if revisit is not None:
-                    verdict = Verdict(OSCILLATING, period=revisit)
-                    break
+        def policy(_, now, report):
+            return [np.asarray(p, dtype=float)[None]
+                    for p in custom(m, _row(now, 0), _row(report, 0))]
 
-    trace = Trace(states, reports, verdict, {})
-    trace.metrics = trace_metrics(trace, m)
+    if p0 is not None:
+        p0 = tuple(np.asarray(p, dtype=float)[None] for p in p0)
+    history: list = []
+    [trace] = _lockstep(stack_matrices([m]), policy, max_iter, eps, window, p0, history)
+    trace.states = [_row(state, 0) for state, _ in history]
+    trace.reports = [_row(report, 0) for _, report in history]
     return trace
 
 
-def _find_revisit(powers: np.ndarray, eps: float) -> Optional[int]:
-    """Cycle length if the newest row matches an earlier non-adjacent one
-    (the latest such row)."""
-    k = powers.shape[0] - 1
-    gaps = np.max(np.abs(powers[:k - 1] - powers[k]), axis=1, initial=0.0)
-    hits = np.flatnonzero(gaps < eps)
-    return int(k - hits[-1]) if hits.size else None
+def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
+              p0, history: Optional[list]) -> list[Trace]:
+    """The iteration loop of ``run`` over the rows of a stack; appends every
+    iterate's (state, report) to ``history`` when one is given."""
+    b, n = m.d1.shape
+    now = initial_state(m, p0)
+    report = rate_differentials(m, now.rate1, now.rate2)
+    if history is not None:
+        history.append((now, report))
+    traces: list = [None] * b
+    rows = np.arange(b)           # the stack row of each network still running
+    # powers[k, r] holds iterate k of stack row r: p1, then p2.
+    powers = np.empty((max_iter + 1, b, 2 * n))
+    powers[0] = last = np.concatenate((now.p1, now.p2), axis=1)
+    stable = np.zeros(b, dtype=int)
+    iterations = 0
+    for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
+        now = step(m, now, policy, report)
+        report = rate_differentials(m, now.rate1, now.rate2)
+        if history is not None:
+            history.append((now, report))
+        iterations = k + 1
+        newest = np.concatenate((now.p1, now.p2), axis=1)
+        powers[k + 1, rows] = newest
+        delta = np.abs(newest - last).max(axis=1)
+        last = newest
+
+        stable = np.where(delta < eps, stable + 1, 0)
+        converged = stable >= window
+        # hit[i, r]: iterate i (earlier and not adjacent) of row r lies within
+        # eps of the newest one.
+        gaps = powers[:k, rows]
+        gaps -= newest
+        hit = np.abs(gaps, out=gaps).max(axis=2) < eps
+        oscillating = (delta >= eps) & hit.any(axis=0)
+        done = converged | oscillating
+        if done.any():
+            # An oscillation's period counts back to the latest such iterate.
+            period = 2 + np.argmax(hit[::-1], axis=0) if oscillating.any() else None
+            for j in np.flatnonzero(done).tolist():
+                verdict = (Verdict(CONVERGED, iteration=k + 2 - window) if converged[j]
+                           else Verdict(OSCILLATING, period=int(period[j])))
+                traces[rows[j]] = _final(m, now, report, j, verdict, iterations)
+            keep = ~done
+            rows, stable, last = rows[keep], stable[keep], last[keep]
+            if not rows.size:
+                break
+            m, now, report = m.take(keep), _take(now, keep), _take(report, keep)
+            if isinstance(policy, np.ndarray):
+                policy = policy[keep]
+
+    verdict = Verdict(MAX_ITERATIONS) if n else Verdict(CONVERGED, iteration=0)
+    for j, row in enumerate(rows.tolist()):
+        traces[row] = _final(m, now, report, j, verdict, iterations)
+    return traces
 
 
-def trace_metrics(trace: Trace, m: CrossGainMatrices) -> dict:
-    """Headline numbers of a finished run."""
-    final = trace.states[-1]
-    bandwidth = m.bandwidth_in_use
-    eta_n = trace.reports[-1].eta_n
+def _take(obj, rows):
+    """The given rows of a stacked PowerState or BackhaulReport."""
+    return type(obj)(**{f.name: getattr(obj, f.name)[rows] for f in fields(obj)})
+
+
+def _row(obj, j: int):
+    """Row ``j`` of a stacked PowerState or BackhaulReport, as one network's."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)[j]
+        out[f.name] = float(value) if value.ndim == 0 else value
+    return type(obj)(**out)
+
+
+def _final(m: CrossGainMatrices, now: PowerState, report: BackhaulReport, j: int,
+           verdict: Verdict, iterations: int) -> Trace:
+    """The Trace of stack row ``j`` at its last iterate, with the run's
+    headline numbers as its metrics."""
+    final, last = _row(now, j), _row(report, j)
+    bandwidth = float(m.bandwidth_in_use[j])
     totals = final.p1 + final.p2
-    return {
-        "eta_n_final": eta_n,
-        "eta_n_normalized": eta_n / bandwidth if bandwidth > 0 else 0.0,
-        "avg_total_power": float(np.mean(totals)) if m.n else 0.0,
-        "iterations_run": len(trace.states) - 1,
+    metrics = {
+        "eta_n_final": last.eta_n,
+        "eta_n_normalized": last.eta_n / bandwidth if bandwidth > 0 else 0.0,
+        "avg_total_power": float(np.mean(totals)) if totals.size else 0.0,
+        "iterations_run": iterations,
     }
+    return Trace([final], [last], verdict, metrics)
 
 
 def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
@@ -244,18 +326,23 @@ def monte_carlo(
     ``seeds`` is either a base seed (per-trial seeds are derived from it) or
     an explicit per-trial seed list. With ``require_contractive`` the
     generator rejects scenarios whose waterfilling iteration matrix has a
-    spectral radius of 1 or more, re-drawing deterministically.
+    spectral radius of 1 or more, re-drawing deterministically. The trials
+    x policies runs of a point advance as one stack through ``run``, with
+    the results of separate runs.
     """
     from .equilibrium import build_system, spectral_radius
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not policies:
+        raise ValueError("need at least one policy")
     seed_list = list(seeds) if not isinstance(seeds, int) else None
     if seed_list is not None and len(seed_list) < trials:
         raise ValueError(f"need {trials} seeds, got {len(seed_list)}")
 
     rows = []
     for point_idx, point in enumerate(points):
+        networks = []
         for trial in range(trials):
             for attempt in range(max_attempts):
                 if seed_list is not None:
@@ -270,17 +357,19 @@ def monte_carlo(
                     f"no contractive scenario found for point {point.sweep_value!r}, "
                     f"trial {trial} after {max_attempts} attempts"
                 )
-            for policy in policies:
-                trace = run(mat, policy, max_iter=max_iter, eps=eps, window=window)
-                rows.append({
-                    "sweep_var": point.sweep_var,
-                    "sweep_value": point.sweep_value,
-                    "policy": policy,
-                    "trial": trial,
-                    "eta_n_normalized": trace.metrics["eta_n_normalized"],
-                    "avg_total_power": trace.metrics["avg_total_power"],
-                    "converged": trace.verdict.converged,
-                })
+            networks += [mat] * len(policies)
+        traces = run(stack_matrices(networks), list(policies) * trials,
+                     max_iter=max_iter, eps=eps, window=window)
+        for i, trace in enumerate(traces):
+            rows.append({
+                "sweep_var": point.sweep_var,
+                "sweep_value": point.sweep_value,
+                "policy": policies[i % len(policies)],
+                "trial": i // len(policies),
+                "eta_n_normalized": trace.metrics["eta_n_normalized"],
+                "avg_total_power": trace.metrics["avg_total_power"],
+                "converged": trace.verdict.converged,
+            })
     return rows
 
 

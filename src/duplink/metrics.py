@@ -14,11 +14,16 @@ the noise powers normalized the same way.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
+
+``stack_matrices`` stacks networks of one layout into one CrossGainMatrices
+whose per-network arrays gain a leading batch axis, one row per network;
+``compute_state`` and the backhaul and engine layers accept either form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +50,10 @@ class CrossGainMatrices:
     Scenario constants: ``tau`` and ``z`` of the backhaul-state policy,
     ``ue_id`` the UE ids in scenario order, and ``bandwidth_in_use`` the
     summed bandwidth of the channels some UE transmits on.
+
+    On a stack (``stack_matrices``) every field but the backhaul layout
+    (``capacity``, ``relays``, ``picos``, ``macro``) has a leading batch
+    axis: ``f11`` is (B, n, n), ``d1`` is (B, n), ``tau`` is (B,).
     """
 
     f11: np.ndarray
@@ -74,11 +83,41 @@ class CrossGainMatrices:
 
     @property
     def n(self) -> int:
-        return self.d1.shape[0]
+        return self.d1.shape[-1]
 
     @property
     def n_poas(self) -> int:
         return self.capacity.shape[0]
+
+    def take(self, rows) -> CrossGainMatrices:
+        """The networks at ``rows`` (indices or a mask) of a stack."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
+
+
+# The backhaul layout every network of a stack shares; the other fields are
+# stacked.
+_SHARED = ("capacity", "relays", "picos", "macro")
+_PER_NETWORK = tuple(f.name for f in fields(CrossGainMatrices) if f.name not in _SHARED)
+
+
+def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
+    """One CrossGainMatrices holding the networks ``ms`` as rows of a batch.
+
+    The networks must have the same UE count and backhaul layout (relays,
+    picocells, macrocell and capacities), as the trials of one generator
+    setting do; ValueError otherwise.
+    """
+    if not ms:
+        raise ValueError("no networks to stack")
+    first = ms[0]
+    for m in ms[1:]:
+        if m.n != first.n or m.macro != first.macro or not all(
+                np.array_equal(getattr(m, name), getattr(first, name))
+                for name in ("capacity", "relays", "picos")):
+            raise ValueError("stacked networks must share the UE count and the "
+                             "backhaul layout (relays, picos, macro, capacity)")
+    return replace(first, **{name: np.array([getattr(m, name) for m in ms])
+                             for name in _PER_NETWORK})
 
 
 @dataclass
@@ -168,16 +207,22 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     )
 
 
+def _apply(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # A matrix-vector product per network. On this form a stacked product
+    # gives the bits of each network's own f @ p; einsum does not.
+    return (f @ p[..., None])[..., 0]
+
+
 def effective_interference(
     m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-plus-interference seen by each link, normalized by own gain."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if p1.shape != (m.n,) or p2.shape != (m.n,):
-        raise ValueError(f"power vectors must have shape ({m.n},)")
-    e1 = m.d1 + m.f11 @ p1 + m.f21 @ p2
-    e2 = m.d2 + m.f22 @ p2 + m.f12 @ p1
+    if p1.shape != m.d1.shape or p2.shape != m.d1.shape:
+        raise ValueError(f"power vectors must have shape {m.d1.shape}")
+    e1 = m.d1 + _apply(m.f11, p1) + _apply(m.f21, p2)
+    e2 = m.d2 + _apply(m.f22, p2) + _apply(m.f12, p1)
     return e1, e2
 
 

@@ -20,6 +20,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 GainKey = tuple[int, int, int]  # (ue id, poa id, channel id)
 
 
@@ -137,12 +139,72 @@ def noise_power(s: Scenario, ue_id: int, link: int) -> float:
     return s.noise_psd * s.channel(chan_id).bandwidth
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _positive(x) -> bool:
-    """A finite number > 0; NaN, infinities and non-numbers fail."""
-    try:
-        return 0 < x < math.inf
-    except TypeError:
-        return False
+    """A finite number > 0; NaN, infinities, bools and non-numbers fail."""
+    return _is_number(x) and 0 < x < math.inf
+
+
+def _is_point(x) -> bool:
+    return isinstance(x, (tuple, list)) and len(x) == 2 and all(map(_is_number, x))
+
+
+# (what a field must be, its test); None is legal only in the optional fields.
+_INTEGER = ("an integer", _is_int)
+_NUMBER = ("a number", _is_number)
+_POINT = ("two numbers", _is_point)
+_OPTIONAL = ("poa_2", "chan_2", "fixed_sinr_target")
+
+
+def _type_errors(s: Scenario) -> list[str]:
+    """One message per field of the wrong type: ids and links must be
+    integers and the other numbers int or float, never bool."""
+    bad: list[str] = []
+
+    def check(label: str, obj, names: tuple[str, ...], rule) -> None:
+        kind, ok = rule
+        for name in names:
+            value = getattr(obj, name)
+            if not (ok(value) or (value is None and name in _OPTIONAL)):
+                bad.append(f"{label}{name} must be {kind}, got {value!r}")
+
+    check("", s, ("noise_psd", "tau", "z_factor"), _NUMBER)
+    for p in s.poas:
+        label = f"PoA {p.id!r}: "
+        check(label, p, ("id",), _INTEGER)
+        check(label, p, ("backhaul_capacity",), _NUMBER)
+        check(label, p, ("position",), _POINT)
+        if not isinstance(p.kind, PoAKind):
+            bad.append(f"{label}kind must be one of "
+                       f"{', '.join(k.value for k in PoAKind)}, got {p.kind!r}")
+    for c in s.channels:
+        check(f"channel {c.id!r}: ", c, ("id",), _INTEGER)
+        check(f"channel {c.id!r}: ", c, ("bandwidth",), _NUMBER)
+    for u in s.ues:
+        label = f"UE {u.id!r}: "
+        check(label, u, ("id", "poa_1", "chan_1", "poa_2", "chan_2"), _INTEGER)
+        check(label, u, ("p_max", "fixed_sinr_target"), _NUMBER)
+        check(label, u, ("position",), _POINT)
+    return bad
+
+
+def _gain_errors(gains: dict[GainKey, float]) -> list[str]:
+    values = list(gains.values())
+    if set(map(type, values)) <= {float}:  # the usual file: one array test
+        arr = np.array(values, dtype=float)
+        wrong = np.flatnonzero(~((arr > 0) & (arr < math.inf))).tolist()
+    else:
+        wrong = [i for i, g in enumerate(values) if not _positive(g)]
+    keys = list(gains) if wrong else []
+    return [f"gain ({keys[i][0]},{keys[i][1]},{keys[i][2]}) must be finite and > 0, "
+            f"got {values[i]!r}" for i in wrong]
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -150,8 +212,12 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     An empty list means the scenario is well formed. Violations are
     reported, never raised, so callers can surface all of them at once.
+    Fields of the wrong type are reported alone, before the structure is
+    checked.
     """
-    bad: list[str] = []
+    bad = _type_errors(s)
+    if bad:
+        return bad
 
     # PoA id layout: relays 1..Nr, picocells Nr+1..Nr+Np, one macrocell last.
     n_r = len(s.relays())
@@ -231,10 +297,7 @@ def validate_scenario(s: Scenario) -> list[str]:
             else:
                 used[key] = (u.id, x)
 
-    for (ue_id, poa_id, chan_id), g in s.gains.items():
-        if not _positive(g):
-            bad.append(f"gain ({ue_id},{poa_id},{chan_id}) must be finite and > 0, "
-                       f"got {g}")
+    bad += _gain_errors(s.gains)
 
     if not _positive(s.noise_psd):
         bad.append(f"noise_psd must be finite and > 0, got {s.noise_psd}")

@@ -103,15 +103,17 @@ def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):
     S1 waterfills; S4 holds; S2/S3 re-commit the full budget around the held
     link; S5/S6 scale the overloaded link by z and hand the freed power to
     the healthy link; S7-S9 shed power on overloaded links without
-    re-allocating it. ``state`` holds BackhaulState codes 1..9.
+    re-allocating it. ``state`` holds BackhaulState codes 1..9; ``z`` is one
+    factor for every UE or one per UE.
     """
-    if not 0.0 < z < 1.0:
+    z = np.asarray(z, dtype=float)
+    if not ((0.0 < z) & (z < 1.0)).all():
         raise ValueError("z must be in (0, 1)")
     state = np.asarray(state)
     if ((state < 1) | (state > 9)).any():
         raise ValueError(f"unknown state in {state}")
     p1_now, p2_now, p_max = (np.asarray(a, dtype=float) for a in (p1_now, p2_now, p_max))
-    c = (_BDT_CONST + z * _BDT_Z)[state - 1]
+    c = _BDT_CONST[state - 1] + z[..., None, None] * _BDT_Z[state - 1]
     p1 = c[..., 0, 0] * p1_now + c[..., 0, 1] * p2_now + c[..., 0, 2] * p_max
     p2 = c[..., 1, 0] * p1_now + c[..., 1, 1] * p2_now + c[..., 1, 2] * p_max
     s1 = state == 1

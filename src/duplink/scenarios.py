@@ -168,14 +168,18 @@ def _fill_gains(
     alpha: float,
     rng: np.random.Generator,
 ) -> dict[tuple[int, int, int], float]:
-    """One fading draw per (UE, PoA, channel in use at that PoA)."""
+    """One fading draw per (UE, PoA, channel in use at that PoA); each PoA
+    draws its block in (channel, UE) order."""
     gains: dict[tuple[int, int, int], float] = {}
+    ue_ids = sorted(ue_positions)
     for poa in s_poas:
-        for chan_id in sorted(listeners.get(poa.id, ())):
-            for ue_id in sorted(ue_positions):
-                d = max(1.0, math.dist(ue_positions[ue_id], poa.position))
-                kappa = rng.exponential(1.0)
-                gains[(ue_id, poa.id, chan_id)] = gain_scale * d ** (-alpha) * kappa
+        chans = sorted(listeners.get(poa.id, ()))
+        path = [gain_scale * max(1.0, math.dist(ue_positions[ue_id], poa.position)) ** -alpha
+                for ue_id in ue_ids]
+        fading = iter(rng.exponential(1.0, size=len(chans) * len(ue_ids)).tolist())
+        for chan_id in chans:
+            for ue_id, g in zip(ue_ids, path):
+                gains[(ue_id, poa.id, chan_id)] = g * next(fading)
     return gains
 
 

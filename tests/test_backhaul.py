@@ -14,8 +14,12 @@ from duplink import (
     build_matrices,
     classify_state,
     generate,
+    generate_mixed,
     rate_differentials,
+    stack_matrices,
 )
+
+from conftest import scalar_rate_differentials
 
 
 def capacity(s, rate1, rate2):
@@ -259,3 +263,23 @@ class TestGeneratedScenarioCapacity:
         rate2 = rng.uniform(0, 80e6, size=6)
         assert capacity(s, rate1, rate2) == pytest.approx(
             networkx_max_flow(s, rate1, rate2), rel=1e-9)
+
+
+class TestStackedReport:
+    def test_rows_match_networks_alone_and_the_scalar_oracle(self, rng):
+        # 9 relays and 12 picocells: numpy's pairwise sum would add the relay
+        # and picocell terms in another order than Python's sum.
+        scenarios = [generate_mixed(GenParams(n_ues=30, n_relays=9, n_picos=12, seed=seed,
+                                              backhaul_scale=0.3), 6) for seed in (1, 2, 3)]
+        ms = [build_matrices(s) for s in scenarios]
+        stack = stack_matrices([replace(m, tau=tau) for m, tau in zip(ms, (1e6, 5e6, 2e7))])
+        rate1 = rng.uniform(0, 40e6, size=(3, 36))
+        rate2 = np.where(stack.dual, rng.uniform(0, 40e6, size=(3, 36)), 0.0)
+        rep = rate_differentials(stack, rate1, rate2)
+        for i, (s, m) in enumerate(zip(scenarios, ms)):
+            alone = rate_differentials(replace(m, tau=stack.tau[i]), rate1[i], rate2[i])
+            assert rep.eta_n[i] == alone.eta_n and rep.gamma_relay_sum[i] == alone.gamma_relay_sum
+            for name in ("load", "v", "v1", "v2", "state"):
+                np.testing.assert_array_equal(getattr(rep, name)[i], getattr(alone, name))
+            v = scalar_rate_differentials(s, rate1[i], rate2[i])
+            assert alone.v.tolist() == [v[poa.id] for poa in s.poas]

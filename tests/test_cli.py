@@ -120,6 +120,22 @@ class TestRunCommand:
         assert self.run_dict(tmp_path, d, "--tau", "nan") == 3
         assert "tau must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("id", "2", "UE '2': id must be an integer, got '2'"),
+        ("poa_1", "3", "UE 2: poa_1 must be an integer, got '3'"),
+        ("p_max", True, "UE 2: p_max must be a number, got True"),
+        ("chan_1", 1.0, "UE 2: chan_1 must be an integer, got 1.0"),
+    ])
+    def test_wrongly_typed_field_is_validation_error(self, tmp_path, capsys, name,
+                                                     value, message):
+        d = scenario_to_dict(worked_example())
+        d["ues"][1][name] = value
+        assert self.run_dict(tmp_path, d) == 3
+        err = capsys.readouterr().err
+        assert f"  - {message}\n" in err
+        assert "unknown PoA" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_ue_key_is_validation_error(self, tmp_path, capsys):
         d = scenario_to_dict(worked_example())
         d["ues"][1]["poa2"] = d["ues"][1].pop("poa_2")

@@ -1,7 +1,10 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duplink import (
     BackhaulState,
@@ -10,14 +13,17 @@ from duplink import (
     build_system,
     closed_form_equilibrium,
     generate,
+    generate_mixed,
     initial_state,
     run,
     spectral_radius,
+    stack_matrices,
     step,
     worked_example,
 )
 from duplink.backhaul import rate_differentials
-from duplink.engine import SweepPoint, aggregate, monte_carlo, trace_to_csv
+from duplink.cli import PRESETS
+from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo, trace_to_csv
 from duplink.network import Scenario
 from duplink.scenarios import LIMITED_BACKHAUL
 
@@ -125,6 +131,20 @@ class TestRun:
                 assert totals[k + 1] < totals[k]
         assert saw_overload
 
+    def test_oscillation_period_is_the_latest_revisit(self):
+        # Iterate 5 is within eps of iterates 1 and 3, which are eps apart
+        # from each other: the period counts back to the latest, iterate 3.
+        p1_by_step = [0.3, 0.4, 0.3 + 1.5e-6, 0.45, 0.3 + 0.75e-6, 0.2]
+        steps = iter(p1_by_step)
+
+        def scripted(m, now, report):
+            p1 = np.full(m.n, next(steps))
+            return p1, m.p_max - p1
+
+        trace = run(build_matrices(worked_example()), scripted, max_iter=6)
+        assert trace.verdict.kind == "oscillating" and trace.verdict.period == 2
+        assert len(trace.states) == 6
+
     def test_max_iter_respected(self):
         trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy", max_iter=7)
         assert len(trace.states) <= 8
@@ -192,12 +212,11 @@ class TestMonteCarlo:
         points = [SweepPoint("n_ues", 5, params)]
         rows = monte_carlo(points, ["wf"], trials=1, seeds=123, max_iter=30)
         assert len(rows) == 1
-        from duplink.engine import _trial_seed
-        from dataclasses import replace
         seed = _trial_seed(123, 0, 0, 0)
         trace = run(build_matrices(generate(replace(params, seed=seed))), "wf", max_iter=30)
         assert rows[0]["eta_n_normalized"] == trace.metrics["eta_n_normalized"]
         assert rows[0]["avg_total_power"] == trace.metrics["avg_total_power"]
+        assert rows[0]["converged"] == trace.verdict.converged
 
     def test_deterministic_given_seed(self):
         points = [SweepPoint("backhaul_scale", 0.5,
@@ -249,3 +268,86 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo([SweepPoint("x", 1, GenParams(n_ues=2))], ["wf"],
                         trials=0, seeds=0)
+
+
+def separate_runs(point, policies, trials, seeds, **kwargs):
+    """The rows of ``monte_carlo`` with every trial and policy run alone,
+    plus each run's verdict kind."""
+    rows, kinds = [], set()
+    for trial in range(trials):
+        seed = _trial_seed(seeds, 0, trial, 0)
+        m = build_matrices(generate(replace(point.params, seed=seed)))
+        for policy in policies:
+            trace = run(m, policy, **kwargs)
+            kinds.add(trace.verdict.kind)
+            rows.append({
+                "sweep_var": point.sweep_var, "sweep_value": point.sweep_value,
+                "policy": policy, "trial": trial,
+                "eta_n_normalized": trace.metrics["eta_n_normalized"],
+                "avg_total_power": trace.metrics["avg_total_power"],
+                "converged": trace.verdict.converged,
+            })
+    return rows, kinds
+
+
+class TestLockstep:
+    """A stack of networks runs in lockstep with the results of separate runs."""
+
+    def test_monte_carlo_rows_equal_separate_runs(self):
+        # fig4 at backhaul scale 0.1: bdt runs to max_iter, greedy
+        # oscillates and wf converges, so runs leave the batch at different
+        # iterations and for each reason.
+        point = PRESETS["fig4"]()[0][0]
+        policies = ("bdt", "wf", "greedy")
+        rows = monte_carlo([point], policies, trials=6, seeds=1, max_iter=50)
+        expected, kinds = separate_runs(point, policies, 6, 1, max_iter=50)
+        assert kinds == {"converged", "oscillating", "max_iterations"}
+        assert rows == expected  # floats compared exactly
+
+    def test_stacked_run_equals_separate_runs(self):
+        # Mixed populations with one policy, tau and z per row, and a start p0.
+        ms = [replace(build_matrices(generate_mixed(GenParams(n_ues=5, seed=seed,
+                                                              backhaul_scale=0.2), 2)),
+                      tau=tau, z=z)
+              for seed, tau, z in ((1, 5e6, 0.9), (2, 2e6, 0.5), (3, 5e6, 0.9), (4, 1e7, 0.7))]
+        policies = ["greedy", "bdt", "wf", "bdt"]
+        stack = stack_matrices(ms)
+        p0 = (stack.p_max * 0.3, np.where(stack.dual, stack.p_max * 0.6, 0.0))
+        traces = run(stack, policies, max_iter=40, p0=p0)
+        assert len(traces) == 4
+        for i, (m, policy, trace) in enumerate(zip(ms, policies, traces)):
+            alone = run(m, policy, max_iter=40, p0=(p0[0][i], p0[1][i]))
+            assert trace.verdict == alone.verdict
+            assert trace.metrics == alone.metrics
+            np.testing.assert_array_equal(trace.states[-1].p1, alone.states[-1].p1)
+            np.testing.assert_array_equal(trace.states[-1].p2, alone.states[-1].p2)
+            np.testing.assert_array_equal(trace.reports[-1].state, alone.reports[-1].state)
+            assert trace.reports[-1].eta_n == alone.reports[-1].eta_n
+
+    def test_stack_rejects_other_layouts(self):
+        base = build_matrices(generate(GenParams(n_ues=6, seed=1)))
+        for other in (GenParams(n_ues=7, seed=1),                  # n
+                      GenParams(n_ues=6, n_relays=2, seed=1),      # relays, picos, macro
+                      GenParams(n_ues=6, backhaul_scale=0.5, seed=1)):  # capacity
+            with pytest.raises(ValueError, match="must share"):
+                stack_matrices([base, build_matrices(generate(other))])
+        with pytest.raises(ValueError, match="no networks"):
+            stack_matrices([])
+
+    def test_stack_takes_policy_names(self):
+        stack = stack_matrices([build_matrices(worked_example())] * 2)
+        with pytest.raises(ValueError, match="policy names"):
+            run(stack, lambda m, now, report: (now.p1, now.p2))
+        with pytest.raises(ValueError, match="unknown policy 'anneal'"):
+            run(stack, ["wf", "anneal"])
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(n_ues=st.integers(1, 8), n_relays=st.integers(0, 3), n_picos=st.integers(1, 3),
+           scale=st.floats(0.05, 2.0), z=st.floats(0.5, 0.95), seed=st.integers(0, 2**31))
+    def test_batch_rows_equal_separate_runs(self, n_ues, n_relays, n_picos, scale, z, seed):
+        params = GenParams(n_ues=n_ues, n_relays=n_relays, n_picos=n_picos,
+                           backhaul_scale=scale, z_factor=z)
+        point = SweepPoint("x", 0, params)
+        policies = ("greedy", "bdt", "wf")
+        rows = monte_carlo([point], policies, trials=3, seeds=seed, max_iter=30)
+        assert rows == separate_runs(point, policies, 3, seed, max_iter=30)[0]

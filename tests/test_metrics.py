@@ -10,6 +10,7 @@ from duplink import (
     effective_interference,
     generate,
     generate_mixed,
+    stack_matrices,
     worked_example,
 )
 from duplink.metrics import CrossGainMatrices
@@ -224,3 +225,35 @@ class TestComputeState:
             expected = np.zeros(m.n)
             expected[active] = w[active] * np.log2(1.0 + p[active] / e[active])
             np.testing.assert_array_equal(rate, expected)
+
+
+class TestStackedNetworks:
+    """Each row of a stack computes the bits of its network alone."""
+
+    @pytest.mark.parametrize("n", [2, 7, 21, 64, 200])
+    def test_interference_rows_match_per_network_products_bitwise(self, n, rng):
+        ms = [build_matrices(generate_mixed(GenParams(n_ues=n - n // 4, n_relays=3,
+                                                      n_picos=4, seed=seed), n // 4))
+              for seed in range(4)]
+        stack = stack_matrices(ms)
+        p1 = rng.uniform(0.0, 1.0, size=(4, n))
+        p2 = np.where(stack.dual, rng.uniform(0.0, 1.0, size=(4, n)), 0.0)
+        e1, e2 = effective_interference(stack, p1, p2)
+        state = compute_state(stack, p1, p2)
+        for i, m in enumerate(ms):
+            np.testing.assert_array_equal(e1[i], m.d1 + m.f11 @ p1[i] + m.f21 @ p2[i])
+            np.testing.assert_array_equal(e2[i], m.d2 + m.f22 @ p2[i] + m.f12 @ p1[i])
+            alone = compute_state(m, p1[i], p2[i])
+            for name in ("sinr1", "sinr2", "rate1", "rate2"):
+                np.testing.assert_array_equal(getattr(state, name)[i], getattr(alone, name))
+
+    def test_stack_keeps_layout_and_stacks_the_rest(self):
+        ms = [build_matrices(generate(GenParams(n_ues=5, seed=seed))) for seed in (1, 2)]
+        stack = stack_matrices(ms)
+        assert stack.f11.shape == (2, 5, 5) and stack.poa.shape == (2, 5, 2)
+        assert stack.tau.shape == stack.z.shape == stack.bandwidth_in_use.shape == (2,)
+        assert stack.n == 5 and stack.macro == ms[0].macro
+        np.testing.assert_array_equal(stack.capacity, ms[0].capacity)
+        second = stack.take([1])
+        np.testing.assert_array_equal(second.f21[0], ms[1].f21)
+        assert second.bandwidth_in_use[0] == ms[1].bandwidth_in_use

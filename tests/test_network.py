@@ -125,6 +125,44 @@ class TestValidation:
         s = set_number(tiny_scenario(), "backhaul_capacity", math.inf)
         assert validate_scenario(s) == []
 
+    @pytest.mark.parametrize("where,name,value,message", [
+        ("ue", "id", "1", "UE '1': id must be an integer, got '1'"),
+        ("ue", "id", True, "UE True: id must be an integer, got True"),
+        ("ue", "poa_1", "1", "UE 1: poa_1 must be an integer, got '1'"),
+        ("ue", "chan_1", 1.0, "UE 1: chan_1 must be an integer, got 1.0"),
+        ("ue", "chan_2", False, "UE 1: chan_2 must be an integer, got False"),
+        ("ue", "p_max", True, "UE 1: p_max must be a number, got True"),
+        ("ue", "position", ("a", 1.0), "UE 1: position must be two numbers"),
+        ("poa", "id", 1.0, "PoA 1.0: id must be an integer, got 1.0"),
+        ("poa", "kind", "relay", "PoA 1: kind must be one of relay, picocell, macrocell"),
+        ("poa", "backhaul_capacity", "1e8", "PoA 1: backhaul_capacity must be a number"),
+        ("channel", "bandwidth", True, "channel 1: bandwidth must be a number, got True"),
+        ("scenario", "tau", True, "tau must be a number, got True"),
+    ])
+    def test_field_types_are_checked(self, where, name, value, message):
+        s = tiny_scenario()
+        if where == "ue":
+            s.ues[0] = replace(s.ues[0], **{name: value})
+        elif where == "poa":
+            s.poas[0] = replace(s.poas[0], **{name: value})
+        elif where == "channel":
+            s.channels[0] = replace(s.channels[0], **{name: value})
+        else:
+            setattr(s, name, value)
+        bad = validate_scenario(s)
+        assert len(bad) == 1 and bad[0].startswith(message), bad
+
+    def test_bool_gain_is_rejected(self):
+        s = tiny_scenario()
+        s.gains[(1, 1, 1)] = True
+        assert validate_scenario(s) == ["gain (1,1,1) must be finite and > 0, got True"]
+
+    def test_integer_numbers_are_legal(self):
+        s = tiny_scenario(tau=5_000_000, noise_psd=1)
+        s.ues[0] = replace(s.ues[0], p_max=2, position=(10, 90))
+        s.gains[(1, 1, 1)] = 1
+        assert validate_scenario(s) == []
+
     def test_idempotent_and_side_effect_free(self):
         s = tiny_scenario()
         before = json.dumps(scenario_to_dict(s))

@@ -17,10 +17,13 @@ checkout, including an older one. The manifest covers:
   a 6+3 mixed file, and two 160+40 mixed files (8 relays, 12 picocells), one
   whose combined iteration is contractive (seed 1) and one whose is not
   (seed 3);
+- the rows of ``monte_carlo`` on every fig4 and fig5 point with an explicit
+  list of 8 per-trial seeds (``SeedSequence([7, point])``), the call the
+  benchmark makes, with floats written as ``float.hex()``;
 - the stdout of every demo.
 
 Two manifests that ``diff`` clean mean byte-identical outputs. A run takes
-about 15 seconds on a 2-core x86 VM; it is not part of the test suite.
+about 20 seconds on a 2-core x86 VM; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 PRESETS = ("fig2b", "fig3", "fig4", "fig5")
+SEED_LIST_PRESETS = ("fig4", "fig5")
 RUN_OUTPUTS = ("trace.csv", "metrics.json", "equilibrium.json")
 
 
@@ -70,6 +74,20 @@ def scenario_files(dl, work: Path) -> dict[str, Path]:
     return paths
 
 
+def seed_list_rows(cli, engine, preset: str):
+    """(point index, rows) of ``monte_carlo`` on each point of the preset,
+    with 8 explicit per-trial seeds."""
+    import numpy as np
+
+    points, kwargs = cli.PRESETS[preset]()
+    kwargs = dict(kwargs)
+    policies = kwargs.pop("policies")
+    for idx, point in enumerate(points):
+        seeds = [int(x) for x in np.random.SeedSequence([7, idx]).generate_state(8)]
+        yield idx, engine.monte_carlo([point], policies, trials=len(seeds), seeds=seeds,
+                                      **kwargs)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="the src/ directory of a duplink checkout")
@@ -77,7 +95,7 @@ def main() -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import duplink as dl
-    from duplink import cli
+    from duplink import cli, engine
 
     if Path(dl.__file__).resolve().parent != src / "duplink":
         sys.exit(f"error: imported duplink from {dl.__file__}, not {src}")
@@ -100,6 +118,14 @@ def main() -> int:
                 for name in RUN_OUTPUTS:
                     print(f"run/{scenario}/{policy}/{name} exit={code} "
                           f"{_file_sha(out / name)}")
+
+    for preset in SEED_LIST_PRESETS:
+        for idx, rows in seed_list_rows(cli, engine, preset):
+            text = "\n".join(
+                f"{r['sweep_value']},{r['policy']},{r['trial']},"
+                f"{float(r['eta_n_normalized']).hex()},{float(r['avg_total_power']).hex()},"
+                f"{bool(r['converged'])}" for r in rows)
+            print(f"seed_list/{preset}/point{idx} rows={len(rows)} {_sha(text.encode())}")
 
     env = dict(os.environ, PYTHONPATH=str(src))
     for demo in sorted((src.parent / "demos").glob("*.py")):
