@@ -47,11 +47,11 @@ from .metrics import (
 from .network import (
     UE,
     Channel,
+    Gains,
     PoA,
     PoAKind,
     Scenario,
     load_scenario,
-    noise_power,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,

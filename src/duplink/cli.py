@@ -51,14 +51,14 @@ def _default_out() -> str:
     return os.environ.get("DUPLINK_OUT", ".")
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 1."""
+def _count(text: str, low: int = 1) -> int:
+    """argparse type: an integer >= low."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
 
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo preset")
     p_exp.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_exp.add_argument("--trials", type=_count, required=True)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=lambda text: _count(text, low=0), default=0)
     p_exp.add_argument("--out", default=_default_out())
     p_exp.set_defaults(func=cmd_experiment)
     return parser

@@ -137,61 +137,56 @@ class PowerState:
 def build_matrices(s: Scenario) -> CrossGainMatrices:
     """Assemble the array form of a validated scenario.
 
-    Access links are grouped by channel, so only co-channel pairs are
-    visited. Raises KeyError when a gain entry required by the channel
-    layout is missing from ``s.gains``.
+    The own gain of every access link and the cross gain of every co-channel
+    pair of links are found with one ``searchsorted`` on the sorted gain
+    keys. Raises KeyError naming the first needed gain that is missing.
     """
-    n = s.n_ues
+    n = len(s.ues)
     n_poas = len(s.poas)
     bandwidth = {c.id: c.bandwidth for c in s.channels}
-    d = {1: np.zeros(n), 2: np.zeros(n)}
-    w = {1: np.zeros(n), 2: np.zeros(n)}
+    # Access links: UE index, link, UE id, PoA id, channel id; in UE order.
+    row, x, ue, poa_id, chan = np.array(
+        [(i, x, u.id, p, c) for i, u in enumerate(s.ues)
+         for x, p, c in ((1, u.poa_1, u.chan_1), (2, u.poa_2, u.chan_2)) if c is not None],
+        dtype=np.int64).reshape(-1, 5).T
+    # Co-channel pairs: receiver link a, transmitter link b. A UE's two links
+    # use distinct channels, so b is another UE's link unless b == a.
+    same = chan[:, None] == chan
+    np.fill_diagonal(same, False)
+    a, b = np.divmod(np.flatnonzero(same), len(same))
+
+    def code(ue_id, poa_id, chan_id):
+        # One-to-one and increasing in the key: validated ids are 1..n,
+        # 1..n_poas and 1..len(s.channels).
+        return ((ue_id - 1) * n_poas + poa_id - 1) * len(s.channels) + chan_id - 1
+
+    keys = code(*s.gains.keys.T)
+    # Each link's own path, then each pair's path from b's UE to a's PoA.
+    wanted = [np.concatenate((v, v[t])) for v, t in ((ue, b), (poa_id, a), (chan, a))]
+    q = code(*wanted)
+    at = np.searchsorted(keys, q)
+    found = np.append(keys, -1)[at] == q
+    if not found.all():
+        k = int(np.argmin(found))
+        raise KeyError(f"missing {'own-link' if k < len(ue) else 'cross'} gain: UE "
+                       f"{wanted[0][k]} -> PoA {wanted[1][k]} on channel {wanted[2][k]}")
+    g_own, g_cross = np.split(s.gains.values[at], [len(ue)])
+
+    f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
+    f[x[b] - 1, x[a] - 1, row[a], row[b]] = g_cross / g_own[a]
+    d, w = np.zeros((2, n)), np.zeros((2, n))
+    w[x - 1, row] = w_link = np.array([bandwidth[c] for c in chan.tolist()])
+    d[x - 1, row] = s.noise_psd * w_link / g_own
     poa = np.full((n, 2), n_poas)
-
-    # channel id -> access links on it: (UE index, UE id, link, PoA id, own gain)
-    by_channel: dict[int, list[tuple[int, int, int, int, float]]] = {}
-    for i, ue in enumerate(s.ues):
-        for x in ((1, 2) if ue.dual else (1,)):
-            poa_id, chan_id = ue.link(x)
-            key = (ue.id, poa_id, chan_id)
-            if key not in s.gains:
-                raise KeyError(f"missing own-link gain for UE {ue.id} link {x}: {key}")
-            g_own = s.gains[key]
-            d[x][i] = s.noise_psd * bandwidth[chan_id] / g_own
-            w[x][i] = bandwidth[chan_id]
-            poa[i, x - 1] = poa_id - 1
-            by_channel.setdefault(chan_id, []).append((i, ue.id, x, poa_id, g_own))
-
-    # (transmitting link y, receiving link x) -> rows, columns, values of f_yx
-    entries = {(y, x): ([], [], []) for y in (1, 2) for x in (1, 2)}
-    for chan_id, links in by_channel.items():
-        for i, _, x, poa_id, g_own in links:
-            for j, ue_j, y, _, _ in links:
-                if j == i:
-                    continue
-                g = s.gains.get((ue_j, poa_id, chan_id))
-                if g is None:
-                    raise KeyError(
-                        f"missing cross gain: UE {ue_j} -> PoA {poa_id} "
-                        f"on channel {chan_id}"
-                    )
-                rows, cols, values = entries[(y, x)]
-                rows.append(i)
-                cols.append(j)
-                values.append(g / g_own)
-    f = {}
-    for key, (rows, cols, values) in entries.items():
-        f[key] = np.zeros((n, n))
-        if values:
-            f[key][rows, cols] = values
+    poa[row, x - 1] = poa_id - 1
 
     capacity = np.zeros(n_poas)
     for p in s.poas:
         capacity[p.id - 1] = p.backhaul_capacity
     in_use = {u.chan_1 for u in s.ues} | {u.chan_2 for u in s.ues if u.dual}
     return CrossGainMatrices(
-        f11=f[(1, 1)], f12=f[(1, 2)], f21=f[(2, 1)], f22=f[(2, 2)],
-        d1=d[1], d2=d[2], w1=w[1], w2=w[2],
+        f11=f[0, 0], f12=f[0, 1], f21=f[1, 0], f22=f[1, 1],
+        d1=d[0], d2=d[1], w1=w[0], w2=w[1],
         poa=poa,
         dual=np.array([u.dual for u in s.ues], dtype=bool),
         p_max=np.array([u.p_max for u in s.ues], dtype=float),

@@ -5,8 +5,9 @@ base stations; together these are the points of access (PoAs). Every user
 equipment (UE) holds up to two simultaneous uplink connections on orthogonal
 channels. Single-link UEs carry a fixed SINR target instead of a second link.
 
-Channel power gains are stored pre-composed (path loss x fading), keyed by
-(transmitter UE id, receiver PoA id, channel id), so the metrics layer never
+Channel power gains are stored pre-composed (path loss x fading) as the
+file lays them out: sorted (transmitter UE id, receiver PoA id, channel id)
+key rows next to their values (``Gains``), so the metrics layer never
 re-derives geometry. Positions are in meters, bandwidths in Hz, powers in
 watts, rates in bit/s.
 """
@@ -17,12 +18,11 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-
-GainKey = tuple[int, int, int]  # (ue id, poa id, channel id)
 
 
 class PoAKind(str, Enum):
@@ -69,55 +69,71 @@ class UE:
     def dual(self) -> bool:
         return self.poa_2 is not None
 
-    def link(self, x: int) -> tuple[int, int]:
-        """(poa id, channel id) of access link x in {1, 2}."""
-        if x == 1:
-            return self.poa_1, self.chan_1
-        if x == 2 and self.dual:
-            return self.poa_2, self.chan_2
-        raise ValueError(f"UE {self.id} has no access link {x}")
+
+def _rises(keys: np.ndarray) -> np.ndarray:
+    """Whether each (G, 3) row is lexicographically above the one before."""
+    return np.sign(np.diff(keys, axis=0)) @ np.array([4, 2, 1]) > 0
+
+
+class Gains(NamedTuple):
+    """Channel power gains in the file's layout: ``keys`` is a (G, 3) int64
+    array of (transmitter UE id, receiver PoA id, channel id) rows in strictly
+    increasing lexicographic order, ``values`` the (G,) float64 gains."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> Gains:
+        """Gains from [ue_id, poa_id, chan_id, value] rows in any order (sorted
+        only if they are not). A row that is not integer ids and an int or
+        float value, or that repeats a key, raises TypeError or ValueError."""
+        try:
+            flat = list(chain.from_iterable(rows))
+            ue, poa, chan, value = (flat[i::4] for i in range(4))
+            if not (len(flat) == 4 * len(rows) and set(map(len, rows)) <= {4}
+                    and set(map(type, ue)) | set(map(type, poa)) | set(map(type, chan)) <= {int}
+                    and set(map(type, value)) <= {int, float}):
+                raise TypeError
+            keys = np.array([ue, poa, chan], dtype=np.int64).T
+        except (TypeError, OverflowError):  # name the first bad row
+            if not isinstance(rows, list):
+                raise TypeError("gains must be a list of [ue_id, poa_id, chan_id, value] "
+                                f"rows, got {type(rows).__name__}") from None
+            bad = next(r for r in rows if not (
+                isinstance(r, (list, tuple)) and len(r) == 4 and type(r[3]) in (int, float)
+                and all(type(i) is int and -2 ** 63 <= i < 2 ** 63 for i in r[:3])))
+            raise TypeError(f"gain row {bad!r} must be [ue_id, poa_id, chan_id, value] "
+                            "with 64-bit integer ids and an int or float value") from None
+        values = np.array(value, dtype=float)
+        if not _rises(keys).all():
+            order = np.lexsort(keys.T[::-1])
+            keys, values = keys[order], values[order]
+            if not (rises := _rises(keys)).all():
+                u, p, c = keys[np.argmin(rises)].tolist()
+                raise ValueError(f"gain ({u},{p},{c}) is given more than once")
+        return cls(keys, values)
 
 
 @dataclass
 class Scenario:
     """Complete network description, immutable by convention after build.
 
-    ``gains`` maps (transmitter UE id, receiver PoA id, channel id) to the
-    dimensionless channel power gain on that path. ``tau`` is the tolerable
-    backhaul overload (bit/s) and ``z_factor`` the multiplicative power
-    reduction constant in (0, 1) used by the backhaul-state policy.
+    ``gains`` holds the dimensionless channel power gain of each
+    (transmitter UE id, receiver PoA id, channel id) path as sorted arrays
+    (``Gains``). ``tau`` is the tolerable backhaul overload (bit/s) and
+    ``z_factor`` the multiplicative power reduction constant in (0, 1) used
+    by the backhaul-state policy.
     """
 
     poas: list[PoA]
     ues: list[UE]
     channels: list[Channel]
-    gains: dict[GainKey, float]
+    gains: Gains
     noise_psd: float
     tau: float
     z_factor: float
     meta: dict = field(default_factory=dict)
-
-    def poa(self, poa_id: int) -> PoA:
-        for p in self.poas:
-            if p.id == poa_id:
-                return p
-        raise KeyError(f"unknown PoA id {poa_id}")
-
-    def channel(self, chan_id: int) -> Channel:
-        for c in self.channels:
-            if c.id == chan_id:
-                return c
-        raise KeyError(f"unknown channel id {chan_id}")
-
-    def ue(self, ue_id: int) -> UE:
-        for u in self.ues:
-            if u.id == ue_id:
-                return u
-        raise KeyError(f"unknown UE id {ue_id}")
-
-    @property
-    def n_ues(self) -> int:
-        return len(self.ues)
 
     def relays(self) -> list[PoA]:
         return [p for p in self.poas if p.kind is PoAKind.RELAY]
@@ -130,13 +146,6 @@ class Scenario:
             if p.kind is PoAKind.MACROCELL:
                 return p
         raise ValueError("scenario has no macrocell")
-
-
-def noise_power(s: Scenario, ue_id: int, link: int) -> float:
-    """Noise power n = noise_psd * bandwidth on the given access link."""
-    ue = s.ue(ue_id)
-    _, chan_id = ue.link(link)
-    return s.noise_psd * s.channel(chan_id).bandwidth
 
 
 def _is_int(x) -> bool:
@@ -195,16 +204,16 @@ def _type_errors(s: Scenario) -> list[str]:
     return bad
 
 
-def _gain_errors(gains: dict[GainKey, float]) -> list[str]:
-    values = list(gains.values())
-    if set(map(type, values)) <= {float}:  # the usual file: one array test
-        arr = np.array(values, dtype=float)
-        wrong = np.flatnonzero(~((arr > 0) & (arr < math.inf))).tolist()
-    else:
-        wrong = [i for i, g in enumerate(values) if not _positive(g)]
-    keys = list(gains) if wrong else []
-    return [f"gain ({keys[i][0]},{keys[i][1]},{keys[i][2]}) must be finite and > 0, "
-            f"got {values[i]!r}" for i in wrong]
+def _gain_errors(s: Scenario) -> list[str]:
+    keys, values = s.gains
+    if not _rises(keys).all():
+        return ["gain keys must be unique (ue, poa, chan) rows in increasing order"]
+    known = ((keys >= 1) & (keys <= [len(s.ues), len(s.poas), len(s.channels)])).all(axis=1)
+    valid = (values > 0) & (values < math.inf)
+    return ([f"gain ({u},{p},{c}) names no UE, PoA or channel of the scenario"
+             for u, p, c in keys[~known].tolist()]
+            + [f"gain ({u},{p},{c}) must be finite and > 0, got {g!r}"
+               for (u, p, c), g in zip(keys[~valid].tolist(), values[~valid].tolist())])
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -243,8 +252,9 @@ def validate_scenario(s: Scenario) -> list[str]:
                        f"(inf for unlimited), got {cap}")
 
     chan_ids = {c.id for c in s.channels}
-    if len(chan_ids) != len(s.channels):
-        bad.append("channel ids are not unique")
+    if sorted(chan_ids) != list(range(1, len(s.channels) + 1)):
+        bad.append(f"channel ids must be 1..{len(s.channels)}, "
+                   f"got {sorted(c.id for c in s.channels)}")
     for c in s.channels:
         if not _positive(c.bandwidth):
             bad.append(f"channel {c.id}: bandwidth must be finite and > 0, "
@@ -297,7 +307,7 @@ def validate_scenario(s: Scenario) -> list[str]:
             else:
                 used[key] = (u.id, x)
 
-    bad += _gain_errors(s.gains)
+    bad += _gain_errors(s)
 
     if not _positive(s.noise_psd):
         bad.append(f"noise_psd must be finite and > 0, got {s.noise_psd}")
@@ -312,7 +322,7 @@ def validate_scenario(s: Scenario) -> list[str]:
 # --- JSON serialization -----------------------------------------------------
 #
 # The dataclass field names are the JSON keys. Unset optional fields are left
-# out, and gains are [ue_id, poa_id, chan_id, value] rows.
+# out, and gains are [ue_id, poa_id, chan_id, value] rows, written sorted.
 
 
 def _row(obj) -> dict:
@@ -325,20 +335,20 @@ def scenario_to_dict(s: Scenario) -> dict:
         "poas": [_row(p) for p in s.poas],
         "ues": [_row(u) for u in s.ues],
         "channels": [_row(c) for c in s.channels],
-        "gains": [[*k, v] for k, v in sorted(s.gains.items())],
+        "gains": [[*k, v] for k, v in zip(s.gains.keys.tolist(), s.gains.values.tolist())],
     }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Inverse of ``scenario_to_dict``; a key that is not a field raises
-    TypeError naming it."""
+    """Inverse of ``scenario_to_dict``; a key that is not a field or a bad
+    gain row raises TypeError or ValueError naming it."""
     return Scenario(**{
         **d,
         "poas": [PoA(**{**p, "kind": PoAKind(p["kind"]), "position": tuple(p["position"])})
                  for p in d["poas"]],
         "ues": [UE(**{**u, "position": tuple(u["position"])}) for u in d["ues"]],
         "channels": [Channel(**c) for c in d["channels"]],
-        "gains": {(g[0], g[1], g[2]): g[3] for g in d["gains"]},
+        "gains": Gains.from_rows(d["gains"]),
     })
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import UE, Channel, PoA, PoAKind, Scenario
+from .network import UE, Channel, Gains, PoA, PoAKind, Scenario
 
 AREA_X = 3000.0   # meters
 AREA_Y = 3200.0
@@ -160,27 +160,27 @@ def _assign_small_cell_channels(
     return out
 
 
-def _fill_gains(
-    s_poas: list[PoA],
-    ue_positions: dict[int, tuple[float, float]],
-    listeners: dict[int, set[int]],
-    gain_scale: float,
-    alpha: float,
-    rng: np.random.Generator,
-) -> dict[tuple[int, int, int], float]:
+def _fill_gains(poas: list[PoA], ues: list[UE], p: GenParams,
+                rng: np.random.Generator) -> Gains:
     """One fading draw per (UE, PoA, channel in use at that PoA); each PoA
-    draws its block in (channel, UE) order."""
-    gains: dict[tuple[int, int, int], float] = {}
-    ue_ids = sorted(ue_positions)
-    for poa in s_poas:
+    draws its block in (channel, UE) order. Transposed and joined in PoA id
+    order, the blocks hold the gains in key order (``ues`` is in id order)."""
+    listeners: dict[int, set[int]] = {}
+    for u in ues:
+        listeners.setdefault(u.poa_1, set()).add(u.chan_1)
+        if u.dual:
+            listeners.setdefault(u.poa_2, set()).add(u.chan_2)
+    blocks, poa_chan = [], []
+    for poa in poas:
         chans = sorted(listeners.get(poa.id, ()))
-        path = [gain_scale * max(1.0, math.dist(ue_positions[ue_id], poa.position)) ** -alpha
-                for ue_id in ue_ids]
-        fading = iter(rng.exponential(1.0, size=len(chans) * len(ue_ids)).tolist())
-        for chan_id in chans:
-            for ue_id, g in zip(ue_ids, path):
-                gains[(ue_id, poa.id, chan_id)] = g * next(fading)
-    return gains
+        path = np.array([p.gain_scale * max(1.0, math.dist(u.position, poa.position))
+                         ** -p.alpha for u in ues])
+        blocks.append((path * rng.exponential(1.0, size=(len(chans), len(ues)))).T)
+        poa_chan += [(poa.id, chan_id) for chan_id in chans]
+    keys = np.empty((3, len(ues), len(poa_chan)), dtype=np.int64)
+    keys[0] = np.array([u.id for u in ues], dtype=np.int64)[:, None]
+    keys[1:] = np.array(poa_chan, dtype=np.int64).reshape(-1, 2).T[:, None]
+    return Gains(keys.reshape(3, -1).T, np.concatenate(blocks, axis=1).ravel())
 
 
 def _generate(p: GenParams, n_fixed: int,
@@ -233,18 +233,11 @@ def _generate(p: GenParams, n_fixed: int,
                       poa_1=link1_poa[uid], chan_1=link1_chan[uid],
                       fixed_sinr_target=betas[uid]))
 
-    listeners: dict[int, set[int]] = {}
-    for u in ues:
-        listeners.setdefault(u.poa_1, set()).add(u.chan_1)
-        if u.dual:
-            listeners.setdefault(u.poa_2, set()).add(u.chan_2)
-    gains = _fill_gains(poas, ue_positions, listeners, p.gain_scale, p.alpha, rng)
-
     return Scenario(
         poas=poas,
         ues=ues,
         channels=channels,
-        gains=gains,
+        gains=_fill_gains(poas, ues, p, rng),
         noise_psd=p.noise_psd,
         tau=p.tau,
         z_factor=p.z_factor,
@@ -326,18 +319,18 @@ def worked_example(case: str = HIGH_BACKHAUL) -> Scenario:
     d_mbs = math.sqrt(2000.0 ** 2 + 2000.0 ** 2)
     d_far = math.sqrt(4000.0 ** 2 + 2000.0 ** 2)
 
-    gains = {
+    gains = Gains.from_rows([
         # own links
-        (1, rs.id, c10.id): pathgain(d_near),
-        (1, mbs.id, c5.id): pathgain(d_mbs),
-        (2, mbs.id, c10.id): pathgain(d_mbs),
-        (2, pbs.id, c5.id): pathgain(d_near),
+        [1, rs.id, c10.id, pathgain(d_near)],
+        [1, mbs.id, c5.id, pathgain(d_mbs)],
+        [2, mbs.id, c10.id, pathgain(d_mbs)],
+        [2, pbs.id, c5.id, pathgain(d_near)],
         # cross paths on the shared channels
-        (2, rs.id, c10.id): pathgain(d_far),
-        (1, mbs.id, c10.id): pathgain(d_mbs),
-        (2, mbs.id, c5.id): pathgain(d_mbs, kappa=0.5),
-        (1, pbs.id, c5.id): pathgain(d_far),
-    }
+        [2, rs.id, c10.id, pathgain(d_far)],
+        [1, mbs.id, c10.id, pathgain(d_mbs)],
+        [2, mbs.id, c5.id, pathgain(d_mbs, kappa=0.5)],
+        [1, pbs.id, c5.id, pathgain(d_far)],
+    ])
 
     return Scenario(
         poas=[rs, pbs, mbs],

@@ -8,31 +8,50 @@ import pytest
 
 from duplink.equilibrium import build_system, closed_form_equilibrium, spectral_radius
 from duplink.metrics import CrossGainMatrices
-from duplink.network import noise_power
+from duplink.network import Gains
 from duplink.policies import waterfill
 from duplink.scenarios import GenParams, generate_mixed
+
+
+def gain_dict(s):
+    """The scenario's gains as a plain {(ue, poa, chan): value} dict."""
+    return dict(zip(map(tuple, s.gains.keys.tolist()), s.gains.values.tolist()))
+
+
+def with_gains(s, gains):
+    """``s`` with its gains replaced by the {(ue, poa, chan): value} dict
+    ``gains``; the way tests edit gains."""
+    return replace(s, gains=Gains.from_rows([[*k, v] for k, v in gains.items()]))
 
 
 def scalar_interference(s, p1, p2):
     """Effective interference computed the slow way, straight from the
     scenario: per (UE, link), sum co-channel received powers at the link's
-    PoA and normalize by the own gain. Independent of the matrix builder."""
+    PoA on top of the noise power noise_psd * bandwidth, and normalize by
+    the own gain. Gains are read through a plain dict. Independent of the
+    matrix builder."""
     n = len(s.ues)
     e1 = np.zeros(n)
     e2 = np.zeros(n)
     p = {1: p1, 2: p2}
+    gains = gain_dict(s)
+    bandwidth = {c.id: c.bandwidth for c in s.channels}
+
+    def link(ue, x):
+        return (ue.poa_1, ue.chan_1) if x == 1 else (ue.poa_2, ue.chan_2)
+
     for i, ue_i in enumerate(s.ues):
         for x in ([1, 2] if ue_i.dual else [1]):
-            poa_id, chan_id = ue_i.link(x)
-            total = noise_power(s, ue_i.id, x)
+            poa_id, chan_id = link(ue_i, x)
+            total = s.noise_psd * bandwidth[chan_id]
             for j, ue_j in enumerate(s.ues):
                 if j == i:
                     continue
                 for y in ([1, 2] if ue_j.dual else [1]):
-                    _, chan_j = ue_j.link(y)
+                    _, chan_j = link(ue_j, y)
                     if chan_j == chan_id:
-                        total += s.gains[(ue_j.id, poa_id, chan_id)] * p[y][j]
-            own = s.gains[(ue_i.id, poa_id, chan_id)]
+                        total += gains[(ue_j.id, poa_id, chan_id)] * p[y][j]
+            own = gains[(ue_i.id, poa_id, chan_id)]
             (e1 if x == 1 else e2)[i] = total / own
     return e1, e2
 
@@ -55,11 +74,11 @@ def fixed_ue_on_macro_channel():
     s = generate_mixed(GenParams(n_ues=3, n_relays=2, n_picos=2, seed=11), 3, (1.5, 3.0))
     fixed = next(u for u in s.ues if not u.dual)
     dual = next(u for u in s.ues if u.dual)
-    gains = dict(s.gains)
+    gains = gain_dict(s)
     for ue in (fixed.id, dual.id):
-        gains[(ue, fixed.poa_1, dual.chan_2)] = s.gains[(ue, fixed.poa_1, fixed.chan_1)]
+        gains[(ue, fixed.poa_1, dual.chan_2)] = gains[(ue, fixed.poa_1, fixed.chan_1)]
     ues = [replace(u, chan_1=dual.chan_2) if u is fixed else u for u in s.ues]
-    return replace(s, ues=ues, gains=gains)
+    return with_gains(replace(s, ues=ues), gains)
 
 
 def interior_equilibrium(m):

@@ -7,6 +7,7 @@ from duplink import (
     UE,
     BackhaulState,
     Channel,
+    Gains,
     GenParams,
     PoA,
     PoAKind,
@@ -48,10 +49,8 @@ def flow_scenario(n_relays, n_picos, ue_links, eta_r=30e6, eta_p=200e6, eta_b=10
     for i, (poa1, poa2) in enumerate(ue_links):
         ues.append(UE(id=i + 1, position=(0, 0), p_max=1.0,
                       poa_1=poa1, chan_1=2 * i + 1, poa_2=poa2, chan_2=2 * i + 2))
-    gains = {}
-    for u in ues:
-        gains[(u.id, u.poa_1, u.chan_1)] = 1e-6
-        gains[(u.id, u.poa_2, u.chan_2)] = 1e-6
+    gains = Gains.from_rows([[u.id, poa, chan, 1e-6] for u in ues
+                             for poa, chan in ((u.poa_1, u.chan_1), (u.poa_2, u.chan_2))])
     return Scenario(poas=poas, ues=ues, channels=channels, gains=gains,
                     noise_psd=1e-19, tau=5e6, z_factor=0.9)
 
@@ -102,7 +101,7 @@ class TestNetworkCapacity:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instance_against_max_flow_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        n_r, n_p = rng.integers(0, 3), rng.integers(0, 3)
+        n_r, n_p = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         macro_id = n_r + n_p + 1
         n_ues = int(rng.integers(1, 7))
         links = []

@@ -115,6 +115,28 @@ class TestRunCommand:
         assert self.run_dict(tmp_path, d) == 3
         assert "gain (1,1,1) must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,messages", [
+        (lambda g: g[0].pop(), ["gain row [1, 1, 1] must be [ue_id, poa_id, chan_id, value]"]),
+        (lambda g: g[0].append(2.0), ["gain row [1, 1, 1, ", ", 2.0] must be [ue_id"]),
+        (lambda g: g.append([1, 1, 1, 123.0]), ["gain (1,1,1) is given more than once"]),
+        (lambda g: g[0].__setitem__(1, 1.5), ["gain row [1, 1.5, 1, ", "] must be [ue_id"]),
+        (lambda g: g[0].__setitem__(3, True), ["gain row [1, 1, 1, True] must be [ue_id"]),
+    ], ids=["three_entries", "five_entries", "duplicate_key", "float_id", "bool_value"])
+    def test_malformed_gain_row_is_validation_error(self, tmp_path, capsys, edit, messages):
+        d = scenario_to_dict(worked_example())
+        edit(d["gains"])
+        assert self.run_dict(tmp_path, d) == 3
+        err = capsys.readouterr().err
+        assert all(m in err for m in messages) and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_gains_not_a_list_is_validation_error(self, tmp_path, capsys):
+        d = scenario_to_dict(worked_example())
+        d["gains"] = {"a": 1}
+        assert self.run_dict(tmp_path, d) == 3
+        assert "gains must be a list of [ue_id, poa_id, chan_id, value] rows, got dict" in (
+            capsys.readouterr().err)
+
     def test_nan_tau_override_is_validation_error(self, tmp_path, capsys):
         d = scenario_to_dict(worked_example())
         assert self.run_dict(tmp_path, d, "--tau", "nan") == 3
@@ -266,6 +288,15 @@ class TestExperimentCommand:
     def test_nonpositive_trials_rejected(self, tmp_path):
         assert main(["experiment", "--preset", "fig3", "--trials", "0",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert main(["experiment", "--preset", "fig3", "--trials", "1",
+                     "--seed", seed, "--out", str(out)]) == 2
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_env_var_default_out(self, tmp_path, monkeypatch, scenario_file):
         monkeypatch.setenv("DUPLINK_OUT", str(tmp_path / "envout"))

@@ -24,8 +24,9 @@ from duplink import (
 from duplink.backhaul import rate_differentials
 from duplink.cli import PRESETS
 from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo, trace_to_csv
-from duplink.network import Scenario
 from duplink.scenarios import LIMITED_BACKHAUL
+
+from conftest import with_gains
 
 
 def report_of(m, state):
@@ -97,8 +98,7 @@ class TestRun:
 
     def test_zero_ue_scenario_converges_immediately(self):
         s = worked_example()
-        empty = Scenario(poas=s.poas, ues=[], channels=s.channels, gains={},
-                         noise_psd=s.noise_psd, tau=s.tau, z_factor=s.z_factor)
+        empty = with_gains(replace(s, ues=[]), {})
         trace = run(build_matrices(empty), "bdt")
         assert trace.verdict.converged and trace.verdict.iteration == 0
         assert trace.metrics["eta_n_final"] == 0.0

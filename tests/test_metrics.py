@@ -15,7 +15,7 @@ from duplink import (
 )
 from duplink.metrics import CrossGainMatrices
 
-from conftest import scalar_interference, synthetic_topology
+from conftest import gain_dict, scalar_interference, synthetic_topology, with_gains
 
 
 class TestWorkedExampleMatrices:
@@ -81,17 +81,19 @@ class TestBuildMatrices:
         s.channels.append(Channel(id=3, bandwidth=10e6))
         s.channels.append(Channel(id=4, bandwidth=5e6))
         s.ues[1] = replace(s.ues[1], chan_1=3, chan_2=4)
-        s.gains[(2, 3, 3)] = s.gains.pop((2, 3, 1))
-        s.gains[(2, 2, 4)] = s.gains.pop((2, 2, 2))
-        m = build_matrices(s)
+        gains = gain_dict(s)
+        gains[(2, 3, 3)] = gains.pop((2, 3, 1))
+        gains[(2, 2, 4)] = gains.pop((2, 2, 2))
+        m = build_matrices(with_gains(s, gains))
         for f in (m.f11, m.f12, m.f21, m.f22):
             assert np.all(f == 0.0)
 
     def test_missing_gain_raises(self):
         s = worked_example()
-        del s.gains[(2, 1, 1)]  # cross path UE2 -> relay
-        with pytest.raises(KeyError, match="cross gain"):
-            build_matrices(s)
+        gains = gain_dict(s)
+        del gains[(2, 1, 1)]  # cross path UE2 -> relay
+        with pytest.raises(KeyError, match="cross gain: UE 2 -> PoA 1 on channel 1"):
+            build_matrices(with_gains(s, gains))
 
     def test_single_link_rows_are_zeroed(self):
         s = generate_mixed(GenParams(n_ues=2, n_relays=2, n_picos=1, seed=7), n_fixed=2)

@@ -2,24 +2,28 @@ import json
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from duplink import (
     UE,
     Channel,
+    Gains,
     GenParams,
     PoA,
     PoAKind,
     Scenario,
+    build_matrices,
     generate_mixed,
     load_scenario,
-    noise_power,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
     worked_example,
 )
+
+from conftest import gain_dict, with_gains
 
 
 def tiny_scenario(**overrides):
@@ -31,10 +35,7 @@ def tiny_scenario(**overrides):
     ues = [
         UE(id=1, position=(10.0, 90.0), p_max=1.0, poa_1=1, chan_1=1, poa_2=2, chan_2=2),
     ]
-    gains = {
-        (1, 1, 1): 1e-6,
-        (1, 2, 2): 1e-8,
-    }
+    gains = Gains.from_rows([[1, 1, 1, 1e-6], [1, 2, 2, 1e-8]])
     fields = dict(poas=poas, ues=ues, channels=channels, gains=gains,
                   noise_psd=1e-19, tau=5e6, z_factor=0.9)
     fields.update(overrides)
@@ -47,7 +48,7 @@ def set_number(s, name, value):
         single = {"poa_2": None, "chan_2": None} if name == "fixed_sinr_target" else {}
         s.ues[0] = replace(s.ues[0], **single, **{name: value})
     elif name == "gain":
-        s.gains[(1, 1, 1)] = value
+        s = with_gains(s, {**gain_dict(s), (1, 1, 1): value})
     elif name == "bandwidth":
         s.channels[0] = replace(s.channels[0], bandwidth=value)
     elif name == "backhaul_capacity":
@@ -70,8 +71,7 @@ class TestValidation:
         intruder = UE(id=2, position=(5.0, 95.0), p_max=1.0,
                       poa_1=1, chan_1=1, poa_2=2, chan_2=2)
         s.ues.append(intruder)
-        s.gains[(2, 1, 1)] = 1e-6
-        s.gains[(2, 2, 2)] = 1e-8
+        s = with_gains(s, {**gain_dict(s), (2, 1, 1): 1e-6, (2, 2, 2): 1e-8})
         bad = validate_scenario(s)
         shared = [b for b in bad if "share PoA" in b]
         assert len(shared) == 2  # both links collide
@@ -107,7 +107,7 @@ class TestValidation:
         assert any("tau" in b for b in validate_scenario(tiny_scenario(tau=0.0)))
         assert any("z_factor" in b for b in validate_scenario(tiny_scenario(z_factor=1.0)))
         s = tiny_scenario()
-        s.gains[(1, 1, 1)] = -1.0
+        s = with_gains(s, {**gain_dict(s), (1, 1, 1): -1.0})
         assert any("gain" in b for b in validate_scenario(s))
 
     @pytest.mark.parametrize("name,value", [
@@ -153,15 +153,38 @@ class TestValidation:
         assert len(bad) == 1 and bad[0].startswith(message), bad
 
     def test_bool_gain_is_rejected(self):
-        s = tiny_scenario()
-        s.gains[(1, 1, 1)] = True
-        assert validate_scenario(s) == ["gain (1,1,1) must be finite and > 0, got True"]
+        # The loader stops a bool gain, naming its row.
+        d = scenario_to_dict(tiny_scenario())
+        d["gains"][0][3] = True
+        with pytest.raises(TypeError, match=r"gain row \[1, 1, 1, True\] must be"):
+            scenario_from_dict(d)
 
     def test_integer_numbers_are_legal(self):
         s = tiny_scenario(tau=5_000_000, noise_psd=1)
         s.ues[0] = replace(s.ues[0], p_max=2, position=(10, 90))
-        s.gains[(1, 1, 1)] = 1
+        d = scenario_to_dict(s)
+        d["gains"][0][3] = 1
+        s = scenario_from_dict(d)
         assert validate_scenario(s) == []
+        assert scenario_to_dict(s)["gains"][0] == [1, 1, 1, 1.0]  # written back as a float
+
+    def test_channel_ids_run_from_one(self):
+        s = tiny_scenario()
+        s.channels[1] = replace(s.channels[1], id=5)
+        assert "channel ids must be 1..2, got [1, 5]" in validate_scenario(s)
+
+    def test_gain_of_unknown_id_is_rejected(self):
+        for key in ((2, 1, 1), (1, 3, 1), (1, 1, 3), (0, 1, 1)):
+            s = with_gains(tiny_scenario(), {**gain_dict(tiny_scenario()), key: 1e-7})
+            u, p, c = key
+            assert validate_scenario(s) == [
+                f"gain ({u},{p},{c}) names no UE, PoA or channel of the scenario"]
+
+    def test_unsorted_gain_arrays_are_rejected(self):
+        g = tiny_scenario().gains
+        s = tiny_scenario(gains=Gains(g.keys[::-1], g.values[::-1]))
+        assert validate_scenario(s) == [
+            "gain keys must be unique (ue, poa, chan) rows in increasing order"]
 
     def test_idempotent_and_side_effect_free(self):
         s = tiny_scenario()
@@ -171,28 +194,36 @@ class TestValidation:
 
 
 class TestNoisePower:
+    """The noise power noise_psd * bandwidth of a link, normalized by the
+    link's own gain, is ``d1``/``d2`` of ``build_matrices``."""
+
     def test_direct_products(self):
-        s = tiny_scenario(noise_psd=1e-19)
-        assert noise_power(s, 1, 1) == pytest.approx(1e-19 * 1e6)
-        assert noise_power(s, 1, 2) == pytest.approx(1e-19 * 5e6)
+        m = build_matrices(tiny_scenario(noise_psd=1e-19))
+        assert m.d1[0] == pytest.approx(1e-19 * 1e6 / 1e-6)
+        assert m.d2[0] == pytest.approx(1e-19 * 5e6 / 1e-8)
 
     def test_ten_mhz(self):
         s = worked_example()
-        assert noise_power(s, 1, 1) == pytest.approx(1e-12)  # 10 MHz link
-        assert noise_power(s, 1, 2) == pytest.approx(5e-13)  # 5 MHz link
+        m = build_matrices(s)
+        gains = gain_dict(s)
+        assert m.d1[0] * gains[(1, 1, 1)] == pytest.approx(1e-12)  # 10 MHz link
+        assert m.d2[0] * gains[(1, 3, 2)] == pytest.approx(5e-13)  # 5 MHz link
 
     def test_linear_in_bandwidth(self):
         s = tiny_scenario()
         doubled = tiny_scenario(
             channels=[Channel(id=1, bandwidth=2e6), Channel(id=2, bandwidth=5e6)])
-        assert noise_power(doubled, 1, 1) == 2 * noise_power(s, 1, 1)
+        assert build_matrices(doubled).d1[0] == 2 * build_matrices(s).d1[0]
+        assert build_matrices(doubled).d2[0] == build_matrices(s).d2[0]
 
     def test_unknown_ids_raise(self):
-        s = tiny_scenario()
-        with pytest.raises(KeyError):
-            noise_power(s, 99, 1)
-        with pytest.raises(ValueError):
-            noise_power(s, 1, 3)
+        # A link whose own gain is absent names the missing key.
+        s = with_gains(tiny_scenario(), {(1, 2, 2): 1e-8})
+        with pytest.raises(KeyError, match="own-link gain: UE 1 -> PoA 1 on channel 1"):
+            build_matrices(s)
+        s = with_gains(tiny_scenario(), {(1, 1, 1): 1e-6})
+        with pytest.raises(KeyError, match="own-link gain: UE 1 -> PoA 2 on channel 2"):
+            build_matrices(s)
 
 
 class TestJsonRoundTrip:
@@ -217,7 +248,7 @@ class TestJsonRoundTrip:
         save_scenario(s, first)
         s2 = load_scenario(first)
         save_scenario(s2, second)
-        assert s2 == s
+        assert scenario_to_dict(s2) == scenario_to_dict(s)
         assert second.read_bytes() == first.read_bytes()
         for u in json.loads(first.read_text())["ues"]:  # unset fields are left out
             unset = {"fixed_sinr_target"} if "poa_2" in u else {"poa_2", "chan_2"}
@@ -239,3 +270,32 @@ class TestJsonRoundTrip:
         s2 = scenario_from_dict(scenario_to_dict(s))
         assert s2.ues[0].fixed_sinr_target == 2.5
         assert not s2.ues[0].dual
+
+
+class TestGainRows:
+    def test_rows_in_any_order_are_sorted(self):
+        g = Gains.from_rows([[2, 1, 1, 0.5], [1, 2, 2, 0.25], [1, 2, 1, 1.0]])
+        assert g.keys.tolist() == [[1, 2, 1], [1, 2, 2], [2, 1, 1]]
+        assert g.values.tolist() == [1.0, 0.25, 0.5]
+        assert g.keys.dtype == np.int64 and g.values.dtype == np.float64
+
+    def test_no_rows(self):
+        g = Gains.from_rows([])
+        assert g.keys.shape == (0, 3) and g.values.shape == (0,)
+
+    @pytest.mark.parametrize("rows,error,message", [
+        ([[1, 1, 1]], TypeError, r"gain row \[1, 1, 1\] must be \[ue_id, poa_id, chan_id, "
+                                 r"value\] with 64-bit integer ids and an int or float value"),
+        ([[1, 1, 1, 0.5, 2]], TypeError, r"gain row \[1, 1, 1, 0.5, 2\] must be"),
+        ([[1, 1, 1, 0.5], 7], TypeError, r"gain row 7 must be"),
+        ([[1, 1, 1], [1, 2, 1, 0.5, 2]], TypeError, r"gain row \[1, 1, 1\] must be"),
+        ({"a": 1}, TypeError, r"gains must be a list .* got dict"),
+        ([[1, 1.5, 1, 0.5]], TypeError, r"gain row \[1, 1.5, 1, 0.5\] must be"),
+        ([[1, True, 1, 0.5]], TypeError, r"gain row \[1, True, 1, 0.5\] must be"),
+        ([[2 ** 63, 1, 1, 0.5]], TypeError, r"gain row \[9223372036854775808, 1, 1, 0.5\]"),
+        ([[1, 1, 1, "0.5"]], TypeError, r"gain row \[1, 1, 1, '0.5'\] must be"),
+        ([[1, 1, 1, 0.5], [1, 1, 1, 123.0]], ValueError, r"gain \(1,1,1\) is given more than once"),
+    ])
+    def test_malformed_rows_are_named(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            Gains.from_rows(rows)

@@ -59,8 +59,9 @@ def scalar_decision(policy, s, u, i, now, v):
     """Next (p1, p2) of UE u from scalar policy calls on its own values."""
     if not u.dual:
         return fm_update(float(now.e1[i]), u.fixed_sinr_target, u.p_max), 0.0
+    bandwidth = {c.id: c.bandwidth for c in s.channels}
     budget = (u.p_max, float(now.e1[i]), float(now.e2[i]),
-              s.channel(u.chan_1).bandwidth, s.channel(u.chan_2).bandwidth)
+              bandwidth[u.chan_1], bandwidth[u.chan_2])
     if policy == "bdt":
         state = classify_state(v[u.poa_1], v[u.poa_2], s.tau)
         return bdt_update(state, float(now.p1[i]), float(now.p2[i]), *budget, s.z_factor)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -10,11 +11,14 @@ from duplink import (
     PoAKind,
     generate,
     generate_mixed,
+    save_scenario,
     validate_scenario,
     worked_example,
 )
 from duplink.network import scenario_to_dict
 from duplink.scenarios import _assign_small_cell_channels
+
+from conftest import gain_dict
 
 
 class TestGenerateStructure:
@@ -52,7 +56,7 @@ class TestGenerateStructure:
             assert u.poa_2 == macro_id
             assert u.poa_1 != macro_id
             # nearest small cell
-            d_own = math.dist(u.position, s.poa(u.poa_1).position)
+            d_own = math.dist(u.position, s.poas[u.poa_1 - 1].position)
             for q in s.poas:
                 if q.kind is not PoAKind.MACROCELL:
                     assert d_own <= math.dist(u.position, q.position) + 1e-9
@@ -91,6 +95,22 @@ class TestGenerateStructure:
             _assign_small_cell_channels({1: [1, 2, 3]}, {}, [10, 11])
 
 
+class TestGeneratorBytes:
+    """The saved bytes of two generated files are pinned, so a change that
+    moves the last bit of any position, bandwidth or gain fails here."""
+
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: generate(GenParams(n_ues=21, seed=7)),
+         "1113a16731c51304acf1a86b32194ccf64e8f437f780045dda63e9d4cfeb3ab2"),
+        (lambda: generate_mixed(GenParams(n_ues=6, seed=7), 3),
+         "cc7fa38d66fb76eeec24d7324270847f2307a49c482f3d3b724afe931ab498a0"),
+    ], ids=["gen21", "mixed6+3"])
+    def test_saved_bytes_are_pinned(self, tmp_path, make, digest):
+        path = tmp_path / "scenario.json"
+        save_scenario(make(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestFadingStatistics:
     def test_unit_mean_kappa(self):
         # recover the fading draws from the stored gains; 1e5 of them should
@@ -99,8 +119,8 @@ class TestFadingStatistics:
         seed = 0
         while len(kappas) < 100_000:
             s = generate(GenParams(n_ues=30, n_relays=5, n_picos=5, seed=seed))
-            for (ue_id, poa_id, _), gain in s.gains.items():
-                d = max(1.0, math.dist(s.ue(ue_id).position, s.poa(poa_id).position))
+            for (ue_id, poa_id, _), gain in gain_dict(s).items():
+                d = max(1.0, math.dist(s.ues[ue_id - 1].position, s.poas[poa_id - 1].position))
                 kappas.append(gain / (100.0 * d ** -3.7))
             seed += 1
         mean = float(np.mean(kappas[:100_000]))
@@ -111,8 +131,8 @@ class TestFadingStatistics:
         logs_d, logs_g = [], []
         for seed in range(30):
             s = generate(GenParams(n_ues=20, n_relays=4, n_picos=4, seed=seed))
-            for (ue_id, poa_id, _), gain in s.gains.items():
-                d = max(1.0, math.dist(s.ue(ue_id).position, s.poa(poa_id).position))
+            for (ue_id, poa_id, _), gain in gain_dict(s).items():
+                d = max(1.0, math.dist(s.ues[ue_id - 1].position, s.poas[poa_id - 1].position))
                 logs_d.append(math.log(d))
                 logs_g.append(math.log(gain))
         slope, _ = np.polyfit(logs_d, logs_g, 1)
@@ -152,9 +172,11 @@ class TestWorkedExample:
 
     def test_geometry(self):
         s = worked_example()
-        assert s.poa(1).position == (-2000.0, 0.0)   # relay
-        assert s.poa(2).position == (2000.0, 0.0)    # pico
-        assert s.poa(3).position == (0.0, 0.0)       # macro
+        assert [p.position for p in s.poas] == [
+            (-2000.0, 0.0),  # relay
+            (2000.0, 0.0),   # pico
+            (0.0, 0.0),      # macro
+        ]
         assert s.ues[0].position == (-2000.0, -2000.0)
         assert s.ues[1].position == (2000.0, -2000.0)
 
@@ -178,5 +200,5 @@ class TestWorkedExample:
         assert a.chan_2 == b.chan_2          # shared 5 MHz channel
         assert a.poa_1 != b.poa_1            # ...but at different PoAs
         assert a.poa_2 != b.poa_2
-        counts = Counter((s.channel(c).bandwidth for c in (a.chan_1, a.chan_2)))
+        counts = Counter((s.channels[c - 1].bandwidth for c in (a.chan_1, a.chan_2)))
         assert counts == Counter({10e6: 1, 5e6: 1})
