@@ -88,9 +88,12 @@ class BackhaulReport:
 
 
 def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in index order, the order in which Python's
-    ``sum`` adds a list. ``accumulate`` adds in that order; numpy's ``sum``
-    adds pairwise."""
+    """Sum over the last axis in index order, so that each row of a stack
+    equals its network summed alone. numpy's ``sum`` adds one network's
+    contiguous slice with unrolled partial sums, but a stack's
+    ``carried[..., m.relays]`` is a strided block that it adds in index
+    order. ``accumulate`` adds in index order in both cases, as Python's
+    ``sum`` does."""
     if not x.shape[-1]:
         return np.zeros(x.shape[:-1])
     return np.add.accumulate(x, axis=-1)[..., -1]

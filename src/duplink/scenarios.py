@@ -8,17 +8,27 @@ power gains are gain_scale * d^-alpha with an independent unit-mean
 exponential fading draw per (transmitter, receiver PoA, channel); distances
 are in meters with a 1 m reference distance.
 
-Small-cell links draw their channels from a shared pool, each cell handing
-its UEs the lowest pool channels still free at that cell; the reuse across
-cells is what creates cross-cell interference. Macrocell links get one
-private channel per UE, as required at a shared PoA, so all coupling runs
-through the first links.
+Small-cell links share one channel pool, reused across cells, which is what
+creates cross-cell interference: each UE takes the channel numbered by its
+rank among its cell's UEs in id order, so the pool is as large as the
+busiest cell. Macrocell links get one private channel per UE above the
+pool, as required at a shared PoA, so all coupling runs through the first
+links.
+
+One seeded stream feeds every draw, in this order: the PoA points (the
+whole layout again after a failed separation check), the UE drop points,
+the bandwidth of every channel, the fixed-SINR targets, then the fading,
+PoA by PoA. numpy does the draws and the exactly rounded arithmetic; the
+transcendental functions (cos, sin, the distance and the path-loss power)
+are Python ``math`` and ``**``, whose results do not depend on how numpy
+was built. So the saved bytes are a function of the parameters alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -26,6 +36,7 @@ from .network import UE, Channel, Gains, PoA, PoAKind, Scenario
 
 AREA_X = 3000.0   # meters
 AREA_Y = 3200.0
+_SEPARATION_DRAWS = 200  # layouts drawn before min_poa_separation gives up
 
 
 @dataclass
@@ -51,10 +62,12 @@ class GenParams:
     min_poa_separation: float = 0.0    # meters; 0 disables the separation retry
 
 
-def _check_params(p: GenParams) -> None:
+def _check_params(p: GenParams, n_fixed: int) -> None:
     if p.n_ues < 0 or p.n_relays < 0 or p.n_picos < 0:
         raise ValueError("counts must be >= 0")
-    if p.n_relays + p.n_picos == 0 and p.n_ues > 0:
+    if n_fixed < 0:
+        raise ValueError("n_fixed must be >= 0")
+    if p.n_relays + p.n_picos == 0 and p.n_ues + n_fixed > 0:
         raise ValueError("need at least one small cell to anchor first links")
     if p.radius_m <= 0:
         raise ValueError("radius_m must be > 0")
@@ -64,180 +77,92 @@ def _check_params(p: GenParams) -> None:
         raise ValueError("backhaul_scale must be > 0")
 
 
-def _grid_cells(count: int) -> list[tuple[float, float, float, float]]:
-    """Partition the area into `count` equal rectangles (xmin, ymin, w, h)."""
+def _small_cells(count: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """Split the area into ``count`` equal rectangles, row-major; return the
+    lower-left corners of all but the one centered nearest the origin (the
+    macrocell's), and the rectangle size."""
     rows = int(math.floor(math.sqrt(count)))
     while count % rows:
         rows -= 1
     cols = count // rows
-    w = AREA_X / cols
-    h = AREA_Y / rows
-    cells = []
-    for r in range(rows):
-        for c in range(cols):
-            cells.append((-AREA_X / 2 + c * w, -AREA_Y / 2 + r * h, w, h))
-    return cells
+    w, h = AREA_X / cols, AREA_Y / rows
+    row, col = np.divmod(np.arange(count), cols)
+    corners = np.column_stack([-AREA_X / 2 + col * w, -AREA_Y / 2 + row * h])
+    center = np.argmin(((corners + (w / 2, h / 2)) ** 2).sum(axis=1))
+    return np.delete(corners, center, axis=0), (w, h)
 
 
-def _place_poas(p: GenParams, rng: np.random.Generator) -> list[PoA]:
-    n_poas = p.n_relays + p.n_picos + 1
-    cells = _grid_cells(n_poas)
-    # The macrocell sits exactly at the center; its cell is removed from the pool.
-    center_idx = min(
-        range(len(cells)),
-        key=lambda i: (cells[i][0] + cells[i][2] / 2) ** 2 + (cells[i][1] + cells[i][3] / 2) ** 2,
-    )
-    small_cells = [c for i, c in enumerate(cells) if i != center_idx]
-
-    def draw_positions():
-        pos = []
-        for xmin, ymin, w, h in small_cells:
-            pos.append((xmin + rng.uniform(0, w), ymin + rng.uniform(0, h)))
-        return pos
-
-    positions = draw_positions()
-    if p.min_poa_separation > 0:
-        for _ in range(200):
-            pts = positions + [(0.0, 0.0)]
-            ok = all(
-                math.dist(pts[a], pts[b]) >= p.min_poa_separation
-                for a in range(len(pts))
-                for b in range(a + 1, len(pts))
-            )
-            if ok:
-                break
-            positions = draw_positions()
-
-    poas = []
-    for k in range(p.n_relays):
-        poas.append(PoA(id=k + 1, kind=PoAKind.RELAY, position=positions[k],
-                        backhaul_capacity=p.eta_relay * p.backhaul_scale))
-    for k in range(p.n_picos):
-        poas.append(PoA(id=p.n_relays + k + 1, kind=PoAKind.PICOCELL,
-                        position=positions[p.n_relays + k],
-                        backhaul_capacity=p.eta_pico * p.backhaul_scale))
-    poas.append(PoA(id=n_poas, kind=PoAKind.MACROCELL, position=(0.0, 0.0),
-                    backhaul_capacity=p.eta_macro * p.backhaul_scale))
-    return poas
-
-
-def _disc_point(center: tuple[float, float], radius: float,
-                rng: np.random.Generator) -> tuple[float, float]:
-    r = radius * math.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return center[0] + r * math.cos(theta), center[1] + r * math.sin(theta)
-
-
-def _nearest_small_cell(pos: tuple[float, float], poas: list[PoA]) -> int:
-    small = [p for p in poas if p.kind is not PoAKind.MACROCELL]
-    return min(small, key=lambda p: math.dist(pos, p.position)).id
-
-
-def _pool_bandwidths(n_channels: int, choices: tuple[float, ...],
-                     rng: np.random.Generator) -> list[float]:
-    return [float(rng.choice(choices)) for _ in range(n_channels)]
-
-
-def _assign_small_cell_channels(
-    members: dict[int, list[int]],
-    own_chan: dict[int, int],
-    pool_ids: list[int],
-) -> dict[int, int]:
-    """Lowest pool channel per UE, distinct within a cell and from the UE's
-    other channel. Raises if the pool cannot cover a cell."""
-    out: dict[int, int] = {}
-    for poa_id in sorted(members):
-        used: set[int] = set()
-        for ue_id in members[poa_id]:
-            pick = next(
-                (c for c in pool_ids if c not in used and c != own_chan.get(ue_id)),
-                None,
-            )
-            if pick is None:
-                raise ValueError(f"channel pool too small for PoA {poa_id}")
-            out[ue_id] = pick
-            used.add(pick)
-    return out
-
-
-def _fill_gains(poas: list[PoA], ues: list[UE], p: GenParams,
-                rng: np.random.Generator) -> Gains:
-    """One fading draw per (UE, PoA, channel in use at that PoA); each PoA
-    draws its block in (channel, UE) order. Transposed and joined in PoA id
-    order, the blocks hold the gains in key order (``ues`` is in id order)."""
-    listeners: dict[int, set[int]] = {}
-    for u in ues:
-        listeners.setdefault(u.poa_1, set()).add(u.chan_1)
-        if u.dual:
-            listeners.setdefault(u.poa_2, set()).add(u.chan_2)
-    blocks, poa_chan = [], []
-    for poa in poas:
-        chans = sorted(listeners.get(poa.id, ()))
-        path = np.array([p.gain_scale * max(1.0, math.dist(u.position, poa.position))
-                         ** -p.alpha for u in ues])
-        blocks.append((path * rng.exponential(1.0, size=(len(chans), len(ues)))).T)
-        poa_chan += [(poa.id, chan_id) for chan_id in chans]
-    keys = np.empty((3, len(ues), len(poa_chan)), dtype=np.int64)
-    keys[0] = np.array([u.id for u in ues], dtype=np.int64)[:, None]
-    keys[1:] = np.array(poa_chan, dtype=np.int64).reshape(-1, 2).T[:, None]
-    return Gains(keys.reshape(3, -1).T, np.concatenate(blocks, axis=1).ravel())
+def _poa_points(p: GenParams, rng: np.random.Generator) -> np.ndarray:
+    """(n_poas, 2) points in PoA id order, the macrocell last at the origin,
+    drawn again until every pair is at least ``min_poa_separation`` apart."""
+    corners, extent = _small_cells(p.n_relays + p.n_picos + 1)
+    for _ in range(_SEPARATION_DRAWS):
+        points = np.vstack([corners + rng.uniform(0.0, extent, size=corners.shape), (0.0, 0.0)])
+        if p.min_poa_separation <= 0 or all(
+                math.dist(a, b) >= p.min_poa_separation
+                for a, b in combinations(points.tolist(), 2)):
+            return points
+    raise ValueError(f"no PoA layout keeps min_poa_separation={p.min_poa_separation} m "
+                     f"in {_SEPARATION_DRAWS} draws")
 
 
 def _generate(p: GenParams, n_fixed: int,
               beta_range: tuple[float, float]) -> Scenario:
-    _check_params(p)
-    if n_fixed < 0:
-        raise ValueError("n_fixed must be >= 0")
+    _check_params(p, n_fixed)
     rng = np.random.default_rng(p.seed)
+    n = p.n_ues + n_fixed
 
-    poas = _place_poas(p, rng)
-    macro_id = p.n_relays + p.n_picos + 1
-    small = [q for q in poas if q.id != macro_id]
+    points = _poa_points(p, rng)
+    kinds = [PoAKind.RELAY] * p.n_relays + [PoAKind.PICOCELL] * p.n_picos + [PoAKind.MACROCELL]
+    eta = {PoAKind.RELAY: p.eta_relay, PoAKind.PICOCELL: p.eta_pico,
+           PoAKind.MACROCELL: p.eta_macro}
+    poa_xy = [tuple(xy) for xy in points.tolist()]
+    poas = [PoA(id=k + 1, kind=kind, position=xy, backhaul_capacity=eta[kind] * p.backhaul_scale)
+            for k, (kind, xy) in enumerate(zip(kinds, poa_xy))]
+    macro = len(poas)
 
-    n_total = p.n_ues + n_fixed
-    ue_positions = {
-        i + 1: _disc_point(small[i % len(small)].position, p.radius_m, rng)
-        for i in range(n_total)
-    }
-    dual_ids = list(range(1, p.n_ues + 1))
-    fixed_ids = list(range(p.n_ues + 1, n_total + 1))
-    link1_poa = {uid: _nearest_small_cell(pos, poas) for uid, pos in ue_positions.items()}
+    centers = points[np.arange(n) % (macro - 1)]  # round-robin over the small cells
+    u, theta = rng.uniform(0.0, (1.0, 2.0 * math.pi), size=(n, 2)).T
+    ue_xy = [(x + r * math.cos(t), y + r * math.sin(t)) for (x, y), r, t
+             in zip(centers.tolist(), (p.radius_m * np.sqrt(u)).tolist(), theta.tolist())]
+    # Python math.dist and ** per (UE, PoA) pair, not numpy's hypot and power:
+    # numpy's SIMD builds round those differently from libm on some inputs,
+    # which would tie the saved bytes to the numpy build.
+    dist, path = np.moveaxis(np.array(
+        [[((d := math.dist(xy, q)), p.gain_scale * max(1.0, d) ** -p.alpha) for q in poa_xy]
+         for xy in ue_xy]).reshape(n, macro, 2), -1, 0)
+    dist[:, -1] = np.inf  # link 1 goes to a small cell
+    poa_1 = dist.argmin(axis=1) + 1
+    chan_1 = np.tril(poa_1[:, None] == poa_1).sum(axis=1)  # rank within the cell, from 1
+    pool = int(chan_1.max(initial=0))
 
-    # Shared pool for small-cell links (reused across cells); one private
-    # channel per macrocell uplink, as reuse at a shared PoA is not allowed.
-    max_cell_load = max(
-        (sum(1 for uid in link1_poa if link1_poa[uid] == q.id) for q in small),
-        default=0,
-    )
-    shared_ids = list(range(1, max_cell_load + 1))
-    private_ids = [max_cell_load + k for k in range(1, p.n_ues + 1)]
-    all_ids = shared_ids + private_ids
-    bandwidths = _pool_bandwidths(len(all_ids), p.bandwidth_choices, rng)
-    channels = [Channel(id=c, bandwidth=bandwidths[i]) for i, c in enumerate(all_ids)]
-    link2_chan = {uid: private_ids[i] for i, uid in enumerate(dual_ids)}
-
-    members: dict[int, list[int]] = {}
-    for uid in sorted(link1_poa):
-        members.setdefault(link1_poa[uid], []).append(uid)
-    link1_chan = _assign_small_cell_channels(members, link2_chan, shared_ids)
-
-    betas = {uid: float(rng.uniform(*beta_range)) for uid in fixed_ids}
+    choices = np.asarray(p.bandwidth_choices, dtype=float)
+    bandwidths = choices[rng.integers(len(choices), size=pool + p.n_ues)].tolist()
+    channels = [Channel(id=c + 1, bandwidth=b) for c, b in enumerate(bandwidths)]
+    betas = rng.uniform(*beta_range, size=n_fixed).tolist()
 
     ues = []
-    for uid in dual_ids:
-        ues.append(UE(id=uid, position=ue_positions[uid], p_max=p.p_max,
-                      poa_1=link1_poa[uid], chan_1=link1_chan[uid],
-                      poa_2=macro_id, chan_2=link2_chan[uid]))
-    for uid in fixed_ids:
-        ues.append(UE(id=uid, position=ue_positions[uid], p_max=p.p_max,
-                      poa_1=link1_poa[uid], chan_1=link1_chan[uid],
-                      fixed_sinr_target=betas[uid]))
+    for i, (xy, poa, chan) in enumerate(zip(ue_xy, poa_1.tolist(), chan_1.tolist())):
+        second = (dict(poa_2=macro, chan_2=pool + i + 1) if i < p.n_ues
+                  else dict(fixed_sinr_target=betas[i - p.n_ues]))
+        ues.append(UE(id=i + 1, position=xy, p_max=p.p_max, poa_1=poa, chan_1=chan, **second))
+
+    # One fading row per (PoA, channel) in use there, in key order. Each such
+    # pair carries exactly one link, and the macrocell's links come last.
+    rows = np.concatenate([
+        np.column_stack([poa_1, chan_1])[np.lexsort((chan_1, poa_1))],
+        np.column_stack([np.full(p.n_ues, macro), pool + np.arange(1, p.n_ues + 1)]),
+    ])
+    fading = rng.exponential(1.0, size=(len(rows), n))
+    keys = np.empty((n, len(rows), 3), dtype=np.int64)
+    keys[..., 0] = np.arange(1, n + 1)[:, None]
+    keys[..., 1:] = rows
 
     return Scenario(
         poas=poas,
         ues=ues,
         channels=channels,
-        gains=_fill_gains(poas, ues, p, rng),
+        gains=Gains(keys.reshape(-1, 3), (path[:, rows[:, 0] - 1] * fading.T).ravel()),
         noise_psd=p.noise_psd,
         tau=p.tau,
         z_factor=p.z_factor,

@@ -266,8 +266,9 @@ class TestGeneratedScenarioCapacity:
 
 class TestStackedReport:
     def test_rows_match_networks_alone_and_the_scalar_oracle(self, rng):
-        # 9 relays and 12 picocells: numpy's pairwise sum would add the relay
-        # and picocell terms in another order than Python's sum.
+        # 9 relays and 12 picocells: from 8 terms on, numpy's sum adds one
+        # network's contiguous slice in another order than a stack's strided
+        # block, so a stack row would differ from its network alone.
         scenarios = [generate_mixed(GenParams(n_ues=30, n_relays=9, n_picos=12, seed=seed,
                                               backhaul_scale=0.3), 6) for seed in (1, 2, 3)]
         ms = [build_matrices(s) for s in scenarios]

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duplink import (
     GenParams,
@@ -16,7 +18,6 @@ from duplink import (
     worked_example,
 )
 from duplink.network import scenario_to_dict
-from duplink.scenarios import _assign_small_cell_channels
 
 from conftest import gain_dict
 
@@ -82,6 +83,12 @@ class TestGenerateStructure:
             for j in range(i + 1, len(pts)):
                 assert math.dist(pts[i], pts[j]) >= 400.0
 
+    def test_exhausted_separation_retries_raise(self):
+        # five PoAs in 3 km x 3.2 km can never sit 5 km apart
+        with pytest.raises(ValueError, match="min_poa_separation"):
+            generate(GenParams(n_ues=4, n_relays=2, n_picos=2, seed=1,
+                               min_poa_separation=5000.0))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             generate(GenParams(n_ues=2, n_relays=0, n_picos=0))
@@ -89,22 +96,68 @@ class TestGenerateStructure:
             generate(GenParams(alpha=1.0))
         with pytest.raises(ValueError):
             generate(GenParams(backhaul_scale=0.0))
+        with pytest.raises(ValueError, match="small cell"):
+            generate_mixed(GenParams(n_ues=0, n_relays=0, n_picos=0), 3)
 
-    def test_channel_assignment_infeasible_pool(self):
-        with pytest.raises(ValueError, match="pool too small"):
-            _assign_small_cell_channels({1: [1, 2, 3]}, {}, [10, 11])
+
+@st.composite
+def generator_inputs(draw):
+    """(GenParams, n_fixed) over small networks, separation included."""
+    n_relays = draw(st.integers(0, 4))
+    params = GenParams(
+        n_ues=draw(st.integers(0, 12)),
+        n_relays=n_relays,
+        n_picos=draw(st.integers(0 if n_relays else 1, 4)),
+        radius_m=draw(st.floats(50.0, 600.0)),
+        min_poa_separation=draw(st.sampled_from([0.0, 250.0, 400.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return params, draw(st.integers(0, 5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(generator_inputs())
+@example((GenParams(n_ues=0, seed=1), 0))                       # no UEs
+@example((GenParams(n_ues=0, n_relays=2, n_picos=2, seed=3), 5))  # fixed-SINR only
+@example((GenParams(n_ues=9, n_relays=3, n_picos=0, seed=4), 2))  # relays only
+@example((GenParams(n_ues=9, n_relays=0, n_picos=3, seed=5), 2))  # picocells only
+@example((GenParams(n_ues=5, n_relays=1, n_picos=0, seed=6), 3))  # one small cell
+@example((GenParams(n_ues=24, n_relays=8, n_picos=0, min_poa_separation=400.0, seed=3), 0))
+def test_generated_layout_follows_the_recipe(inputs):
+    p, n_fixed = inputs
+    s = generate_mixed(p, n_fixed) if n_fixed else generate(p)
+    assert validate_scenario(s) == []
+    assert len(s.ues) == p.n_ues + n_fixed and sum(u.dual for u in s.ues) == p.n_ues
+    pts = [q.position for q in s.poas]
+    assert all(math.dist(a, b) >= p.min_poa_separation
+               for i, a in enumerate(pts) for b in pts[i + 1:])
+    small = [q for q in s.poas if q.kind is not PoAKind.MACROCELL]
+    cell_chans: dict[int, list[int]] = {}
+    for u in s.ues:
+        assert u.poa_1 == min(small, key=lambda q: math.dist(u.position, q.position)).id
+        cell_chans.setdefault(u.poa_1, []).append(u.chan_1)
+    for chans in cell_chans.values():
+        assert chans == list(range(1, len(chans) + 1))
+    macro_chans = [u.chan_2 for u in s.ues if u.dual]
+    assert all(u.poa_2 == s.macro().id for u in s.ues if u.dual)
+    assert len(set(macro_chans)) == len(macro_chans)
+    assert not set(macro_chans) & {u.chan_1 for u in s.ues}
 
 
 class TestGeneratorBytes:
-    """The saved bytes of two generated files are pinned, so a change that
-    moves the last bit of any position, bandwidth or gain fails here."""
+    """The saved bytes of three generated files are pinned, so a change that
+    moves the last bit of any position, bandwidth or gain, or the order of
+    the draws, fails here. sep24 needs a second PoA layout draw."""
 
     @pytest.mark.parametrize("make,digest", [
         (lambda: generate(GenParams(n_ues=21, seed=7)),
          "1113a16731c51304acf1a86b32194ccf64e8f437f780045dda63e9d4cfeb3ab2"),
         (lambda: generate_mixed(GenParams(n_ues=6, seed=7), 3),
          "cc7fa38d66fb76eeec24d7324270847f2307a49c482f3d3b724afe931ab498a0"),
-    ], ids=["gen21", "mixed6+3"])
+        (lambda: generate(GenParams(n_ues=24, n_relays=8, n_picos=0, eta_relay=50e6,
+                                    eta_pico=50e6, min_poa_separation=400.0, seed=3)),
+         "d83f396371f02ce3d2856ae0006d41ccb2dfdf1c80e368bbf6c33d82e734aae0"),
+    ], ids=["gen21", "mixed6+3", "sep24"])
     def test_saved_bytes_are_pinned(self, tmp_path, make, digest):
         path = tmp_path / "scenario.json"
         save_scenario(make(), path)

@@ -13,10 +13,11 @@ checkout, including an older one. The manifest covers:
   presets at ``--trials 10 --seed 7``;
 - the scenario files themselves, as ``save_scenario`` writes them, and the
   ``trace.csv``, ``metrics.json`` and ``equilibrium.json`` of ``duplink run``
-  with every policy in ``POLICY_NAMES`` on each: both worked-example cases, a 21-UE ``generate`` file,
-  a 6+3 mixed file, and two 160+40 mixed files (8 relays, 12 picocells), one
-  whose combined iteration is contractive (seed 1) and one whose is not
-  (seed 3);
+  with every policy in ``POLICY_NAMES`` on each: both worked-example cases,
+  a 21-UE ``generate`` file, a 24-UE ``generate`` file whose PoA separation
+  takes a second layout draw, a 6+3 mixed file, a 0+5 file of fixed-SINR
+  UEs only, and two 160+40 mixed files (8 relays, 12 picocells), one whose
+  combined iteration is contractive (seed 1) and one whose is not (seed 3);
 - the rows of ``monte_carlo`` on every fig4 and fig5 point with an explicit
   list of 8 per-trial seeds (``SeedSequence([7, point])``), the call the
   benchmark makes, with floats written as ``float.hex()``;
@@ -64,6 +65,9 @@ def scenario_files(dl, work: Path) -> dict[str, Path]:
         "worked_limited": dl.worked_example(dl.LIMITED_BACKHAUL),
         "gen21": dl.generate(dl.GenParams(n_ues=21, seed=7)),
         "mixed6+3": dl.generate_mixed(dl.GenParams(n_ues=6, seed=7), 3),
+        "sep24": dl.generate(dl.GenParams(n_ues=24, n_relays=8, n_picos=0, eta_relay=50e6,
+                                          eta_pico=50e6, min_poa_separation=400.0, seed=3)),
+        "fixed0+5": dl.generate_mixed(dl.GenParams(n_ues=0, n_relays=2, n_picos=2, seed=3), 5),
         "mixed160+40_contractive": dl.generate_mixed(dl.GenParams(seed=1, **large), 40),
         "mixed160+40_noncontractive": dl.generate_mixed(dl.GenParams(seed=3, **large), 40),
     }
