@@ -23,7 +23,6 @@ where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -57,16 +56,17 @@ _STATE_TABLE = np.array([
 ])
 
 
-def _category(v, tau):
-    """0, 1 or 2 per the table above, for a scalar or an array of V."""
-    return 2 - (v >= -tau) - (v >= 0)
+def _category(v, neg_tau):
+    """0, 1 or 2 per the table above, for a scalar or an array of V, given
+    -tau."""
+    return 2 - (v >= neg_tau) - (v >= 0)
 
 
 def classify_state(v1: float, v2: float, tau: float) -> BackhaulState:
     """Unique backhaul state for a pair of rate differentials."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    return BackhaulState(int(_STATE_TABLE[_category(v1, tau), _category(v2, tau)]))
+    return BackhaulState(int(_STATE_TABLE[_category(v1, -tau), _category(v2, -tau)]))
 
 
 @dataclass
@@ -114,18 +114,10 @@ def rate_differentials(
     reacts to. On a stack of networks (``stack_matrices``) every row is
     reported as if alone.
     """
-    tau = np.asarray(m.tau)
-    if (tau <= 0).any():
-        raise ValueError("tau must be > 0")
-    batch = m.poa.shape[:-2]
-    bins = m.n_poas + 1
-    # One bincount for the whole stack: row b's PoAs are bins b * bins + poa.
-    size = bins * math.prod(batch)
-    index = m.poa + np.arange(0, size, bins).reshape(*batch, 1, 1)
-    rates = np.empty(index.shape)
+    bins = m._link_bins
+    rates = np.empty(bins.index.shape)
     rates[..., 0], rates[..., 1] = rate1, rate2
-    load = np.bincount(index.ravel(), weights=rates.ravel(),
-                       minlength=size).reshape(*batch, bins)
+    load = np.bincount(bins.flat, weights=rates.ravel(), minlength=bins.size).reshape(bins.shape)
     carried = np.minimum(m.capacity, load[..., :-1])
     gamma = _sum_left_to_right(carried[..., m.relays])
     eta_n = np.minimum(m.capacity[m.macro], load[..., m.macro] + gamma)
@@ -135,10 +127,10 @@ def rate_differentials(
     v[..., m.macro] -= gamma
     headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
     v[..., m.relays] = np.minimum(m.capacity[m.relays], headroom) - load[..., m.relays]
-    v_links = v.ravel()[index]  # V of each link's PoA, (..., n, 2)
-    category = _category(v_links, tau[..., None, None])
+    v_links = v.ravel()[bins.index]  # V of each link's PoA, (..., n, 2)
+    category = _category(v_links, bins.neg_tau)
     state = np.where(m.dual, _STATE_TABLE[category[..., 0], category[..., 1]], 0)
-    if not batch:
+    if len(bins.shape) == 1:
         eta_n, gamma = float(eta_n), float(gamma)
     return BackhaulReport(eta_n=eta_n, load=load[..., :-1], v=v[..., :-1],
                           gamma_relay_sum=gamma, v1=v_links[..., 0], v2=v_links[..., 1],

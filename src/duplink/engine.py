@@ -11,6 +11,17 @@ settling.
 One loop serves every run: it advances a stack of networks in lockstep,
 each row as if alone, and a one-network run is its one-row case. A Monte
 Carlo sweep runs all trials and policies of a sweep point as one stack.
+
+``step`` takes a policy name, one name per network of a stack, or a
+callable. For names it first resolves a plan: which rule each UE runs, the
+terms of the rules that do not change between iterations, and the checks
+of the arguments that stay fixed (bandwidths and budgets of the dual UEs,
+bdt's z, the SINR targets of the single-link UEs). ``run`` resolves the
+plan once per batch and again only when networks leave it, and so makes
+those checks before the first iteration. The checks that depend on the
+iterate run at every step: effective interference > 0 for the rules, the
+power budget of each decision, and an active link's interference in
+``compute_state``.
 """
 
 from __future__ import annotations
@@ -26,7 +37,8 @@ import numpy as np
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
 from .metrics import (CrossGainMatrices, PowerState, build_matrices, compute_state,
                       stack_matrices)
-from .policies import POLICY_NAMES, bdt_update, fm_update, greedy_update, waterfill
+from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
+                       _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
 from .scenarios import GenParams, generate
 
 CONVERGED = "converged"
@@ -86,17 +98,84 @@ def initial_state(m: CrossGainMatrices,
     return compute_state(m, half, np.where(m.dual, half, 0.0))
 
 
-def _dual_update(policy: str, m: CrossGainMatrices, now: PowerState,
-                 report: BackhaulReport, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The named policy on the dual-connectivity UEs selected by the mask ``d``."""
-    budget = (m.p_max[d], now.e1[d], now.e2[d], m.w1[d], m.w2[d])
-    if policy == "bdt":
-        z = np.broadcast_to(np.asarray(m.z)[..., None], d.shape)[d]
-        return bdt_update(report.state[d], now.p1[d], now.p2[d], *budget, z)
-    if policy == "greedy":
-        return greedy_update(*budget, np.maximum(report.v1[d], 0.0),
-                             np.maximum(report.v2[d], 0.0))
-    return waterfill(*budget)  # "wf" and "mixed-fm"
+@dataclass
+class _Plan:
+    """A policy resolved for one batch of networks: the rule each UE runs
+    and the terms of the rules that stay fixed while the batch iterates.
+    A mask is None where no UE runs that rule."""
+
+    custom: Optional[PolicyFn]  # a callable deciding every UE, else None
+    cap: np.ndarray             # the feasibility ceiling p_max * (1 + slack)
+    bdt: Optional[np.ndarray] = None
+    greedy: Optional[np.ndarray] = None
+    single: Optional[np.ndarray] = None
+    w1p: Optional[np.ndarray] = None   # w1 * p_max
+    wsum: Optional[np.ndarray] = None  # w1 + w2
+    # bdt's coefficients of every state in every row of the batch as first
+    # made, (2, 3, B * 9), and per UE the offset of its row's table there,
+    # row * 9 - 1; ``take`` keeps the table whole.
+    bdt_table: Optional[np.ndarray] = None
+    bdt_row: Optional[np.ndarray] = None
+
+    def take(self, rows) -> _Plan:
+        """The plan of the networks at ``rows`` (a mask) of the batch."""
+        out = {f.name: getattr(self, f.name)[rows] for f in fields(self)
+               if f.name not in ("custom", "bdt_table") and getattr(self, f.name) is not None}
+        for rule in ("bdt", "greedy", "single"):
+            if rule in out and not out[rule].any():
+                out[rule] = None
+        return replace(self, **out)
+
+
+def _plan(m: CrossGainMatrices, policy) -> _Plan:
+    """Resolve ``policy`` (see ``step``) on ``m``. The arguments of each
+    rule that do not change between iterations are checked here, with the
+    policy functions' messages: bandwidths and budgets of the dual UEs, bdt's
+    z and the single-link UEs' SINR targets."""
+    cap = m.p_max * (1 + _FEAS_SLACK)
+    if callable(policy):
+        return _Plan(policy, cap)
+    _policy_names(policy)
+    dual, per_row = m.dual, np.asarray(policy)[..., None]
+    bdt, greedy, single = (mask if mask.any() else None for mask in
+                           (dual & (per_row == "bdt"), dual & (per_row == "greedy"), ~dual))
+    _check_budget(m.p_max[dual], m.w1[dual], m.w2[dual])
+    bdt_table = bdt_row = None
+    if bdt is not None:
+        z = np.asarray(m.z, dtype=float)[..., None]  # one per network
+        _check_z(np.broadcast_to(z, dual.shape)[bdt])
+        table = _bdt_coefficients(np.arange(1, 10), z)  # (..., 9, 2, 3)
+        bdt_table = np.moveaxis(table, (-2, -1), (0, 1)).reshape(2, 3, -1)
+        rows = np.arange(z.size).reshape(z.shape)
+        bdt_row = np.broadcast_to(9 * rows - 1, dual.shape)
+    if single is not None:
+        _check_beta(m.beta[single])
+    return _Plan(None, cap, bdt, greedy, single, w1p=m.w1 * m.p_max, wsum=m.w1 + m.w2,
+                 bdt_table=bdt_table, bdt_row=bdt_row)
+
+
+def _decide(plan: _Plan, m: CrossGainMatrices, now: PowerState,
+            report: BackhaulReport) -> tuple[np.ndarray, np.ndarray]:
+    """The named rules on every UE at once, each UE taking its own rule's
+    result: waterfilling ("wf", "mixed-fm" and bdt's S1), bdt's table,
+    greedy, and fixed-SINR on the single-link UEs."""
+    _check_interference(now.e1, np.where(m.dual, now.e2, 1.0))
+    p1, p2 = wf1, wf2 = _waterfill(m.p_max, now.e1, now.e2, m.w1, m.w2, plan.w1p, plan.wsum)
+    if plan.bdt is not None:
+        # Single-link UEs (state 0) pick a neighbouring entry; it is dropped.
+        c = plan.bdt_table.take(plan.bdt_row + report.state, axis=2)
+        t1, t2 = _bdt(c, now.p1, now.p2, m.p_max)
+        tabled = plan.bdt & (report.state != 1)
+        p1, p2 = np.where(tabled, t1, p1), np.where(tabled, t2, p2)
+    if plan.greedy is not None:
+        c1 = _rate_cap(now.e1, m.w1, report.v1, plan.greedy)
+        c2 = _rate_cap(now.e2, m.w2, report.v2, plan.greedy)
+        g1, g2 = _greedy(m.p_max, c1, c2, wf1, wf2)
+        p1, p2 = np.where(plan.greedy, g1, p1), np.where(plan.greedy, g2, p2)
+    if plan.single is not None:
+        p1 = np.where(plan.single, _fm(now.e1, m.beta, m.p_max), p1)
+        p2 = np.where(plan.single, 0.0, p2)
+    return p1, p2
 
 
 def step(
@@ -108,23 +187,15 @@ def step(
     A policy name applies to the dual-connectivity UEs; single-link UEs
     always run the fixed-SINR update. A callable decides every UE. On a
     stack of networks (``stack_matrices``) ``policy`` may also hold one name
-    per network.
+    per network. ``run`` resolves the policy once per batch and passes
+    that on in its place.
     """
-    names = _policy_names(policy)
-    if callable(policy):
-        p1, p2 = (np.asarray(p, dtype=float) for p in policy(m, now, report))
+    plan = policy if isinstance(policy, _Plan) else _plan(m, policy)
+    if plan.custom is not None:
+        p1, p2 = (np.asarray(p, dtype=float) for p in plan.custom(m, now, report))
     else:
-        p1, p2 = np.zeros(m.d1.shape), np.zeros(m.d1.shape)
-        per_row = np.asarray(policy)[..., None]
-        for name in names:
-            d = m.dual & (per_row == name)
-            if d.any():
-                p1[d], p2[d] = _dual_update(name, m, now, report, d)
-        single = ~m.dual
-        if single.any():
-            p1[single] = fm_update(now.e1[single], m.beta[single], m.p_max[single])
-    bad = ((p1 < -_FEAS_SLACK) | (p2 < -_FEAS_SLACK)
-           | (p1 + p2 > m.p_max * (1 + _FEAS_SLACK)))
+        p1, p2 = _decide(plan, m, now, report)
+    bad = (p1 < -_FEAS_SLACK) | (p2 < -_FEAS_SLACK) | (p1 + p2 > plan.cap)
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
         raise RuntimeError(
@@ -188,40 +259,48 @@ def run(
     return trace
 
 
+# Iterates the detector's buffer holds before it first grows. It doubles
+# when full, so its memory follows the iterations actually run.
+_HISTORY_START = 64
+
+
 def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
               p0, history: Optional[list]) -> list[Trace]:
     """The iteration loop of ``run`` over the rows of a stack; appends every
     iterate's (state, report) to ``history`` when one is given."""
     b, n = m.d1.shape
+    plan = _plan(m, policy)
     now = initial_state(m, p0)
     report = rate_differentials(m, now.rate1, now.rate2)
     if history is not None:
         history.append((now, report))
     traces: list = [None] * b
     rows = np.arange(b)           # the stack row of each network still running
-    # powers[k, r] holds iterate k of stack row r: p1, then p2.
-    powers = np.empty((max_iter + 1, b, 2 * n))
-    powers[0] = last = np.concatenate((now.p1, now.p2), axis=1)
+    # powers[k, j] holds iterate k of the j-th running network: p1, then p2.
+    powers = np.empty((min(max_iter, _HISTORY_START) + 1, b, 2 * n))
+    powers[0, :, :n], powers[0, :, n:] = now.p1, now.p2
     stable = np.zeros(b, dtype=int)
     iterations = 0
     for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
-        now = step(m, now, policy, report)
+        now = step(m, now, plan, report)
         report = rate_differentials(m, now.rate1, now.rate2)
         if history is not None:
             history.append((now, report))
         iterations = k + 1
-        newest = np.concatenate((now.p1, now.p2), axis=1)
-        powers[k + 1, rows] = newest
-        delta = np.abs(newest - last).max(axis=1)
-        last = newest
+        if k + 1 == len(powers):
+            grown = np.empty((min(2 * k, max_iter) + 1, *powers.shape[1:]))
+            grown[:k + 1] = powers
+            powers = grown
+        newest = powers[k + 1]
+        newest[:, :n], newest[:, n:] = now.p1, now.p2
+        delta = np.abs(newest - powers[k]).max(axis=1)
+        # hit[i, j]: iterate i (earlier and not adjacent) of network j lies
+        # within eps of the newest one in every power.
+        gaps = powers[:k] - newest
+        hit = (np.abs(gaps, out=gaps) < eps).all(axis=2)
 
         stable = np.where(delta < eps, stable + 1, 0)
         converged = stable >= window
-        # hit[i, r]: iterate i (earlier and not adjacent) of row r lies within
-        # eps of the newest one.
-        gaps = powers[:k, rows]
-        gaps -= newest
-        hit = np.abs(gaps, out=gaps).max(axis=2) < eps
         oscillating = (delta >= eps) & hit.any(axis=0)
         done = converged | oscillating
         if done.any():
@@ -232,12 +311,11 @@ def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: i
                            else Verdict(OSCILLATING, period=int(period[j])))
                 traces[rows[j]] = _final(m, now, report, j, verdict, iterations)
             keep = ~done
-            rows, stable, last = rows[keep], stable[keep], last[keep]
+            rows, stable = rows[keep], stable[keep]
             if not rows.size:
                 break
             m, now, report = m.take(keep), _take(now, keep), _take(report, keep)
-            if isinstance(policy, np.ndarray):
-                policy = policy[keep]
+            powers, plan = powers[:, keep], plan.take(keep)
 
     verdict = Verdict(MAX_ITERATIONS) if n else Verdict(CONVERGED, iteration=0)
     for j, row in enumerate(rows.tolist()):
@@ -245,17 +323,20 @@ def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: i
     return traces
 
 
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (PowerState, BackhaulReport)}
+
+
 def _take(obj, rows):
     """The given rows of a stacked PowerState or BackhaulReport."""
-    return type(obj)(**{f.name: getattr(obj, f.name)[rows] for f in fields(obj)})
+    return type(obj)(**{name: getattr(obj, name)[rows] for name in _FIELDS[type(obj)]})
 
 
 def _row(obj, j: int):
     """Row ``j`` of a stacked PowerState or BackhaulReport, as one network's."""
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)[j]
-        out[f.name] = float(value) if value.ndim == 0 else value
+    for name in _FIELDS[type(obj)]:
+        value = getattr(obj, name)[j]
+        out[name] = float(value) if value.ndim == 0 else value
     return type(obj)(**out)
 
 

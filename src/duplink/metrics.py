@@ -22,12 +22,26 @@ whose per-network arrays gain a leading batch axis, one row per network;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .network import Scenario
+
+
+class _LinkBins(NamedTuple):
+    """One bincount adds up the link loads of a whole stack: row b's PoA p
+    is bin b * (n_poas + 1) + p, and an absent second link lands in the
+    row's last bin."""
+
+    index: np.ndarray      # the bin of every access link, (..., n, 2)
+    flat: np.ndarray       # index.ravel()
+    size: int              # the number of bins
+    shape: tuple           # the per-row shape of the bin counts
+    neg_tau: np.ndarray    # -tau, shaped to compare with per-link values
 
 
 @dataclass
@@ -89,6 +103,20 @@ class CrossGainMatrices:
     def n_poas(self) -> int:
         return self.capacity.shape[0]
 
+    @cached_property
+    def _link_bins(self) -> _LinkBins:
+        """The layout as ``backhaul.rate_differentials`` reads it, derived
+        once per object (``take`` and ``replace`` return new ones).
+        ValueError unless tau > 0."""
+        tau = np.asarray(self.tau)
+        if (tau <= 0).any():
+            raise ValueError("tau must be > 0")
+        batch = self.poa.shape[:-2]
+        bins = self.n_poas + 1
+        size = bins * math.prod(batch)
+        index = self.poa + np.arange(0, size, bins).reshape(*batch, 1, 1)
+        return _LinkBins(index, index.ravel(), size, (*batch, bins), -tau[..., None, None])
+
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
@@ -143,12 +171,16 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     """
     n = len(s.ues)
     n_poas = len(s.poas)
-    bandwidth = {c.id: c.bandwidth for c in s.channels}
-    # Access links: UE index, link, UE id, PoA id, channel id; in UE order.
-    row, x, ue, poa_id, chan = np.array(
-        [(i, x, u.id, p, c) for i, u in enumerate(s.ues)
-         for x, p, c in ((1, u.poa_1, u.chan_1), (2, u.poa_2, u.chan_2)) if c is not None],
-        dtype=np.int64).reshape(-1, 5).T
+    # Per UE: id, then PoA id and channel id of link 1 and of link 2 (0
+    # where there is no second link).
+    ids = np.array([(u.id, u.poa_1, u.chan_1, u.poa_2 or 0, u.chan_2 or 0) for u in s.ues],
+                   dtype=np.int64).reshape(n, 5)
+    ue_id, link_poa, link_chan = ids[:, 0], ids[:, 1::2], ids[:, 2::2]
+    # Access links in UE order, link 1 before link 2: UE index, link - 1,
+    # UE id, PoA id, channel id.
+    present = link_chan > 0
+    row, x = present.nonzero()
+    ue, poa_id, chan = ue_id[row], link_poa[present], link_chan[present]
     # Co-channel pairs: receiver link a, transmitter link b. A UE's two links
     # use distinct channels, so b is another UE's link unless b == a.
     same = chan[:, None] == chan
@@ -165,39 +197,44 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     wanted = [np.concatenate((v, v[t])) for v, t in ((ue, b), (poa_id, a), (chan, a))]
     q = code(*wanted)
     at = np.searchsorted(keys, q)
-    found = np.append(keys, -1)[at] == q
+    found = np.concatenate((keys, [-1]))[at] == q
     if not found.all():
         k = int(np.argmin(found))
         raise KeyError(f"missing {'own-link' if k < len(ue) else 'cross'} gain: UE "
                        f"{wanted[0][k]} -> PoA {wanted[1][k]} on channel {wanted[2][k]}")
-    g_own, g_cross = np.split(s.gains.values[at], [len(ue)])
+    gains = s.gains.values[at]
+    g_own, g_cross = gains[:len(ue)], gains[len(ue):]
 
     f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
-    f[x[b] - 1, x[a] - 1, row[a], row[b]] = g_cross / g_own[a]
-    d, w = np.zeros((2, n)), np.zeros((2, n))
-    w[x - 1, row] = w_link = np.array([bandwidth[c] for c in chan.tolist()])
-    d[x - 1, row] = s.noise_psd * w_link / g_own
-    poa = np.full((n, 2), n_poas)
-    poa[row, x - 1] = poa_id - 1
-
-    capacity = np.zeros(n_poas)
+    f[x[b], x[a], row[a], row[b]] = g_cross / g_own[a]
+    bandwidth = np.zeros(len(s.channels) + 1)  # by channel id
+    capacity = np.zeros(n_poas)                # by PoA index
+    for c in s.channels:
+        bandwidth[c.id] = c.bandwidth
     for p in s.poas:
         capacity[p.id - 1] = p.backhaul_capacity
-    in_use = {u.chan_1 for u in s.ues} | {u.chan_2 for u in s.ues if u.dual}
+    d, w = np.zeros((2, n)), np.zeros((2, n))
+    w[x, row] = w_link = bandwidth[chan]
+    d[x, row] = s.noise_psd * w_link / g_own
+    poa = np.full((n, 2), n_poas)
+    poa[row, x] = poa_id - 1
+    p_max, beta = np.array([(u.p_max, u.fixed_sinr_target or 0.0) for u in s.ues],
+                           dtype=float).reshape(n, 2).T.copy()
+    in_use = set(chan.tolist())
     return CrossGainMatrices(
         f11=f[0, 0], f12=f[0, 1], f21=f[1, 0], f22=f[1, 1],
         d1=d[0], d2=d[1], w1=w[0], w2=w[1],
         poa=poa,
-        dual=np.array([u.dual for u in s.ues], dtype=bool),
-        p_max=np.array([u.p_max for u in s.ues], dtype=float),
-        beta=np.array([u.fixed_sinr_target or 0.0 for u in s.ues], dtype=float),
+        dual=link_poa[:, 1] > 0,
+        p_max=p_max,
+        beta=beta,
         capacity=capacity,
         relays=np.array([p.id - 1 for p in s.relays()], dtype=int),
         picos=np.array([p.id - 1 for p in s.picos()], dtype=int),
         macro=s.macro().id - 1,
         tau=s.tau,
         z=s.z_factor,
-        ue_id=np.array([u.id for u in s.ues], dtype=int),
+        ue_id=ue_id.copy(),
         bandwidth_in_use=float(sum(c.bandwidth for c in s.channels if c.id in in_use)),
     )
 
@@ -223,15 +260,15 @@ def effective_interference(
 
 def _link(p: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SINR p/e (0 where e <= 0) and Shannon rate w * log2(1 + SINR) of one
-    link per UE; the rate is zero where p or w is zero."""
-    active = (p > 0) & (w > 0)
-    if np.any((e <= 0) & active):
+    link per UE, for powers >= 0; the rate is zero where p or w is zero."""
+    off = e <= 0
+    if not off.any():
+        sinr = p / e
+    elif (off & (p > 0) & (w > 0)).any():
         raise ValueError("nonpositive effective interference on an active link")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(e > 0, p / np.where(e > 0, e, 1.0), 0.0)
-    rate = np.zeros_like(p)
-    rate[active] = w[active] * np.log2(1.0 + sinr[active])
-    return sinr, rate
+    else:
+        sinr = np.divide(p, e, out=np.zeros(p.shape), where=~off)
+    return sinr, w * np.log2(1.0 + sinr)
 
 
 def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> PowerState:

@@ -7,6 +7,10 @@ value per UE (arrays of equal shape, or scalars for a single UE) and
 decides every UE independently. The simulation engine applies them
 synchronously, so every decision for iteration k+1 uses iteration-k
 measurements.
+
+Each policy is its argument checks plus one private kernel that holds its
+formula. The engine checks the arguments that stay fixed during a run once
+per batch and calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -24,6 +28,36 @@ def _scalar(*arrays):
     return tuple(a[()] for a in arrays)
 
 
+def _check_interference(*es):
+    if any((e <= 0).any() for e in es):
+        raise ValueError("effective interference must be > 0")
+
+
+def _check_budget(p_max, w1, w2):
+    """The arguments of waterfilling that are fixed for a UE."""
+    if (w1 <= 0).any() or (w2 <= 0).any():
+        raise ValueError("bandwidths must be > 0")
+    if (p_max <= 0).any():
+        raise ValueError("p_max must be > 0")
+
+
+def _check_z(z):
+    if not ((0.0 < z) & (z < 1.0)).all():
+        raise ValueError("z must be in (0, 1)")
+
+
+def _check_beta(beta):
+    if (beta <= 0).any():
+        raise ValueError("beta must be > 0")
+
+
+def _waterfill(p_max, e1, e2, w1, w2, w1p, wsum):
+    # w1p = w1 * p_max and wsum = w1 + w2 are fixed for a UE.
+    p1 = (w1p - w2 * e1 + w1 * e2) / wsum
+    p1 = np.minimum(p_max, np.maximum(0.0, p1))
+    return p1, p_max - p1
+
+
 def waterfill(p_max, e1, e2, w1, w2):
     """Rate-maximizing split of a power budget over two unequal-bandwidth links.
 
@@ -32,29 +66,36 @@ def waterfill(p_max, e1, e2, w1, w2):
     (p1 + e1)/w1 = (p2 + e2)/w2; outside it one link gets the whole budget.
     """
     p_max, e1, e2, w1, w2 = (np.asarray(a, dtype=float) for a in (p_max, e1, e2, w1, w2))
-    if (e1 <= 0).any() or (e2 <= 0).any():
-        raise ValueError("effective interference must be > 0")
-    if (w1 <= 0).any() or (w2 <= 0).any():
-        raise ValueError("bandwidths must be > 0")
-    if (p_max <= 0).any():
-        raise ValueError("p_max must be > 0")
-    p1 = (w1 * p_max - w2 * e1 + w1 * e2) / (w1 + w2)
-    p1 = np.minimum(p_max, np.maximum(0.0, p1))
-    return _scalar(p1, p_max - p1)
+    _check_interference(e1, e2)
+    _check_budget(p_max, w1, w2)
+    return _scalar(*_waterfill(p_max, e1, e2, w1, w2, w1 * p_max, w1 + w2))
 
 
-def _pow2(x: np.ndarray) -> np.ndarray:
-    # Python's float power: numpy's vectorized power can differ from it in
-    # the last bit, and policy outputs must not depend on the numpy build.
-    return np.array([2.0 ** v for v in x.ravel().tolist()]).reshape(x.shape)
+def _rate_cap(e, w, r, at):
+    # e*(2^(r/w) - 1) on the UEs of the mask ``at`` whose r is not <= 0,
+    # inf where the exponent passes _MAX_EXP, and 0 everywhere else. The
+    # power is Python's: numpy's vectorized power can differ from it in the
+    # last bit, and policy outputs must not depend on the numpy build.
+    cap = np.zeros(r.shape)
+    at = at & ~(r <= 0)
+    exponent = r[at] / w[at]
+    pow2 = np.array([2.0 ** x for x in np.minimum(exponent, _MAX_EXP).tolist()])
+    cap[at] = np.where(exponent > _MAX_EXP, np.inf, e[at] * (pow2 - 1.0))
+    return cap
 
 
 def rate_cap_power(e, w, r):
     """Minimal transmit power that achieves rate r on a link: e*(2^(r/w) - 1)."""
-    e, w, r = (np.asarray(a, dtype=float) for a in (e, w, r))
-    exponent = r / w
-    power = e * (_pow2(np.minimum(exponent, _MAX_EXP)) - 1.0)
-    return np.where(r <= 0, 0.0, np.where(exponent > _MAX_EXP, np.inf, power))[()]
+    e, w, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (e, w, r)))
+    return _rate_cap(e, w, r, np.ones(r.shape, dtype=bool))[()]
+
+
+def _greedy(p_max, c1, c2, wf1, wf2):
+    # c1/c2 are the links' cap powers, wf1/wf2 the waterfilling split.
+    both, over1, over2 = c1 + c2 <= p_max, wf1 > c1, wf2 > c2
+    p1 = np.where(both | over1, c1, np.where(over2, p_max - c2, wf1))
+    p2 = np.where(both, c2, np.where(over1, p_max - c1, np.where(over2, c2, wf2)))
+    return p1, p2
 
 
 def greedy_update(p_max, e1, e2, w1, w2, v1_plus, v2_plus):
@@ -70,10 +111,7 @@ def greedy_update(p_max, e1, e2, w1, w2, v1_plus, v2_plus):
     c1 = rate_cap_power(e1, w1, v1_plus)
     c2 = rate_cap_power(e2, w2, v2_plus)
     wf1, wf2 = waterfill(p_max, e1, e2, w1, w2)
-    both, over1, over2 = c1 + c2 <= p_max, wf1 > c1, wf2 > c2
-    p1 = np.where(both | over1, c1, np.where(over2, p_max - c2, wf1))
-    p2 = np.where(both, c2, np.where(over1, p_max - c1, np.where(over2, c2, wf2)))
-    return _scalar(p1, p2)
+    return _scalar(*_greedy(p_max, c1, c2, wf1, wf2))
 
 
 def _bdt_table(z: float) -> np.ndarray:
@@ -97,6 +135,17 @@ _BDT_CONST = _bdt_table(0.0)
 _BDT_Z = _bdt_table(1.0) - _BDT_CONST
 
 
+def _bdt_coefficients(state, z):
+    """The table rows of ``state`` under the factor ``z``, (..., 2, 3)."""
+    return _BDT_CONST[state - 1] + z[..., None, None] * _BDT_Z[state - 1]
+
+
+def _bdt(c, p1_now, p2_now, p_max):
+    # c[y - 1, 0..2]: the coefficients of link y's next power; S1's rows
+    # give (0, 0), and the callers put waterfilling in its place.
+    return tuple(c[y, 0] * p1_now + c[y, 1] * p2_now + c[y, 2] * p_max for y in (0, 1))
+
+
 def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):
     """One backhaul-state-driven power adaptation step.
 
@@ -107,15 +156,13 @@ def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):
     factor for every UE or one per UE.
     """
     z = np.asarray(z, dtype=float)
-    if not ((0.0 < z) & (z < 1.0)).all():
-        raise ValueError("z must be in (0, 1)")
+    _check_z(z)
     state = np.asarray(state)
     if ((state < 1) | (state > 9)).any():
         raise ValueError(f"unknown state in {state}")
     p1_now, p2_now, p_max = (np.asarray(a, dtype=float) for a in (p1_now, p2_now, p_max))
-    c = _BDT_CONST[state - 1] + z[..., None, None] * _BDT_Z[state - 1]
-    p1 = c[..., 0, 0] * p1_now + c[..., 0, 1] * p2_now + c[..., 0, 2] * p_max
-    p2 = c[..., 1, 0] * p1_now + c[..., 1, 1] * p2_now + c[..., 1, 2] * p_max
+    c = _bdt_coefficients(state, z)
+    p1, p2 = _bdt(np.moveaxis(c, (-2, -1), (0, 1)), p1_now, p2_now, p_max)
     s1 = state == 1
     if s1.any():
         wf1, wf2 = waterfill(p_max, e1, e2, w1, w2)
@@ -123,11 +170,13 @@ def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):
     return _scalar(p1, p2)
 
 
+def _fm(e, beta, p_max):
+    return np.minimum(beta * e, p_max)
+
+
 def fm_update(e, beta, p_max):
     """Fixed-target-SINR update P <- beta * E, clipped to the power budget."""
     e, beta = np.asarray(e, dtype=float), np.asarray(beta, dtype=float)
-    if (e <= 0).any():
-        raise ValueError("effective interference must be > 0")
-    if (beta <= 0).any():
-        raise ValueError("beta must be > 0")
-    return np.minimum(beta * e, p_max)[()]
+    _check_interference(e)
+    _check_beta(beta)
+    return _fm(e, beta, p_max)[()]

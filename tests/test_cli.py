@@ -225,6 +225,14 @@ class TestRunCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 7  # header + initial state + 6 iterations
 
+    def test_huge_iteration_budget_runs(self, scenario_file, tmp_path, capsys):
+        # wf converges in a few iterations, so a budget of 1e11 costs nothing.
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario_file), "--policy", "wf",
+                     "--iters", "100000000000", "--out", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["verdict"] == "converged"
+        assert "converged" in capsys.readouterr().out
+
     def test_numerical_failure_exit_code(self, scenario_file, tmp_path,
                                          monkeypatch, capsys):
         import numpy as np

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,14 @@ from duplink import (
     generate_mixed,
     initial_state,
     run,
+    save_scenario,
     spectral_radius,
     stack_matrices,
     step,
     worked_example,
 )
 from duplink.backhaul import rate_differentials
-from duplink.cli import PRESETS
+from duplink.cli import PRESETS, main
 from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo, trace_to_csv
 from duplink.scenarios import LIMITED_BACKHAUL
 
@@ -145,6 +147,28 @@ class TestRun:
         assert trace.verdict.kind == "oscillating" and trace.verdict.period == 2
         assert len(trace.states) == 6
 
+    def test_huge_max_iter_allocates_only_what_runs(self):
+        # wf converges in a few iterations; the detector's history grows
+        # with them instead of being sized for max_iter up front.
+        m = build_matrices(worked_example())
+        small, huge = run(m, "wf", max_iter=100), run(m, "wf", max_iter=10**11)
+        assert huge.verdict == small.verdict and huge.verdict.converged
+        assert huge.metrics == small.metrics
+
+    def test_history_growth_keeps_verdicts(self):
+        # A run of 357 iterations outgrows the detector's first buffer
+        # several times. It ends the same whether max_iter caps the growth
+        # or not, and alone or in a stack whose other row left early.
+        m = build_matrices(generate(GenParams(n_ues=8, seed=0, backhaul_scale=0.1,
+                                              z_factor=0.95)))
+        long = run(m, "bdt", max_iter=400)
+        assert long.verdict.converged and long.metrics["iterations_run"] == 357
+        for trace in (run(m, "bdt", max_iter=5000),
+                      run(stack_matrices([m, m]), ["wf", "bdt"], max_iter=400)[1]):
+            assert trace.verdict == long.verdict
+            assert trace.metrics == long.metrics
+            np.testing.assert_array_equal(trace.states[-1].p1, long.states[-1].p1)
+
     def test_max_iter_respected(self):
         trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy", max_iter=7)
         assert len(trace.states) <= 8
@@ -166,6 +190,46 @@ class TestRun:
     def test_unknown_policy_name(self):
         with pytest.raises(ValueError, match="unknown policy"):
             run(build_matrices(worked_example()), "anneal")
+
+
+def mixed_network():
+    """A network with both dual-connectivity and fixed-SINR UEs."""
+    m = build_matrices(generate_mixed(GenParams(n_ues=4, seed=5), 2))
+    assert m.dual.any() and not m.dual.all()
+    return m
+
+
+class TestConstantChecks:
+    """A policy argument that is wrong for the whole run raises ValueError
+    from ``run`` and from ``step``, with the policy function's message."""
+
+    @staticmethod
+    def raises_everywhere(m, policy, message):
+        with pytest.raises(ValueError, match=message):
+            run(m, policy, max_iter=5)
+        with pytest.raises(ValueError, match=message):
+            run(stack_matrices([m, m]), [policy, policy], max_iter=5)
+        state = initial_state(m)
+        with pytest.raises(ValueError, match=message):
+            step(m, state, policy, report_of(m, state))
+
+    def test_z_outside_unit_interval_under_bdt(self):
+        m = replace(build_matrices(worked_example()), z=1.5)
+        self.raises_everywhere(m, "bdt", r"z must be in \(0, 1\)")
+
+    @pytest.mark.parametrize("beta", [0.0, -2.0])
+    @pytest.mark.parametrize("policy", ["bdt", "wf", "greedy", "mixed-fm"])
+    def test_nonpositive_beta_on_a_single_link_ue(self, policy, beta):
+        m = mixed_network()
+        self.raises_everywhere(replace(m, beta=np.where(m.dual, 0.0, beta)), policy,
+                               "beta must be > 0")
+
+    @pytest.mark.parametrize("policy", ["wf", "mixed-fm"])
+    def test_zero_second_bandwidth_on_a_dual_ue(self, policy):
+        m = build_matrices(worked_example())
+        w2 = m.w2.copy()
+        w2[0] = 0.0
+        self.raises_everywhere(replace(m, w2=w2), policy, "bandwidths must be > 0")
 
 
 class TestMetrics:
@@ -351,3 +415,39 @@ class TestLockstep:
         policies = ("greedy", "bdt", "wf")
         rows = monte_carlo([point], policies, trials=3, seeds=seed, max_iter=30)
         assert rows == separate_runs(point, policies, 3, seed, max_iter=30)[0]
+
+
+class TestEngineBytes:
+    """The engine's output bits are pinned, so a change that moves the last
+    bit of ``step``, ``compute_state`` or ``rate_differentials`` fails here.
+    These are the ``seed_list/fig4/point0``, ``seed_list/fig4/point5`` and
+    ``run/gen21/*/trace.csv`` lines of ``tools/output_digests.py``."""
+
+    @pytest.mark.parametrize("point,digest", [
+        (0, "134920d8f25b033e39b2afb27a350beab24ff259c6730db8e95932c835effbb1"),
+        (5, "d6abdf966f97d003d6c3183d19bdbddcf6bfadd41e7eee4e58114ae4367389f4"),
+    ], ids=["scale0.1", "scale1.0"])
+    def test_fig4_monte_carlo_rows_are_pinned(self, point, digest):
+        points, kwargs = PRESETS["fig4"]()
+        kwargs = dict(kwargs)
+        policies = kwargs.pop("policies")
+        seeds = [int(x) for x in np.random.SeedSequence([7, point]).generate_state(8)]
+        rows = monte_carlo([points[point]], policies, trials=8, seeds=seeds, **kwargs)
+        text = "\n".join(
+            f"{r['sweep_value']},{r['policy']},{r['trial']},"
+            f"{float(r['eta_n_normalized']).hex()},{float(r['avg_total_power']).hex()},"
+            f"{bool(r['converged'])}" for r in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("policy,digest", [
+        ("bdt", "e974557e5a8d90b743ad5378566e88dd0a0a3bb06b60c5b0e39a17136a5be5fe"),
+        ("wf", "0ae799d5bf5c961ab971e17a053957bb01d53a4e45dfc7d0ddd7fdbe3c7a562c"),
+        ("greedy", "db2d4aad3e9b26eaae7f81d69b4e5a2ac4746a1dcd35d6411422f343e92c923e"),
+    ], ids=["bdt", "wf", "greedy"])
+    def test_gen21_trace_csv_is_pinned(self, tmp_path, policy, digest):
+        path = tmp_path / "gen21.json"
+        save_scenario(generate(GenParams(n_ues=21, seed=7)), path)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--policy", policy,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest

@@ -21,6 +21,9 @@ checkout, including an older one. The manifest covers:
 - the rows of ``monte_carlo`` on every fig4 and fig5 point with an explicit
   list of 8 per-trial seeds (``SeedSequence([7, point])``), the call the
   benchmark makes, with floats written as ``float.hex()``;
+- ``run`` on one stack of four 6+3 mixed networks (``generate_mixed`` seeds
+  0-3), each row under its own policy from ``POLICY_NAMES``: every row's
+  verdict, metrics and last powers, with floats written as ``float.hex()``;
 - the stdout of every demo.
 
 Two manifests that ``diff`` clean mean byte-identical outputs. A run takes
@@ -92,6 +95,24 @@ def seed_list_rows(cli, engine, preset: str):
                                       **kwargs)
 
 
+def stacked_mixed_rows(dl) -> list[str]:
+    """One line per row of ``run`` on a stack of four mixed networks, each
+    row under its own policy."""
+    ms = [dl.build_matrices(dl.generate_mixed(dl.GenParams(n_ues=6, seed=seed), 3))
+          for seed in range(len(dl.POLICY_NAMES))]
+    traces = dl.run(dl.stack_matrices(ms), list(dl.POLICY_NAMES))
+    lines = []
+    for policy, trace in zip(dl.POLICY_NAMES, traces):
+        v, final = trace.verdict, trace.states[-1]
+        numbers = [float(x).hex() for x in (trace.metrics["eta_n_final"],
+                                            trace.metrics["eta_n_normalized"],
+                                            trace.metrics["avg_total_power"],
+                                            *final.p1.tolist(), *final.p2.tolist())]
+        lines.append(",".join([policy, v.kind, str(v.iteration), str(v.period),
+                               str(trace.metrics["iterations_run"]), *numbers]))
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="the src/ directory of a duplink checkout")
@@ -130,6 +151,9 @@ def main() -> int:
                 f"{float(r['eta_n_normalized']).hex()},{float(r['avg_total_power']).hex()},"
                 f"{bool(r['converged'])}" for r in rows)
             print(f"seed_list/{preset}/point{idx} rows={len(rows)} {_sha(text.encode())}")
+
+    rows = stacked_mixed_rows(dl)
+    print(f"stacked/mixed6+3x4 rows={len(rows)} {_sha(chr(10).join(rows).encode())}")
 
     env = dict(os.environ, PYTHONPATH=str(src))
     for demo in sorted((src.parent / "demos").glob("*.py")):
