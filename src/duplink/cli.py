@@ -8,10 +8,10 @@ Two subcommands:
   experiment  seeded Monte Carlo presets sweeping tau/Z, UE count, backhaul
               scale, or small-cell count; writes trials.csv + summary.csv.
 
-Exit codes: 0 success, 2 usage error, 3 scenario validation error (including
-a missing gain and a non-finite number), 4 runtime numerical failure. The
-default output directory can be set with the DUPLINK_OUT environment
-variable.
+Exit codes: 0 success, 2 usage error (including an output that cannot be
+written), 3 scenario validation error (including a missing gain and a
+non-finite number), 4 runtime numerical failure. The default output
+directory can be set with the DUPLINK_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +74,22 @@ def _positive(text: str) -> float:
     return value
 
 
-def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_rows(columns: list[str], rows: list[dict], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _write_outputs(out: Path, writers: dict) -> int:
+    """Call each writer on its file in ``out``; exit 2 at the first that fails."""
+    for name, write in writers.items():
+        try:
+            write(out / name)
+        except OSError as exc:
+            print(f"error: cannot write output: {out / name}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+    return EXIT_OK
 
 
 def _equilibrium_payload(m, trace, policy: str) -> dict | None:
@@ -150,18 +161,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = run(mat, args.policy, max_iter=args.iters, eps=args.eps,
                     window=args.window)
         equilibrium = _equilibrium_payload(mat, trace, args.policy)
-        if equilibrium is not None:
-            (out / "equilibrium.json").write_text(json.dumps(equilibrium, indent=2))
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    trace_to_csv(trace, mat, out / "trace.csv")
-    payload = dict(trace.metrics)
-    payload["verdict"] = trace.verdict.kind
-    payload["converged_at"] = trace.verdict.iteration
-    payload["oscillation_period"] = trace.verdict.period
-    (out / "metrics.json").write_text(json.dumps(payload, indent=2))
+    v = trace.verdict
+    payload = {**trace.metrics, "verdict": v.kind, "converged_at": v.iteration,
+               "oscillation_period": v.period}
+    if code := _write_outputs(out, {
+        "trace.csv": lambda path: trace_to_csv(trace, mat, path),
+        "metrics.json": lambda path: path.write_text(json.dumps(payload, indent=2)),
+        "equilibrium.json": (lambda path: path.unlink(missing_ok=True)) if equilibrium is None
+        else lambda path: path.write_text(json.dumps(equilibrium, indent=2))}):
+        return code
     print(f"{trace.verdict.kind} after {trace.metrics['iterations_run']} iterations; "
           f"eta_n = {trace.metrics['eta_n_final']:.4g} bit/s")
     return EXIT_OK
@@ -252,8 +264,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     for row in summary:
         row["preset"] = args.preset
 
-    _write_rows(out / "trials.csv", TRIAL_COLUMNS, rows)
-    _write_rows(out / "summary.csv", SUMMARY_COLUMNS, summary)
+    if code := _write_outputs(out, {
+        "trials.csv": partial(_write_rows, TRIAL_COLUMNS, rows),
+        "summary.csv": partial(_write_rows, SUMMARY_COLUMNS, summary)}):
+        return code
     print(f"wrote {len(rows)} trial rows and {len(summary)} summary rows to {out}")
     return EXIT_OK
 

@@ -26,7 +26,6 @@ power budget of each decision, and an active link's interference in
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -37,6 +36,7 @@ import numpy as np
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
 from .metrics import (CrossGainMatrices, PowerState, build_matrices, compute_state,
                       stack_matrices)
+from .network import _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
 from .scenarios import GenParams, generate
@@ -357,23 +357,20 @@ def _final(m: CrossGainMatrices, now: PowerState, report: BackhaulReport, j: int
 
 
 def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
-    """One row per iteration: k, per-UE powers/rates/state, network rate."""
-    header = ["k"]
-    for ue in m.ue_id.tolist():
-        header += [f"p1_{ue}", f"p2_{ue}", f"rate1_{ue}", f"rate2_{ue}", f"state_{ue}"]
-    header.append("eta_n")
-    names = [""] + [state.name for state in BackhaulState]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, (st, rep) in enumerate(zip(trace.states, trace.reports)):
-            row: list = [k]
-            for p1, p2, r1, r2, code in zip(st.p1.tolist(), st.p2.tolist(),
-                                            st.rate1.tolist(), st.rate2.tolist(),
-                                            rep.state.tolist()):
-                row += [repr(p1), repr(p2), repr(r1), repr(r2), names[code]]
-            row.append(repr(rep.eta_n))
-            writer.writerow(row)
+    """One row per iteration: k, per-UE powers/rates/state, network rate, as
+    ``csv.writer`` writes each number's ``repr``; each distinct number is printed once."""
+    n, k = m.ue_id.size, len(trace.states)
+    header = ["k", *(f"{col}_{ue}" for ue in m.ue_id.tolist()
+                     for col in ("p1", "p2", "rate1", "rate2", "state")), "eta_n"]
+    names = np.array([""] + [state.name for state in BackhaulState], dtype=object)
+    numbers = np.array([(s.p1, s.p2, s.rate1, s.rate2) for s in trace.states]).swapaxes(1, 2)
+    bits, at = np.unique(numbers.view(np.int64), return_inverse=True)  # -0.0 != 0.0
+    cells = np.array(_reprs(bits.view(float)), dtype=object)[at].reshape(k, n, 4)
+    states = names[np.array([rep.state for rep in trace.reports], dtype=int).reshape(k, n, 1)]
+    rows = np.concatenate([cells, states], axis=2).reshape(k, 5 * n).tolist()
+    lines = [",".join(header), *(",".join([str(j), *row, repr(rep.eta_n)])
+                                 for j, (row, rep) in enumerate(zip(rows, trace.reports)))]
+    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 # --- Monte Carlo sweeps ---------------------------------------------------------

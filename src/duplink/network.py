@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -352,8 +352,26 @@ def scenario_from_dict(d: dict) -> Scenario:
     })
 
 
+def _reprs(a: np.ndarray) -> list[str]:
+    """What ``json`` and ``csv`` write for each element, from one C-level ``repr``."""
+    return repr(a.ravel().tolist())[1:-1].split(", ") if a.size else []
+
+
 def save_scenario(s: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2))
+    """Write the bytes of ``json.dumps(scenario_to_dict(s), indent=2)``, gains by ``_reprs``."""
+    keys, values = s.gains
+    ids, at = np.unique(keys, return_inverse=True)
+    cells = np.empty((len(values), 5), dtype=object)  # u, p, c, value, row break
+    cells[:, :3] = (np.array(_reprs(ids), dtype=object) + ",\n      ")[at.reshape(-1, 3)]
+    cells[:, 3] = _reprs(values)
+    for i in np.flatnonzero(~np.isfinite(values)):  # json's spellings
+        cells[i, 3] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[cells[i, 3]]
+    cells[:, 4] = "\n    ],\n    [\n      "
+    text = json.dumps(scenario_to_dict(replace(s, gains=Gains(keys[:0], values[:0]))), indent=2)
+    head, _, tail = text.partition('\n  "gains": []')  # once: nested keys sit deeper
+    cells[:1, 0] = head + '\n  "gains": [\n    [\n      ' + cells[:1, 0]
+    cells[-1:, 4] = "\n    ]\n  ]" + tail
+    Path(path).write_text("".join(cells.ravel().tolist()) or text)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from duplink import save_scenario, worked_example
+from duplink import (GenParams, build_matrices, build_system, generate_mixed, save_scenario,
+                     spectral_radius, worked_example)
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
 from duplink.network import scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
@@ -248,6 +249,31 @@ class TestRunCommand:
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_stale_equilibrium_is_removed(self, scenario_file, tmp_path):
+        # A non-contractive run into a directory that holds an earlier run's
+        # prediction must not leave that prediction next to its own trace.
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario_file), "--policy", "bdt",
+                     "--out", str(out)]) == 0
+        assert (out / "equilibrium.json").is_file()
+        s = generate_mixed(GenParams(n_ues=6, seed=132), 3)
+        assert spectral_radius(build_system(build_matrices(s))[0]) >= 1.0
+        path = tmp_path / "noncontractive.json"
+        save_scenario(s, path)
+        assert main(["run", "--scenario", str(path), "--policy", "bdt",
+                     "--out", str(out)]) == 0
+        assert not (out / "equilibrium.json").exists()
+        with open(out / "trace.csv") as fh:
+            assert next(csv.reader(fh))[-2] == "state_9"
+
+    @pytest.mark.parametrize("name", ["trace.csv", "metrics.json", "equilibrium.json"])
+    def test_unwritable_output_is_usage_error(self, scenario_file, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", "--scenario", str(scenario_file), "--policy", "bdt",
+                     "--out", str(out)]) == 2
+        assert f"error: cannot write output: {out / name}: " in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
@@ -288,6 +314,14 @@ class TestExperimentCommand:
                          "--seed", "3", "--out", str(out)]) == 0
         assert (out1 / "trials.csv").read_text() == (out2 / "trials.csv").read_text()
         assert (out1 / "summary.csv").read_text() == (out2 / "summary.csv").read_text()
+
+    @pytest.mark.parametrize("name", ["trials.csv", "summary.csv"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["experiment", "--preset", "fig3", "--trials", "1",
+                     "--out", str(out)]) == 2
+        assert f"error: cannot write output: {out / name}: " in capsys.readouterr().err
 
     def test_unknown_preset_is_usage_error(self, tmp_path):
         assert main(["experiment", "--preset", "fig9", "--trials", "1",

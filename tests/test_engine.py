@@ -421,7 +421,8 @@ class TestEngineBytes:
     """The engine's output bits are pinned, so a change that moves the last
     bit of ``step``, ``compute_state`` or ``rate_differentials`` fails here.
     These are the ``seed_list/fig4/point0``, ``seed_list/fig4/point5`` and
-    ``run/gen21/*/trace.csv`` lines of ``tools/output_digests.py``."""
+    ``run/gen21/*/trace.csv``, ``run/mixed6+3/bdt/trace.csv`` and
+    ``run/fixed0+5/bdt/trace.csv`` lines of ``tools/output_digests.py``."""
 
     @pytest.mark.parametrize("point,digest", [
         (0, "134920d8f25b033e39b2afb27a350beab24ff259c6730db8e95932c835effbb1"),
@@ -449,5 +450,20 @@ class TestEngineBytes:
         save_scenario(generate(GenParams(n_ues=21, seed=7)), path)
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(path), "--policy", policy,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: generate_mixed(GenParams(n_ues=6, seed=7), 3),
+         "a06298ec194816f799cef27a031e9055af447189c280ea37c800737dab1ca731"),
+        (lambda: generate_mixed(GenParams(n_ues=0, n_relays=2, n_picos=2, seed=3), 5),
+         "9f003d043b5c0fe73237a9650d0953fa25a9ccb13d1274636f9a0d946a9134cd"),
+    ], ids=["mixed6+3", "fixed0+5"])
+    def test_mixed_trace_csv_is_pinned(self, tmp_path, make, digest):
+        # single-link UEs write an empty state cell
+        path = tmp_path / "scenario.json"
+        save_scenario(make(), path)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--policy", "bdt",
                      "--out", str(out)]) == 0
         assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest

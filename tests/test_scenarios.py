@@ -145,9 +145,12 @@ def test_generated_layout_follows_the_recipe(inputs):
 
 
 class TestGeneratorBytes:
-    """The saved bytes of three generated files are pinned, so a change that
+    """The saved bytes of five generated files are pinned, so a change that
     moves the last bit of any position, bandwidth or gain, or the order of
-    the draws, fails here. sep24 needs a second PoA layout draw."""
+    the draws, or a byte of the writer, fails here. sep24 needs a second PoA
+    layout draw; empty0 has no gains; mixed160+40 is the
+    ``scenario/mixed160+40_contractive.json`` line of
+    ``tools/output_digests.py``."""
 
     @pytest.mark.parametrize("make,digest", [
         (lambda: generate(GenParams(n_ues=21, seed=7)),
@@ -157,7 +160,11 @@ class TestGeneratorBytes:
         (lambda: generate(GenParams(n_ues=24, n_relays=8, n_picos=0, eta_relay=50e6,
                                     eta_pico=50e6, min_poa_separation=400.0, seed=3)),
          "d83f396371f02ce3d2856ae0006d41ccb2dfdf1c80e368bbf6c33d82e734aae0"),
-    ], ids=["gen21", "mixed6+3", "sep24"])
+        (lambda: generate(GenParams(n_ues=0, seed=3)),
+         "c6ded5d0123853904041639bcc85eac68a0bc57e1c4d0873a04b1af04769382a"),
+        (lambda: generate_mixed(GenParams(n_ues=160, n_relays=8, n_picos=12, seed=1), 40),
+         "8ed4c5cffb3f4513ca9a952d000fe4ad7d4705fc907effee29dad780f1ae8028"),
+    ], ids=["gen21", "mixed6+3", "sep24", "empty0", "mixed160+40"])
     def test_saved_bytes_are_pinned(self, tmp_path, make, digest):
         path = tmp_path / "scenario.json"
         save_scenario(make(), path)

@@ -16,8 +16,9 @@ checkout, including an older one. The manifest covers:
   with every policy in ``POLICY_NAMES`` on each: both worked-example cases,
   a 21-UE ``generate`` file, a 24-UE ``generate`` file whose PoA separation
   takes a second layout draw, a 6+3 mixed file, a 0+5 file of fixed-SINR
-  UEs only, and two 160+40 mixed files (8 relays, 12 picocells), one whose
-  combined iteration is contractive (seed 1) and one whose is not (seed 3);
+  UEs only, a file with no UEs and so no gains, and two 160+40 mixed files
+  (8 relays, 12 picocells), one whose combined iteration is contractive
+  (seed 1) and one whose is not (seed 3);
 - the rows of ``monte_carlo`` on every fig4 and fig5 point with an explicit
   list of 8 per-trial seeds (``SeedSequence([7, point])``), the call the
   benchmark makes, with floats written as ``float.hex()``;
@@ -71,6 +72,7 @@ def scenario_files(dl, work: Path) -> dict[str, Path]:
         "sep24": dl.generate(dl.GenParams(n_ues=24, n_relays=8, n_picos=0, eta_relay=50e6,
                                           eta_pico=50e6, min_poa_separation=400.0, seed=3)),
         "fixed0+5": dl.generate_mixed(dl.GenParams(n_ues=0, n_relays=2, n_picos=2, seed=3), 5),
+        "empty0": dl.generate(dl.GenParams(n_ues=0, seed=3)),
         "mixed160+40_contractive": dl.generate_mixed(dl.GenParams(seed=1, **large), 40),
         "mixed160+40_noncontractive": dl.generate_mixed(dl.GenParams(seed=3, **large), 40),
     }
