@@ -129,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         scenario = load_scenario(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"error: cannot parse scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -138,6 +138,58 @@ class TestRunCommand:
         assert "gains must be a list of [ue_id, poa_id, chan_id, value] rows, got dict" in (
             capsys.readouterr().err)
 
+    BEYOND_FLOAT64 = {
+        "p_max": "UE 1: p_max must be finite and > 0, got 1000",
+        "backhaul_capacity": "PoA 1: backhaul_capacity must be >= 0 (inf for unlimited), got 1000",
+        "noise_psd": "noise_psd must be finite and > 0, got 1000",
+        "bandwidth": "channel 1: bandwidth must be finite and > 0, got 1000",
+        "gain": "error: cannot parse scenario: gain row [1, 1, 1, 1000",
+        "tau": "tau must be finite and > 0, got 1000",
+        "position": "UE 1: position must be two numbers in float64 range, got (1000",
+        "fixed_sinr_target": "UE 2: fixed_sinr_target must be finite and > 0, got 1000",
+    }
+
+    @pytest.mark.parametrize("name", BEYOND_FLOAT64)
+    def test_integer_beyond_float64_is_validation_error(self, tmp_path, capsys, name):
+        huge = 10 ** 400
+        d = scenario_to_dict(worked_example())
+        if name == "p_max":
+            d["ues"][0]["p_max"] = huge
+        elif name == "backhaul_capacity":
+            d["poas"][0]["backhaul_capacity"] = huge
+        elif name == "bandwidth":
+            d["channels"][0]["bandwidth"] = huge
+        elif name == "gain":
+            d["gains"][0][3] = huge
+        elif name == "position":
+            d["ues"][0]["position"] = [huge, 0.0]
+        elif name == "fixed_sinr_target":
+            del d["ues"][1]["poa_2"], d["ues"][1]["chan_2"]
+            d["ues"][1]["fixed_sinr_target"] = huge
+        else:
+            d[name] = huge
+        assert self.run_dict(tmp_path, d) == 3
+        err = capsys.readouterr().err
+        assert self.BEYOND_FLOAT64[name] in err and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["poas", "gains", "top_level"])
+    def test_deeply_nested_file_is_parse_error(self, tmp_path, capsys, where):
+        # The top-level list goes straight to json.loads; nesting in "gains"
+        # stops the block reader first.
+        nest = "[" * 200_000 + "]" * 200_000
+        text = json.dumps(scenario_to_dict(worked_example()))
+        text = {"poas": '{"poas": ' + nest + "}",
+                "gains": text.replace('"gains": [', '"gains": [' + nest + ", "),
+                "top_level": nest}[where]
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["run", "--scenario", str(path), "--policy", "bdt",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse scenario: maximum recursion depth"), err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_tau_override_is_validation_error(self, tmp_path, capsys):
         d = scenario_to_dict(worked_example())
         assert self.run_dict(tmp_path, d, "--tau", "nan") == 3

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from duplink import (
     validate_scenario,
     worked_example,
 )
+from duplink import network
 
 from conftest import gain_dict, with_gains
 
@@ -295,7 +297,153 @@ class TestGainRows:
         ([[2 ** 63, 1, 1, 0.5]], TypeError, r"gain row \[9223372036854775808, 1, 1, 0.5\]"),
         ([[1, 1, 1, "0.5"]], TypeError, r"gain row \[1, 1, 1, '0.5'\] must be"),
         ([[1, 1, 1, 0.5], [1, 1, 1, 123.0]], ValueError, r"gain \(1,1,1\) is given more than once"),
+        ([[1, 1, 1, 0.5], [1, 2, 1, 10 ** 400]], TypeError,
+         r"gain row \[1, 2, 1, 10{400}\] must be .* in float64 range"),
     ])
     def test_malformed_rows_are_named(self, rows, error, message):
         with pytest.raises(error, match=message):
             Gains.from_rows(rows)
+
+
+def _layouts() -> dict[str, str]:
+    """Scenario texts, well formed and not, for the block reader."""
+    d = scenario_to_dict(generate_mixed(GenParams(n_ues=3, n_relays=1, n_picos=1, seed=7), 2))
+    rows = d["gains"]
+
+    def dump(**edits):
+        return json.dumps({**d, **edits}, separators=(",", ":"))
+
+    def with_row(snippet, at=1):  # one raw row of text among the others
+        return dump(gains=[*rows[:at], "ROW", *rows[at:]]).replace('"ROW"', snippet)
+
+    gains_first = {"gains": rows, **{k: v for k, v in d.items() if k != "gains"}}
+    odd_meta = {"gains": [[1, 2], [3]], "text": "]], [ ]\t, [ } ],[", "]]": [[[]]]}
+    nest = "[" * 5000 + "]" * 5000
+    return {
+        # well formed: the block reader takes these
+        "indent2": json.dumps(d, indent=2),
+        "tab": json.dumps(d, indent="\t"),
+        "compact": dump(),
+        "spaced": json.dumps(d),
+        "gains_first": json.dumps(gains_first, indent=2),
+        "keys_reversed": json.dumps(dict(reversed(d.items()))),
+        "meta_after_gains": json.dumps({**d, "meta": odd_meta}, indent=2),
+        "meta_before_gains": json.dumps({"meta": odd_meta, **gains_first}, indent=1),
+        "non_finite": with_row("[1,1,9,NaN],[1,1,8,Infinity],[1,1,7,-Infinity]"),
+        "int_value": with_row("[1,1,9,1]"),
+        "unsorted": dump(gains=rows[::-1]),
+        "no_rows": dump(gains=[]),
+        "no_poas": json.dumps({k: v for k, v in d.items() if k != "poas"}),
+        "unknown_key": dump(z=0.5),
+        # the block reader hands these to json.loads
+        "duplicate": dump(gains=[*rows, [*rows[0][:3], 123.0]]),
+        "huge_int": with_row("[1,1,9,1" + "0" * 400 + "]"),
+        "leading_zero": with_row("[01,1,1,0.5]"),
+        "plus": with_row("[+1,1,1,0.5]"),
+        "bare_point": with_row("[1,1,1,.5]"),
+        "two_numbers": with_row("[1 2,1,1,0.5]"),
+        "empty_slot_in_row": with_row("[1,,1,0.5]"),
+        "empty_slot": with_row(""),
+        "three_entries": with_row("[1,1,1]"),
+        "five_entries": with_row("[1,1,1,0.5,2]"),
+        "one_float": with_row("[1.0]"),
+        "true": with_row("true"),
+        "null": with_row("null"),
+        "bool_value": with_row("[1,1,1,true]"),
+        "string_value": with_row('[1,1,1,"],[1,1,1,2"]'),
+        "object_row": with_row('{"a":[1]}'),
+        "nested_row": with_row("[[1,1,1,0.5]]"),
+        "deep_row": with_row(nest),
+        "first_row_bad": with_row("[1,1,1]", at=0),
+        "last_row_bad": with_row("[1,1,1]", at=len(rows)),
+        "trailing_comma": dump(gains=[*rows, "ROW"]).replace(',"ROW"', ","),
+        "gains_object": dump(gains={"a": 1}),
+        "gains_twice": dump()[:-1] + ',"gains":[[1,1,1,0.5]]}',
+        "no_gains": json.dumps({k: v for k, v in d.items() if k != "gains"}),
+        "semicolon": dump().replace('"tau":', '"tau";'),
+        "semicolon_between_keys": dump().replace(',"tau"', ';"tau"'),
+        "bare_key": dump().replace('"tau"', "tau"),
+        "bom": "\ufeff" + dump(),
+        "trailing_data": dump() + " x",
+        "trailing_object": dump() + "{}",
+        "top_level_list": json.dumps([d]),
+        "deep_poas": '{"poas": ' + nest + "}",
+        "empty_object": "{}",
+        "empty_text": "",
+    }
+
+
+LAYOUTS = _layouts()
+BLOCK_TAKES = ("indent2", "tab", "compact", "spaced", "gains_first", "keys_reversed",
+               "meta_after_gains", "meta_before_gains", "non_finite", "int_value",
+               "unsorted", "no_rows", "no_poas", "unknown_key")
+
+
+def _outcome(read):
+    """What reading gives: the scenario with its gain arrays' bytes, or the
+    type and message of the error."""
+    try:
+        s = read()
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        return type(exc), str(exc)
+    keys, values = s.gains
+    return (repr(replace(s, gains=None)), keys.dtype, keys.shape, keys.tobytes(),
+            values.dtype, values.tobytes())
+
+
+class TestBlockReader:
+    """``load_scenario`` parses the gain rows one block at a time; on any
+    text it returns what ``scenario_from_dict(json.loads(text))`` returns, or
+    raises the same error. Tiny blocks split every file at every row."""
+
+    @pytest.mark.parametrize("block", [1, 37, 300, 100_000])
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_same_as_json_loads(self, tmp_path, monkeypatch, name, block):
+        monkeypatch.setattr(network, "_READ_BLOCK", block)
+        text = LAYOUTS[name]
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        expected = _outcome(lambda: scenario_from_dict(json.loads(text)))
+        assert _outcome(lambda: load_scenario(path)) == expected
+        blocked = network._read_blocked(text)
+        assert isinstance((blocked or {}).get("gains"), Gains) == (name in BLOCK_TAKES)
+
+    def test_generated_file_is_read_in_blocks(self, tmp_path, monkeypatch):
+        s = generate_mixed(GenParams(n_ues=6, seed=7), 3)
+        path = tmp_path / "scenario.json"
+        save_scenario(s, path)
+        monkeypatch.setattr(network, "_READ_BLOCK", 1000)
+        calls = []
+        columns = network._columns
+        monkeypatch.setattr(network, "_columns", lambda rows: calls.append(rows) or columns(rows))
+        s2 = load_scenario(path)
+        assert len(calls) > 1 and sum(map(len, calls)) == len(s.gains.values)
+        assert max(map(len, calls)) <= 1000 // 40  # a saved row is over 40 characters
+        assert scenario_to_dict(s2) == scenario_to_dict(s)
+
+
+class TestBoundedMemory:
+    """A 160+40-UE file of 72k gain rows (5.2 MB): saving never holds its
+    text, and loading holds its text plus one block of rows. Whole-file
+    copies of the rows traced 20.3 MB (save) and 19.3 MB (load)."""
+
+    LIMIT = 12e6  # bytes
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_save_and_load_peaks_are_bounded(self, tmp_path):
+        s = generate_mixed(GenParams(n_ues=160, n_relays=8, n_picos=12, seed=1), 40)
+        path = tmp_path / "scenario.json"
+        save_peak, _ = self.traced_peak(save_scenario, s, path)
+        load_peak, s2 = self.traced_peak(load_scenario, path)
+        assert path.stat().st_size > 5e6
+        assert save_peak < self.LIMIT and load_peak < self.LIMIT, (save_peak, load_peak)
+        assert np.array_equal(s2.gains.keys, s.gains.keys)
+        assert np.array_equal(s2.gains.values, s.gains.values)

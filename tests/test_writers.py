@@ -27,6 +27,7 @@ from duplink import (
     save_scenario,
     worked_example,
 )
+from duplink import network
 from duplink.engine import trace_to_csv
 from duplink.network import Gains, scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
@@ -117,6 +118,18 @@ def test_non_finite_gains_use_json_spellings(tmp_path):
     for word in ("NaN", "Infinity", "-Infinity"):
         assert f"      {word}\n" in text
     assert json.loads(text)["meta"] == s.meta
+
+
+@pytest.mark.parametrize("name", ["non_finite", "mixed6+3"])
+def test_saved_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
+    # Blocks of one row, of two, and ending one row short of or exactly at
+    # the last row.
+    s = non_finite() if name == "non_finite" else CASES[name]()
+    rows = len(s.gains.values)
+    for block in (1, 2, rows - 1, rows):
+        monkeypatch.setattr(network, "_WRITE_BLOCK", block)
+        save_scenario(s, tmp_path / "scenario.json")
+        assert (tmp_path / "scenario.json").read_bytes() == json_oracle(s), block
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

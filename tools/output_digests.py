@@ -19,6 +19,9 @@ checkout, including an older one. The manifest covers:
   UEs only, a file with no UEs and so no gains, and two 160+40 mixed files
   (8 relays, 12 picocells), one whose combined iteration is contractive
   (seed 1) and one whose is not (seed 3);
+- the same ``duplink run`` outputs on two re-dumps of the contractive
+  160+40 file, one compact and one tab-indented, which must hash the same as
+  the canonical file's (the script exits 1 if they do not);
 - the rows of ``monte_carlo`` on every fig4 and fig5 point with an explicit
   list of 8 per-trial seeds (``SeedSequence([7, point])``), the call the
   benchmark makes, with floats written as ``float.hex()``;
@@ -37,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +50,10 @@ from pathlib import Path
 PRESETS = ("fig2b", "fig3", "fig4", "fig5")
 SEED_LIST_PRESETS = ("fig4", "fig5")
 RUN_OUTPUTS = ("trace.csv", "metrics.json", "equilibrium.json")
+# Other layouts of the same file, as json.dumps keywords; read, they must
+# give the canonical file's outputs.
+REDUMPED = "mixed160+40_contractive"
+REDUMPS = {"compact": {"separators": (",", ":")}, "tab": {"indent": "\t"}}
 
 
 def _sha(data: bytes) -> str:
@@ -80,6 +88,10 @@ def scenario_files(dl, work: Path) -> dict[str, Path]:
     for name, s in scenarios.items():
         paths[name] = work / f"{name}.json"
         dl.save_scenario(s, paths[name])
+    d = json.loads(paths[REDUMPED].read_text())
+    for layout, kwargs in REDUMPS.items():
+        paths[f"{REDUMPED}_{layout}"] = work / f"{REDUMPED}_{layout}.json"
+        paths[f"{REDUMPED}_{layout}"].write_text(json.dumps(d, **kwargs))
     return paths
 
 
@@ -136,6 +148,7 @@ def main() -> int:
             for name in ("trials.csv", "summary.csv"):
                 print(f"experiment/{preset}/{name} exit={code} {_file_sha(out / name)}")
 
+        outputs = {}
         for scenario, path in scenario_files(dl, work).items():
             print(f"scenario/{scenario}.json {_file_sha(path)}")
             for policy in dl.POLICY_NAMES:
@@ -143,8 +156,14 @@ def main() -> int:
                 code = _main_quiet(cli, ["run", "--scenario", str(path), "--policy", policy,
                                          "--out", str(out)])
                 for name in RUN_OUTPUTS:
-                    print(f"run/{scenario}/{policy}/{name} exit={code} "
-                          f"{_file_sha(out / name)}")
+                    outputs[scenario, policy, name] = f"exit={code} {_file_sha(out / name)}"
+                    print(f"run/{scenario}/{policy}/{name} {outputs[scenario, policy, name]}")
+        differ = [f"{REDUMPED}_{layout}/{policy}/{name}" for layout in REDUMPS
+                  for policy in dl.POLICY_NAMES for name in RUN_OUTPUTS
+                  if outputs[f"{REDUMPED}_{layout}", policy, name]
+                  != outputs[REDUMPED, policy, name]]
+        if differ:
+            sys.exit(f"error: re-dumped files run differently: {', '.join(differ)}")
 
     for preset in SEED_LIST_PRESETS:
         for idx, rows in seed_list_rows(cli, engine, preset):
