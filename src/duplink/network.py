@@ -11,26 +11,16 @@ key rows next to their values (``Gains``), so the metrics layer never
 re-derives geometry. Positions are in meters, bandwidths in Hz, powers in
 watts, rates in bit/s.
 
-Scenario files hold the gain rows in one top-level ``"gains"`` array, most
-of the file. ``save_scenario`` prints it ``_WRITE_BLOCK`` rows at a time and
-``load_scenario`` parses it about ``_READ_BLOCK`` characters at a time, so
-either needs memory for about the file's text plus one block, not a second
-copy of every row. Plain ``json.loads`` reads any file the block reader
-cannot take, with the same result or the same error: a top level that is
-not an object, a gains value that is not an array of flat rows, a bad or
-repeated row, or any syntax error.
-
 Every number must fit a float64: ``validate_scenario`` and
 ``Gains.from_rows`` reject an integer beyond its range (``10**400``), naming
 the field or the row. A file nested deeper than Python's recursion limit
-raises ``RecursionError`` from either reader.
+raises ``RecursionError`` from ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -105,46 +95,36 @@ class Gains(NamedTuple):
     @classmethod
     def from_rows(cls, rows) -> Gains:
         """Gains from [ue_id, poa_id, chan_id, value] rows in any order (sorted
-        only if they are not). A row that is not integer ids and an int or
-        float value, or that repeats a key, raises TypeError or ValueError."""
-        return _sorted_gains(*_columns(rows))
-
-
-def _sorted_gains(keys: np.ndarray, values: np.ndarray) -> Gains:
-    """``Gains`` from key and value columns in any order; a repeated key
-    raises ValueError."""
-    if not _rises(keys).all():
-        order = np.lexsort(keys.T[::-1])
-        keys, values = keys[order], values[order]
-        if not (rises := _rises(keys)).all():
-            u, p, c = keys[np.argmin(rises)].tolist()
-            raise ValueError(f"gain ({u},{p},{c}) is given more than once")
-    return Gains(keys, values)
-
-
-def _columns(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The (G, 3) int64 keys and (G,) float64 values of gain rows, in their
-    order; TypeError names the first row that is not 64-bit integer ids and
-    an int or float value in float64 range."""
-    try:
-        flat = list(chain.from_iterable(rows))
-        ue, poa, chan, value = (flat[i::4] for i in range(4))
-        if not (len(flat) == 4 * len(rows) and set(map(len, rows)) <= {4}
-                and set(map(type, ue)) | set(map(type, poa)) | set(map(type, chan)) <= {int}
-                and set(map(type, value)) <= {int, float}):
-            raise TypeError
-        return np.array([ue, poa, chan], dtype=np.int64).T, np.array(value, dtype=float)
-    except (TypeError, OverflowError):  # name the first bad row
-        if not isinstance(rows, list):
-            raise TypeError("gains must be a list of [ue_id, poa_id, chan_id, value] "
-                            f"rows, got {type(rows).__name__}") from None
-        bad = next(r for r in rows if not (
-            isinstance(r, (list, tuple)) and len(r) == 4
-            and type(r[3]) in (int, float) and _is_float64(r[3])
-            and all(type(i) is int and -2 ** 63 <= i < 2 ** 63 for i in r[:3])))
-        raise TypeError(f"gain row {bad!r} must be [ue_id, poa_id, chan_id, value] "
-                        "with 64-bit integer ids and an int or float value "
-                        "in float64 range") from None
+        only if they are not). A row that is not 64-bit integer ids and an int
+        or float value in float64 range, or that repeats a key, raises
+        TypeError or ValueError naming it."""
+        try:
+            flat = list(chain.from_iterable(rows))
+            ue, poa, chan, value = (flat[i::4] for i in range(4))
+            if not (len(flat) == 4 * len(rows) and set(map(len, rows)) <= {4}
+                    and set(map(type, ue)) | set(map(type, poa)) | set(map(type, chan)) <= {int}
+                    and set(map(type, value)) <= {int, float}):
+                raise TypeError
+            keys = np.array([ue, poa, chan], dtype=np.int64).T
+            values = np.array(value, dtype=float)
+        except (TypeError, OverflowError):  # name the first bad row
+            if not isinstance(rows, list):
+                raise TypeError("gains must be a list of [ue_id, poa_id, chan_id, value] "
+                                f"rows, got {type(rows).__name__}") from None
+            bad = next(r for r in rows if not (
+                isinstance(r, (list, tuple)) and len(r) == 4
+                and type(r[3]) in (int, float) and _is_float64(r[3])
+                and all(type(i) is int and -2 ** 63 <= i < 2 ** 63 for i in r[:3])))
+            raise TypeError(f"gain row {bad!r} must be [ue_id, poa_id, chan_id, value] "
+                            "with 64-bit integer ids and an int or float value "
+                            "in float64 range") from None
+        if not _rises(keys).all():
+            order = np.lexsort(keys.T[::-1])
+            keys, values = keys[order], values[order]
+            if not (rises := _rises(keys)).all():
+                u, p, c = keys[np.argmin(rises)].tolist()
+                raise ValueError(f"gain ({u},{p},{c}) is given more than once")
+        return cls(keys, values)
 
 
 @dataclass
@@ -379,25 +359,15 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Inverse of ``scenario_to_dict``; a key that is not a field or a bad
-    gain row raises TypeError or ValueError naming it. ``d["gains"]`` may
-    also be a ready ``Gains``, as the block reader passes it."""
+    gain row raises TypeError or ValueError naming it."""
     return Scenario(**{
         **d,
         "poas": [PoA(**{**p, "kind": PoAKind(p["kind"]), "position": tuple(p["position"])})
                  for p in d["poas"]],
         "ues": [UE(**{**u, "position": tuple(u["position"])}) for u in d["ues"]],
         "channels": [Channel(**c) for c in d["channels"]],
-        "gains": d["gains"] if isinstance(d.get("gains"), Gains) else Gains.from_rows(d["gains"]),
+        "gains": Gains.from_rows(d["gains"]),
     })
-
-
-_WRITE_BLOCK = 4096  # gain rows printed at a time
-_READ_BLOCK = 1 << 18  # characters of gain rows parsed at a time, unless a row is longer
-_SPACE = re.compile(r"[ \t\n\r]*")  # json's whitespace
-# The end of a gain row: a "]" then either "," and the "[" of the next row
-# (group 1) or the "]" that closes the array.
-_ROW_END = re.compile(r"\][ \t\n\r]*(?:,[ \t\n\r]*(\[)|\])")
-_DECODER = json.JSONDecoder()
 
 
 def _reprs(a: np.ndarray) -> list[str]:
@@ -406,95 +376,21 @@ def _reprs(a: np.ndarray) -> list[str]:
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
-    """Write the bytes of ``json.dumps(scenario_to_dict(s), indent=2)``: the
-    gain rows ``_WRITE_BLOCK`` at a time, each number by ``_reprs``."""
+    """Write the bytes of ``json.dumps(scenario_to_dict(s), indent=2)``, gains by ``_reprs``."""
     keys, values = s.gains
+    ids, at = np.unique(keys, return_inverse=True)
+    cells = np.empty((len(values), 5), dtype=object)  # u, p, c, value, row break
+    cells[:, :3] = (np.array(_reprs(ids), dtype=object) + ",\n      ")[at.reshape(-1, 3)]
+    cells[:, 3] = _reprs(values)
+    for i in np.flatnonzero(~np.isfinite(values)):  # json's spellings
+        cells[i, 3] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[cells[i, 3]]
+    cells[:, 4] = "\n    ],\n    [\n      "
     text = json.dumps(scenario_to_dict(replace(s, gains=Gains(keys[:0], values[:0]))), indent=2)
     head, _, tail = text.partition('\n  "gains": []')  # once: nested keys sit deeper
-    with Path(path).open("w") as f:
-        if not len(values):
-            f.write(text)
-            return
-        f.write(head + '\n  "gains": [\n    [\n      ')
-        for start in range(0, len(values), _WRITE_BLOCK):
-            ids, at = np.unique(keys[start:start + _WRITE_BLOCK], return_inverse=True)
-            block = values[start:start + _WRITE_BLOCK]
-            cells = np.empty((len(block), 5), dtype=object)  # u, p, c, value, row break
-            cells[:, :3] = (np.array(_reprs(ids), dtype=object) + ",\n      ")[at.reshape(-1, 3)]
-            cells[:, 3] = _reprs(block)
-            for i in np.flatnonzero(~np.isfinite(block)):  # json's spellings
-                cells[i, 3] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[cells[i, 3]]
-            cells[:, 4] = "\n    ],\n    [\n      "
-            if start + _WRITE_BLOCK >= len(values):
-                cells[-1, 4] = "\n    ]\n  ]" + tail
-            f.write("".join(cells.ravel().tolist()))
-
-
-def _read_gains(text: str, i: int) -> tuple[Gains, int]:
-    """The gains array that starts at ``text[i]`` and the index past it,
-    parsed about ``_READ_BLOCK`` characters at a time. A block runs from the
-    "[" of a row to the "]" of a row and must parse as a JSON array of rows
-    that ``_columns`` takes; anything else raises. Rows hold no strings, so
-    a block never reaches past the next '"', the start of the key after the
-    array."""
-    if text[i:i + 1] != "[":
-        raise ValueError("gains is not an array")
-    i = _SPACE.match(text, i + 1).end()
-    if text[i:i + 1] == "]":
-        return Gains.from_rows([]), i + 1
-    keys, values = [], []
-    while True:
-        stop = text.find('"', i, i + _READ_BLOCK)
-        cut = text.rfind("]", i, stop if stop >= 0 else i + _READ_BLOCK)  # the last row end
-        while cut >= i and not (end := _ROW_END.match(text, cut)):
-            cut = text.rfind("]", i, cut)
-        if cut < i and (stop >= 0 or not (end := _ROW_END.search(text, i + _READ_BLOCK))):
-            raise ValueError("gains array does not end")
-        k, v = _columns(json.loads(f"[{text[i:end.start() + 1]}]"))
-        keys.append(k)
-        values.append(v)
-        if not end.group(1):
-            break
-        i = end.start(1)
-    keys = np.concatenate(keys)  # one copy of the rows at a time
-    values = np.concatenate(values)
-    return _sorted_gains(keys, values), end.end()
-
-
-def _read_blocked(text: str) -> dict | None:
-    """What ``json.loads(text)`` returns, but with the gains of a top-level
-    object read by ``_read_gains`` into a ``Gains``; None for any text this
-    cannot take. Keys go through json's ``scanstring`` and every other value
-    through ``JSONDecoder.raw_decode``, so the rest of the dict is the one
-    ``json.loads`` builds."""
-    d = {}
-    try:
-        i = _SPACE.match(text).end()
-        if text[i:i + 1] != "{":
-            return None
-        i = _SPACE.match(text, i + 1).end()
-        while text[i:i + 1] == '"':
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = _SPACE.match(text, i).end()
-            if text[i:i + 1] != ":":
-                return None
-            i = _SPACE.match(text, i + 1).end()
-            read = _read_gains if key == "gains" and key not in d else _DECODER.raw_decode
-            d[key], i = read(text, i)
-            i = _SPACE.match(text, i).end()
-            if text[i:i + 1] == "}":
-                return d if _SPACE.match(text, i + 1).end() == len(text) else None
-            if text[i:i + 1] != ",":
-                return None
-            i = _SPACE.match(text, i + 1).end()
-    except (ValueError, TypeError, RecursionError):
-        pass
-    return None
+    cells[:1, 0] = head + '\n  "gains": [\n    [\n      ' + cells[:1, 0]
+    cells[-1:, 4] = "\n    ]\n  ]" + tail
+    Path(path).write_text("".join(cells.ravel().tolist()) or text)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario file: ``scenario_from_dict(json.loads(text))``, with
-    the gain rows parsed one block at a time where ``_read_blocked`` can."""
-    text = Path(path).read_text()
-    d = _read_blocked(text)
-    return scenario_from_dict(json.loads(text) if d is None else d)
+    return scenario_from_dict(json.loads(Path(path).read_text()))

@@ -15,6 +15,11 @@ busiest cell. Macrocell links get one private channel per UE above the
 pool, as required at a shared PoA, so all coupling runs through the first
 links.
 
+A scenario stores only the gains the model reads: each link's own path and
+the path into it from every other UE on its channel. Fading is drawn for
+every UE on every (PoA, channel) pair in use, stored or not, so the stream
+and each stored gain do not depend on which paths are kept.
+
 One seeded stream feeds every draw, in this order: the PoA points (the
 whole layout again after a failed separation check), the UE drop points,
 the bandwidth of every channel, the fixed-SINR targets, then the fading,
@@ -157,12 +162,15 @@ def _generate(p: GenParams, n_fixed: int,
     keys = np.empty((n, len(rows), 3), dtype=np.int64)
     keys[..., 0] = np.arange(1, n + 1)[:, None]
     keys[..., 1:] = rows
+    # Keep (u, PoA, c) only where UE u transmits on channel c.
+    chan_2 = np.where(np.arange(n) < p.n_ues, pool + np.arange(1, n + 1), 0)
+    kept = (rows[:, 1] == chan_1[:, None]) | (rows[:, 1] == chan_2[:, None])
 
     return Scenario(
         poas=poas,
         ues=ues,
         channels=channels,
-        gains=Gains(keys.reshape(-1, 3), (path[:, rows[:, 0] - 1] * fading.T).ravel()),
+        gains=Gains(keys[kept], (path[:, rows[:, 0] - 1] * fading.T)[kept]),
         noise_psd=p.noise_psd,
         tau=p.tau,
         z_factor=p.z_factor,

@@ -24,6 +24,15 @@ def with_gains(s, gains):
     return replace(s, gains=Gains.from_rows([[*k, v] for k, v in gains.items()]))
 
 
+def read_gain_keys(s):
+    """The (ue, poa, chan) paths the model reads, straight from the UEs'
+    links: into each link, from every UE with a link on its channel, the
+    link's own UE included."""
+    links = [(u.id, poa, chan) for u in s.ues
+             for poa, chan in ((u.poa_1, u.chan_1), (u.poa_2, u.chan_2)) if chan is not None]
+    return {(v, poa, chan) for _, poa, chan in links for v, _, c in links if c == chan}
+
+
 def scalar_interference(s, p1, p2):
     """Effective interference computed the slow way, straight from the
     scenario: per (UE, link), sum co-channel received powers at the link's
@@ -77,6 +86,11 @@ def fixed_ue_on_macro_channel():
     gains = gain_dict(s)
     for ue in (fixed.id, dual.id):
         gains[(ue, fixed.poa_1, dual.chan_2)] = gains[(ue, fixed.poa_1, fixed.chan_1)]
+    # The fixed UE now also reaches the macrocell on that channel; generated
+    # files hold no such path, so take it from the geometry.
+    macro = s.macro()
+    gains[(fixed.id, macro.id, dual.chan_2)] = 100.0 * math.dist(
+        fixed.position, macro.position) ** -3.7
     ues = [replace(u, chan_1=dual.chan_2) if u is fixed else u for u in s.ues]
     return with_gains(replace(s, ues=ues), gains)
 

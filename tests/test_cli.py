@@ -175,8 +175,6 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("where", ["poas", "gains", "top_level"])
     def test_deeply_nested_file_is_parse_error(self, tmp_path, capsys, where):
-        # The top-level list goes straight to json.loads; nesting in "gains"
-        # stops the block reader first.
         nest = "[" * 200_000 + "]" * 200_000
         text = json.dumps(scenario_to_dict(worked_example()))
         text = {"poas": '{"poas": ' + nest + "}",

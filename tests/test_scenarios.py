@@ -19,7 +19,7 @@ from duplink import (
 )
 from duplink.network import scenario_to_dict
 
-from conftest import gain_dict
+from conftest import gain_dict, read_gain_keys
 
 
 class TestGenerateStructure:
@@ -123,6 +123,9 @@ def generator_inputs(draw):
 @example((GenParams(n_ues=9, n_relays=0, n_picos=3, seed=5), 2))  # picocells only
 @example((GenParams(n_ues=5, n_relays=1, n_picos=0, seed=6), 3))  # one small cell
 @example((GenParams(n_ues=24, n_relays=8, n_picos=0, min_poa_separation=400.0, seed=3), 0))
+@example((GenParams(n_ues=21, seed=7), 0))                      # gen21
+@example((GenParams(n_ues=6, seed=7), 3))                       # mixed6+3
+@example((GenParams(n_ues=160, n_relays=8, n_picos=12, seed=1), 40))  # mixed160+40
 def test_generated_layout_follows_the_recipe(inputs):
     p, n_fixed = inputs
     s = generate_mixed(p, n_fixed) if n_fixed else generate(p)
@@ -142,6 +145,9 @@ def test_generated_layout_follows_the_recipe(inputs):
     assert all(u.poa_2 == s.macro().id for u in s.ues if u.dual)
     assert len(set(macro_chans)) == len(macro_chans)
     assert not set(macro_chans) & {u.chan_1 for u in s.ues}
+    # Stored: each link's own path and the path into it from every other UE
+    # on its channel, the gains the model reads; none missing, none extra.
+    assert set(gain_dict(s)) == read_gain_keys(s)
 
 
 class TestGeneratorBytes:
@@ -154,16 +160,16 @@ class TestGeneratorBytes:
 
     @pytest.mark.parametrize("make,digest", [
         (lambda: generate(GenParams(n_ues=21, seed=7)),
-         "1113a16731c51304acf1a86b32194ccf64e8f437f780045dda63e9d4cfeb3ab2"),
+         "2717454644d2ff53b46f0e3fdd62d294766303bb82e92c42372c09a4432448d7"),
         (lambda: generate_mixed(GenParams(n_ues=6, seed=7), 3),
-         "cc7fa38d66fb76eeec24d7324270847f2307a49c482f3d3b724afe931ab498a0"),
+         "a5b00fbd74356882602748e47e8b0365cf0ac352110565efc9adeb6dd329a14e"),
         (lambda: generate(GenParams(n_ues=24, n_relays=8, n_picos=0, eta_relay=50e6,
                                     eta_pico=50e6, min_poa_separation=400.0, seed=3)),
-         "d83f396371f02ce3d2856ae0006d41ccb2dfdf1c80e368bbf6c33d82e734aae0"),
+         "b408572f990f226847c656e68b17e149ffefd5a01693ad5bc974a9ee0e8ee346"),
         (lambda: generate(GenParams(n_ues=0, seed=3)),
          "c6ded5d0123853904041639bcc85eac68a0bc57e1c4d0873a04b1af04769382a"),
         (lambda: generate_mixed(GenParams(n_ues=160, n_relays=8, n_picos=12, seed=1), 40),
-         "8ed4c5cffb3f4513ca9a952d000fe4ad7d4705fc907effee29dad780f1ae8028"),
+         "9fa315ef65f89c69b0b90462e90c4de36efda74fbeba6f5950a387b34b5663a7"),
     ], ids=["gen21", "mixed6+3", "sep24", "empty0", "mixed160+40"])
     def test_saved_bytes_are_pinned(self, tmp_path, make, digest):
         path = tmp_path / "scenario.json"

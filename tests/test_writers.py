@@ -27,7 +27,6 @@ from duplink import (
     save_scenario,
     worked_example,
 )
-from duplink import network
 from duplink.engine import trace_to_csv
 from duplink.network import Gains, scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
@@ -120,16 +119,19 @@ def test_non_finite_gains_use_json_spellings(tmp_path):
     assert json.loads(text)["meta"] == s.meta
 
 
-@pytest.mark.parametrize("name", ["non_finite", "mixed6+3"])
-def test_saved_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
-    # Blocks of one row, of two, and ending one row short of or exactly at
-    # the last row.
-    s = non_finite() if name == "non_finite" else CASES[name]()
-    rows = len(s.gains.values)
-    for block in (1, 2, rows - 1, rows):
-        monkeypatch.setattr(network, "_WRITE_BLOCK", block)
-        save_scenario(s, tmp_path / "scenario.json")
-        assert (tmp_path / "scenario.json").read_bytes() == json_oracle(s), block
+def test_failed_save_writes_nothing(tmp_path):
+    # Keys cut to (G, 2) make the writer raise; the text is built before the
+    # file is opened, so no partial file is left and an old one stays whole.
+    s = CASES["mixed6+3"]()
+    bad = replace(s, gains=Gains(s.gains.keys[:, :2], s.gains.values))
+    path = tmp_path / "scenario.json"
+    with pytest.raises(ValueError):
+        save_scenario(bad, path)
+    assert not path.exists()
+    save_scenario(s, path)
+    with pytest.raises(ValueError):
+        save_scenario(bad, path)
+    assert path.read_bytes() == json_oracle(s)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
