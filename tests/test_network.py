@@ -325,10 +325,8 @@ class TestGainRows:
             Gains.from_rows(rows)
 
 
-def _malformed_texts() -> dict[str, str]:
-    """Scenario texts that the round-trip and gain-row tests do not cover:
-    JSON syntax errors, gain rows of the wrong kind and files of the wrong
-    shape."""
+def _layouts() -> dict[str, str]:
+    """Scenario texts, well formed and not, for the loader."""
     d = scenario_to_dict(generate_mixed(GenParams(n_ues=3, n_relays=1, n_picos=1, seed=7), 2))
     rows = d["gains"]
 
@@ -338,24 +336,50 @@ def _malformed_texts() -> dict[str, str]:
     def with_row(snippet, at=1):  # one raw row of text among the others
         return dump(gains=[*rows[:at], "ROW", *rows[at:]]).replace('"ROW"', snippet)
 
+    gains_first = {"gains": rows, **{k: v for k, v in d.items() if k != "gains"}}
+    odd_meta = {"gains": [[1, 2], [3]], "text": "]], [ ]\t, [ } ],[", "]]": [[[]]]}
+    nest = "[" * 5000 + "]" * 5000
     return {
+        # well formed: these load
+        "indent2": json.dumps(d, indent=2),
+        "tab": json.dumps(d, indent="\t"),
+        "compact": dump(),
+        "spaced": json.dumps(d),
+        "gains_first": json.dumps(gains_first, indent=2),
+        "keys_reversed": json.dumps(dict(reversed(d.items()))),
+        "meta_after_gains": json.dumps({**d, "meta": odd_meta}, indent=2),
+        "meta_before_gains": json.dumps({"meta": odd_meta, **gains_first}, indent=1),
+        "non_finite": with_row("[1,1,9,NaN],[1,1,8,Infinity],[1,1,7,-Infinity]"),
+        "int_value": with_row("[1,1,9,1]"),
+        "unsorted": dump(gains=rows[::-1]),
+        "no_rows": dump(gains=[]),
+        "no_poas": json.dumps({k: v for k, v in d.items() if k != "poas"}),
+        "unknown_key": dump(z=0.5),
+        # and these raise
+        "duplicate": dump(gains=[*rows, [*rows[0][:3], 123.0]]),
+        "huge_int": with_row("[1,1,9,1" + "0" * 400 + "]"),
         "leading_zero": with_row("[01,1,1,0.5]"),
         "plus": with_row("[+1,1,1,0.5]"),
         "bare_point": with_row("[1,1,1,.5]"),
         "two_numbers": with_row("[1 2,1,1,0.5]"),
         "empty_slot_in_row": with_row("[1,,1,0.5]"),
         "empty_slot": with_row(""),
-        "trailing_comma": dump(gains=[*rows, "ROW"]).replace(',"ROW"', ","),
+        "three_entries": with_row("[1,1,1]"),
+        "five_entries": with_row("[1,1,1,0.5,2]"),
         "one_float": with_row("[1.0]"),
         "true": with_row("true"),
         "null": with_row("null"),
+        "bool_value": with_row("[1,1,1,true]"),
+        "string_value": with_row('[1,1,1,"],[1,1,1,2"]'),
         "object_row": with_row('{"a":[1]}'),
         "nested_row": with_row("[[1,1,1,0.5]]"),
+        "deep_row": with_row(nest),
         "first_row_bad": with_row("[1,1,1]", at=0),
         "last_row_bad": with_row("[1,1,1]", at=len(rows)),
+        "trailing_comma": dump(gains=[*rows, "ROW"]).replace(',"ROW"', ","),
+        "gains_object": dump(gains={"a": 1}),
         "gains_twice": dump()[:-1] + ',"gains":[[1,1,1,0.5]]}',
         "no_gains": json.dumps({k: v for k, v in d.items() if k != "gains"}),
-        "no_poas": json.dumps({k: v for k, v in d.items() if k != "poas"}),
         "semicolon": dump().replace('"tau":', '"tau";'),
         "semicolon_between_keys": dump().replace(',"tau"', ';"tau"'),
         "bare_key": dump().replace('"tau"', "tau"),
@@ -363,12 +387,16 @@ def _malformed_texts() -> dict[str, str]:
         "trailing_data": dump() + " x",
         "trailing_object": dump() + "{}",
         "top_level_list": json.dumps([d]),
+        "deep_poas": '{"poas": ' + nest + "}",
         "empty_object": "{}",
         "empty_text": "",
     }
 
 
-MALFORMED = _malformed_texts()
+LAYOUTS = _layouts()
+LOADS = ("indent2", "tab", "compact", "spaced", "gains_first", "keys_reversed",
+         "meta_after_gains", "meta_before_gains", "non_finite", "int_value",
+         "unsorted", "no_rows", "gains_twice")
 
 
 def _outcome(read):
@@ -383,11 +411,24 @@ def _outcome(read):
             values.dtype, values.tobytes())
 
 
-@pytest.mark.parametrize("name", MALFORMED)
-def test_load_raises_what_json_loads_raises(tmp_path, name):
-    # Only errors that ``duplink run`` reports with exit code 3 are caught.
-    # A repeated "gains" key is legal JSON; the last one wins, as in json.loads.
-    path = tmp_path / "scenario.json"
-    path.write_text(MALFORMED[name])
-    expected = _outcome(lambda: scenario_from_dict(json.loads(MALFORMED[name])))
-    assert _outcome(lambda: load_scenario(path)) == expected
+class TestBlockReader:
+    """``load_scenario`` reads the file as one block of text and parses it
+    with ``json.loads``: on any text it returns what
+    ``scenario_from_dict(json.loads(text))`` returns, or raises the same
+    error. Only errors that ``duplink run`` reports with exit code 3 are
+    caught. Each text is followed by a block of JSON whitespace, which
+    changes no scenario."""
+
+    @pytest.mark.parametrize("block", [1, 37, 300, 100_000])
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_same_as_json_loads(self, tmp_path, name, block):
+        # A repeated "gains" key is legal JSON; the last one wins.
+        text = LAYOUTS[name] + (" \n\t" * block)[:block]
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        expected = _outcome(lambda: scenario_from_dict(json.loads(text)))
+        assert _outcome(lambda: load_scenario(path)) == expected
+        loads = not isinstance(expected[0], type)
+        assert loads == (name in LOADS)
+        if loads:
+            assert expected == _outcome(lambda: scenario_from_dict(json.loads(LAYOUTS[name])))
