@@ -23,6 +23,7 @@ where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -103,7 +104,7 @@ def rate_differentials(
     m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray
 ) -> BackhaulReport:
     """Full backhaul report for one set of per-link access rates, with UE
-    states classified by the tolerance ``m.tau``.
+    states classified by the tolerance ``m.tau``; ValueError unless tau > 0.
 
     Each PoA sums its links in UE order, link 1 before link 2; absent second
     links land in an extra last bin. ``eta_n`` is the end-to-end network
@@ -114,10 +115,13 @@ def rate_differentials(
     reacts to. On a stack of networks (``stack_matrices``) every row is
     reported as if alone.
     """
-    bins = m._link_bins
-    rates = np.empty(bins.index.shape)
+    if m.tau <= 0:
+        raise ValueError("tau must be > 0")
+    index = m._bin_index
+    shape = (*index.shape[:-2], m.n_poas + 1)  # the bins of one row, per row
+    rates = np.empty(index.shape)
     rates[..., 0], rates[..., 1] = rate1, rate2
-    load = np.bincount(bins.flat, weights=rates.ravel(), minlength=bins.size).reshape(bins.shape)
+    load = np.bincount(index.ravel(), rates.ravel(), math.prod(shape)).reshape(shape)
     carried = np.minimum(m.capacity, load[..., :-1])
     gamma = _sum_left_to_right(carried[..., m.relays])
     eta_n = np.minimum(m.capacity[m.macro], load[..., m.macro] + gamma)
@@ -127,10 +131,10 @@ def rate_differentials(
     v[..., m.macro] -= gamma
     headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
     v[..., m.relays] = np.minimum(m.capacity[m.relays], headroom) - load[..., m.relays]
-    v_links = v.ravel()[bins.index]  # V of each link's PoA, (..., n, 2)
-    category = _category(v_links, bins.neg_tau)
+    v_links = v.ravel()[index]  # V of each link's PoA, (..., n, 2)
+    category = _category(v_links, -m.tau)
     state = np.where(m.dual, _STATE_TABLE[category[..., 0], category[..., 1]], 0)
-    if len(bins.shape) == 1:
+    if len(shape) == 1:
         eta_n, gamma = float(eta_n), float(gamma)
     return BackhaulReport(eta_n=eta_n, load=load[..., :-1], v=v[..., :-1],
                           gamma_relay_sum=gamma, v1=v_links[..., 0], v2=v_links[..., 1],

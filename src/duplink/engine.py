@@ -17,11 +17,11 @@ callable. For names it first resolves a plan: which rule each UE runs, the
 terms of the rules that do not change between iterations, and the checks
 of the arguments that stay fixed (bandwidths and budgets of the dual UEs,
 bdt's z, the SINR targets of the single-link UEs). ``run`` resolves the
-plan once per batch and again only when networks leave it, and so makes
-those checks before the first iteration. The checks that depend on the
-iterate run at every step: effective interference > 0 for the rules, the
-power budget of each decision, and an active link's interference in
-``compute_state``.
+plan once per batch, and so makes those checks before the first iteration;
+networks that leave the batch take their rows of it with them. The checks
+that depend on the iterate run at every step: effective interference > 0
+for the rules, the power budget of each decision, and an active link's
+interference in ``compute_state``.
 """
 
 from __future__ import annotations
@@ -111,11 +111,9 @@ class _Plan:
     single: Optional[np.ndarray] = None
     w1p: Optional[np.ndarray] = None   # w1 * p_max
     wsum: Optional[np.ndarray] = None  # w1 + w2
-    # bdt's coefficients of every state in every row of the batch as first
-    # made, (2, 3, B * 9), and per UE the offset of its row's table there,
-    # row * 9 - 1; ``take`` keeps the table whole.
+    # bdt's coefficients of link y's next power in state s under the stack's
+    # z at [y - 1, :, s - 1], (2, 3, 9); ``take`` keeps it whole.
     bdt_table: Optional[np.ndarray] = None
-    bdt_row: Optional[np.ndarray] = None
 
     def take(self, rows) -> _Plan:
         """The plan of the networks at ``rows`` (a mask) of the batch."""
@@ -140,18 +138,14 @@ def _plan(m: CrossGainMatrices, policy) -> _Plan:
     bdt, greedy, single = (mask if mask.any() else None for mask in
                            (dual & (per_row == "bdt"), dual & (per_row == "greedy"), ~dual))
     _check_budget(m.p_max[dual], m.w1[dual], m.w2[dual])
-    bdt_table = bdt_row = None
+    bdt_table = None
     if bdt is not None:
-        z = np.asarray(m.z, dtype=float)[..., None]  # one per network
-        _check_z(np.broadcast_to(z, dual.shape)[bdt])
-        table = _bdt_coefficients(np.arange(1, 10), z)  # (..., 9, 2, 3)
-        bdt_table = np.moveaxis(table, (-2, -1), (0, 1)).reshape(2, 3, -1)
-        rows = np.arange(z.size).reshape(z.shape)
-        bdt_row = np.broadcast_to(9 * rows - 1, dual.shape)
+        _check_z(z := np.asarray(m.z, dtype=float))
+        bdt_table = np.moveaxis(_bdt_coefficients(np.arange(1, 10), z), 0, -1)
     if single is not None:
         _check_beta(m.beta[single])
     return _Plan(None, cap, bdt, greedy, single, w1p=m.w1 * m.p_max, wsum=m.w1 + m.w2,
-                 bdt_table=bdt_table, bdt_row=bdt_row)
+                 bdt_table=bdt_table)
 
 
 def _decide(plan: _Plan, m: CrossGainMatrices, now: PowerState,
@@ -162,8 +156,8 @@ def _decide(plan: _Plan, m: CrossGainMatrices, now: PowerState,
     _check_interference(now.e1, np.where(m.dual, now.e2, 1.0))
     p1, p2 = wf1, wf2 = _waterfill(m.p_max, now.e1, now.e2, m.w1, m.w2, plan.w1p, plan.wsum)
     if plan.bdt is not None:
-        # Single-link UEs (state 0) pick a neighbouring entry; it is dropped.
-        c = plan.bdt_table.take(plan.bdt_row + report.state, axis=2)
+        # Single-link UEs (state 0) pick S9's entry; it is dropped.
+        c = plan.bdt_table.take(report.state - 1, axis=2)
         t1, t2 = _bdt(c, now.p1, now.p2, m.p_max)
         tabled = plan.bdt & (report.state != 1)
         p1, p2 = np.where(tabled, t1, p1), np.where(tabled, t2, p2)
@@ -375,6 +369,8 @@ def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
 
 # --- Monte Carlo sweeps ---------------------------------------------------------
 
+_MAX_ATTEMPTS = 200  # draws of one trial before a contractive sweep gives up
+
 
 @dataclass
 class SweepPoint:
@@ -394,19 +390,18 @@ def monte_carlo(
     trials: int,
     seeds: int | Sequence[int],
     max_iter: int = 50,
-    eps: float = 1e-6,
-    window: int = 5,
     require_contractive: bool = False,
-    max_attempts: int = 200,
 ) -> list[dict]:
     """Seeded sweep: every policy sees the same scenario in a given trial.
 
     ``seeds`` is either a base seed (per-trial seeds are derived from it) or
     an explicit per-trial seed list. With ``require_contractive`` the
     generator rejects scenarios whose waterfilling iteration matrix has a
-    spectral radius of 1 or more, re-drawing deterministically. The trials
-    x policies runs of a point advance as one stack through ``run``, with
-    the results of separate runs.
+    spectral radius of 1 or more, re-drawing deterministically; RuntimeError
+    after ``_MAX_ATTEMPTS`` draws of one trial. The trials x policies runs
+    of a point, which share its tau and z, advance as one stack through
+    ``run`` at its default ``eps`` and ``window``, with the results of
+    separate runs.
     """
     from .equilibrium import build_system, spectral_radius
 
@@ -422,7 +417,7 @@ def monte_carlo(
     for point_idx, point in enumerate(points):
         networks = []
         for trial in range(trials):
-            for attempt in range(max_attempts):
+            for attempt in range(_MAX_ATTEMPTS):
                 if seed_list is not None:
                     seed = _trial_seed(seed_list[trial], point_idx, 0, attempt)
                 else:
@@ -433,11 +428,10 @@ def monte_carlo(
             else:
                 raise RuntimeError(
                     f"no contractive scenario found for point {point.sweep_value!r}, "
-                    f"trial {trial} after {max_attempts} attempts"
+                    f"trial {trial} after {_MAX_ATTEMPTS} attempts"
                 )
             networks += [mat] * len(policies)
-        traces = run(stack_matrices(networks), list(policies) * trials,
-                     max_iter=max_iter, eps=eps, window=window)
+        traces = run(stack_matrices(networks), list(policies) * trials, max_iter=max_iter)
         for i, trace in enumerate(traces):
             rows.append({
                 "sweep_var": point.sweep_var,

@@ -25,23 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .network import Scenario
-
-
-class _LinkBins(NamedTuple):
-    """One bincount adds up the link loads of a whole stack: row b's PoA p
-    is bin b * (n_poas + 1) + p, and an absent second link lands in the
-    row's last bin."""
-
-    index: np.ndarray      # the bin of every access link, (..., n, 2)
-    flat: np.ndarray       # index.ravel()
-    size: int              # the number of bins
-    shape: tuple           # the per-row shape of the bin counts
-    neg_tau: np.ndarray    # -tau, shaped to compare with per-link values
 
 
 @dataclass
@@ -66,8 +54,9 @@ class CrossGainMatrices:
     summed bandwidth of the channels some UE transmits on.
 
     On a stack (``stack_matrices``) every field but the backhaul layout
-    (``capacity``, ``relays``, ``picos``, ``macro``) has a leading batch
-    axis: ``f11`` is (B, n, n), ``d1`` is (B, n), ``tau`` is (B,).
+    (``capacity``, ``relays``, ``picos``, ``macro``) and the policy
+    constants ``tau`` and ``z`` has a leading batch axis: ``f11`` is
+    (B, n, n), ``d1`` is (B, n), ``bandwidth_in_use`` is (B,).
     """
 
     f11: np.ndarray
@@ -104,46 +93,40 @@ class CrossGainMatrices:
         return self.capacity.shape[0]
 
     @cached_property
-    def _link_bins(self) -> _LinkBins:
-        """The layout as ``backhaul.rate_differentials`` reads it, derived
-        once per object (``take`` and ``replace`` return new ones).
-        ValueError unless tau > 0."""
-        tau = np.asarray(self.tau)
-        if (tau <= 0).any():
-            raise ValueError("tau must be > 0")
+    def _bin_index(self) -> np.ndarray:
+        """The bin of every access link, (..., n, 2), derived once per object
+        (``take`` and ``replace`` return new ones): row b's PoA p is bin
+        b * (n_poas + 1) + p, and an absent second link lands in the row's
+        last bin, so one bincount adds up the link loads of a whole stack."""
         batch = self.poa.shape[:-2]
-        bins = self.n_poas + 1
-        size = bins * math.prod(batch)
-        index = self.poa + np.arange(0, size, bins).reshape(*batch, 1, 1)
-        return _LinkBins(index, index.ravel(), size, (*batch, bins), -tau[..., None, None])
+        return self.poa + (self.n_poas + 1) * np.arange(math.prod(batch)).reshape(*batch, 1, 1)
 
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
 
 
-# The backhaul layout every network of a stack shares; the other fields are
-# stacked.
-_SHARED = ("capacity", "relays", "picos", "macro")
+# The backhaul layout and the policy constants, which every network of a
+# stack shares; the other fields are stacked.
+_SHARED = ("capacity", "relays", "picos", "macro", "tau", "z")
 _PER_NETWORK = tuple(f.name for f in fields(CrossGainMatrices) if f.name not in _SHARED)
 
 
 def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
     """One CrossGainMatrices holding the networks ``ms`` as rows of a batch.
 
-    The networks must have the same UE count and backhaul layout (relays,
-    picocells, macrocell and capacities), as the trials of one generator
-    setting do; ValueError otherwise.
+    The networks must have the same UE count, backhaul layout (relays,
+    picocells, macrocell and capacities), tau and z, as the trials of one
+    sweep point do; ValueError otherwise.
     """
     if not ms:
         raise ValueError("no networks to stack")
     first = ms[0]
     for m in ms[1:]:
-        if m.n != first.n or m.macro != first.macro or not all(
-                np.array_equal(getattr(m, name), getattr(first, name))
-                for name in ("capacity", "relays", "picos")):
-            raise ValueError("stacked networks must share the UE count and the "
-                             "backhaul layout (relays, picos, macro, capacity)")
+        if m.n != first.n or not all(np.array_equal(getattr(m, name), getattr(first, name))
+                                     for name in _SHARED):
+            raise ValueError("stacked networks must share the UE count, the backhaul "
+                             "layout (relays, picos, macro, capacity), tau and z")
     return replace(first, **{name: np.array([getattr(m, name) for m in ms])
                              for name in _PER_NETWORK})
 

@@ -272,14 +272,20 @@ class TestStackedReport:
         scenarios = [generate_mixed(GenParams(n_ues=30, n_relays=9, n_picos=12, seed=seed,
                                               backhaul_scale=0.3), 6) for seed in (1, 2, 3)]
         ms = [build_matrices(s) for s in scenarios]
-        stack = stack_matrices([replace(m, tau=tau) for m, tau in zip(ms, (1e6, 5e6, 2e7))])
         rate1 = rng.uniform(0, 40e6, size=(3, 36))
-        rate2 = np.where(stack.dual, rng.uniform(0, 40e6, size=(3, 36)), 0.0)
-        rep = rate_differentials(stack, rate1, rate2)
-        for i, (s, m) in enumerate(zip(scenarios, ms)):
-            alone = rate_differentials(replace(m, tau=stack.tau[i]), rate1[i], rate2[i])
-            assert rep.eta_n[i] == alone.eta_n and rep.gamma_relay_sum[i] == alone.gamma_relay_sum
-            for name in ("load", "v", "v1", "v2", "state"):
-                np.testing.assert_array_equal(getattr(rep, name)[i], getattr(alone, name))
-            v = scalar_rate_differentials(s, rate1[i], rate2[i])
-            assert alone.v.tolist() == [v[poa.id] for poa in s.poas]
+        rate2 = np.where([m.dual for m in ms], rng.uniform(0, 40e6, size=(3, 36)), 0.0)
+        states = []
+        for tau in (1e6, 5e6, 2e7):  # a stack shares tau: one stack per value
+            stack = stack_matrices([replace(m, tau=tau) for m in ms])
+            rep = rate_differentials(stack, rate1, rate2)
+            states.append(rep.state)
+            for i, (s, m) in enumerate(zip(scenarios, ms)):
+                alone = rate_differentials(replace(m, tau=tau), rate1[i], rate2[i])
+                assert (rep.eta_n[i] == alone.eta_n
+                        and rep.gamma_relay_sum[i] == alone.gamma_relay_sum)
+                for name in ("load", "v", "v1", "v2", "state"):
+                    np.testing.assert_array_equal(getattr(rep, name)[i], getattr(alone, name))
+                v = scalar_rate_differentials(s, rate1[i], rate2[i])
+                assert alone.v.tolist() == [v[poa.id] for poa in s.poas]
+        # tau reaches the states: the values do not all classify alike.
+        assert any((a != b).any() for a, b in zip(states, states[1:]))

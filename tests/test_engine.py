@@ -369,30 +369,35 @@ class TestLockstep:
         assert rows == expected  # floats compared exactly
 
     def test_stacked_run_equals_separate_runs(self):
-        # Mixed populations with one policy, tau and z per row, and a start p0.
-        ms = [replace(build_matrices(generate_mixed(GenParams(n_ues=5, seed=seed,
-                                                              backhaul_scale=0.2), 2)),
-                      tau=tau, z=z)
-              for seed, tau, z in ((1, 5e6, 0.9), (2, 2e6, 0.5), (3, 5e6, 0.9), (4, 1e7, 0.7))]
+        # Mixed populations with one policy per row and a start p0, in one
+        # stack per (tau, z), which a stack shares.
+        base = [build_matrices(generate_mixed(GenParams(n_ues=5, seed=seed,
+                                                        backhaul_scale=0.2), 2))
+                for seed in (1, 2, 3, 4)]
         policies = ["greedy", "bdt", "wf", "bdt"]
-        stack = stack_matrices(ms)
-        p0 = (stack.p_max * 0.3, np.where(stack.dual, stack.p_max * 0.6, 0.0))
-        traces = run(stack, policies, max_iter=40, p0=p0)
-        assert len(traces) == 4
-        for i, (m, policy, trace) in enumerate(zip(ms, policies, traces)):
-            alone = run(m, policy, max_iter=40, p0=(p0[0][i], p0[1][i]))
-            assert trace.verdict == alone.verdict
-            assert trace.metrics == alone.metrics
-            np.testing.assert_array_equal(trace.states[-1].p1, alone.states[-1].p1)
-            np.testing.assert_array_equal(trace.states[-1].p2, alone.states[-1].p2)
-            np.testing.assert_array_equal(trace.reports[-1].state, alone.reports[-1].state)
-            assert trace.reports[-1].eta_n == alone.reports[-1].eta_n
+        for tau, z in ((5e6, 0.9), (2e6, 0.5), (1e7, 0.7)):
+            ms = [replace(m, tau=tau, z=z) for m in base]
+            stack = stack_matrices(ms)
+            p0 = (stack.p_max * 0.3, np.where(stack.dual, stack.p_max * 0.6, 0.0))
+            traces = run(stack, policies, max_iter=40, p0=p0)
+            assert len(traces) == 4
+            for i, (m, policy, trace) in enumerate(zip(ms, policies, traces)):
+                alone = run(m, policy, max_iter=40, p0=(p0[0][i], p0[1][i]))
+                assert trace.verdict == alone.verdict
+                assert trace.metrics == alone.metrics
+                np.testing.assert_array_equal(trace.states[-1].p1, alone.states[-1].p1)
+                np.testing.assert_array_equal(trace.states[-1].p2, alone.states[-1].p2)
+                np.testing.assert_array_equal(trace.reports[-1].state,
+                                              alone.reports[-1].state)
+                assert trace.reports[-1].eta_n == alone.reports[-1].eta_n
 
     def test_stack_rejects_other_layouts(self):
         base = build_matrices(generate(GenParams(n_ues=6, seed=1)))
         for other in (GenParams(n_ues=7, seed=1),                  # n
                       GenParams(n_ues=6, n_relays=2, seed=1),      # relays, picos, macro
-                      GenParams(n_ues=6, backhaul_scale=0.5, seed=1)):  # capacity
+                      GenParams(n_ues=6, backhaul_scale=0.5, seed=1),  # capacity
+                      GenParams(n_ues=6, tau=2e6, seed=1),
+                      GenParams(n_ues=6, z_factor=0.5, seed=1)):
             with pytest.raises(ValueError, match="must share"):
                 stack_matrices([base, build_matrices(generate(other))])
         with pytest.raises(ValueError, match="no networks"):

@@ -250,12 +250,16 @@ class TestStackedNetworks:
                 np.testing.assert_array_equal(getattr(state, name)[i], getattr(alone, name))
 
     def test_stack_keeps_layout_and_stacks_the_rest(self):
-        ms = [build_matrices(generate(GenParams(n_ues=5, seed=seed))) for seed in (1, 2)]
-        stack = stack_matrices(ms)
-        assert stack.f11.shape == (2, 5, 5) and stack.poa.shape == (2, 5, 2)
-        assert stack.tau.shape == stack.z.shape == stack.bandwidth_in_use.shape == (2,)
-        assert stack.n == 5 and stack.macro == ms[0].macro
-        np.testing.assert_array_equal(stack.capacity, ms[0].capacity)
-        second = stack.take([1])
-        np.testing.assert_array_equal(second.f21[0], ms[1].f21)
-        assert second.bandwidth_in_use[0] == ms[1].bandwidth_in_use
+        for tau, z in ((5e6, 0.9), (2e6, 0.5)):  # a stack holds one tau and z
+            ms = [build_matrices(generate(GenParams(n_ues=5, seed=seed, tau=tau, z_factor=z)))
+                  for seed in (1, 2)]
+            stack = stack_matrices(ms)
+            assert stack.f11.shape == (2, 5, 5) and stack.poa.shape == (2, 5, 2)
+            assert stack.bandwidth_in_use.shape == (2,)
+            assert stack.n == 5 and stack.macro == ms[0].macro
+            assert (stack.tau, stack.z) == (tau, z) and np.ndim(stack.tau) == np.ndim(stack.z) == 0
+            np.testing.assert_array_equal(stack.capacity, ms[0].capacity)
+            second = stack.take([1])
+            np.testing.assert_array_equal(second.f21[0], ms[1].f21)
+            assert second.bandwidth_in_use[0] == ms[1].bandwidth_in_use
+            assert (second.tau, second.z) == (tau, z)
