@@ -9,9 +9,9 @@ Two subcommands:
               scale, or small-cell count; writes trials.csv + summary.csv.
 
 Exit codes: 0 success, 2 usage error (including an output that cannot be
-written), 3 scenario validation error (including a missing gain and a
-non-finite number), 4 runtime numerical failure. The default output
-directory can be set with the DUPLINK_OUT environment variable.
+written), 3 scenario validation error (including a missing gain, a
+non-finite number and a link out of float range), 4 runtime numerical
+failure. The default output directory can be set with DUPLINK_OUT.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not violations:
         try:
             mat = build_matrices(scenario)
-        except KeyError as exc:  # a gain the channel layout requires is absent
+        except (KeyError, ValueError) as exc:  # a required gain is absent, or out of range
             violations = [exc.args[0]]
     if violations:
         print("scenario validation failed:", file=sys.stderr)
@@ -316,3 +316,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

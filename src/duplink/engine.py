@@ -189,7 +189,7 @@ def step(
         p1, p2 = (np.asarray(p, dtype=float) for p in plan.custom(m, now, report))
     else:
         p1, p2 = _decide(plan, m, now, report)
-    bad = (p1 < -_FEAS_SLACK) | (p2 < -_FEAS_SLACK) | (p1 + p2 > plan.cap)
+    bad = ~((p1 >= -_FEAS_SLACK) & (p2 >= -_FEAS_SLACK) & (p1 + p2 <= plan.cap))  # NaN too
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
         raise RuntimeError(

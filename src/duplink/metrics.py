@@ -15,9 +15,10 @@ the noise powers normalized the same way.
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
 
-``stack_matrices`` stacks networks of one layout into one CrossGainMatrices
-whose per-network arrays gain a leading batch axis, one row per network;
-``compute_state`` and the backhaul and engine layers accept either form.
+``stack_matrices`` stacks networks of one layout, tau and z (one sweep
+point) into one CrossGainMatrices whose per-network arrays gain a leading
+batch axis, one row per network; tau and z stay scalars. ``compute_state``
+and the backhaul and engine layers accept either form.
 """
 
 from __future__ import annotations
@@ -150,7 +151,9 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
 
     The own gain of every access link and the cross gain of every co-channel
     pair of links are found with one ``searchsorted`` on the sorted gain
-    keys. Raises KeyError naming the first needed gain that is missing.
+    keys. Raises KeyError naming the first needed gain that is missing, and
+    ValueError naming the first link whose normalized noise is zero or
+    infinite, or which a cross-gain ratio reaches as infinite.
     """
     n = len(s.ues)
     n_poas = len(s.poas)
@@ -188,17 +191,26 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     gains = s.gains.values[at]
     g_own, g_cross = gains[:len(ue)], gains[len(ue):]
 
-    f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
-    f[x[b], x[a], row[a], row[b]] = g_cross / g_own[a]
     bandwidth = np.zeros(len(s.channels) + 1)  # by channel id
     capacity = np.zeros(n_poas)                # by PoA index
     for c in s.channels:
         bandwidth[c.id] = c.bandwidth
     for p in s.poas:
         capacity[p.id - 1] = p.backhaul_capacity
+    w_link = bandwidth[chan]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        noise, ratio = s.noise_psd * w_link / g_own, g_cross / g_own[a]
+    bad = np.concatenate((~((0 < noise) & (noise < math.inf)), ratio == math.inf))
+    if bad.any():  # a run would end in NaN or a division by zero
+        k = int(np.argmax(bad))
+        what, j, v = (("normalized noise", k, noise[k]) if k < len(ue) else
+                      ("a cross-gain ratio", a[k - len(ue)], ratio[k - len(ue)]))
+        raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {what} is {float(v)!r}, "
+                         "out of floating-point range")
+    f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
+    f[x[b], x[a], row[a], row[b]] = ratio
     d, w = np.zeros((2, n)), np.zeros((2, n))
-    w[x, row] = w_link = bandwidth[chan]
-    d[x, row] = s.noise_psd * w_link / g_own
+    w[x, row], d[x, row] = w_link, noise
     poa = np.full((n, 2), n_poas)
     poa[row, x] = poa_id - 1
     p_max, beta = np.array([(u.p_max, u.fixed_sinr_target or 0.0) for u in s.ues],

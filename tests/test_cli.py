@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from duplink import (GenParams, build_matrices, build_system, generate_mixed, save_scenario,
-                     spectral_radius, worked_example)
+import duplink
+from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, generate,
+                     generate_mixed, run, save_scenario, spectral_radius, worked_example)
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
 from duplink.network import scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
@@ -188,6 +193,91 @@ class TestRunCommand:
         assert err.startswith("error: cannot parse scenario: maximum recursion depth"), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["poas"][0].__setitem__("id", 7), "PoA ids must be 1..3, got [2, 3, 7]"),
+        (lambda d: d["ues"][1].__setitem__("id", 5), "UE ids must be 1..2, got [1, 5]"),
+        (lambda d: d["ues"][0].__setitem__("poa_1", 9), "UE 1: unknown PoA 9 on link 1"),
+        (lambda d: d["ues"][0].__setitem__("chan_1", 9), "UE 1: unknown channel 9 on link 1"),
+        (lambda d: d["ues"][1].pop("chan_2"), "UE 2: poa_2 and chan_2 must be set together"),
+        (lambda d: d["ues"][1].__setitem__("poa_2", 9), "UE 2: unknown PoA 9 on link 2"),
+        (lambda d: d["ues"][0].__setitem__("fixed_sinr_target", 2.0),
+         "UE 1: fixed_sinr_target is only for single-link UEs"),
+    ], ids=["poa_ids", "ue_ids", "poa_1", "chan_1", "half_link_2", "poa_2", "target_on_dual"])
+    def test_layout_violation_is_validation_error(self, tmp_path, capsys, edit, message):
+        d = scenario_to_dict(worked_example())
+        edit(d)
+        assert self.run_dict(tmp_path, d) == 3
+        err = capsys.readouterr().err
+        assert f"  - {message}\n" in err and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def beyond_float_range(case):
+        """A file that passes validate_scenario, but whose link noise or
+        interference leaves float64 range once normalized."""
+        if case == "underflow":  # noise_psd * bandwidth / gain is 0
+            d = scenario_to_dict(generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=2)))
+            d["noise_psd"] = 5e-324
+            for g in d["gains"]:
+                g[3] = 1e10
+            return d
+        d = scenario_to_dict(worked_example())
+        if case == "huge_noise":
+            d["noise_psd"] = 1e308
+        elif case == "tiny_gains":
+            for g in d["gains"]:
+                g[3] = 5e-324
+        else:  # UE 1's link 2 into UE 2's link 2, relative to UE 2's own gain
+            ue = d["ues"][1]
+            for g in d["gains"]:
+                if g[1:3] == [ue["poa_2"], ue["chan_2"]]:
+                    g[3] = 1e-300 if g[0] == ue["id"] else 1e10
+        return d
+
+    @pytest.mark.parametrize("case,message", [
+        ("underflow", "UE 1 link 1: normalized noise is 0.0"),
+        ("huge_noise", "UE 1 link 1: normalized noise is inf"),
+        ("tiny_gains", "UE 1 link 1: normalized noise is inf"),
+        ("cross_ratio", "UE 2 link 2: a cross-gain ratio is inf"),
+    ])
+    def test_link_beyond_float_range_is_validation_error(self, tmp_path, capsys, case,
+                                                         message):
+        assert self.run_dict(tmp_path, self.beyond_float_range(case)) == 3
+        err = capsys.readouterr().err
+        assert f"  - {message}, out of floating-point range\n" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, policy):
+        # w1 * p_max overflows, so the first decision is NaN: the run stops
+        # with exit 4 before it writes anything.
+        d = scenario_to_dict(worked_example())
+        for ue in d["ues"]:
+            ue["p_max"] = 1e308
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--policy", policy,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "error: numerical failure: policy returned infeasible powers for UE 1: (nan" in err
+        assert not any(out.iterdir())
+
+    def test_eps_and_window_reach_the_run(self, scenario_file, tmp_path):
+        m = build_matrices(worked_example())
+        for extra, kwargs in (([], {}), (["--eps", "1e-3", "--window", "2"],
+                                         {"eps": 1e-3, "window": 2})):
+            out = tmp_path / str(len(extra))
+            assert main(["run", "--scenario", str(scenario_file), "--policy", "wf",
+                         *extra, "--out", str(out)]) == 0
+            metrics = json.loads((out / "metrics.json").read_text())
+            verdict = run(m, "wf", **kwargs).verdict
+            assert (metrics["verdict"], metrics["converged_at"]) == (verdict.kind,
+                                                                     verdict.iteration)
+        assert (json.loads((tmp_path / "4" / "metrics.json").read_text())["converged_at"]
+                < json.loads((tmp_path / "0" / "metrics.json").read_text())["converged_at"])
+
     def test_nan_tau_override_is_validation_error(self, tmp_path, capsys):
         d = scenario_to_dict(worked_example())
         assert self.run_dict(tmp_path, d, "--tau", "nan") == 3
@@ -352,6 +442,13 @@ class TestExperimentCommand:
         assert all(r["preset"] == "fig3" for r in trials_rows)
         assert all(r["converged"] in ("0", "1") for r in trials_rows)
 
+    def test_fig2b_sweeps_the_tau_z_grid(self, tmp_path):
+        trials_rows, summary_rows = self.run_preset(tmp_path, "fig2b", trials=1)
+        # 5 tau values x 4 Z values x 2 policies
+        assert len(trials_rows) == len(summary_rows) == 5 * 4 * 2
+        assert {r["policy"] for r in trials_rows} == {"bdt", "greedy"}
+        assert {r["sweep_value"] for r in trials_rows} >= {"1Mbps|Z0.5", "20Mbps|Z0.95"}
+
     def test_fig5_sweeps_both_cell_kinds(self, tmp_path):
         trials_rows, _ = self.run_preset(tmp_path, "fig5", trials=1)
         assert {r["sweep_var"] for r in trials_rows} == {"n_picos", "n_relays"}
@@ -398,3 +495,22 @@ class TestExperimentCommand:
         args = build_parser().parse_args(
             ["run", "--scenario", str(scenario_file), "--policy", "wf"])
         assert args.out == str(tmp_path / "envout")
+
+
+class TestModuleEntryPoint:
+    """``python -m duplink.cli`` is the command line."""
+
+    def run_module(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(duplink.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "duplink.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_version(self):
+        done = self.run_module("--version")
+        assert done.returncode == 0 and done.stdout.strip() == duplink.__version__
+
+    def test_missing_scenario_is_usage_error(self, tmp_path):
+        done = self.run_module("run", "--scenario", str(tmp_path / "missing.json"),
+                               "--policy", "bdt", "--out", str(tmp_path / "out"))
+        assert done.returncode == 2
+        assert "error: scenario file not found" in done.stderr

@@ -70,10 +70,14 @@ class TestStep:
         def bad(m, now, report):
             return m.p_max, m.p_max
 
+        def nan(m, now, report):  # NaN fails every comparison
+            return now.p1 * np.nan, now.p2
+
         m = build_matrices(worked_example())
-        with pytest.raises(RuntimeError, match="infeasible powers for UE 1:"):
-            state = initial_state(m)
-            step(m, state, bad, report_of(m, state))
+        for policy, powers in ((bad, "1.0, 1.0"), (nan, "nan, ")):
+            with pytest.raises(RuntimeError, match=rf"infeasible powers for UE 1: \({powers}"):
+                state = initial_state(m)
+                step(m, state, policy, report_of(m, state))
 
     def test_deterministic(self):
         m = build_matrices(generate(GenParams(n_ues=6, seed=13)))
@@ -332,6 +336,24 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo([SweepPoint("x", 1, GenParams(n_ues=2))], ["wf"],
                         trials=0, seeds=0)
+
+    def test_needs_a_policy(self):
+        with pytest.raises(ValueError, match="need at least one policy"):
+            monte_carlo([SweepPoint("x", 1, GenParams(n_ues=2))], [], trials=1, seeds=0)
+
+    def test_gives_up_without_a_contractive_draw(self, monkeypatch):
+        # A spectral radius of exactly 1 is not contractive: every draw is
+        # rejected, and the trial gives up after a fixed number of draws.
+        import duplink.equilibrium
+
+        radii = []
+        monkeypatch.setattr(duplink.equilibrium, "spectral_radius",
+                            lambda a: radii.append(1.0) or 1.0)
+        with pytest.raises(RuntimeError, match="no contractive scenario found for point 2, "
+                                               "trial 0 after 200 attempts"):
+            monte_carlo([SweepPoint("x", 2, GenParams(n_ues=2))], ["wf"], trials=1, seeds=0,
+                        require_contractive=True)
+        assert len(radii) == 200
 
 
 def separate_runs(point, policies, trials, seeds, **kwargs):

@@ -90,6 +90,13 @@ class TestGenerateStructure:
                                min_poa_separation=5000.0))
 
     def test_parameter_validation(self):
+        for params, message in ((GenParams(n_ues=-1), "counts must be >= 0"),
+                                (GenParams(n_relays=-1), "counts must be >= 0"),
+                                (GenParams(n_picos=-1), "counts must be >= 0"),
+                                (GenParams(radius_m=0.0), "radius_m must be > 0"),
+                                (GenParams(radius_m=-5.0), "radius_m must be > 0")):
+            with pytest.raises(ValueError, match=message):
+                generate(params)
         with pytest.raises(ValueError):
             generate(GenParams(n_ues=2, n_relays=0, n_picos=0))
         with pytest.raises(ValueError):
