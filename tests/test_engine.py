@@ -418,8 +418,8 @@ class TestLockstep:
         for other in (GenParams(n_ues=7, seed=1),                  # n
                       GenParams(n_ues=6, n_relays=2, seed=1),      # relays, picos, macro
                       GenParams(n_ues=6, backhaul_scale=0.5, seed=1),  # capacity
-                      GenParams(n_ues=6, tau=2e6, seed=1),
-                      GenParams(n_ues=6, z_factor=0.5, seed=1)):
+                      GenParams(n_ues=6, tau=2e6, seed=1),         # tau
+                      GenParams(n_ues=6, z_factor=0.5, seed=1)):   # z
             with pytest.raises(ValueError, match="must share"):
                 stack_matrices([base, build_matrices(generate(other))])
         with pytest.raises(ValueError, match="no networks"):
