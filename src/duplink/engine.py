@@ -9,8 +9,9 @@ oscillating when it revisits an earlier, non-adjacent iterate without
 settling.
 
 One loop serves every run: it advances a stack of networks in lockstep,
-each row as if alone, and a one-network run is its one-row case. A Monte
-Carlo sweep runs all trials and policies of a sweep point as one stack.
+each row as if alone, and one network runs unstacked as a batch of one. A
+Monte Carlo sweep runs all trials and policies of a sweep point as one
+stack.
 
 ``step`` takes a policy name, one name per network of a stack, or a
 callable. For names it first resolves a plan: which rule each UE runs, the
@@ -236,20 +237,11 @@ def run(
         names = np.broadcast_to(np.asarray(policy), m.d1.shape[:1])
         return _lockstep(m, names, max_iter, eps, window, p0, None)
 
-    # One network is the one-row case, with its whole history kept.
-    if callable(policy):
-        custom = policy
-
-        def policy(_, now, report):
-            return [np.asarray(p, dtype=float)[None]
-                    for p in custom(m, _row(now, 0), _row(report, 0))]
-
-    if p0 is not None:
-        p0 = tuple(np.asarray(p, dtype=float)[None] for p in p0)
+    # One network runs as it is, a batch of one, with its whole history kept.
     history: list = []
-    [trace] = _lockstep(stack_matrices([m]), policy, max_iter, eps, window, p0, history)
-    trace.states = [_row(state, 0) for state, _ in history]
-    trace.reports = [_row(report, 0) for _, report in history]
+    [trace] = _lockstep(m, policy, max_iter, eps, window, p0, history)
+    trace.states = [state for state, _ in history]
+    trace.reports = [report for _, report in history]
     return trace
 
 
@@ -260,9 +252,11 @@ _HISTORY_START = 64
 
 def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
               p0, history: Optional[list]) -> list[Trace]:
-    """The iteration loop of ``run`` over the rows of a stack; appends every
-    iterate's (state, report) to ``history`` when one is given."""
-    b, n = m.d1.shape
+    """The iteration loop of ``run`` over the rows of a stack, or over one
+    network as a batch of one; appends every iterate's (state, report) to
+    ``history`` when one is given."""
+    n = m.n
+    b = math.prod(m.d1.shape[:-1])
     plan = _plan(m, policy)
     now = initial_state(m, p0)
     report = rate_differentials(m, now.rate1, now.rate2)
@@ -336,10 +330,13 @@ def _row(obj, j: int):
 
 def _final(m: CrossGainMatrices, now: PowerState, report: BackhaulReport, j: int,
            verdict: Verdict, iterations: int) -> Trace:
-    """The Trace of stack row ``j`` at its last iterate, with the run's
+    """The Trace of batch row ``j`` at its last iterate, with the run's
     headline numbers as its metrics."""
-    final, last = _row(now, j), _row(report, j)
-    bandwidth = float(m.bandwidth_in_use[j])
+    if m.d1.ndim == 1:  # one network, not a stack
+        final, last, bandwidth = now, report, m.bandwidth_in_use
+    else:
+        final, last, bandwidth = _row(now, j), _row(report, j), m.bandwidth_in_use[j]
+    bandwidth = float(bandwidth)
     totals = final.p1 + final.p2
     metrics = {
         "eta_n_final": last.eta_n,
@@ -350,21 +347,27 @@ def _final(m: CrossGainMatrices, now: PowerState, report: BackhaulReport, j: int
     return Trace([final], [last], verdict, metrics)
 
 
+_STATE_NAMES = np.array([""] + [state.name for state in BackhaulState], dtype=object)
+
+
 def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
     """One row per iteration: k, per-UE powers/rates/state, network rate, as
     ``csv.writer`` writes each number's ``repr``; each distinct number is printed once."""
     n, k = m.ue_id.size, len(trace.states)
     header = ["k", *(f"{col}_{ue}" for ue in m.ue_id.tolist()
                      for col in ("p1", "p2", "rate1", "rate2", "state")), "eta_n"]
-    names = np.array([""] + [state.name for state in BackhaulState], dtype=object)
     numbers = np.array([(s.p1, s.p2, s.rate1, s.rate2) for s in trace.states]).swapaxes(1, 2)
     bits, at = np.unique(numbers.view(np.int64), return_inverse=True)  # -0.0 != 0.0
-    cells = np.array(_reprs(bits.view(float)), dtype=object)[at].reshape(k, n, 4)
-    states = names[np.array([rep.state for rep in trace.reports], dtype=int).reshape(k, n, 1)]
-    rows = np.concatenate([cells, states], axis=2).reshape(k, 5 * n).tolist()
-    lines = [",".join(header), *(",".join([str(j), *row, repr(rep.eta_n)])
-                                 for j, (row, rep) in enumerate(zip(rows, trace.reports)))]
-    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
+    # All cells in one row-major table, joined by commas at once: the last
+    # cell of a row ends it and holds the number of the next.
+    cells = np.empty((k, 5 * n + 1), dtype=object)
+    per_ue = cells[:, :-1].reshape(k, n, 5)
+    per_ue[..., :4] = np.array(_reprs(bits.view(float)), dtype=object)[at.reshape(k, n, 4)]
+    per_ue[..., 4] = _STATE_NAMES[np.array([rep.state for rep in trace.reports], dtype=int)]
+    cells[:, -1] = [f"{rep.eta_n!r}\r\n{j}" for j, rep in enumerate(trace.reports, 1)]
+    cells[-1, -1] = f"{trace.reports[-1].eta_n!r}\r\n"
+    text = ",".join(header) + "\r\n0," + ",".join(cells.ravel().tolist())
+    Path(path).write_text(text, newline="")
 
 
 # --- Monte Carlo sweeps ---------------------------------------------------------

@@ -30,18 +30,44 @@ class InapplicableCheck(Exception):
     """Raised when a trajectory check's preconditions do not hold."""
 
 
+def _components(a: np.ndarray) -> list[np.ndarray]:
+    """The weakly connected components of the nonzero pattern of the square
+    matrix ``a``, as index arrays in increasing order, the component of the
+    smallest index first. ``a`` is block-diagonal over them, so its
+    eigenvalues and its linear systems split by component.
+
+    Min-label propagation with pointer jumping: every index takes the
+    smallest label among its own and its neighbours', then its label's
+    label, until no label changes. A label is always an index of the same
+    component, so each component ends labelled by its smallest index.
+    """
+    n = len(a)
+    linked = a != 0
+    linked |= linked.T
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label, np.where(linked, label, n).min(axis=1, initial=n))
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
 def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue magnitude."""
+    """Largest eigenvalue magnitude, over the eigenvalues of each weakly
+    connected component of ``m``'s nonzero pattern (``_components``)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size == 0:
         return 0.0
     try:
-        eigs = np.linalg.eigvals(m)
+        return max(float(np.max(np.abs(np.linalg.eigvals(m[np.ix_(idx, idx)]))))
+                   for idx in _components(m))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(np.abs(eigs)))
 
 
 def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -67,16 +93,20 @@ def closed_form_equilibrium(
     """Fixed point (p1*, p2*) of the affine iteration p1 = c + a @ p1.
 
     ``rho`` is the spectral radius of ``a`` (see ``spectral_radius``); the
-    iteration must contract (rho < 1), else ValueError. Raises LinAlgError
-    when the solve fails or its residual is not negligible. Dual UEs spend
+    iteration must contract (rho < 1), else ValueError. ``(I - a) p1 = c``
+    is solved per weakly connected component of ``a`` (``_components``).
+    Raises LinAlgError when a solve fails or the residual of the whole
+    system is not negligible. Dual UEs spend
     the rest of their budget on link 2; single-link UEs have p2* = 0. The
     prediction describes the true dynamics only when p1* lies strictly
     inside (0, p_max).
     """
     if rho >= 1.0:
         raise ValueError(f"iteration does not contract (spectral radius {rho:.4f})")
+    p1 = np.empty(len(c))
     try:
-        p1 = np.linalg.solve(np.eye(a.shape[0]) - a, c)
+        for idx in _components(a):
+            p1[idx] = np.linalg.solve(np.eye(len(idx)) - a[np.ix_(idx, idx)], c[idx])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"(I - M) solve failed: {exc}") from exc
     residual = np.max(np.abs(p1 - c - a @ p1), initial=0.0)

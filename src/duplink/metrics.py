@@ -10,7 +10,11 @@ diagonal and whenever the two links use different channels, so
     e2 = d2 + f22 @ p2 + f12 @ p1
 
 reproduces the scalar per-link interference sums exactly. ``d1``/``d2`` are
-the noise powers normalized the same way.
+the noise powers normalized the same way. Only the blocks that hold a
+nonzero are multiplied, in this order; on a generated scenario that is
+``f11`` alone, since no link-1 channel is a macrocell channel and macrocell
+channels are private. ``compute_state`` then derives SINR and rate of both
+links in one pass over (..., n, 2) arrays.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
@@ -102,6 +106,17 @@ class CrossGainMatrices:
         batch = self.poa.shape[:-2]
         return self.poa + (self.n_poas + 1) * np.arange(math.prod(batch)).reshape(*batch, 1, 1)
 
+    @cached_property
+    def _coupling(self) -> tuple:
+        """The terms of e1 and e2 whose coupling block holds a nonzero, as
+        (f, x - 1) pairs for the product f @ p_x, in the order of the module
+        docstring; derived once per object, as ``_bin_index`` is. For finite
+        powers a skipped block would add +0.0 to a sum that starts at
+        d >= +0.0, which leaves every bit as it is."""
+        return tuple(tuple((f, x) for f, x in terms if f.any())
+                     for terms in (((self.f11, 0), (self.f21, 1)),
+                                   ((self.f22, 1), (self.f12, 0))))
+
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
@@ -118,12 +133,13 @@ def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
 
     The networks must have the same UE count, backhaul layout (relays,
     picocells, macrocell and capacities), tau and z, as the trials of one
-    sweep point do; ValueError otherwise.
+    sweep point do; ValueError otherwise. A network given more than once
+    is compared once.
     """
     if not ms:
         raise ValueError("no networks to stack")
     first = ms[0]
-    for m in ms[1:]:
+    for m in list({id(m): m for m in ms}.values())[1:]:
         if m.n != first.n or not all(np.array_equal(getattr(m, name), getattr(first, name))
                                      for name in _SHARED):
             raise ValueError("stacked networks must share the UE count, the backhaul "
@@ -153,7 +169,8 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     pair of links are found with one ``searchsorted`` on the sorted gain
     keys. Raises KeyError naming the first needed gain that is missing, and
     ValueError naming the first link whose normalized noise is zero or
-    infinite, or which a cross-gain ratio reaches as infinite.
+    infinite, whose bandwidth times p_max is infinite, or which a cross-gain
+    ratio reaches as infinite.
     """
     n = len(s.ues)
     n_poas = len(s.poas)
@@ -197,15 +214,25 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
         bandwidth[c.id] = c.bandwidth
     for p in s.poas:
         capacity[p.id - 1] = p.backhaul_capacity
+    p_max, beta = np.array([(u.p_max, u.fixed_sinr_target or 0.0) for u in s.ues],
+                           dtype=float).reshape(n, 2).T.copy()
     w_link = bandwidth[chan]
     with np.errstate(over="ignore"):  # an overflow is reported below
         noise, ratio = s.noise_psd * w_link / g_own, g_cross / g_own[a]
-    bad = np.concatenate((~((0 < noise) & (noise < math.inf)), ratio == math.inf))
+        budget = w_link * p_max[row]  # waterfilling's w * p_max
+    link = np.arange(len(ue))
+    checks = [("normalized noise", link, noise, ~((0 < noise) & (noise < math.inf))),
+              ("bandwidth times p_max", link, budget, budget == math.inf),
+              ("a cross-gain ratio", a, ratio, ratio == math.inf)]
+    bad = np.concatenate([out for *_, out in checks])
     if bad.any():  # a run would end in NaN or a division by zero
         k = int(np.argmax(bad))
-        what, j, v = (("normalized noise", k, noise[k]) if k < len(ue) else
-                      ("a cross-gain ratio", a[k - len(ue)], ratio[k - len(ue)]))
-        raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {what} is {float(v)!r}, "
+        for what, at, v, out in checks:
+            if k < len(out):
+                break
+            k -= len(out)
+        j = at[k]
+        raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {what} is {float(v[k])!r}, "
                          "out of floating-point range")
     f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
     f[x[b], x[a], row[a], row[b]] = ratio
@@ -213,8 +240,6 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     w[x, row], d[x, row] = w_link, noise
     poa = np.full((n, 2), n_poas)
     poa[row, x] = poa_id - 1
-    p_max, beta = np.array([(u.p_max, u.fixed_sinr_target or 0.0) for u in s.ues],
-                           dtype=float).reshape(n, 2).T.copy()
     in_use = set(chan.tolist())
     return CrossGainMatrices(
         f11=f[0, 0], f12=f[0, 1], f21=f[1, 0], f22=f[1, 1],
@@ -240,22 +265,33 @@ def _apply(f: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (f @ p[..., None])[..., 0]
 
 
+def _interference(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """e1 and e2 of the module docstring as one (..., n, 2) array, from the
+    coupling blocks that hold a nonzero."""
+    if p1.shape != m.d1.shape or p2.shape != m.d1.shape:
+        raise ValueError(f"power vectors must have shape {m.d1.shape}")
+    e = np.empty((*m.d1.shape, 2))
+    p = (p1, p2)
+    for y, (d, terms) in enumerate(zip((m.d1, m.d2), m._coupling)):
+        for f, x in terms:
+            d = d + _apply(f, p[x])
+        e[..., y] = d
+    return e
+
+
 def effective_interference(
     m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-plus-interference seen by each link, normalized by own gain."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if p1.shape != m.d1.shape or p2.shape != m.d1.shape:
-        raise ValueError(f"power vectors must have shape {m.d1.shape}")
-    e1 = m.d1 + _apply(m.f11, p1) + _apply(m.f21, p2)
-    e2 = m.d2 + _apply(m.f22, p2) + _apply(m.f12, p1)
-    return e1, e2
+    e = _interference(m, p1, p2)
+    return e[..., 0], e[..., 1]
 
 
 def _link(p: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SINR p/e (0 where e <= 0) and Shannon rate w * log2(1 + SINR) of one
-    link per UE, for powers >= 0; the rate is zero where p or w is zero."""
+    """SINR p/e (0 where e <= 0) and Shannon rate w * log2(1 + SINR) of
+    every link, for powers >= 0; the rate is zero where p or w is zero."""
     off = e <= 0
     if not off.any():
         sinr = p / e
@@ -267,15 +303,17 @@ def _link(p: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> PowerState:
-    """PowerState with interference, SINR and rates derived from the powers.
+    """PowerState with interference, SINR and rates derived from the powers,
+    for both links in one pass over (..., n, 2) arrays.
 
     Raises ValueError when an active link (p > 0, w > 0) sees nonpositive
     effective interference.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    e1, e2 = effective_interference(m, p1, p2)
-    sinr1, rate1 = _link(p1, e1, m.w1)
-    sinr2, rate2 = _link(p2, e2, m.w2)
-    return PowerState(p1=p1, p2=p2, e1=e1, e2=e2, sinr1=sinr1, sinr2=sinr2,
-                      rate1=rate1, rate2=rate2)
+    e = _interference(m, p1, p2)
+    p, w = np.empty(e.shape), np.empty(e.shape)
+    p[..., 0], p[..., 1], w[..., 0], w[..., 1] = p1, p2, m.w1, m.w2
+    sinr, rate = _link(p, e, w)
+    return PowerState(p1=p1, p2=p2, e1=e[..., 0], e2=e[..., 1], sinr1=sinr[..., 0],
+                      sinr2=sinr[..., 1], rate1=rate[..., 0], rate2=rate[..., 1])

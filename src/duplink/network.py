@@ -295,7 +295,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         if u.dual:
             if u.poa_2 not in poa_ids:
                 bad.append(f"UE {u.id}: unknown PoA {u.poa_2} on link 2")
-            if u.chan_2 not in chan_ids:
+            if u.chan_2 is not None and u.chan_2 not in chan_ids:  # None is reported above
                 bad.append(f"UE {u.id}: unknown channel {u.chan_2} on link 2")
             if u.chan_1 == u.chan_2:
                 bad.append(f"UE {u.id}: access links must use distinct channels")
@@ -371,8 +371,8 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def _reprs(a: np.ndarray) -> list[str]:
-    """What ``json`` and ``csv`` write for each element, from one C-level ``repr``."""
-    return repr(a.ravel().tolist())[1:-1].split(", ") if a.size else []
+    """What ``json`` and ``csv`` write for each element: its Python ``repr``."""
+    return list(map(repr, a.ravel().tolist()))
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

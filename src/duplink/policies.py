@@ -141,9 +141,10 @@ def _bdt_coefficients(state, z):
 
 
 def _bdt(c, p1_now, p2_now, p_max):
-    # c[y - 1, 0..2]: the coefficients of link y's next power; S1's rows
-    # give (0, 0), and the callers put waterfilling in its place.
-    return tuple(c[y, 0] * p1_now + c[y, 1] * p2_now + c[y, 2] * p_max for y in (0, 1))
+    # c[y - 1, 0..2]: the coefficients of link y's next power; both links'
+    # next powers, stacked on the first axis. S1's rows give (0, 0), and
+    # the callers put waterfilling in its place.
+    return c[:, 0] * p1_now + c[:, 1] * p2_now + c[:, 2] * p_max
 
 
 def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import duplink
 from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, generate,
                      generate_mixed, run, save_scenario, spectral_radius, worked_example)
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
-from duplink.network import scenario_to_dict
+from duplink.network import load_scenario, scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
 
 from conftest import fixed_ue_on_macro_channel
@@ -53,8 +54,11 @@ class TestRunCommand:
 
     def test_eigenvalues_computed_once_per_matrix(self, scenario_file, tmp_path,
                                                   monkeypatch):
-        # Once for the spectral radius; an all-dual file adds one for
-        # spectral_radius_abs.
+        # One call per weakly connected component of the iteration matrix,
+        # so each block is decomposed exactly once for the spectral radius;
+        # an all-dual file adds one more pass for spectral_radius_abs.
+        from scipy.sparse.csgraph import connected_components
+
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -65,14 +69,18 @@ class TestRunCommand:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         mixed_file = tmp_path / "mixed.json"
         save_scenario(fixed_ue_on_macro_channel(), mixed_file)
-        for path, expected in ((mixed_file, 1), (scenario_file, 2)):
+        for path, passes in ((mixed_file, 1), (scenario_file, 2)):
+            m = build_matrices(load_scenario(path))
+            _, labels = connected_components(build_system(m)[0] != 0, connection="weak")
+            sizes = np.bincount(labels).tolist()
+            assert sum(sizes) == m.n
             calls.clear()
             out = tmp_path / path.stem
             assert main(["run", "--scenario", str(path), "--policy", "wf",
                          "--out", str(out)]) == 0
-            assert len(calls) == expected
+            assert calls == [(k, k) for k in sizes] * passes
             equilibrium = json.loads((out / "equilibrium.json").read_text())
-            assert ("spectral_radius_abs" in equilibrium) == (expected == 2)
+            assert ("spectral_radius_abs" in equilibrium) == (passes == 2)
 
     def test_unknown_policy_is_usage_error(self, scenario_file, tmp_path):
         code = main(["run", "--scenario", str(scenario_file),
@@ -193,22 +201,25 @@ class TestRunCommand:
         assert err.startswith("error: cannot parse scenario: maximum recursion depth"), err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda d: d["poas"][0].__setitem__("id", 7), "PoA ids must be 1..3, got [2, 3, 7]"),
-        (lambda d: d["ues"][1].__setitem__("id", 5), "UE ids must be 1..2, got [1, 5]"),
-        (lambda d: d["ues"][0].__setitem__("poa_1", 9), "UE 1: unknown PoA 9 on link 1"),
-        (lambda d: d["ues"][0].__setitem__("chan_1", 9), "UE 1: unknown channel 9 on link 1"),
-        (lambda d: d["ues"][1].pop("chan_2"), "UE 2: poa_2 and chan_2 must be set together"),
-        (lambda d: d["ues"][1].__setitem__("poa_2", 9), "UE 2: unknown PoA 9 on link 2"),
+    @pytest.mark.parametrize("edit,messages", [
+        (lambda d: d["poas"][0].__setitem__("id", 7),
+         ["PoA ids must be 1..3, got [2, 3, 7]", "UE 1: unknown PoA 1 on link 1"]),
+        (lambda d: d["ues"][1].__setitem__("id", 5), ["UE ids must be 1..2, got [1, 5]"]),
+        (lambda d: d["ues"][0].__setitem__("poa_1", 9), ["UE 1: unknown PoA 9 on link 1"]),
+        (lambda d: d["ues"][0].__setitem__("chan_1", 9), ["UE 1: unknown channel 9 on link 1"]),
+        # one missing field, one message
+        (lambda d: d["ues"][1].pop("chan_2"), ["UE 2: poa_2 and chan_2 must be set together"]),
+        (lambda d: d["ues"][1].__setitem__("poa_2", 9), ["UE 2: unknown PoA 9 on link 2"]),
         (lambda d: d["ues"][0].__setitem__("fixed_sinr_target", 2.0),
-         "UE 1: fixed_sinr_target is only for single-link UEs"),
+         ["UE 1: fixed_sinr_target is only for single-link UEs"]),
     ], ids=["poa_ids", "ue_ids", "poa_1", "chan_1", "half_link_2", "poa_2", "target_on_dual"])
-    def test_layout_violation_is_validation_error(self, tmp_path, capsys, edit, message):
+    def test_layout_violation_is_validation_error(self, tmp_path, capsys, edit, messages):
         d = scenario_to_dict(worked_example())
         edit(d)
         assert self.run_dict(tmp_path, d) == 3
         err = capsys.readouterr().err
-        assert f"  - {message}\n" in err and "Traceback" not in err, err
+        assert [line[4:] for line in err.splitlines() if line.startswith("  - ")] == messages
+        assert "Traceback" not in err, err
         assert not (tmp_path / "out").exists()
 
     @staticmethod
@@ -247,14 +258,32 @@ class TestRunCommand:
         assert f"  - {message}, out of floating-point range\n" in err, err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, policy):
-        # w1 * p_max overflows, so the first decision is NaN: the run stops
-        # with exit 4 before it writes anything.
+    def test_budget_beyond_float_range_is_validation_error(self, tmp_path, capsys, policy):
+        # w1 * p_max overflows; the file stops at validation, before numpy
+        # can warn about it.
         d = scenario_to_dict(worked_example())
         for ue in d["ues"]:
             ue["p_max"] = 1e308
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(path), "--policy", policy,
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("scenario validation failed:\n  - UE 1 link 1: bandwidth times p_max "
+                       "is inf, out of floating-point range\n"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, policy):
+        # The normalized noise is finite, but w2 * e1 and w1 * e2 overflow,
+        # so the first decision is NaN: the run stops with exit 4 before it
+        # writes anything.
+        d = scenario_to_dict(worked_example())
+        d["noise_psd"] = 1e289
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(d))
         out = tmp_path / "out"

@@ -420,8 +420,10 @@ class TestLockstep:
                       GenParams(n_ues=6, backhaul_scale=0.5, seed=1),  # capacity
                       GenParams(n_ues=6, tau=2e6, seed=1),         # tau
                       GenParams(n_ues=6, z_factor=0.5, seed=1)):   # z
-            with pytest.raises(ValueError, match="must share"):
-                stack_matrices([base, build_matrices(generate(other))])
+            o = build_matrices(generate(other))
+            for ms in ([base, o], [base, base, o, o]):  # repeats are compared once
+                with pytest.raises(ValueError, match="must share"):
+                    stack_matrices(ms)
         with pytest.raises(ValueError, match="no networks"):
             stack_matrices([])
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duplink import (
     GenParams,
@@ -12,6 +14,7 @@ from duplink import (
     closed_form_equilibrium,
     compute_state,
     generate,
+    generate_mixed,
     rate_differentials,
     rescaling_sinr_bound_check,
     run,
@@ -19,6 +22,7 @@ from duplink import (
     step,
     worked_example,
 )
+from duplink.equilibrium import _components
 from conftest import (
     RescaleOnceThenHold,
     fixed_ue_on_macro_channel,
@@ -104,6 +108,70 @@ class TestSpectralRadius:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
+
+
+@st.composite
+def permuted_blocks(draw, sparse=False):
+    """A square matrix that is block-diagonal under a random permutation:
+    blocks of 1 to 6 rows, some all zero. Entries of a ``sparse`` matrix
+    are zero at random, so its components may be finer than its blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    m = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for k in sizes:
+        if draw(st.booleans()):
+            block = m[start:start + k, start:start + k]
+            block[:] = rng.uniform(-1.0, 1.0, (k, k))
+            if sparse:
+                block *= rng.random((k, k)) < 0.3
+        start += k
+    perm = rng.permutation(len(m))
+    return m[np.ix_(perm, perm)]
+
+
+class TestPerComponent:
+    """spectral_radius and closed_form_equilibrium work per weakly connected
+    component; scipy's labelling, the dense eigenvalues and the dense solve
+    are the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(permuted_blocks(sparse=True))
+    def test_components_match_scipy(self, m):
+        from scipy.sparse.csgraph import connected_components
+
+        labels = np.empty(len(m), dtype=int)
+        for k, idx in enumerate(_components(m)):
+            assert np.all(np.diff(idx) > 0)
+            labels[idx] = k
+        _, expected = connected_components(m != 0, connection="weak")
+        np.testing.assert_array_equal(labels, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(permuted_blocks())
+    def test_radius_matches_dense_eigenvalues(self, m):
+        dense = float(np.max(np.abs(np.linalg.eigvals(m))))
+        assert spectral_radius(m) == pytest.approx(dense, rel=1e-12, abs=1e-15)
+
+    def test_empty_and_nonsquare(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+        with pytest.raises(ValueError, match="square"):
+            spectral_radius(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("make", [
+        worked_example,
+        lambda: generate_mixed(GenParams(n_ues=160, n_relays=8, n_picos=12, seed=1), 40),
+    ], ids=["worked", "mixed160+40"])
+    def test_equilibrium_matches_dense_solve(self, make):
+        m = build_matrices(make())
+        a, c = build_system(m)
+        rho = spectral_radius(a)
+        assert rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(a))), rel=1e-12)
+        assert rho < 1.0
+        p1, p2 = closed_form_equilibrium(m, a, c, rho)
+        dense = np.linalg.solve(np.eye(m.n) - a, c)
+        np.testing.assert_allclose(p1, dense, rtol=1e-12)
+        np.testing.assert_allclose(p2, np.where(m.dual, m.p_max - dense, 0.0), rtol=1e-12)
 
 
 class TestClosedFormEquilibrium:

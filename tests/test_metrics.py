@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from duplink import (
 )
 from duplink.metrics import CrossGainMatrices
 
-from conftest import gain_dict, scalar_interference, synthetic_topology, with_gains
+from conftest import (fixed_ue_on_macro_channel, gain_dict, random_system,
+                      scalar_interference, synthetic_topology, with_gains)
 
 
 class TestWorkedExampleMatrices:
@@ -227,6 +229,58 @@ class TestComputeState:
             expected = np.zeros(m.n)
             expected[active] = w[active] * np.log2(1.0 + p[active] / e[active])
             np.testing.assert_array_equal(rate, expected)
+
+
+def dense_state(m, p1, p2) -> dict:
+    """e, SINR and rate of both links from all four coupling blocks, each
+    link on its own: the formula of the metrics module docstring."""
+    def apply(f, p):
+        return (f @ p[..., None])[..., 0]
+
+    e = (m.d1 + apply(m.f11, p1) + apply(m.f21, p2), m.d2 + apply(m.f22, p2) + apply(m.f12, p1))
+    out = {}
+    for x, p, e_x, w in ((1, p1, e[0], m.w1), (2, p2, e[1], m.w2)):
+        sinr = np.divide(p, e_x, out=np.zeros(p.shape), where=e_x > 0)
+        out.update({f"e{x}": e_x, f"sinr{x}": sinr, f"rate{x}": w * np.log2(1.0 + sinr)})
+    return out
+
+
+class TestNonzeroBlocks:
+    """compute_state multiplies only the coupling blocks that hold a
+    nonzero, both links in one pass, with the bits of the dense formula."""
+
+    @pytest.mark.parametrize("make,nonzero", [
+        (lambda rng: build_matrices(worked_example()), [True, False, False, True]),
+        (lambda rng: build_matrices(generate(GenParams(n_ues=21, seed=7))),
+         [True, False, False, False]),
+        (lambda rng: build_matrices(generate_mixed(GenParams(n_ues=6, seed=7), 3)),
+         [True, False, False, False]),
+        (lambda rng: build_matrices(fixed_ue_on_macro_channel()), [True, True, True, False]),
+        (lambda rng: random_system(rng, 9, coupling=0.2), [True, True, True, True]),
+    ], ids=["worked", "gen21", "mixed6+3", "fixed_on_macro", "hand_built"])
+    def test_state_equals_dense_formula_bitwise(self, rng, make, nonzero):
+        m = make(rng)
+        assert [bool(f.any()) for f in (m.f11, m.f12, m.f21, m.f22)] == nonzero
+        for _ in range(5):
+            p1 = rng.uniform(0.0, 1.0, m.n) * m.p_max
+            p2 = np.where(m.dual, m.p_max - p1, 0.0)
+            state, dense = compute_state(m, p1, p2), dense_state(m, p1, p2)
+            for name, expected in dense.items():
+                assert np.array_equal(getattr(state, name), expected), name
+
+    def test_stack_rows_equal_networks_alone(self, rng):
+        # A block is multiplied for the whole stack when any row holds a
+        # nonzero in it; the rows where it is zero keep their bits.
+        coupled = random_system(rng, 6, coupling=0.2)
+        zero = np.zeros((6, 6))
+        ms = [coupled, replace(coupled, f12=zero, f21=zero), replace(coupled, f22=zero)]
+        stack = stack_matrices(ms)
+        p1 = rng.uniform(0.0, 1.0, (3, 6))
+        state = compute_state(stack, p1, 1.0 - p1)
+        for i, m in enumerate(ms):
+            alone = compute_state(m, p1[i], 1.0 - p1[i])
+            for name in ("e1", "e2", "sinr1", "sinr2", "rate1", "rate2"):
+                assert np.array_equal(getattr(state, name)[i], getattr(alone, name)), name
 
 
 class TestStackedNetworks:
