@@ -352,22 +352,21 @@ _STATE_NAMES = np.array([""] + [state.name for state in BackhaulState], dtype=ob
 
 def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
     """One row per iteration: k, per-UE powers/rates/state, network rate, as
-    ``csv.writer`` writes each number's ``repr``; each distinct number is printed once."""
-    n, k = m.ue_id.size, len(trace.states)
+    ``csv.writer`` writes each number's ``repr``. Rows are formatted and
+    written one at a time, each distinct number of a row printed once, so
+    the writer's memory does not grow with the number of iterations."""
+    n = m.ue_id.size
     header = ["k", *(f"{col}_{ue}" for ue in m.ue_id.tolist()
                      for col in ("p1", "p2", "rate1", "rate2", "state")), "eta_n"]
-    numbers = np.array([(s.p1, s.p2, s.rate1, s.rate2) for s in trace.states]).swapaxes(1, 2)
-    bits, at = np.unique(numbers.view(np.int64), return_inverse=True)  # -0.0 != 0.0
-    # All cells in one row-major table, joined by commas at once: the last
-    # cell of a row ends it and holds the number of the next.
-    cells = np.empty((k, 5 * n + 1), dtype=object)
-    per_ue = cells[:, :-1].reshape(k, n, 5)
-    per_ue[..., :4] = np.array(_reprs(bits.view(float)), dtype=object)[at.reshape(k, n, 4)]
-    per_ue[..., 4] = _STATE_NAMES[np.array([rep.state for rep in trace.reports], dtype=int)]
-    cells[:, -1] = [f"{rep.eta_n!r}\r\n{j}" for j, rep in enumerate(trace.reports, 1)]
-    cells[-1, -1] = f"{trace.reports[-1].eta_n!r}\r\n"
-    text = ",".join(header) + "\r\n0," + ",".join(cells.ravel().tolist())
-    Path(path).write_text(text, newline="")
+    cells = np.empty((n, 5), dtype=object)  # one row's UE cells
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for k, (s, rep) in enumerate(zip(trace.states, trace.reports)):
+            numbers = np.stack((s.p1, s.p2, s.rate1, s.rate2), axis=1)
+            bits, at = np.unique(numbers.view(np.int64), return_inverse=True)  # -0.0 != 0.0
+            cells[:, :4] = np.array(_reprs(bits.view(float)), dtype=object)[at.reshape(n, 4)]
+            cells[:, 4] = _STATE_NAMES[rep.state]
+            fh.write(",".join([str(k), *cells.ravel().tolist(), repr(rep.eta_n)]) + "\r\n")
 
 
 # --- Monte Carlo sweeps ---------------------------------------------------------

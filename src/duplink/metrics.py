@@ -169,8 +169,10 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     pair of links are found with one ``searchsorted`` on the sorted gain
     keys. Raises KeyError naming the first needed gain that is missing, and
     ValueError naming the first link whose normalized noise is zero or
-    infinite, whose bandwidth times p_max is infinite, or which a cross-gain
-    ratio reaches as infinite.
+    infinite, whose bandwidth times p_max is infinite, which a cross-gain
+    ratio reaches as infinite, or whose worst-case effective interference
+    (every co-channel source at its p_max) is infinite, alone or times the
+    bandwidth of its UE's other link.
     """
     n = len(s.ues)
     n_poas = len(s.poas)
@@ -217,13 +219,24 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     p_max, beta = np.array([(u.p_max, u.fixed_sinr_target or 0.0) for u in s.ues],
                            dtype=float).reshape(n, 2).T.copy()
     w_link = bandwidth[chan]
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    w = np.zeros((2, n))
+    w[x, row] = w_link
+    # An overflow is reported below, as is an infinite interference times the
+    # zero second bandwidth of a single-link UE.
+    with np.errstate(over="ignore", invalid="ignore"):
         noise, ratio = s.noise_psd * w_link / g_own, g_cross / g_own[a]
         budget = w_link * p_max[row]  # waterfilling's w * p_max
+        # The most interference a link can see, every source at its p_max,
+        # and waterfilling's w2 * e1 and w1 * e2 at that interference.
+        worst = noise + np.bincount(a, ratio * p_max[row[b]], minlength=len(ue))
+        crossed = worst * w[1 - x, row]
     link = np.arange(len(ue))
     checks = [("normalized noise", link, noise, ~((0 < noise) & (noise < math.inf))),
               ("bandwidth times p_max", link, budget, budget == math.inf),
-              ("a cross-gain ratio", a, ratio, ratio == math.inf)]
+              ("a cross-gain ratio", a, ratio, ratio == math.inf),
+              ("worst-case effective interference", link, worst, worst == math.inf),
+              ("worst-case effective interference times the other link's bandwidth",
+               link, crossed, crossed == math.inf)]
     bad = np.concatenate([out for *_, out in checks])
     if bad.any():  # a run would end in NaN or a division by zero
         k = int(np.argmax(bad))
@@ -236,8 +249,8 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
                          "out of floating-point range")
     f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
     f[x[b], x[a], row[a], row[b]] = ratio
-    d, w = np.zeros((2, n)), np.zeros((2, n))
-    w[x, row], d[x, row] = w_link, noise
+    d = np.zeros((2, n))
+    d[x, row] = noise
     poa = np.full((n, 2), n_poas)
     poa[row, x] = poa_id - 1
     in_use = set(chan.tolist())

@@ -235,14 +235,20 @@ class TestRunCommand:
         d = scenario_to_dict(worked_example())
         if case == "huge_noise":
             d["noise_psd"] = 1e308
+        elif case == "huge_bandwidth":  # w2 * e1 and w1 * e2 overflow
+            for c in d["channels"]:
+                c["bandwidth"] = 1e308
         elif case == "tiny_gains":
             for g in d["gains"]:
                 g[3] = 5e-324
         else:  # UE 1's link 2 into UE 2's link 2, relative to UE 2's own gain
             ue = d["ues"][1]
+            own = 1e-300 if case == "cross_ratio" else 1e-290
             for g in d["gains"]:
                 if g[1:3] == [ue["poa_2"], ue["chan_2"]]:
-                    g[3] = 1e-300 if g[0] == ue["id"] else 1e10
+                    g[3] = own if g[0] == ue["id"] else 1e10
+            if case == "huge_interference":  # a ratio of 1e300 times UE 1's p_max
+                d["ues"][0]["p_max"] = 1e9
         return d
 
     @pytest.mark.parametrize("case,message", [
@@ -250,13 +256,21 @@ class TestRunCommand:
         ("huge_noise", "UE 1 link 1: normalized noise is inf"),
         ("tiny_gains", "UE 1 link 1: normalized noise is inf"),
         ("cross_ratio", "UE 2 link 2: a cross-gain ratio is inf"),
+        ("huge_interference", "UE 2 link 2: worst-case effective interference is inf"),
+        ("huge_bandwidth", "UE 1 link 1: worst-case effective interference times the other "
+                           "link's bandwidth is inf"),
     ])
     def test_link_beyond_float_range_is_validation_error(self, tmp_path, capsys, case,
                                                          message):
-        assert self.run_dict(tmp_path, self.beyond_float_range(case)) == 3
-        err = capsys.readouterr().err
-        assert f"  - {message}, out of floating-point range\n" in err, err
-        assert not (tmp_path / "out").exists()
+        # Every policy stops at validation, before numpy can warn.
+        d = self.beyond_float_range(case)
+        for policy in POLICY_NAMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert self.run_dict(tmp_path, d, "--policy", policy) == 3
+            err = capsys.readouterr().err
+            assert f"  - {message}, out of floating-point range\n" in err, (policy, err)
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_budget_beyond_float_range_is_validation_error(self, tmp_path, capsys, policy):
@@ -279,11 +293,22 @@ class TestRunCommand:
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, policy):
-        # The normalized noise is finite, but w2 * e1 and w1 * e2 overflow,
-        # so the first decision is NaN: the run stops with exit 4 before it
-        # writes anything.
+        # Every term of UE 1's waterfilling split is finite, so the file
+        # passes validation, but w1 + w2 (2e308) and w1 * p_max - w2 * e1 +
+        # w1 * e2 (1.5e308 - 0.5e308 + 1e308) overflow: the first decision
+        # is inf / inf, and the run stops with exit 4 before it writes
+        # anything. Unlimited backhaul puts UE 1 in S1 under bdt, and its
+        # greedy caps are infinite, so every policy waterfills.
         d = scenario_to_dict(worked_example())
-        d["noise_psd"] = 1e289
+        d["noise_psd"] = 1e-308  # normalized noise = 1 / own gain
+        for c in d["channels"]:
+            c["bandwidth"] = 1e308
+        for p in d["poas"]:
+            p["backhaul_capacity"] = float("inf")
+        own = {(1, 1, 1): 2.0, (1, 3, 2): 1.0, (2, 3, 1): 1.0, (2, 2, 2): 1.0}
+        for g in d["gains"]:
+            g[3] = own.get(tuple(g[:3]), 1e-30)  # next to no interference
+        d["ues"][0]["p_max"], d["ues"][1]["p_max"] = 1.5, 1e-3
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(d))
         out = tmp_path / "out"

@@ -58,6 +58,17 @@ def set_number(s, name, value):
     return s
 
 
+def with_field(s, where, name, value):
+    """``s`` with field ``name`` of its first UE, PoA or channel, or of the
+    scenario itself, set to ``value``."""
+    if where == "scenario":
+        setattr(s, name, value)
+    else:
+        objs = {"ue": s.ues, "poa": s.poas, "channel": s.channels}[where]
+        objs[0] = replace(objs[0], **{name: value})
+    return s
+
+
 class TestValidation:
     def test_valid_scenario_is_clean(self):
         assert validate_scenario(tiny_scenario()) == []
@@ -140,17 +151,21 @@ class TestValidation:
         ("scenario", "tau", True, "tau must be a number, got True"),
     ])
     def test_field_types_are_checked(self, where, name, value, message):
-        s = tiny_scenario()
-        if where == "ue":
-            s.ues[0] = replace(s.ues[0], **{name: value})
-        elif where == "poa":
-            s.poas[0] = replace(s.poas[0], **{name: value})
-        elif where == "channel":
-            s.channels[0] = replace(s.channels[0], **{name: value})
-        else:
-            setattr(s, name, value)
-        bad = validate_scenario(s)
+        bad = validate_scenario(with_field(tiny_scenario(), where, name, value))
         assert len(bad) == 1 and bad[0].startswith(message), bad
+
+    @pytest.mark.parametrize("where,name", [
+        *(("ue", name) for name in ("id", "position", "p_max", "poa_1", "chan_1", "poa_2",
+                                    "chan_2", "fixed_sinr_target")),
+        *(("poa", name) for name in ("id", "kind", "position", "backhaul_capacity")),
+        *(("channel", name) for name in ("id", "bandwidth")),
+        *(("scenario", name) for name in ("noise_psd", "tau", "z_factor")),
+    ])
+    def test_every_field_is_type_checked(self, where, name):
+        # The column-wise pass must decline every bad field, so that the
+        # walk field by field names it.
+        bad = validate_scenario(with_field(tiny_scenario(), where, name, "x"))
+        assert len(bad) == 1 and f"{name} must be " in bad[0], bad
 
     def test_bool_gain_is_rejected(self):
         # The loader stops a bool gain, naming its row.

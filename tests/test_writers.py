@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -142,3 +143,25 @@ def test_generated_files_match_the_old_encoders(tmp_path_factory, n_ues, n_relay
     s = generate_mixed(GenParams(n_ues=n_ues, n_relays=n_relays, n_picos=n_picos, seed=seed),
                        n_fixed)
     assert_writers_match(s, tmp_path_factory.mktemp("w"), policies=("bdt",))
+
+
+def test_writer_memory_does_not_grow_with_iterations(tmp_path):
+    # 40 + 10 UEs under bdt run to max_iterations at 25 and at 200
+    # iterations. Rows are written one at a time: the writer's traced peak
+    # stays below the size of the file it writes, and 8x the rows barely
+    # move it.
+    m = build_matrices(generate_mixed(GenParams(n_ues=40, n_relays=4, n_picos=6, seed=0), 10))
+    peaks = []
+    for iters in (25, 200):
+        trace = run(m, "bdt", max_iter=iters)
+        assert trace.verdict.kind == "max_iterations"
+        path = tmp_path / f"trace{iters}.csv"
+        tracemalloc.start()
+        try:
+            trace_to_csv(trace, m, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < path.stat().st_size, (iters, peaks[-1], path.stat().st_size)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+    assert path.read_bytes() == csv_oracle(trace, m)
