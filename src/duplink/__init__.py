@@ -51,6 +51,7 @@ from .network import (
     PoA,
     PoAKind,
     Scenario,
+    ScenarioArrays,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -70,6 +71,7 @@ from .scenarios import (
     LIMITED_BACKHAUL,
     GenParams,
     generate,
+    generate_arrays,
     generate_mixed,
     worked_example,
 )

@@ -65,7 +65,7 @@ def _category(v, neg_tau):
 
 def classify_state(v1: float, v2: float, tau: float) -> BackhaulState:
     """Unique backhaul state for a pair of rate differentials."""
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
     return BackhaulState(int(_STATE_TABLE[_category(v1, -tau), _category(v2, -tau)]))
 
@@ -104,7 +104,8 @@ def rate_differentials(
     m: CrossGainMatrices, rate1: np.ndarray, rate2: np.ndarray
 ) -> BackhaulReport:
     """Full backhaul report for one set of per-link access rates, with UE
-    states classified by the tolerance ``m.tau``; ValueError unless tau > 0.
+    states classified by the tolerance ``m.tau``; ValueError unless tau > 0
+    (a NaN tau included).
 
     Each PoA sums its links in UE order, link 1 before link 2; absent second
     links land in an extra last bin. ``eta_n`` is the end-to-end network
@@ -115,7 +116,7 @@ def rate_differentials(
     reacts to. On a stack of networks (``stack_matrices``) every row is
     reported as if alone.
     """
-    if m.tau <= 0:
+    if not m.tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
     index = m._bin_index
     shape = (*index.shape[:-2], m.n_poas + 1)  # the bins of one row, per row

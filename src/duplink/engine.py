@@ -40,7 +40,7 @@ from .metrics import (CrossGainMatrices, PowerState, build_matrices, compute_sta
 from .network import _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
-from .scenarios import GenParams, generate
+from .scenarios import GenParams, generate_arrays
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -403,7 +403,9 @@ def monte_carlo(
     after ``_MAX_ATTEMPTS`` draws of one trial. The trials x policies runs
     of a point, which share its tau and z, advance as one stack through
     ``run`` at its default ``eps`` and ``window``, with the results of
-    separate runs.
+    separate runs. Each trial is assembled from the generator's draw
+    (``generate_arrays``), without building a ``Scenario``; its network is
+    the one ``build_matrices(generate(...))`` gives, bit for bit.
     """
     from .equilibrium import build_system, spectral_radius
 
@@ -424,7 +426,7 @@ def monte_carlo(
                     seed = _trial_seed(seed_list[trial], point_idx, 0, attempt)
                 else:
                     seed = _trial_seed(seeds, point_idx, trial, attempt)
-                mat = build_matrices(generate(replace(point.params, seed=seed)))
+                mat = build_matrices(generate_arrays(replace(point.params, seed=seed)))
                 if not require_contractive or spectral_radius(build_system(mat)[0]) < 1.0:
                     break
             else:

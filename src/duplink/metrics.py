@@ -19,6 +19,10 @@ links in one pass over (..., n, 2) arrays.
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
 
+``build_matrices`` assembles these arrays from a ``ScenarioArrays`` record:
+the one the generator draws, or the one read off a ``Scenario``. Either
+gives the same bits for the same network.
+
 ``stack_matrices`` stacks networks of one layout, tau and z (one sweep
 point) into one CrossGainMatrices whose per-network arrays gain a leading
 batch axis, one row per network; tau and z stay scalars. ``compute_state``
@@ -30,11 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .network import Scenario
+from .network import Scenario, ScenarioArrays
 
 
 @dataclass
@@ -162,8 +167,10 @@ class PowerState:
     rate2: np.ndarray
 
 
-def build_matrices(s: Scenario) -> CrossGainMatrices:
-    """Assemble the array form of a validated scenario.
+def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
+    """Assemble the array form of a validated scenario, given as a
+    ``Scenario`` (its record is read off it, ``ScenarioArrays.of``) or as
+    the record itself.
 
     The own gain of every access link and the cross gain of every co-channel
     pair of links are found with one ``searchsorted`` on the sorted gain
@@ -172,15 +179,16 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     infinite, whose bandwidth times p_max is infinite, which a cross-gain
     ratio reaches as infinite, or whose worst-case effective interference
     (every co-channel source at its p_max) is infinite, alone or times the
-    bandwidth of its UE's other link.
+    bandwidth of its UE's other link, or a dual UE whose two bandwidths add
+    up to infinity.
     """
-    n = len(s.ues)
-    n_poas = len(s.poas)
+    r = s if isinstance(s, ScenarioArrays) else ScenarioArrays.of(s)
+    n = len(r.links)
+    n_poas = len(r.capacity)
+    n_channels = len(r.chan_id)
     # Per UE: id, then PoA id and channel id of link 1 and of link 2 (0
     # where there is no second link).
-    ids = np.array([(u.id, u.poa_1, u.chan_1, u.poa_2 or 0, u.chan_2 or 0) for u in s.ues],
-                   dtype=np.int64).reshape(n, 5)
-    ue_id, link_poa, link_chan = ids[:, 0], ids[:, 1::2], ids[:, 2::2]
+    ue_id, link_poa, link_chan = r.links[:, 0], r.links[:, 1::2], r.links[:, 2::2]
     # Access links in UE order, link 1 before link 2: UE index, link - 1,
     # UE id, PoA id, channel id.
     present = link_chan > 0
@@ -194,10 +202,10 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
 
     def code(ue_id, poa_id, chan_id):
         # One-to-one and increasing in the key: validated ids are 1..n,
-        # 1..n_poas and 1..len(s.channels).
-        return ((ue_id - 1) * n_poas + poa_id - 1) * len(s.channels) + chan_id - 1
+        # 1..n_poas and 1..n_channels.
+        return ((ue_id - 1) * n_poas + poa_id - 1) * n_channels + chan_id - 1
 
-    keys = code(*s.gains.keys.T)
+    keys = code(*r.gains.keys.T)
     # Each link's own path, then each pair's path from b's UE to a's PoA.
     wanted = [np.concatenate((v, v[t])) for v, t in ((ue, b), (poa_id, a), (chan, a))]
     q = code(*wanted)
@@ -207,36 +215,32 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
         k = int(np.argmin(found))
         raise KeyError(f"missing {'own-link' if k < len(ue) else 'cross'} gain: UE "
                        f"{wanted[0][k]} -> PoA {wanted[1][k]} on channel {wanted[2][k]}")
-    gains = s.gains.values[at]
+    gains = r.gains.values[at]
     g_own, g_cross = gains[:len(ue)], gains[len(ue):]
 
-    bandwidth = np.zeros(len(s.channels) + 1)  # by channel id
-    capacity = np.zeros(n_poas)                # by PoA index
-    for c in s.channels:
-        bandwidth[c.id] = c.bandwidth
-    for p in s.poas:
-        capacity[p.id - 1] = p.backhaul_capacity
-    p_max, beta = np.array([(u.p_max, u.fixed_sinr_target or 0.0) for u in s.ues],
-                           dtype=float).reshape(n, 2).T.copy()
+    bandwidth = np.zeros(n_channels + 1)  # by channel id
+    bandwidth[r.chan_id] = np.array(r.bandwidth, dtype=float)
     w_link = bandwidth[chan]
     w = np.zeros((2, n))
     w[x, row] = w_link
     # An overflow is reported below, as is an infinite interference times the
     # zero second bandwidth of a single-link UE.
     with np.errstate(over="ignore", invalid="ignore"):
-        noise, ratio = s.noise_psd * w_link / g_own, g_cross / g_own[a]
-        budget = w_link * p_max[row]  # waterfilling's w * p_max
+        noise, ratio = r.noise_psd * w_link / g_own, g_cross / g_own[a]
+        budget = w_link * r.p_max[row]  # waterfilling's w * p_max
         # The most interference a link can see, every source at its p_max,
         # and waterfilling's w2 * e1 and w1 * e2 at that interference.
-        worst = noise + np.bincount(a, ratio * p_max[row[b]], minlength=len(ue))
+        worst = noise + np.bincount(a, ratio * r.p_max[row[b]], minlength=len(ue))
         crossed = worst * w[1 - x, row]
+        wsum = (w[0] + w[1])[row]  # waterfilling's w1 + w2
     link = np.arange(len(ue))
     checks = [("normalized noise", link, noise, ~((0 < noise) & (noise < math.inf))),
               ("bandwidth times p_max", link, budget, budget == math.inf),
               ("a cross-gain ratio", a, ratio, ratio == math.inf),
               ("worst-case effective interference", link, worst, worst == math.inf),
               ("worst-case effective interference times the other link's bandwidth",
-               link, crossed, crossed == math.inf)]
+               link, crossed, crossed == math.inf),
+              ("bandwidth plus the other link's bandwidth", link, wsum, wsum == math.inf)]
     bad = np.concatenate([out for *_, out in checks])
     if bad.any():  # a run would end in NaN or a division by zero
         k = int(np.argmax(bad))
@@ -253,22 +257,24 @@ def build_matrices(s: Scenario) -> CrossGainMatrices:
     d[x, row] = noise
     poa = np.full((n, 2), n_poas)
     poa[row, x] = poa_id - 1
-    in_use = set(chan.tolist())
+    in_use = np.zeros(n_channels + 1, dtype=bool)  # by channel id
+    in_use[chan] = True
     return CrossGainMatrices(
         f11=f[0, 0], f12=f[0, 1], f21=f[1, 0], f22=f[1, 1],
         d1=d[0], d2=d[1], w1=w[0], w2=w[1],
         poa=poa,
         dual=link_poa[:, 1] > 0,
-        p_max=p_max,
-        beta=beta,
-        capacity=capacity,
-        relays=np.array([p.id - 1 for p in s.relays()], dtype=int),
-        picos=np.array([p.id - 1 for p in s.picos()], dtype=int),
-        macro=s.macro().id - 1,
-        tau=s.tau,
-        z=s.z_factor,
+        p_max=r.p_max,
+        beta=r.beta,
+        capacity=r.capacity,
+        relays=r.relays,
+        picos=r.picos,
+        macro=r.macro,
+        tau=r.tau,
+        z=r.z,
         ue_id=ue_id.copy(),
-        bandwidth_in_use=float(sum(c.bandwidth for c in s.channels if c.id in in_use)),
+        # Added in channel order, as the scenario lists them.
+        bandwidth_in_use=float(sum(compress(r.bandwidth, in_use[r.chan_id].tolist()))),
     )
 
 

@@ -11,6 +11,12 @@ key rows next to their values (``Gains``), so the metrics layer never
 re-derives geometry. Positions are in meters, bandwidths in Hz, powers in
 watts, rates in bit/s.
 
+``ScenarioArrays`` is the record of what the metrics layer reads of a
+scenario (link ids, budgets, targets, bandwidths, capacities, the backhaul
+layout, gains and the policy constants) as arrays, without positions. The
+generator draws it directly; ``ScenarioArrays.of`` reads it off a
+``Scenario``.
+
 Every number must fit a float64: ``validate_scenario`` and
 ``Gains.from_rows`` reject an integer beyond its range (``10**400``), naming
 the field or the row. A file nested deeper than Python's recursion limit
@@ -27,7 +33,7 @@ from enum import Enum
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -126,6 +132,60 @@ class Gains(NamedTuple):
                 u, p, c = keys[np.argmin(rises)].tolist()
                 raise ValueError(f"gain ({u},{p},{c}) is given more than once")
         return cls(keys, values)
+
+
+class ScenarioArrays(NamedTuple):
+    """What ``build_matrices`` reads of a scenario, as arrays: the record
+    the generator draws, or ``of`` reads off a ``Scenario`` in file order.
+
+    ``links`` is the (n, 5) int64 row of each UE: id, poa_1, chan_1, poa_2,
+    chan_2, the link-2 ids 0 on a single-link UE; ``p_max`` and ``beta``
+    (the fixed SINR target, 0 on a dual UE) are (n,) float64. ``chan_id``
+    holds the channel ids and ``bandwidth`` their bandwidths as given, in
+    channel order, which is the order ``bandwidth_in_use`` adds them in.
+    ``capacity`` is the backhaul capacity by PoA index (PoA id - 1);
+    ``relays`` and ``picos`` are the PoA indices of each kind in scenario
+    order and ``macro`` the macrocell's. ``noise_psd``, ``tau`` and ``z``
+    are the scenario's values as given.
+    """
+
+    links: np.ndarray
+    p_max: np.ndarray
+    beta: np.ndarray
+    chan_id: np.ndarray
+    bandwidth: Sequence[float]
+    capacity: np.ndarray
+    relays: np.ndarray
+    picos: np.ndarray
+    macro: int
+    gains: Gains
+    noise_psd: float
+    tau: float
+    z: float
+
+    @classmethod
+    def of(cls, s: Scenario) -> ScenarioArrays:
+        """The record of ``s``, every list read in file order."""
+        n = len(s.ues)
+        capacity = np.zeros(len(s.poas))
+        for p in s.poas:
+            capacity[p.id - 1] = p.backhaul_capacity
+        return cls(
+            links=np.array([(u.id, u.poa_1, u.chan_1, u.poa_2 or 0, u.chan_2 or 0)
+                            for u in s.ues], dtype=np.int64).reshape(n, 5),
+            p_max=np.array([u.p_max for u in s.ues], dtype=float),
+            beta=np.array([u.fixed_sinr_target or 0.0 for u in s.ues], dtype=float),
+            chan_id=np.array([c.id for c in s.channels], dtype=np.int64),
+            bandwidth=[c.bandwidth for c in s.channels],
+            capacity=capacity,
+            relays=np.array([p.id - 1 for p in s.relays()], dtype=int),
+            picos=np.array([p.id - 1 for p in s.picos()], dtype=int),
+            macro=s.macro().id - 1,
+            gains=s.gains,
+            noise_psd=s.noise_psd,
+            tau=s.tau,
+            z=s.z_factor,
+        )
 
 
 @dataclass

@@ -27,17 +27,27 @@ PoA by PoA. numpy does the draws and the exactly rounded arithmetic; the
 transcendental functions (cos, sin, the distance and the path-loss power)
 are Python ``math`` and ``**``, whose results do not depend on how numpy
 was built. So the saved bytes are a function of the parameters alone.
+
+Generation is a draw, then a wrap. The seeded draw (``_draw``) returns the
+scenario's ``ScenarioArrays`` record, what ``build_matrices`` reads, plus
+the PoA and UE positions; ``generate`` and ``generate_mixed`` wrap those
+into the ``PoA``, ``UE`` and ``Channel`` objects of a ``Scenario``, and
+``generate_arrays`` returns the record alone, which is how ``monte_carlo``
+assembles its trials. The cell grid depends only on the number of cells and
+is computed once per count. Parameters are checked before any draw, each
+value by the rule ``validate_scenario`` applies to the field it fills.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product, starmap
 
 import numpy as np
 
-from .network import UE, Channel, Gains, PoA, PoAKind, Scenario
+from .network import UE, Channel, Gains, PoA, PoAKind, Scenario, ScenarioArrays, _positive
 
 AREA_X = 3000.0   # meters
 AREA_Y = 3200.0
@@ -67,25 +77,57 @@ class GenParams:
     min_poa_separation: float = 0.0    # meters; 0 disables the separation retry
 
 
-def _check_params(p: GenParams, n_fixed: int) -> None:
+def _capacities(p: GenParams) -> list:
+    """The backhaul capacity of every PoA, in PoA id order, as its PoA holds it."""
+    return ([p.eta_relay * p.backhaul_scale] * p.n_relays
+            + [p.eta_pico * p.backhaul_scale] * p.n_picos + [p.eta_macro * p.backhaul_scale])
+
+
+def _check_params(p: GenParams, n_fixed: int, beta_range: tuple[float, float]) -> None:
+    """Raise ValueError naming the first parameter out of range, before any
+    draw. A value that fills a scenario field must pass the rule
+    ``validate_scenario`` applies to that field: each bandwidth choice (one
+    or more), p_max, noise_psd, tau and gain_scale finite and > 0, each
+    capacity ``eta_* * backhaul_scale`` >= 0 or inf, z_factor in (0, 1),
+    both ends of ``beta_range`` finite and > 0, and the distances finite."""
     if p.n_ues < 0 or p.n_relays < 0 or p.n_picos < 0:
         raise ValueError("counts must be >= 0")
     if n_fixed < 0:
         raise ValueError("n_fixed must be >= 0")
     if p.n_relays + p.n_picos == 0 and p.n_ues + n_fixed > 0:
         raise ValueError("need at least one small cell to anchor first links")
-    if p.radius_m <= 0:
-        raise ValueError("radius_m must be > 0")
+    if not 0 < p.radius_m < math.inf:
+        raise ValueError(f"radius_m must be > 0 and finite, got {p.radius_m!r}")
+    if not math.isfinite(p.min_poa_separation):
+        raise ValueError(f"min_poa_separation must be finite, got {p.min_poa_separation!r}")
     if not 2.0 <= p.alpha <= 6.0:
         raise ValueError("alpha must be in [2, 6]")
-    if p.backhaul_scale <= 0:
+    if not p.backhaul_scale > 0:
         raise ValueError("backhaul_scale must be > 0")
+    for name in ("eta_relay", "eta_pico", "eta_macro"):
+        cap = getattr(p, name) * p.backhaul_scale
+        if not (cap in (0, math.inf) or _positive(cap)):
+            raise ValueError(f"{name} * backhaul_scale must be >= 0 (inf for unlimited), "
+                             f"got {cap!r}")
+    for name in ("p_max", "noise_psd", "tau", "gain_scale"):
+        if not _positive(value := getattr(p, name)):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (_positive(p.z_factor) and p.z_factor < 1):
+        raise ValueError(f"z_factor must be in (0, 1), got {p.z_factor!r}")
+    choices = np.asarray(p.bandwidth_choices, dtype=float).tolist()
+    if not (choices and all(map(_positive, choices))):
+        raise ValueError("bandwidth_choices must be one or more finite numbers > 0, "
+                         f"got {p.bandwidth_choices!r}")
+    if not all(map(_positive, beta_range)):
+        raise ValueError(f"beta_range must be finite numbers > 0, got {beta_range!r}")
 
 
+@cache
 def _small_cells(count: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Split the area into ``count`` equal rectangles, row-major; return the
     lower-left corners of all but the one centered nearest the origin (the
-    macrocell's), and the rectangle size."""
+    macrocell's), and the rectangle size. Cached per count, the corners
+    read-only."""
     rows = int(math.floor(math.sqrt(count)))
     while count % rows:
         rows -= 1
@@ -94,7 +136,9 @@ def _small_cells(count: int) -> tuple[np.ndarray, tuple[float, float]]:
     row, col = np.divmod(np.arange(count), cols)
     corners = np.column_stack([-AREA_X / 2 + col * w, -AREA_Y / 2 + row * h])
     center = np.argmin(((corners + (w / 2, h / 2)) ** 2).sum(axis=1))
-    return np.delete(corners, center, axis=0), (w, h)
+    corners = np.delete(corners, center, axis=0)
+    corners.flags.writeable = False
+    return corners, (w, h)
 
 
 def _poa_points(p: GenParams, rng: np.random.Generator) -> np.ndarray:
@@ -111,20 +155,17 @@ def _poa_points(p: GenParams, rng: np.random.Generator) -> np.ndarray:
                      f"in {_SEPARATION_DRAWS} draws")
 
 
-def _generate(p: GenParams, n_fixed: int,
-              beta_range: tuple[float, float]) -> Scenario:
-    _check_params(p, n_fixed)
+def _draw(p: GenParams, n_fixed: int, beta_range: tuple[float, float]
+          ) -> tuple[ScenarioArrays, list, list]:
+    """The seeded draw: the scenario's record, then the PoA and UE positions,
+    which only its objects hold, as [x, y] and (x, y) per PoA and per UE."""
+    _check_params(p, n_fixed, beta_range)
     rng = np.random.default_rng(p.seed)
     n = p.n_ues + n_fixed
 
     points = _poa_points(p, rng)
-    kinds = [PoAKind.RELAY] * p.n_relays + [PoAKind.PICOCELL] * p.n_picos + [PoAKind.MACROCELL]
-    eta = {PoAKind.RELAY: p.eta_relay, PoAKind.PICOCELL: p.eta_pico,
-           PoAKind.MACROCELL: p.eta_macro}
-    poa_xy = [tuple(xy) for xy in points.tolist()]
-    poas = [PoA(id=k + 1, kind=kind, position=xy, backhaul_capacity=eta[kind] * p.backhaul_scale)
-            for k, (kind, xy) in enumerate(zip(kinds, poa_xy))]
-    macro = len(poas)
+    poa_xy = points.tolist()
+    macro = len(poa_xy)
 
     centers = points[np.arange(n) % (macro - 1)]  # round-robin over the small cells
     u, theta = rng.uniform(0.0, (1.0, 2.0 * math.pi), size=(n, 2)).T
@@ -133,9 +174,10 @@ def _generate(p: GenParams, n_fixed: int,
     # Python math.dist and ** per (UE, PoA) pair, not numpy's hypot and power:
     # numpy's SIMD builds round those differently from libm on some inputs,
     # which would tie the saved bytes to the numpy build.
-    dist, path = np.moveaxis(np.array(
-        [[((d := math.dist(xy, q)), p.gain_scale * max(1.0, d) ** -p.alpha) for q in poa_xy]
-         for xy in ue_xy]).reshape(n, macro, 2), -1, 0)
+    dist = list(starmap(math.dist, product(ue_xy, poa_xy)))
+    scale, alpha = p.gain_scale, p.alpha
+    path = np.array([scale * max(1.0, d) ** -alpha for d in dist]).reshape(n, macro)
+    dist = np.array(dist).reshape(n, macro)
     dist[:, -1] = np.inf  # link 1 goes to a small cell
     poa_1 = dist.argmin(axis=1) + 1
     chan_1 = np.tril(poa_1[:, None] == poa_1).sum(axis=1)  # rank within the cell, from 1
@@ -143,14 +185,7 @@ def _generate(p: GenParams, n_fixed: int,
 
     choices = np.asarray(p.bandwidth_choices, dtype=float)
     bandwidths = choices[rng.integers(len(choices), size=pool + p.n_ues)].tolist()
-    channels = [Channel(id=c + 1, bandwidth=b) for c, b in enumerate(bandwidths)]
-    betas = rng.uniform(*beta_range, size=n_fixed).tolist()
-
-    ues = []
-    for i, (xy, poa, chan) in enumerate(zip(ue_xy, poa_1.tolist(), chan_1.tolist())):
-        second = (dict(poa_2=macro, chan_2=pool + i + 1) if i < p.n_ues
-                  else dict(fixed_sinr_target=betas[i - p.n_ues]))
-        ues.append(UE(id=i + 1, position=xy, p_max=p.p_max, poa_1=poa, chan_1=chan, **second))
+    betas = rng.uniform(*beta_range, size=n_fixed)
 
     # One fading row per (PoA, channel) in use there, in key order. Each such
     # pair carries exactly one link, and the macrocell's links come last.
@@ -163,14 +198,49 @@ def _generate(p: GenParams, n_fixed: int,
     keys[..., 0] = np.arange(1, n + 1)[:, None]
     keys[..., 1:] = rows
     # Keep (u, PoA, c) only where UE u transmits on channel c.
-    chan_2 = np.where(np.arange(n) < p.n_ues, pool + np.arange(1, n + 1), 0)
+    dual = np.arange(n) < p.n_ues
+    chan_2 = np.where(dual, pool + np.arange(1, n + 1), 0)
     kept = (rows[:, 1] == chan_1[:, None]) | (rows[:, 1] == chan_2[:, None])
 
+    record = ScenarioArrays(
+        links=np.column_stack([np.arange(1, n + 1), poa_1, chan_1,
+                               np.where(dual, macro, 0), chan_2]),
+        p_max=np.full(n, p.p_max, dtype=float),
+        beta=np.concatenate([np.zeros(p.n_ues), betas]),
+        chan_id=np.arange(1, len(bandwidths) + 1),
+        bandwidth=bandwidths,
+        capacity=np.array(_capacities(p), dtype=float),
+        relays=np.arange(p.n_relays),
+        picos=np.arange(p.n_relays, p.n_relays + p.n_picos),
+        macro=macro - 1,
+        gains=Gains(keys[kept], (path[:, rows[:, 0] - 1] * fading.T)[kept]),
+        noise_psd=p.noise_psd,
+        tau=p.tau,
+        z=p.z_factor,
+    )
+    return record, poa_xy, ue_xy
+
+
+def _generate(p: GenParams, n_fixed: int,
+              beta_range: tuple[float, float]) -> Scenario:
+    """The scenario of the draw, its objects built from the record and the
+    positions."""
+    r, poa_xy, ue_xy = _draw(p, n_fixed, beta_range)
+    kinds = [PoAKind.RELAY] * p.n_relays + [PoAKind.PICOCELL] * p.n_picos + [PoAKind.MACROCELL]
+    poas = [PoA(id=k + 1, kind=kind, position=tuple(xy), backhaul_capacity=cap)
+            for k, (kind, xy, cap) in enumerate(zip(kinds, poa_xy, _capacities(p)))]
+    channels = [Channel(id=c + 1, bandwidth=b) for c, b in enumerate(r.bandwidth)]
+    ues = []
+    for (i, poa_1, chan_1, poa_2, chan_2), xy, beta in zip(r.links.tolist(), ue_xy,
+                                                           r.beta.tolist()):
+        second = (dict(poa_2=poa_2, chan_2=chan_2) if poa_2
+                  else dict(fixed_sinr_target=beta))
+        ues.append(UE(id=i, position=xy, p_max=p.p_max, poa_1=poa_1, chan_1=chan_1, **second))
     return Scenario(
         poas=poas,
         ues=ues,
         channels=channels,
-        gains=Gains(keys[kept], (path[:, rows[:, 0] - 1] * fading.T)[kept]),
+        gains=r.gains,
         noise_psd=p.noise_psd,
         tau=p.tau,
         z_factor=p.z_factor,
@@ -182,6 +252,12 @@ def _generate(p: GenParams, n_fixed: int,
 def generate(p: GenParams) -> Scenario:
     """Random scenario, a deterministic function of ``p`` (including the seed)."""
     return _generate(p, 0, (1.0, 1.0))
+
+
+def generate_arrays(p: GenParams) -> ScenarioArrays:
+    """The record ``build_matrices`` reads off ``generate(p)``, from the same
+    draw, without building the scenario's objects."""
+    return _draw(p, 0, (1.0, 1.0))[0]
 
 
 def generate_mixed(p: GenParams, n_fixed: int,

@@ -204,8 +204,9 @@ class TestRateDifferentials:
         assert np.any(rate_differentials(m, rate1, rate2).state >= 5)
         wide = rate_differentials(replace(m, tau=1e12), rate1, rate2)
         assert np.all(wide.state <= 4)  # nothing is overloaded
-        with pytest.raises(ValueError, match="tau must be > 0"):
-            rate_differentials(replace(m, tau=0.0), rate1, rate2)
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tau must be > 0"):
+                rate_differentials(replace(m, tau=tau), rate1, rate2)
 
 
 class TestClassifyState:
@@ -252,6 +253,8 @@ class TestClassifyState:
     def test_tau_positive_required(self):
         with pytest.raises(ValueError):
             classify_state(0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="tau must be > 0"):  # NaN is not > 0
+            classify_state(0.0, 0.0, float("nan"))
 
 
 class TestGeneratedScenarioCapacity:

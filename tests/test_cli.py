@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import duplink
-from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, generate,
+from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, engine, generate,
                      generate_mixed, run, save_scenario, spectral_radius, worked_example)
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
 from duplink.network import load_scenario, scenario_to_dict
@@ -241,6 +241,14 @@ class TestRunCommand:
         elif case == "tiny_gains":
             for g in d["gains"]:
                 g[3] = 5e-324
+        elif case == "bandwidth_sum":  # every term is finite, but w1 + w2 is 2e308
+            d["noise_psd"] = 1e-308  # normalized noise = 1 / own gain
+            for c in d["channels"]:
+                c["bandwidth"] = 1e308
+            own = {(1, 1, 1): 2.0, (1, 3, 2): 1.0, (2, 3, 1): 1.0, (2, 2, 2): 1.0}
+            for g in d["gains"]:
+                g[3] = own.get(tuple(g[:3]), 1e-30)  # next to no interference
+            d["ues"][0]["p_max"], d["ues"][1]["p_max"] = 1.5, 1e-3
         else:  # UE 1's link 2 into UE 2's link 2, relative to UE 2's own gain
             ue = d["ues"][1]
             own = 1e-300 if case == "cross_ratio" else 1e-290
@@ -259,6 +267,7 @@ class TestRunCommand:
         ("huge_interference", "UE 2 link 2: worst-case effective interference is inf"),
         ("huge_bandwidth", "UE 1 link 1: worst-case effective interference times the other "
                            "link's bandwidth is inf"),
+        ("bandwidth_sum", "UE 1 link 1: bandwidth plus the other link's bandwidth is inf"),
     ])
     def test_link_beyond_float_range_is_validation_error(self, tmp_path, capsys, case,
                                                          message):
@@ -290,25 +299,19 @@ class TestRunCommand:
                        "is inf, out of floating-point range\n"), err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, policy):
-        # Every term of UE 1's waterfilling split is finite, so the file
-        # passes validation, but w1 + w2 (2e308) and w1 * p_max - w2 * e1 +
-        # w1 * e2 (1.5e308 - 0.5e308 + 1e308) overflow: the first decision
-        # is inf / inf, and the run stops with exit 4 before it writes
-        # anything. Unlimited backhaul puts UE 1 in S1 under bdt, and its
-        # greedy caps are infinite, so every policy waterfills.
+    def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, monkeypatch, policy):
+        # No validated file reaches this guard: with w1 + w2 finite, every
+        # term of the waterfilling split is checked, and an infinite split is
+        # clipped into [0, p_max]. So the waterfilling kernel returns NaN
+        # here, and the run stops with exit 4 before it writes anything.
+        # Unlimited backhaul puts both UEs in S1 under bdt, and their greedy
+        # caps are infinite, so every policy waterfills.
+        monkeypatch.setattr(engine, "_waterfill",
+                            lambda p_max, *_: (np.full(p_max.shape, np.nan),) * 2)
         d = scenario_to_dict(worked_example())
-        d["noise_psd"] = 1e-308  # normalized noise = 1 / own gain
-        for c in d["channels"]:
-            c["bandwidth"] = 1e308
         for p in d["poas"]:
             p["backhaul_capacity"] = float("inf")
-        own = {(1, 1, 1): 2.0, (1, 3, 2): 1.0, (2, 3, 1): 1.0, (2, 2, 2): 1.0}
-        for g in d["gains"]:
-            g[3] = own.get(tuple(g[:3]), 1e-30)  # next to no interference
-        d["ues"][0]["p_max"], d["ues"][1]["p_max"] = 1.5, 1e-3
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(d))
         out = tmp_path / "out"

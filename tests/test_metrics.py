@@ -1,20 +1,34 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duplink import (
+    UE,
+    Channel,
+    Gains,
     GenParams,
+    PoA,
+    PoAKind,
+    Scenario,
+    ScenarioArrays,
     build_matrices,
     compute_state,
     effective_interference,
     generate,
+    generate_arrays,
     generate_mixed,
+    load_scenario,
+    save_scenario,
     stack_matrices,
+    validate_scenario,
     worked_example,
 )
 from duplink.metrics import CrossGainMatrices
+from duplink.scenarios import _draw
 
 from conftest import (fixed_ue_on_macro_channel, gain_dict, random_system,
                       scalar_interference, synthetic_topology, with_gains)
@@ -109,6 +123,90 @@ class TestBuildMatrices:
             assert np.all(m.f22[:, i] == 0.0)
             assert np.all(m.f12[i, :] == 0.0)  # no second-link receiver
             assert np.all(m.f22[i, :] == 0.0)
+
+
+def assert_same_bits(got: CrossGainMatrices, want: CrossGainMatrices) -> None:
+    """Every field equal bit for bit: arrays by dtype, shape and bytes,
+    scalars by type and ``float.hex``."""
+    for f in fields(CrossGainMatrices):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert (type(a), float(a).hex()) == (type(b), float(b).hex()), f.name
+
+
+@st.composite
+def record_inputs(draw):
+    """(GenParams, n_fixed): small networks, with a small cell whenever
+    there is a UE. At radius_m = 2 about a quarter of the UEs sit within
+    the 1 m reference distance of their small cell."""
+    n_ues, n_fixed, n_relays = draw(st.integers(0, 30)), draw(st.integers(0, 5)), \
+        draw(st.integers(0, 4))
+    params = GenParams(
+        n_ues=n_ues,
+        n_relays=n_relays,
+        n_picos=draw(st.integers(0 if n_relays or not n_ues + n_fixed else 1, 4)),
+        radius_m=draw(st.sampled_from([2.0, 200.0])),
+        backhaul_scale=draw(st.floats(0.05, 4.0)),
+        bandwidth_choices=draw(st.sampled_from([(1e6, 5e6), (2e5,), (1e6, 3e6, 1e7)])),
+        min_poa_separation=draw(st.sampled_from([0.0, 300.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return params, n_fixed
+
+
+class TestScenarioRecord:
+    """``build_matrices`` of the generator's record (the path ``monte_carlo``
+    takes) against ``build_matrices`` of the generated ``Scenario``, and of
+    that scenario saved and loaded."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(inputs=record_inputs())
+    @example(inputs=(GenParams(n_ues=21, backhaul_scale=0.5, seed=3), 0))  # mc_backhaul
+    @example(inputs=(GenParams(n_ues=0, n_relays=2, n_picos=2, seed=3), 5))  # fixed-SINR only
+    @example(inputs=(GenParams(n_ues=0, seed=1), 0))  # no UEs
+    def test_record_path_builds_the_object_path_network(self, tmp_path_factory, inputs):
+        p, n_fixed = inputs
+        if n_fixed:
+            s, record = generate_mixed(p, n_fixed), _draw(p, n_fixed, (1.0, 4.0))[0]
+        else:
+            s, record = generate(p), generate_arrays(p)
+        want = build_matrices(s)
+        assert_same_bits(build_matrices(record), want)
+        assert_same_bits(build_matrices(ScenarioArrays.of(s)), want)
+        path = tmp_path_factory.mktemp("record") / "scenario.json"
+        save_scenario(s, path)
+        assert_same_bits(build_matrices(load_scenario(path)), want)
+        # Path loss, against the positions: alpha moves no draw, so each gain
+        # at alpha = 2 is the one at 3.7 times max(1, d) ** 1.7.
+        flat = generate_mixed(replace(p, alpha=2.0), n_fixed)
+        d = np.array([math.dist(s.ues[u - 1].position, s.poas[q - 1].position)
+                      for u, q, _ in s.gains.keys.tolist()])
+        np.testing.assert_allclose(flat.gains.values,
+                                   s.gains.values * np.maximum(1.0, d) ** 1.7, rtol=1e-12)
+
+    def test_bandwidth_in_use_adds_in_channel_order(self, tmp_path):
+        # Channels listed out of id order: 1 + 1e-16 + 1e-16 is 1.0 in the
+        # listed order, and 1e-16 + 1e-16 + 1 = 1.0000000000000002 in id order.
+        assert 1e-16 + 1e-16 + 1.0 != 1.0
+        s = Scenario(
+            poas=[PoA(1, PoAKind.RELAY, (-500.0, 0.0), 1e9),
+                  PoA(2, PoAKind.PICOCELL, (500.0, 0.0), 1e9),
+                  PoA(3, PoAKind.MACROCELL, (0.0, 0.0), 1e10)],
+            ues=[UE(1, (-500.0, -100.0), 1.0, poa_1=1, chan_1=1, poa_2=3, chan_2=2),
+                 UE(2, (500.0, -100.0), 1.0, poa_1=2, chan_1=1, poa_2=3, chan_2=3)],
+            channels=[Channel(3, 1), Channel(1, 1e-16), Channel(2, 1e-16)],
+            gains=Gains.from_rows([[1, 1, 1, 1e-10], [1, 2, 1, 1e-12], [1, 3, 2, 1e-11],
+                                   [2, 1, 1, 1e-12], [2, 2, 1, 1e-10], [2, 3, 3, 1e-11]]),
+            noise_psd=1e-19, tau=5e6, z_factor=0.9)
+        assert validate_scenario(s) == []
+        path = tmp_path / "scenario.json"
+        save_scenario(s, path)
+        for m in (build_matrices(s), build_matrices(ScenarioArrays.of(s)),
+                  build_matrices(load_scenario(path))):
+            assert m.bandwidth_in_use.hex() == (1.0).hex()
+            assert m.w1.tolist() == [1e-16, 1e-16] and m.w2.tolist() == [1e-16, 1.0]
 
 
 class TestEffectiveInterference:

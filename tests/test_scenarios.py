@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from duplink import (
     GenParams,
     PoAKind,
+    SweepPoint,
     generate,
+    generate_arrays,
     generate_mixed,
+    monte_carlo,
     save_scenario,
     validate_scenario,
     worked_example,
@@ -105,6 +108,40 @@ class TestGenerateStructure:
             generate(GenParams(backhaul_scale=0.0))
         with pytest.raises(ValueError, match="small cell"):
             generate_mixed(GenParams(n_ues=0, n_relays=0, n_picos=0), 3)
+        # Each value below would fill a scenario field that validate_scenario
+        # rejects, or fail inside numpy; it is named before any draw.
+        for field, value, message in (
+                ("backhaul_scale", math.nan, "backhaul_scale must be > 0"),
+                ("eta_relay", -5e6, r"eta_relay \* backhaul_scale must be >= 0 "
+                                    r"\(inf for unlimited\), got -5000000.0"),
+                ("eta_macro", math.nan, r"eta_macro \* backhaul_scale must be >= 0"),
+                ("radius_m", math.nan, "radius_m must be > 0 and finite, got nan"),
+                ("radius_m", math.inf, "radius_m must be > 0 and finite, got inf"),
+                ("min_poa_separation", math.inf, "min_poa_separation must be finite, got inf"),
+                ("min_poa_separation", math.nan, "min_poa_separation must be finite, got nan"),
+                ("tau", math.nan, "tau must be finite and > 0, got nan"),
+                ("tau", 0.0, "tau must be finite and > 0, got 0.0"),
+                ("p_max", math.nan, "p_max must be finite and > 0, got nan"),
+                ("noise_psd", math.inf, "noise_psd must be finite and > 0, got inf"),
+                ("gain_scale", -1.0, "gain_scale must be finite and > 0, got -1.0"),
+                ("z_factor", 1.0, r"z_factor must be in \(0, 1\), got 1.0"),
+                ("z_factor", math.nan, r"z_factor must be in \(0, 1\), got nan"),
+                ("bandwidth_choices", (), r"bandwidth_choices must be one or more finite "
+                                          r"numbers > 0, got \(\)"),
+                ("bandwidth_choices", (1e6, math.inf), "bandwidth_choices must be one or more"),
+                ("bandwidth_choices", (0.0,), "bandwidth_choices must be one or more")):
+            for make in (generate, generate_arrays):
+                with pytest.raises(ValueError, match=message):
+                    make(GenParams(n_ues=6, **{field: value}))
+        for beta_range in ((0.0, 1.0), (1.0, math.inf), (math.nan, 2.0)):
+            with pytest.raises(ValueError, match="beta_range must be finite numbers > 0"):
+                generate_mixed(GenParams(n_ues=2), 3, beta_range)
+        # monte_carlo builds no Scenario, so these checks are its only gate.
+        # Without them this sweep runs, and its bdt row on a NaN tau reads
+        # "converged".
+        point = SweepPoint("x", 1, GenParams(n_ues=6, tau=math.nan))
+        with pytest.raises(ValueError, match="tau must be finite and > 0, got nan"):
+            monte_carlo([point], ("bdt", "wf"), trials=1, seeds=0)
 
 
 @st.composite
