@@ -26,7 +26,7 @@ assert rho < 1.0, "draw another seed: this mix does not contract"
 
 p1_pred, _ = dl.closed_form_equilibrium(m, a, c, rho)
 trace = dl.run(m, "mixed-fm", max_iter=300, eps=1e-12)
-final = trace.states[-1]
+final = trace.state
 
 print(f"simulation verdict: {trace.verdict.kind} "
       f"after {trace.metrics['iterations_run']} iterations\n")

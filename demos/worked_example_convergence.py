@@ -25,7 +25,7 @@ print("predicted fixed point p1*:", p1_star, " p2*:", p2_star)
 
 for policy in ("wf", "bdt", "greedy"):
     trace = dl.run(m, policy, max_iter=100)
-    err = np.max(np.abs(trace.states[-1].p1 - p1_star))
+    err = np.max(np.abs(trace.state.p1 - p1_star))
     print(f"  {policy:6s} {trace.verdict.kind:12s} "
           f"iterations={trace.metrics['iterations_run']:3d} "
           f"|p1 - p1*| = {err:.2e}")
@@ -36,7 +36,7 @@ m2 = dl.build_matrices(dl.worked_example(dl.LIMITED_BACKHAUL))
 for policy in ("wf", "bdt", "greedy"):
     trace = dl.run(m2, policy, max_iter=100)
     states = {ue: dl.BackhaulState(code).name
-              for ue, code in zip(m2.ue_id.tolist(), trace.reports[-1].state)}
+              for ue, code in zip(m2.ue_id.tolist(), trace.report.state)}
     print(f"  {policy:6s} {trace.verdict.kind:12s} "
           f"avg power {trace.metrics['avg_total_power']:.3f} W   "
           f"network rate {trace.metrics['eta_n_final'] / 1e6:6.1f} Mbps   "

@@ -21,13 +21,13 @@ from .backhaul import (
 from .engine import (
     SweepPoint,
     Trace,
+    TraceCsv,
     Verdict,
     aggregate,
     initial_state,
     monte_carlo,
     run,
     step,
-    trace_to_csv,
 )
 from .equilibrium import (
     InapplicableCheck,

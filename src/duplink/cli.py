@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import SweepPoint, aggregate, monte_carlo, run, trace_to_csv
+from .engine import SweepPoint, TraceCsv, aggregate, monte_carlo, run
 from .equilibrium import build_system, closed_form_equilibrium, spectral_radius
 from .metrics import build_matrices
 from .network import load_scenario, validate_scenario
@@ -105,7 +105,6 @@ def _equilibrium_payload(m, trace, policy: str) -> dict | None:
     if rho >= 1.0:
         return None
     p1, p2 = closed_form_equilibrium(m, a, c, rho)
-    final = trace.states[-1]
     mixed = not m.dual.all()
     payload = {"policy": policy, "prediction": "wf", "spectral_radius": rho}
     if not mixed:
@@ -115,9 +114,9 @@ def _equilibrium_payload(m, trace, policy: str) -> dict | None:
         "predicted_p1": [float(x) for x in p1],
         "predicted_p2": [float(x) for x in p2],
         "interior": bool(np.all(p1 > 0) and np.all(p1 < m.p_max)),
-        "simulated_p1": [float(x) for x in final.p1],
-        "simulated_p2": [float(x) for x in final.p2],
-        "max_abs_error_p1": float(np.max(np.abs(final.p1 - p1), initial=0.0)),
+        "simulated_p1": [float(x) for x in trace.state.p1],
+        "simulated_p2": [float(x) for x in trace.state.p2],
+        "max_abs_error_p1": float(np.max(np.abs(trace.state.p1 - p1), initial=0.0)),
     })
     return payload
 
@@ -157,23 +156,32 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # trace.csv streams to a pending file, renamed once all is ready and removed on failure.
+    pending = out / f".trace.csv.{os.getpid()}.tmp"
     try:
-        trace = run(mat, args.policy, max_iter=args.iters, eps=args.eps,
-                    window=args.window)
+        with open(pending, "w", newline="") as fh:
+            sink = TraceCsv(mat, fh)
+            trace = run(mat, args.policy, max_iter=args.iters, eps=args.eps,
+                        window=args.window, sink=sink)
+            sink.flush()
         equilibrium = _equilibrium_payload(mat, trace, args.policy)
+        v = trace.verdict
+        payload = {**trace.metrics, "verdict": v.kind, "converged_at": v.iteration,
+                   "oscillation_period": v.period}
+        if code := _write_outputs(out, {
+            "trace.csv": pending.replace,
+            "metrics.json": lambda path: path.write_text(json.dumps(payload, indent=2)),
+            "equilibrium.json": partial(Path.unlink, missing_ok=True) if equilibrium is None
+            else lambda path: path.write_text(json.dumps(equilibrium, indent=2))}):
+            return code
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    v = trace.verdict
-    payload = {**trace.metrics, "verdict": v.kind, "converged_at": v.iteration,
-               "oscillation_period": v.period}
-    if code := _write_outputs(out, {
-        "trace.csv": lambda path: trace_to_csv(trace, mat, path),
-        "metrics.json": lambda path: path.write_text(json.dumps(payload, indent=2)),
-        "equilibrium.json": (lambda path: path.unlink(missing_ok=True)) if equilibrium is None
-        else lambda path: path.write_text(json.dumps(equilibrium, indent=2))}):
-        return code
+    except OSError as exc:  # writing the pending trace; _write_outputs reports its own
+        print(f"error: cannot write output: {out / 'trace.csv'}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        pending.unlink(missing_ok=True)
     print(f"{trace.verdict.kind} after {trace.metrics['iterations_run']} iterations; "
           f"eta_n = {trace.metrics['eta_n_final']:.4g} bit/s")
     return EXIT_OK

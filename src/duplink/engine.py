@@ -9,9 +9,9 @@ oscillating when it revisits an earlier, non-adjacent iterate without
 settling.
 
 One loop serves every run: it advances a stack of networks in lockstep,
-each row as if alone, and one network runs unstacked as a batch of one. A
-Monte Carlo sweep runs all trials and policies of a sweep point as one
-stack.
+each row as if alone, and one network runs unstacked as a batch of one that
+hands every iterate to a sink, such as ``TraceCsv``. A Monte Carlo sweep
+runs all trials and policies of a sweep point as one stack.
 
 ``step`` takes a policy name, one name per network of a stack, or a
 callable. For names it first resolves a plan: which rule each UE runs, the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -68,11 +67,10 @@ class Verdict:
 
 @dataclass
 class Trace:
-    """A finished run. ``states`` and ``reports`` hold every iterate of a
-    one-network run, and only the last one of a network run in a stack."""
+    """A finished run: its last state and report, verdict and headline numbers."""
 
-    states: list[PowerState]
-    reports: list[BackhaulReport]
+    state: PowerState
+    report: BackhaulReport
     verdict: Verdict
     metrics: dict
 
@@ -209,6 +207,7 @@ def run(
     eps: float = 1e-6,
     window: int = 5,
     p0: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    sink: Optional[Callable[[PowerState, BackhaulReport], None]] = None,
 ) -> Trace | list[Trace]:
     """Iterate the chosen policy and classify the outcome.
 
@@ -217,12 +216,13 @@ def run(
     Convergence requires the infinity-norm power step to stay below ``eps``
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
-    while still moving.
+    while still moving. ``sink(state, report)``, if given, receives iterate 0
+    and each later one as the run makes it; the Trace keeps only the last.
 
     On a stack of networks (``stack_matrices``) ``policy`` is a name or one
     name per network, and the networks iterate in lockstep, each as if
     alone; a network leaves the batch once it has its verdict. The result
-    is one Trace per network, holding only its last state and report.
+    is one Trace per network; a stack takes no sink.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -230,19 +230,12 @@ def run(
         raise ValueError("window must be >= 1")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    _policy_names(policy)  # rejects an unknown name before any work
-    if m.d1.ndim == 2:
-        if callable(policy):
-            raise ValueError("a stack of networks takes policy names")
-        names = np.broadcast_to(np.asarray(policy), m.d1.shape[:1])
-        return _lockstep(m, names, max_iter, eps, window, p0, None)
-
-    # One network runs as it is, a batch of one, with its whole history kept.
-    history: list = []
-    [trace] = _lockstep(m, policy, max_iter, eps, window, p0, history)
-    trace.states = [state for state, _ in history]
-    trace.reports = [report for _, report in history]
-    return trace
+    if m.d1.ndim == 1:  # one network runs as it is, a batch of one
+        return _lockstep(m, policy, max_iter, eps, window, p0, sink)[0]
+    if callable(policy) or sink is not None:
+        raise ValueError("a stack of networks takes policy names and no sink")
+    names = np.broadcast_to(np.asarray(policy), m.d1.shape[:1])
+    return _lockstep(m, names, max_iter, eps, window, p0, None)
 
 
 # Iterates the detector's buffer holds before it first grows. It doubles
@@ -251,17 +244,16 @@ _HISTORY_START = 64
 
 
 def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
-              p0, history: Optional[list]) -> list[Trace]:
+              p0, sink) -> list[Trace]:
     """The iteration loop of ``run`` over the rows of a stack, or over one
-    network as a batch of one; appends every iterate's (state, report) to
-    ``history`` when one is given."""
+    network as a batch of one, handing every iterate to ``sink`` if given."""
     n = m.n
     b = math.prod(m.d1.shape[:-1])
     plan = _plan(m, policy)
     now = initial_state(m, p0)
     report = rate_differentials(m, now.rate1, now.rate2)
-    if history is not None:
-        history.append((now, report))
+    if sink is not None:
+        sink(now, report)
     traces: list = [None] * b
     rows = np.arange(b)           # the stack row of each network still running
     # powers[k, j] holds iterate k of the j-th running network: p1, then p2.
@@ -272,8 +264,8 @@ def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: i
     for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
         now = step(m, now, plan, report)
         report = rate_differentials(m, now.rate1, now.rate2)
-        if history is not None:
-            history.append((now, report))
+        if sink is not None:
+            sink(now, report)
         iterations = k + 1
         if k + 1 == len(powers):
             grown = np.empty((min(2 * k, max_iter) + 1, *powers.shape[1:]))
@@ -344,29 +336,39 @@ def _final(m: CrossGainMatrices, now: PowerState, report: BackhaulReport, j: int
         "avg_total_power": float(np.mean(totals)) if totals.size else 0.0,
         "iterations_run": iterations,
     }
-    return Trace([final], [last], verdict, metrics)
+    return Trace(final, last, verdict, metrics)
 
 
 _STATE_NAMES = np.array([""] + [state.name for state in BackhaulState], dtype=object)
 
 
-def trace_to_csv(trace: Trace, m: CrossGainMatrices, path: str | Path) -> None:
-    """One row per iteration: k, per-UE powers/rates/state, network rate, as
-    ``csv.writer`` writes each number's ``repr``. Rows are formatted and
-    written one at a time, each distinct number of a row printed once, so
-    the writer's memory does not grow with the number of iterations."""
-    n = m.ue_id.size
-    header = ["k", *(f"{col}_{ue}" for ue in m.ue_id.tolist()
-                     for col in ("p1", "p2", "rate1", "rate2", "state")), "eta_n"]
-    cells = np.empty((n, 5), dtype=object)  # one row's UE cells
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for k, (s, rep) in enumerate(zip(trace.states, trace.reports)):
-            numbers = np.stack((s.p1, s.p2, s.rate1, s.rate2), axis=1)
-            bits, at = np.unique(numbers.view(np.int64), return_inverse=True)  # -0.0 != 0.0
-            cells[:, :4] = np.array(_reprs(bits.view(float)), dtype=object)[at.reshape(n, 4)]
-            cells[:, 4] = _STATE_NAMES[rep.state]
-            fh.write(",".join([str(k), *cells.ravel().tolist(), repr(rep.eta_n)]) + "\r\n")
+class TraceCsv:
+    """The trace.csv writer, a ``run`` sink: one row per iterate to the text
+    file ``fh``, as ``csv.writer`` writes ``repr`` of each number. It holds up
+    to 16 iterates, and writes them when full and on ``flush``, after the run."""
+
+    def __init__(self, m: CrossGainMatrices, fh):
+        self.fh, self.k, self.eta = fh, 0, []  # eta_n of each iterate held
+        self.numbers = np.empty((16, 5, m.ue_id.size))  # and p1, p2, rate1, rate2, state code
+        fh.write(",".join(["k", *(f"{col}_{ue}" for ue in m.ue_id.tolist() for col in
+                                  ("p1", "p2", "rate1", "rate2", "state")), "eta_n"]) + "\r\n")
+
+    def __call__(self, state: PowerState, report: BackhaulReport) -> None:
+        self.numbers[len(self.eta)] = state.p1, state.p2, state.rate1, state.rate2, report.state
+        self.eta.append(report.eta_n)
+        if len(self.eta) == len(self.numbers):
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the buffered rows, each distinct number of a row printed once."""
+        cells = np.empty((self.numbers.shape[2], 5), dtype=object)  # one row's UE cells
+        for numbers, eta in zip(self.numbers, self.eta):
+            bits, at = np.unique(numbers[:4].T.view(np.int64), return_inverse=True)  # -0.0 != 0.0
+            cells[:, :4] = np.array(_reprs(bits.view(float)), dtype=object)[at.reshape(-1, 4)]
+            cells[:, 4] = _STATE_NAMES[numbers[4].astype(int)]
+            self.fh.write(",".join([str(self.k), *cells.ravel().tolist(), repr(eta)]) + "\r\n")
+            self.k += 1
+        self.eta.clear()
 
 
 # --- Monte Carlo sweeps ---------------------------------------------------------

@@ -116,38 +116,28 @@ def closed_form_equilibrium(
     return p1, np.where(m.dual, m.p_max - p1, 0.0)
 
 
-def rescaling_sinr_bound_check(trace, m: CrossGainMatrices, ue_id: int, link: int,
+def rescaling_sinr_bound_check(iterates, m: CrossGainMatrices, ue_id: int, link: int,
                                k: int) -> bool:
     """Did the SINR of a rescaled non-bottleneck link obey gamma(k+2) > z^2 gamma(k)?
 
-    ``m`` is the network the trace ran on and ``z = m.z``; UE ``ue_id`` is
-    looked up in ``m.ue_id``. Applicable only when the trace is long enough,
-    the link's rate differential was nonnegative at iteration k, and the UE
-    scaled that link's power by z between k and k+1. Raises InapplicableCheck
-    otherwise.
+    ``iterates`` are the (state, report) pairs of a run on ``m`` from iterate
+    0, as a list sink collects them; ``z = m.z`` and UE ``ue_id`` is looked up
+    in ``m.ue_id``. Applicable only when the run is long enough, the link's
+    rate differential was nonnegative at iteration k, and the UE scaled that
+    link's power by z between k and k+1. Raises InapplicableCheck otherwise.
     """
-    states = trace.states
-    if k < 0 or k + 2 >= len(states):
+    if k < 0 or k + 2 >= len(iterates):
         raise InapplicableCheck(f"trace too short for k={k}")
     hits = np.flatnonzero(m.ue_id == ue_id)
     if not hits.size:
         raise InapplicableCheck(f"unknown UE id {ue_id}")
     i = int(hits[0])
-    if link == 2 and trace.reports[k].state[i] == 0:
+    (now, report), (nxt, _), (after, _) = iterates[k:k + 3]
+    if link == 2 and report.state[i] == 0:
         raise InapplicableCheck(f"UE {ue_id} has no link 2")
-    p_attr = "p1" if link == 1 else "p2"
-    g_attr = "sinr1" if link == 1 else "sinr2"
-    p_k = getattr(states[k], p_attr)[i]
-    p_k1 = getattr(states[k + 1], p_attr)[i]
-    if not np.isclose(p_k1, m.z * p_k, rtol=1e-9, atol=0.0):
-        raise InapplicableCheck(
-            f"UE {ue_id} link {link} power was not rescaled by z at k={k}"
-        )
-    v_k = (trace.reports[k].v1 if link == 1 else trace.reports[k].v2)[i]
-    if v_k < 0:
-        raise InapplicableCheck(
-            f"UE {ue_id} link {link} was not a non-bottleneck link at k={k}"
-        )
-    gamma_k = getattr(states[k], g_attr)[i]
-    gamma_k2 = getattr(states[k + 2], g_attr)[i]
-    return bool(gamma_k2 > m.z * m.z * gamma_k)
+    p, gamma, v = ("p1", "sinr1", "v1") if link == 1 else ("p2", "sinr2", "v2")
+    if not np.isclose(getattr(nxt, p)[i], m.z * getattr(now, p)[i], rtol=1e-9, atol=0.0):
+        raise InapplicableCheck(f"UE {ue_id} link {link} power was not rescaled by z at k={k}")
+    if getattr(report, v)[i] < 0:
+        raise InapplicableCheck(f"UE {ue_id} link {link} was not a non-bottleneck link at k={k}")
+    return bool(getattr(after, gamma)[i] > m.z * m.z * getattr(now, gamma)[i])

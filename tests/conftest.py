@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from duplink.engine import TraceCsv, run
 from duplink.equilibrium import build_system, closed_form_equilibrium, spectral_radius
 from duplink.metrics import CrossGainMatrices
 from duplink.network import Gains
@@ -122,6 +123,28 @@ def scalar_rate_differentials(s, rate1, rate2):
     for r in s.relays():
         v[r.id] = min(r.backhaul_capacity, max(v[macro.id], 0.0)) - load[r.id]
     return v
+
+
+def run_collecting(m, policy, *sinks, **kwargs):
+    """``run`` with a list sink, and with ``sinks`` too: the Trace and every
+    iterate's (state, report)."""
+    iterates = []
+
+    def sink(state, report):
+        iterates.append((state, report))
+        for other in sinks:
+            other(state, report)
+
+    return run(m, policy, sink=sink, **kwargs), iterates
+
+
+def write_trace_csv(m, iterates, path):
+    """trace.csv of collected iterates, through the writer ``run`` streams to."""
+    with open(path, "w", newline="") as fh:
+        writer = TraceCsv(m, fh)
+        for state, report in iterates:
+            writer(state, report)
+        writer.flush()
 
 
 class RescaleOnceThenHold:

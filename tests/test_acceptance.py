@@ -27,7 +27,7 @@ from duplink import (
 from duplink.engine import SweepPoint, aggregate, monte_carlo
 from duplink.scenarios import LIMITED_BACKHAUL
 
-from conftest import RescaleOnceThenHold, interior_equilibrium
+from conftest import RescaleOnceThenHold, interior_equilibrium, run_collecting
 
 
 def report(n, text):
@@ -55,7 +55,7 @@ def test_criterion_1_fixed_point_reproduction():
     for policy in ("bdt", "wf"):
         trace = run(m, policy, max_iter=100)
         assert trace.verdict.converged
-        errs[policy] = float(np.max(np.abs(trace.states[-1].p1 - p1_star)))
+        errs[policy] = float(np.max(np.abs(trace.state.p1 - p1_star)))
         assert errs[policy] < 1e-6
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -207,7 +207,7 @@ def test_criterion_8_mixed_population_equilibrium():
         p1_star, _ = equilibrium
         used += 1
         trace = run(m, "mixed-fm", max_iter=500, eps=1e-12)
-        final = trace.states[-1]
+        final = trace.state
         # SINR oracle straight from the scenario, not from the matrices
         fixed = np.array([not u.dual for u in s.ues])
         beta = np.array([u.fixed_sinr_target or 0.0 for u in s.ues])
@@ -238,9 +238,9 @@ def test_criterion_9_rescaling_sinr_bound():
         if equilibrium is None:
             continue
         used += 1
-        trace = run(m, RescaleOnceThenHold(m.z), max_iter=4, eps=1e-15,
-                    window=10, p0=equilibrium)
-        assert rescaling_sinr_bound_check(trace, m, ue_id=1, link=1, k=0) is True
+        _, iterates = run_collecting(m, RescaleOnceThenHold(m.z), max_iter=4, eps=1e-15,
+                                     window=10, p0=equilibrium)
+        assert rescaling_sinr_bound_check(iterates, m, ue_id=1, link=1, k=0) is True
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report(9, f"SINR bound held on all 50 fading draws in {elapsed:.1f}s")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -320,6 +321,53 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error: numerical failure: policy returned infeasible powers for UE 1: (nan" in err
         assert not any(out.iterdir())
+
+    def test_failure_after_a_written_block_leaves_nothing(self, scenario_file, tmp_path,
+                                                          capsys, monkeypatch):
+        # wf with a window longer than the run runs to max_iter. The 20th
+        # step's waterfilling turns NaN, after the trace writer has written its
+        # first 16 rows to the pending file; the run exits 4 and removes it.
+        out = tmp_path / "out"
+        waterfill, flush, calls, flushed = engine._waterfill, engine.TraceCsv.flush, [], []
+
+        def nan_on_call_20(p_max, *args):
+            calls.append([p.name for p in out.iterdir()])
+            if len(calls) == 20:
+                return (np.full(p_max.shape, np.nan),) * 2
+            return waterfill(p_max, *args)
+
+        monkeypatch.setattr(engine, "_waterfill", nan_on_call_20)
+        monkeypatch.setattr(engine.TraceCsv, "flush",
+                            lambda writer: (flush(writer), flushed.append(writer.k)))
+        assert main(["run", "--scenario", str(scenario_file), "--policy", "wf",
+                     "--window", "99", "--out", str(out)]) == 4
+        assert flushed == [16] and calls[-1] == [f".trace.csv.{os.getpid()}.tmp"]
+        assert "error: numerical failure: policy returned infeasible powers" in (
+            capsys.readouterr().err)
+        assert not any(out.iterdir())
+
+    def test_run_memory_does_not_grow_with_the_trace(self, tmp_path):
+        # The 160+40-UE file of the cli_large benchmark (seed 1) runs to
+        # max_iterations under bdt. Only the detector's buffer may grow with
+        # --iters; a run that kept every iterate peaked at 3.8 times the peak
+        # of 50 at 400.
+        params = GenParams(n_ues=160, n_relays=8, n_picos=12,
+                           seed=int(np.random.SeedSequence([1, 0]).generate_state(1)[0]))
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_mixed(params, 40), path)
+        peaks = {}
+        for iters in (1, 50, 400):  # the first run fills the caches of one-time set-up
+            argv = ["run", "--scenario", str(path), "--policy", "bdt", "--iters", str(iters),
+                    "--out", str(tmp_path / "out")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[iters] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+            assert metrics["verdict"] == "max_iterations"
+        assert peaks[400] <= 2.5 * peaks[50], peaks
 
     def test_eps_and_window_reach_the_run(self, scenario_file, tmp_path):
         m = build_matrices(worked_example())

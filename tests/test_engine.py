@@ -25,10 +25,10 @@ from duplink import (
 )
 from duplink.backhaul import rate_differentials
 from duplink.cli import PRESETS, main
-from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo, trace_to_csv
+from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo
 from duplink.scenarios import LIMITED_BACKHAUL
 
-from conftest import with_gains
+from conftest import run_collecting, with_gains, write_trace_csv
 
 
 def report_of(m, state):
@@ -51,8 +51,8 @@ class TestStep:
         m = build_matrices(worked_example(LIMITED_BACKHAUL))
         trace = run(m, "bdt", max_iter=100)
         assert trace.verdict.converged
-        final = trace.states[-1]
-        again = step(m, final, "bdt", trace.reports[-1])
+        final = trace.state
+        again = step(m, final, "bdt", trace.report)
         np.testing.assert_array_equal(again.p1, final.p1)
         np.testing.assert_array_equal(again.p2, final.p2)
 
@@ -96,7 +96,7 @@ class TestRun:
         for policy in ("bdt", "wf"):
             trace = run(m, policy, max_iter=100)
             assert trace.verdict.converged
-            assert np.max(np.abs(trace.states[-1].p1 - p1_star)) < 1e-6
+            assert np.max(np.abs(trace.state.p1 - p1_star)) < 1e-6
 
     def test_greedy_oscillates_on_limited_backhaul(self):
         trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy", max_iter=100)
@@ -110,25 +110,28 @@ class TestRun:
         assert trace.metrics["eta_n_final"] == 0.0
 
     def test_states_and_reports_equal_length(self):
-        trace = run(build_matrices(worked_example()), "wf", max_iter=30)
-        assert len(trace.states) == len(trace.reports)
+        # The sink sees iterate 0 and every later one; the trace keeps the last.
+        trace, iterates = run_collecting(build_matrices(worked_example()), "wf", max_iter=30)
+        assert len(iterates) == trace.metrics["iterations_run"] + 1
+        assert iterates[-1][0] is trace.state and iterates[-1][1] is trace.report
 
     def test_feasibility_preserved_every_iteration(self):
         for policy in ("bdt", "wf", "greedy"):
             for seed in (1, 2):
                 m = build_matrices(generate(GenParams(n_ues=8, seed=seed, backhaul_scale=0.3)))
-                trace = run(m, policy, max_iter=40)
-                for st in trace.states:
+                _, iterates = run_collecting(m, policy, max_iter=40)
+                for st, _ in iterates:
                     assert np.all(st.p1 >= 0) and np.all(st.p2 >= 0)
                     assert np.all(st.p1 + st.p2 <= 1.0 + 1e-9)
 
     def test_bdt_sheds_power_while_overloaded(self):
         # all-overloaded start: total power strictly decreases until states change
-        trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "bdt", max_iter=100)
-        totals = [float(np.sum(st.p1 + st.p2)) for st in trace.states]
+        _, iterates = run_collecting(build_matrices(worked_example(LIMITED_BACKHAUL)), "bdt",
+                                     max_iter=100)
+        totals = [float(np.sum(st.p1 + st.p2)) for st, _ in iterates]
         overloaded = [
             all(BackhaulState(code).name in ("S7", "S8", "S9") for code in rep.state)
-            for rep in trace.reports
+            for _, rep in iterates
         ]
         saw_overload = False
         for k, flag in enumerate(overloaded[:-1]):
@@ -147,9 +150,9 @@ class TestRun:
             p1 = np.full(m.n, next(steps))
             return p1, m.p_max - p1
 
-        trace = run(build_matrices(worked_example()), scripted, max_iter=6)
+        trace, iterates = run_collecting(build_matrices(worked_example()), scripted, max_iter=6)
         assert trace.verdict.kind == "oscillating" and trace.verdict.period == 2
-        assert len(trace.states) == 6
+        assert len(iterates) == 6
 
     def test_huge_max_iter_allocates_only_what_runs(self):
         # wf converges in a few iterations; the detector's history grows
@@ -171,11 +174,12 @@ class TestRun:
                       run(stack_matrices([m, m]), ["wf", "bdt"], max_iter=400)[1]):
             assert trace.verdict == long.verdict
             assert trace.metrics == long.metrics
-            np.testing.assert_array_equal(trace.states[-1].p1, long.states[-1].p1)
+            np.testing.assert_array_equal(trace.state.p1, long.state.p1)
 
     def test_max_iter_respected(self):
-        trace = run(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy", max_iter=7)
-        assert len(trace.states) <= 8
+        _, iterates = run_collecting(build_matrices(worked_example(LIMITED_BACKHAUL)), "greedy",
+                                     max_iter=7)
+        assert len(iterates) <= 8
 
     def test_invalid_max_iter(self):
         with pytest.raises(ValueError):
@@ -260,17 +264,17 @@ class TestMetrics:
 class TestTraceSerialization:
     def test_csv_schema_and_reparse(self, tmp_path):
         m = build_matrices(worked_example(LIMITED_BACKHAUL))
-        trace = run(m, "bdt", max_iter=20)
+        _, iterates = run_collecting(m, "bdt", max_iter=20)
         path = tmp_path / "trace.csv"
-        trace_to_csv(trace, m, path)
+        write_trace_csv(m, iterates, path)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(trace.states)
+        assert len(rows) == len(iterates)
         assert set(rows[0]) == {"k", "p1_1", "p2_1", "rate1_1", "rate2_1",
                                 "state_1", "p1_2", "p2_2", "rate1_2",
                                 "rate2_2", "state_2", "eta_n"}
         # values survive the round trip exactly (repr-encoded floats)
-        assert float(rows[3]["p1_1"]) == trace.states[3].p1[0]
+        assert float(rows[3]["p1_1"]) == iterates[3][0].p1[0]
         assert rows[0]["state_1"] in {f"S{i}" for i in range(1, 10)}
 
 
@@ -407,11 +411,11 @@ class TestLockstep:
                 alone = run(m, policy, max_iter=40, p0=(p0[0][i], p0[1][i]))
                 assert trace.verdict == alone.verdict
                 assert trace.metrics == alone.metrics
-                np.testing.assert_array_equal(trace.states[-1].p1, alone.states[-1].p1)
-                np.testing.assert_array_equal(trace.states[-1].p2, alone.states[-1].p2)
-                np.testing.assert_array_equal(trace.reports[-1].state,
-                                              alone.reports[-1].state)
-                assert trace.reports[-1].eta_n == alone.reports[-1].eta_n
+                np.testing.assert_array_equal(trace.state.p1, alone.state.p1)
+                np.testing.assert_array_equal(trace.state.p2, alone.state.p2)
+                np.testing.assert_array_equal(trace.report.state,
+                                              alone.report.state)
+                assert trace.report.eta_n == alone.report.eta_n
 
     def test_stack_rejects_other_layouts(self):
         base = build_matrices(generate(GenParams(n_ues=6, seed=1)))
@@ -433,6 +437,11 @@ class TestLockstep:
             run(stack, lambda m, now, report: (now.p1, now.p2))
         with pytest.raises(ValueError, match="unknown policy 'anneal'"):
             run(stack, ["wf", "anneal"])
+
+    def test_stack_takes_no_sink(self):
+        stack = stack_matrices([build_matrices(worked_example())] * 2)
+        with pytest.raises(ValueError, match="no sink"):
+            run(stack, "wf", sink=lambda state, report: None)
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(n_ues=st.integers(1, 8), n_relays=st.integers(0, 3), n_picos=st.integers(1, 3),

@@ -29,6 +29,7 @@ from conftest import (
     gelfand_radius,
     interior_equilibrium,
     random_system,
+    run_collecting,
 )
 
 
@@ -189,7 +190,7 @@ class TestClosedFormEquilibrium:
         p1_star, _ = equilibrium
         trace = run(mat, "wf", max_iter=200)
         assert trace.verdict.converged
-        assert np.max(np.abs(trace.states[-1].p1 - p1_star)) < 1e-6
+        assert np.max(np.abs(trace.state.p1 - p1_star)) < 1e-6
 
     def test_fixed_point_residual(self, rng):
         for _ in range(50):
@@ -215,7 +216,7 @@ class TestClosedFormEquilibrium:
                 continue
             p1_star, _ = equilibrium
             trace = run(mat, "wf", max_iter=500)
-            assert np.max(np.abs(trace.states[-1].p1 - p1_star)) < 1e-6
+            assert np.max(np.abs(trace.state.p1 - p1_star)) < 1e-6
             checked += 1
         assert checked == 10
 
@@ -299,9 +300,10 @@ class TestMixedPopulationSystem:
         np.testing.assert_allclose(nxt.p2, p2, rtol=1e-12, atol=1e-15)
 
 
-def _rescaling_trace(seed, reverse=False):
+def _rescaling_iterates(seed, reverse=False):
     """Run RescaleOnceThenHold from the interior fixed point of a 2-UE
-    network, or return (None, None) where the construction does not apply.
+    network and return its iterates and matrices, or (None, None) where the
+    construction does not apply.
     ``reverse`` lists the UEs in descending id order."""
     s = generate(GenParams(n_ues=2, n_relays=1, n_picos=1, seed=seed,
                            backhaul_scale=10.0))
@@ -313,19 +315,19 @@ def _rescaling_trace(seed, reverse=False):
     equilibrium = interior_equilibrium(mat)
     if equilibrium is None:
         return None, None
-    trace = run(mat, RescaleOnceThenHold(mat.z), max_iter=4, eps=1e-15, window=10,
-                p0=equilibrium)
-    return trace, mat
+    _, iterates = run_collecting(mat, RescaleOnceThenHold(mat.z), max_iter=4, eps=1e-15,
+                                 window=10, p0=equilibrium)
+    return iterates, mat
 
 
 class TestRescalingSinrBound:
     def test_two_ue_construction_holds(self):
         found = 0
         for seed in range(40):
-            trace, mat = _rescaling_trace(seed)
-            if trace is None:
+            iterates, mat = _rescaling_iterates(seed)
+            if iterates is None:
                 continue
-            assert rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0) is True
+            assert rescaling_sinr_bound_check(iterates, mat, ue_id=1, link=1, k=0) is True
             found += 1
         assert found >= 20
 
@@ -334,40 +336,41 @@ class TestRescalingSinrBound:
         mat = build_matrices(generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=1,
                                                 backhaul_scale=10.0)))
         z = mat.z
-        trace = run(mat, RescaleOnceThenHold(z), max_iter=4, eps=1e-15, window=10)
-        assert rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0) is True
-        g0 = trace.states[0].sinr1[0]
-        g2 = trace.states[2].sinr1[0]
+        _, iterates = run_collecting(mat, RescaleOnceThenHold(z), max_iter=4, eps=1e-15,
+                                     window=10)
+        assert rescaling_sinr_bound_check(iterates, mat, ue_id=1, link=1, k=0) is True
+        g0 = iterates[0][0].sinr1[0]
+        g2 = iterates[2][0].sinr1[0]
         assert g2 == pytest.approx(z * g0, rel=1e-9)
 
     def test_trace_too_short_is_inapplicable(self):
-        trace, mat = _rescaling_trace(0)
-        assert trace is not None
+        iterates, mat = _rescaling_iterates(0)
+        assert iterates is not None
         with pytest.raises(InapplicableCheck):
-            rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1,
-                                       k=len(trace.states) - 2)
+            rescaling_sinr_bound_check(iterates, mat, ue_id=1, link=1,
+                                       k=len(iterates) - 2)
 
     def test_unrescaled_ue_is_inapplicable(self):
-        trace, mat = _rescaling_trace(0)
+        iterates, mat = _rescaling_iterates(0)
         with pytest.raises(InapplicableCheck):
-            rescaling_sinr_bound_check(trace, mat, ue_id=2, link=1, k=0)
+            rescaling_sinr_bound_check(iterates, mat, ue_id=2, link=1, k=0)
 
     def test_unknown_ue_is_inapplicable(self):
-        trace, mat = _rescaling_trace(0)
+        iterates, mat = _rescaling_iterates(0)
         with pytest.raises(InapplicableCheck, match="unknown UE id 3"):
-            rescaling_sinr_bound_check(trace, mat, ue_id=3, link=1, k=0)
+            rescaling_sinr_bound_check(iterates, mat, ue_id=3, link=1, k=0)
 
     def test_ue_ids_out_of_order(self):
         # UE 2 is listed first, so it is the one RescaleOnceThenHold rescales.
-        trace, mat = _rescaling_trace(1, reverse=True)
+        iterates, mat = _rescaling_iterates(1, reverse=True)
         assert mat.ue_id.tolist() == [2, 1]
-        assert rescaling_sinr_bound_check(trace, mat, ue_id=2, link=1, k=0) is True
+        assert rescaling_sinr_bound_check(iterates, mat, ue_id=2, link=1, k=0) is True
         with pytest.raises(InapplicableCheck, match="not rescaled"):
-            rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0)
+            rescaling_sinr_bound_check(iterates, mat, ue_id=1, link=1, k=0)
 
     def test_bottleneck_link_is_inapplicable(self):
-        trace, mat = _rescaling_trace(0)
+        iterates, mat = _rescaling_iterates(0)
         # fake a negative differential at k=0 for UE 1 link 1
-        trace.reports[0].v1[0] = -1.0
+        iterates[0][1].v1[0] = -1.0
         with pytest.raises(InapplicableCheck):
-            rescaling_sinr_bound_check(trace, mat, ue_id=1, link=1, k=0)
+            rescaling_sinr_bound_check(iterates, mat, ue_id=1, link=1, k=0)

@@ -117,7 +117,7 @@ def stacked_mixed_rows(dl) -> list[str]:
     traces = dl.run(dl.stack_matrices(ms), list(dl.POLICY_NAMES))
     lines = []
     for policy, trace in zip(dl.POLICY_NAMES, traces):
-        v, final = trace.verdict, trace.states[-1]
+        v, final = trace.verdict, trace.state
         numbers = [float(x).hex() for x in (trace.metrics["eta_n_final"],
                                             trace.metrics["eta_n_normalized"],
                                             trace.metrics["avg_total_power"],
