@@ -29,7 +29,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .metrics import CrossGainMatrices
+from .metrics import CrossGainMatrices, _sum_left_to_right
 
 
 class BackhaulState(IntEnum):
@@ -86,18 +86,6 @@ class BackhaulReport:
     v1: np.ndarray             # per UE: V of its link-1 PoA
     v2: np.ndarray             # per UE: V of its link-2 PoA, 0 without one
     state: np.ndarray          # per UE: BackhaulState code, 0 on single-link UEs
-
-
-def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in index order, so that each row of a stack
-    equals its network summed alone. numpy's ``sum`` adds one network's
-    contiguous slice with unrolled partial sums, but a stack's
-    ``carried[..., m.relays]`` is a strided block that it adds in index
-    order. ``accumulate`` adds in index order in both cases, as Python's
-    ``sum`` does."""
-    if not x.shape[-1]:
-        return np.zeros(x.shape[:-1])
-    return np.add.accumulate(x, axis=-1)[..., -1]
 
 
 def rate_differentials(

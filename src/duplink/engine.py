@@ -34,12 +34,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
-from .metrics import (CrossGainMatrices, PowerState, build_matrices, compute_state,
-                      stack_matrices)
+from .metrics import _PER_NETWORK, CrossGainMatrices, PowerState, build_matrices, compute_state
 from .network import _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
-from .scenarios import GenParams, generate_arrays
+from .scenarios import GenParams, _draw
 
 CONVERGED = "converged"
 OSCILLATING = "oscillating"
@@ -234,7 +233,10 @@ def run(
         return _lockstep(m, policy, max_iter, eps, window, p0, sink)[0]
     if callable(policy) or sink is not None:
         raise ValueError("a stack of networks takes policy names and no sink")
-    names = np.broadcast_to(np.asarray(policy), m.d1.shape[:1])
+    names = np.asarray(policy)
+    if names.ndim and len(names) != len(m.d1):
+        raise ValueError(f"{len(names)} policy names for a stack of {len(m.d1)} networks")
+    names = np.broadcast_to(names, m.d1.shape[:1])
     return _lockstep(m, names, max_iter, eps, window, p0, None)
 
 
@@ -399,15 +401,16 @@ def monte_carlo(
     """Seeded sweep: every policy sees the same scenario in a given trial.
 
     ``seeds`` is either a base seed (per-trial seeds are derived from it) or
-    an explicit per-trial seed list. With ``require_contractive`` the
-    generator rejects scenarios whose waterfilling iteration matrix has a
-    spectral radius of 1 or more, re-drawing deterministically; RuntimeError
-    after ``_MAX_ATTEMPTS`` draws of one trial. The trials x policies runs
+    an explicit per-trial seed list. A point's trials are drawn and built as
+    one batch (``build_matrices`` of the generator's batch record), each the
+    network ``build_matrices(generate(...))`` gives, bit for bit. With
+    ``require_contractive`` a trial whose waterfilling iteration matrix has a
+    spectral radius of 1 or more is drawn again with the next attempt's
+    seed, the rejected trials together; RuntimeError names the lowest trial
+    still rejected after ``_MAX_ATTEMPTS`` draws. The trials x policies runs
     of a point, which share its tau and z, advance as one stack through
     ``run`` at its default ``eps`` and ``window``, with the results of
-    separate runs. Each trial is assembled from the generator's draw
-    (``generate_arrays``), without building a ``Scenario``; its network is
-    the one ``build_matrices(generate(...))`` gives, bit for bit.
+    separate runs.
     """
     from .equilibrium import build_system, spectral_radius
 
@@ -421,23 +424,30 @@ def monte_carlo(
 
     rows = []
     for point_idx, point in enumerate(points):
-        networks = []
-        for trial in range(trials):
-            for attempt in range(_MAX_ATTEMPTS):
-                if seed_list is not None:
-                    seed = _trial_seed(seed_list[trial], point_idx, 0, attempt)
-                else:
-                    seed = _trial_seed(seeds, point_idx, trial, attempt)
-                mat = build_matrices(generate_arrays(replace(point.params, seed=seed)))
-                if not require_contractive or spectral_radius(build_system(mat)[0]) < 1.0:
-                    break
-            else:
-                raise RuntimeError(
-                    f"no contractive scenario found for point {point.sweep_value!r}, "
-                    f"trial {trial} after {_MAX_ATTEMPTS} attempts"
-                )
-            networks += [mat] * len(policies)
-        traces = run(stack_matrices(networks), list(policies) * trials, max_iter=max_iter)
+        m, todo = None, np.arange(trials)  # the trials still without a network
+        for attempt in range(_MAX_ATTEMPTS):
+            drawn = build_matrices(_draw(point.params, [
+                _trial_seed(seed_list[t], point_idx, 0, attempt) if seed_list is not None
+                else _trial_seed(seeds, point_idx, t, attempt) for t in todo.tolist()])[0])
+            ok = (np.array([spectral_radius(a) < 1.0 for a in build_system(drawn)[0]])
+                  if require_contractive else np.ones(len(todo), dtype=bool))
+            if m is None:
+                m = drawn
+            else:  # the re-drawn trials take their rows of the point's stack
+                for name in _PER_NETWORK:
+                    getattr(m, name)[todo[ok]] = getattr(drawn, name)[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+        else:
+            raise RuntimeError(
+                f"no contractive scenario found for point {point.sweep_value!r}, "
+                f"trial {todo[0]} after {_MAX_ATTEMPTS} attempts"
+            )
+        # One row per trial and policy, the policies of a trial side by side.
+        m = replace(m, **{name: np.repeat(getattr(m, name), len(policies), axis=0)
+                          for name in _PER_NETWORK})
+        traces = run(m, list(policies) * trials, max_iter=max_iter)
         for i, trace in enumerate(traces):
             rows.append({
                 "sweep_var": point.sweep_var,

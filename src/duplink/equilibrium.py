@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import CrossGainMatrices
+from .metrics import CrossGainMatrices, _apply
 
 _RESIDUAL_TOL = 1e-9
 
@@ -72,18 +72,15 @@ def spectral_radius(m: np.ndarray) -> float:
 
 def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Iteration matrix ``a`` and offset ``c`` of the first-link powers:
-    waterfilling rows for dual UEs, fixed-SINR rows for single-link UEs."""
-    w1 = m.w1[:, None]
-    w2 = m.w2[:, None]
-    a = m.lam[:, None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
-    c = m.lam * (
-        m.w1 * m.p_max
-        - m.w2 * m.d1
-        + m.w1 * m.d2
-        + (w1 * m.f22 - w2 * m.f21) @ m.p_max
-    )
-    a = np.where(m.dual[:, None], a, m.beta[:, None] * (m.f11 - m.f21))
-    c = np.where(m.dual, c, m.beta * (m.d1 + m.f21 @ m.p_max))
+    waterfilling rows for dual UEs, fixed-SINR rows for single-link UEs. On
+    a stack (``stack_matrices``), one of each per network."""
+    w1 = m.w1[..., None]
+    w2 = m.w2[..., None]
+    a = m.lam[..., None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
+    c = m.lam * (m.w1 * m.p_max - m.w2 * m.d1 + m.w1 * m.d2
+                 + _apply(w1 * m.f22 - w2 * m.f21, m.p_max))
+    a = np.where(m.dual[..., None], a, m.beta[..., None] * (m.f11 - m.f21))
+    c = np.where(m.dual, c, m.beta * (m.d1 + _apply(m.f21, m.p_max)))
     return a, c
 
 

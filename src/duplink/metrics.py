@@ -20,13 +20,14 @@ Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
 
 ``build_matrices`` assembles these arrays from a ``ScenarioArrays`` record:
-the one the generator draws, or the one read off a ``Scenario``. Either
-gives the same bits for the same network.
-
-``stack_matrices`` stacks networks of one layout, tau and z (one sweep
-point) into one CrossGainMatrices whose per-network arrays gain a leading
-batch axis, one row per network; tau and z stay scalars. ``compute_state``
-and the backhaul and engine layers accept either form.
+the one the generator draws, or the one read off a ``Scenario``; either
+gives the same bits for the same network. Given a batch record (a sweep
+point's trials) it builds the stack in one pass, bit for bit the stacked
+networks of its rows; one scenario is a batch of one. A stack
+(``stack_matrices`` stacks built networks) holds networks of one layout,
+tau and z; its per-network arrays gain a leading batch axis, one row per
+network, and tau and z stay scalars. ``compute_state`` and the backhaul and
+engine layers accept either form.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .network import Scenario, ScenarioArrays
+from .network import Gains, Scenario, ScenarioArrays
 
 
 @dataclass
@@ -167,83 +167,107 @@ class PowerState:
     rate2: np.ndarray
 
 
+def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, so that each row of a stack
+    equals its network summed alone. numpy's ``sum`` adds one network's
+    contiguous slice with unrolled partial sums, but a strided block of a
+    stack (``carried[..., m.relays]``) in index order. ``accumulate`` adds
+    in index order in both cases, as Python's ``sum`` does."""
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.add.accumulate(x, axis=-1)[..., -1]
+
+
 def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
     """Assemble the array form of a validated scenario, given as a
     ``Scenario`` (its record is read off it, ``ScenarioArrays.of``) or as
-    the record itself.
+    the record itself, or the stack of a batch record, one row per scenario.
 
     The own gain of every access link and the cross gain of every co-channel
-    pair of links are found with one ``searchsorted`` on the sorted gain
-    keys. Raises KeyError naming the first needed gain that is missing, and
-    ValueError naming the first link whose normalized noise is zero or
-    infinite, whose bandwidth times p_max is infinite, which a cross-gain
-    ratio reaches as infinite, or whose worst-case effective interference
-    (every co-channel source at its p_max) is infinite, alone or times the
-    bandwidth of its UE's other link, or a dual UE whose two bandwidths add
-    up to infinity.
+    pair of links are found with one ``searchsorted`` on the gain keys,
+    offset by batch row. Raises KeyError naming the first needed gain that
+    is missing, and ValueError naming the first link whose normalized noise
+    is zero or infinite, or whose entry in the range table below is
+    infinite. A batch reports the first fault of its lowest faulty row.
     """
     r = s if isinstance(s, ScenarioArrays) else ScenarioArrays.of(s)
-    n = len(r.links)
+    if one := r.links.ndim == 2:  # a batch of one, with batch row 0 on its gain keys
+        r = r._replace(links=r.links[None], p_max=r.p_max[None], beta=r.beta[None],
+                       chan_id=r.chan_id[None], bandwidth=np.array(r.bandwidth, dtype=float)[None],
+                       gains=Gains(np.pad(r.gains.keys, ((0, 0), (1, 0))), r.gains.values))
+    n_batch, n = r.links.shape[:2]
     n_poas = len(r.capacity)
-    n_channels = len(r.chan_id)
+    n_channels = r.chan_id.shape[1]
     # Per UE: id, then PoA id and channel id of link 1 and of link 2 (0
     # where there is no second link).
-    ue_id, link_poa, link_chan = r.links[:, 0], r.links[:, 1::2], r.links[:, 2::2]
-    # Access links in UE order, link 1 before link 2: UE index, link - 1,
-    # UE id, PoA id, channel id.
+    ue_id, link_poa, link_chan = r.links[..., 0], r.links[..., 1::2], r.links[..., 2::2]
+    # Access links in batch row, UE and link order: batch row, UE index,
+    # link - 1, UE id, PoA id, channel id.
     present = link_chan > 0
-    row, x = present.nonzero()
-    ue, poa_id, chan = ue_id[row], link_poa[present], link_chan[present]
-    # Co-channel pairs: receiver link a, transmitter link b. A UE's two links
-    # use distinct channels, so b is another UE's link unless b == a.
-    same = chan[:, None] == chan
-    np.fill_diagonal(same, False)
-    a, b = np.divmod(np.flatnonzero(same), len(same))
+    bi, row, x = present.nonzero()
+    ue, poa_id, chan = ue_id[bi, row], link_poa[present], link_chan[present]
+    # Co-channel pairs of a row: receiver link a, transmitter link b. A UE's
+    # two links use distinct channels, so b is another UE's link unless b == a.
+    slots = np.where(present, link_chan, 0).reshape(n_batch, 2 * n)
+    same = (slots[..., None] == slots[:, None]) & (slots > 0)[..., None]
+    same[:, np.arange(2 * n), np.arange(2 * n)] = False
+    # Slot s = (batch row * n + UE index) * 2 + link - 1 holds link link[s].
+    a, b = np.divmod(np.flatnonzero(same), 2 * n)  # slot of a; slot of b within its row
+    link = np.cumsum(present) - 1
+    a, b = link[a], link[a - a % (2 * n) + b]
 
-    def code(ue_id, poa_id, chan_id):
+    def code(bi, ue_id, poa_id, chan_id):
         # One-to-one and increasing in the key: validated ids are 1..n,
         # 1..n_poas and 1..n_channels.
-        return ((ue_id - 1) * n_poas + poa_id - 1) * n_channels + chan_id - 1
+        return (((bi * n + ue_id - 1) * n_poas + poa_id - 1) * n_channels + chan_id - 1)
 
     keys = code(*r.gains.keys.T)
     # Each link's own path, then each pair's path from b's UE to a's PoA.
-    wanted = [np.concatenate((v, v[t])) for v, t in ((ue, b), (poa_id, a), (chan, a))]
+    wanted = [np.concatenate((v, v[t])) for v, t in ((bi, a), (ue, b), (poa_id, a), (chan, a))]
     q = code(*wanted)
     at = np.searchsorted(keys, q)
     found = np.concatenate((keys, [-1]))[at] == q
     if not found.all():
-        k = int(np.argmin(found))
+        k = int(np.argmax(~found & (wanted[0] == wanted[0][~found].min())))
         raise KeyError(f"missing {'own-link' if k < len(ue) else 'cross'} gain: UE "
-                       f"{wanted[0][k]} -> PoA {wanted[1][k]} on channel {wanted[2][k]}")
+                       f"{wanted[1][k]} -> PoA {wanted[2][k]} on channel {wanted[3][k]}")
     gains = r.gains.values[at]
     g_own, g_cross = gains[:len(ue)], gains[len(ue):]
 
-    bandwidth = np.zeros(n_channels + 1)  # by channel id
-    bandwidth[r.chan_id] = np.array(r.bandwidth, dtype=float)
-    w_link = bandwidth[chan]
-    w = np.zeros((2, n))
-    w[x, row] = w_link
+    bandwidth = np.zeros((n_batch, n_channels + 1))  # by batch row and channel id
+    bandwidth[np.arange(n_batch)[:, None], r.chan_id] = r.bandwidth
+    w_link = bandwidth[bi, chan]
+    w = np.zeros((2, n_batch, n))
+    w[x, bi, row] = w_link
+    p_max = r.p_max[bi, row]
     # An overflow is reported below, as is an infinite interference times the
     # zero second bandwidth of a single-link UE.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         noise, ratio = r.noise_psd * w_link / g_own, g_cross / g_own[a]
-        budget = w_link * r.p_max[row]  # waterfilling's w * p_max
+        budget = w_link * p_max  # waterfilling's w * p_max
         # The most interference a link can see, every source at its p_max,
         # and waterfilling's w2 * e1 and w1 * e2 at that interference.
-        worst = noise + np.bincount(a, ratio * r.p_max[row[b]], minlength=len(ue))
-        crossed = worst * w[1 - x, row]
-        wsum = (w[0] + w[1])[row]  # waterfilling's w1 + w2
-    link = np.arange(len(ue))
-    checks = [("normalized noise", link, noise, ~((0 < noise) & (noise < math.inf))),
-              ("bandwidth times p_max", link, budget, budget == math.inf),
+        worst = noise + np.bincount(a, ratio * p_max[b], minlength=len(ue))
+        crossed = worst * w[1 - x, bi, row]
+        wsum = (w[0] + w[1])[bi, row]  # waterfilling's w1 + w2
+        # The most SINR and rate a link can reach: p_max against the noise alone.
+        sinr_max = p_max / noise
+        rate_max = w_link * np.log2(1.0 + sinr_max)
+    links = np.arange(len(ue))
+    # The range table: what, the link of each value, the values, which are out of range.
+    checks = [("normalized noise", links, noise, ~((0 < noise) & (noise < math.inf))),
+              ("bandwidth times p_max", links, budget, budget == math.inf),
               ("a cross-gain ratio", a, ratio, ratio == math.inf),
-              ("worst-case effective interference", link, worst, worst == math.inf),
+              ("worst-case effective interference", links, worst, worst == math.inf),
               ("worst-case effective interference times the other link's bandwidth",
-               link, crossed, crossed == math.inf),
-              ("bandwidth plus the other link's bandwidth", link, wsum, wsum == math.inf)]
+               links, crossed, crossed == math.inf),
+              ("bandwidth plus the other link's bandwidth", links, wsum, wsum == math.inf),
+              ("SINR ceiling p_max / d", links, sinr_max, sinr_max == math.inf),
+              ("rate ceiling w * log2(1 + p_max / d)", links, rate_max, rate_max == math.inf)]
     bad = np.concatenate([out for *_, out in checks])
     if bad.any():  # a run would end in NaN or a division by zero
-        k = int(np.argmax(bad))
+        rows = bi[np.concatenate([at for _, at, *_ in checks])]
+        k = int(np.argmax(bad & (rows == rows[bad].min())))
         for what, at, v, out in checks:
             if k < len(out):
                 break
@@ -251,19 +275,19 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
         j = at[k]
         raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {what} is {float(v[k])!r}, "
                          "out of floating-point range")
-    f = np.zeros((2, 2, n, n))  # f[y - 1, x - 1] is f_yx
-    f[x[b], x[a], row[a], row[b]] = ratio
-    d = np.zeros((2, n))
-    d[x, row] = noise
-    poa = np.full((n, 2), n_poas)
-    poa[row, x] = poa_id - 1
-    in_use = np.zeros(n_channels + 1, dtype=bool)  # by channel id
-    in_use[chan] = True
-    return CrossGainMatrices(
+    f = np.zeros((2, 2, n_batch, n, n))  # f[y - 1, x - 1] is f_yx
+    f[x[b], x[a], bi[a], row[a], row[b]] = ratio
+    d = np.zeros((2, n_batch, n))
+    d[x, bi, row] = noise
+    poa = np.full((n_batch, n, 2), n_poas)
+    poa[bi, row, x] = poa_id - 1
+    in_use = np.zeros((n_batch, n_channels + 1), dtype=bool)  # by batch row and channel id
+    in_use[bi, chan] = True
+    m = CrossGainMatrices(
         f11=f[0, 0], f12=f[0, 1], f21=f[1, 0], f22=f[1, 1],
         d1=d[0], d2=d[1], w1=w[0], w2=w[1],
         poa=poa,
-        dual=link_poa[:, 1] > 0,
+        dual=link_poa[..., 1] > 0,
         p_max=r.p_max,
         beta=r.beta,
         capacity=r.capacity,
@@ -274,8 +298,10 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
         z=r.z,
         ue_id=ue_id.copy(),
         # Added in channel order, as the scenario lists them.
-        bandwidth_in_use=float(sum(compress(r.bandwidth, in_use[r.chan_id].tolist()))),
+        bandwidth_in_use=_sum_left_to_right(np.where(
+            in_use[np.arange(n_batch)[:, None], r.chan_id], r.bandwidth, 0.0)),
     )
+    return replace(m.take(0), bandwidth_in_use=float(m.bandwidth_in_use[0])) if one else m
 
 
 def _apply(f: np.ndarray, p: np.ndarray) -> np.ndarray:

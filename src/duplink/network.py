@@ -14,8 +14,8 @@ watts, rates in bit/s.
 ``ScenarioArrays`` is the record of what the metrics layer reads of a
 scenario (link ids, budgets, targets, bandwidths, capacities, the backhaul
 layout, gains and the policy constants) as arrays, without positions. The
-generator draws it directly; ``ScenarioArrays.of`` reads it off a
-``Scenario``.
+generator draws it directly, for one scenario or a batch of them;
+``ScenarioArrays.of`` reads it off a ``Scenario``.
 
 Every number must fit a float64: ``validate_scenario`` and
 ``Gains.from_rows`` reject an integer beyond its range (``10**400``), naming
@@ -147,6 +147,12 @@ class ScenarioArrays(NamedTuple):
     ``relays`` and ``picos`` are the PoA indices of each kind in scenario
     order and ``macro`` the macrocell's. ``noise_psd``, ``tau`` and ``z``
     are the scenario's values as given.
+
+    A batch record holds a sweep point's scenarios, which share everything
+    from ``capacity`` on but their gains: ``links``, ``p_max`` and ``beta``
+    gain a leading batch axis, ``chan_id`` and ``bandwidth`` are (T, C)
+    arrays padded with channel id 0 and bandwidth 0, and each gain key
+    starts with its batch row, (G, 4).
     """
 
     links: np.ndarray

@@ -28,13 +28,17 @@ transcendental functions (cos, sin, the distance and the path-loss power)
 are Python ``math`` and ``**``, whose results do not depend on how numpy
 was built. So the saved bytes are a function of the parameters alone.
 
-Generation is a draw, then a wrap. The seeded draw (``_draw``) returns the
-scenario's ``ScenarioArrays`` record, what ``build_matrices`` reads, plus
-the PoA and UE positions; ``generate`` and ``generate_mixed`` wrap those
-into the ``PoA``, ``UE`` and ``Channel`` objects of a ``Scenario``, and
-``generate_arrays`` returns the record alone, which is how ``monte_carlo``
-assembles its trials. The cell grid depends only on the number of cells and
-is computed once per count. Parameters are checked before any draw, each
+Generation is a draw, then a wrap. The draw (``_draw``) is a batch, one
+scenario per seed, each from its own seeded stream making the calls above
+in that order; it returns the batch's ``ScenarioArrays`` record, what
+``build_matrices`` reads, plus the PoA and UE points. Python ``math`` runs
+in one pass over every trial's UEs and pairs, and the rest on (T, ...)
+arrays, so a scenario's bits do not depend on the batch it is drawn in.
+``generate`` and ``generate_mixed`` wrap a batch of one into the ``PoA``,
+``UE`` and ``Channel`` objects of a ``Scenario``; ``generate_arrays``
+returns its record alone; ``monte_carlo`` draws a sweep point's trials as
+one batch. The cell grid depends only on the number of cells and is
+computed once per count. Parameters are checked before any draw, each
 value by the rule ``validate_scenario`` applies to the field it fills.
 """
 
@@ -43,7 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product, starmap
+from itertools import combinations, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -142,111 +147,123 @@ def _small_cells(count: int) -> tuple[np.ndarray, tuple[float, float]]:
 
 
 def _poa_points(p: GenParams, rng: np.random.Generator) -> np.ndarray:
-    """(n_poas, 2) points in PoA id order, the macrocell last at the origin,
-    drawn again until every pair is at least ``min_poa_separation`` apart."""
+    """(n_poas - 1, 2) small-cell points in PoA id order, drawn again until
+    every pair, the macrocell at the origin included, is at least
+    ``min_poa_separation`` apart."""
     corners, extent = _small_cells(p.n_relays + p.n_picos + 1)
     for _ in range(_SEPARATION_DRAWS):
-        points = np.vstack([corners + rng.uniform(0.0, extent, size=corners.shape), (0.0, 0.0)])
+        points = corners + rng.uniform(0.0, extent, size=corners.shape)
         if p.min_poa_separation <= 0 or all(
                 math.dist(a, b) >= p.min_poa_separation
-                for a, b in combinations(points.tolist(), 2)):
+                for a, b in combinations(points.tolist() + [[0.0, 0.0]], 2)):
             return points
     raise ValueError(f"no PoA layout keeps min_poa_separation={p.min_poa_separation} m "
                      f"in {_SEPARATION_DRAWS} draws")
 
 
-def _draw(p: GenParams, n_fixed: int, beta_range: tuple[float, float]
-          ) -> tuple[ScenarioArrays, list, list]:
-    """The seeded draw: the scenario's record, then the PoA and UE positions,
-    which only its objects hold, as [x, y] and (x, y) per PoA and per UE."""
+def _draw(p: GenParams, seeds: Sequence[int], n_fixed: int = 0,
+          beta_range: tuple[float, float] = (1.0, 1.0)
+          ) -> tuple[ScenarioArrays, np.ndarray, np.ndarray]:
+    """The seeded draws of a batch, one scenario per seed: the batch record,
+    then the PoA and UE points, (T, n_poas, 2) and (T, n, 2)."""
     _check_params(p, n_fixed, beta_range)
-    rng = np.random.default_rng(p.seed)
-    n = p.n_ues + n_fixed
-
-    points = _poa_points(p, rng)
-    poa_xy = points.tolist()
-    macro = len(poa_xy)
-
-    centers = points[np.arange(n) % (macro - 1)]  # round-robin over the small cells
-    u, theta = rng.uniform(0.0, (1.0, 2.0 * math.pi), size=(n, 2)).T
-    ue_xy = [(x + r * math.cos(t), y + r * math.sin(t)) for (x, y), r, t
-             in zip(centers.tolist(), (p.radius_m * np.sqrt(u)).tolist(), theta.tolist())]
-    # Python math.dist and ** per (UE, PoA) pair, not numpy's hypot and power:
-    # numpy's SIMD builds round those differently from libm on some inputs,
-    # which would tie the saved bytes to the numpy build.
-    dist = list(starmap(math.dist, product(ue_xy, poa_xy)))
-    scale, alpha = p.gain_scale, p.alpha
-    path = np.array([scale * max(1.0, d) ** -alpha for d in dist]).reshape(n, macro)
-    dist = np.array(dist).reshape(n, macro)
-    dist[:, -1] = np.inf  # link 1 goes to a small cell
-    poa_1 = dist.argmin(axis=1) + 1
-    chan_1 = np.tril(poa_1[:, None] == poa_1).sum(axis=1)  # rank within the cell, from 1
-    pool = int(chan_1.max(initial=0))
+    t, n = len(seeds), p.n_ues + n_fixed
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    macro = p.n_relays + p.n_picos + 1
+    points = np.zeros((t, macro, 2))  # the macrocell last, at the origin
+    points[:, :-1] = [_poa_points(p, rng) for rng in rngs]
+    uv = np.array([rng.uniform(0.0, (1.0, 2.0 * math.pi), size=(n, 2)) for rng in rngs])
+    # Dropped round-robin around the small cells; cos and sin are Python
+    # math's, in one pass over every UE of the batch.
+    angles = uv[..., 1].ravel().tolist()
+    trig = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))]).T.reshape(t, n, 2)
+    ue = points[:, np.arange(n) % (macro - 1)] + p.radius_m * np.sqrt(uv[..., :1]) * trig
+    # Python math.dist and libm pow per (UE, PoA) pair, not numpy's hypot and
+    # power: numpy's SIMD builds round those differently from libm on some
+    # inputs, which would tie the saved bytes to the numpy build.
+    pairs = [zip(*np.broadcast_to(xy, (t, n, macro, 2)).reshape(-1, 2).T.tolist())
+             for xy in (ue[:, :, None], points[:, None])]
+    dist = np.array(list(map(math.dist, *pairs)))
+    path = p.gain_scale * np.array(list(map(pow, np.maximum(dist, 1.0).tolist(),
+                                            repeat(-p.alpha)))).reshape(t, n, macro)
+    dist = dist.reshape(t, n, macro)
+    dist[..., -1] = np.inf  # link 1 goes to a small cell
+    poa_1 = dist.argmin(axis=2) + 1
+    # The rank of each UE within its cell, from 1.
+    chan_1 = np.tril(poa_1[..., None] == poa_1[:, None]).sum(axis=2)
+    pool = chan_1.max(axis=1, initial=0)
 
     choices = np.asarray(p.bandwidth_choices, dtype=float)
-    bandwidths = choices[rng.integers(len(choices), size=pool + p.n_ues)].tolist()
-    betas = rng.uniform(*beta_range, size=n_fixed)
+    n_chan = pool + p.n_ues
+    ids = np.arange(1, n_chan.max(initial=0) + 1)
+    chan_id = np.where(ids <= n_chan[:, None], ids, 0)  # padded with id 0 past each pool
+    bandwidth = np.zeros(chan_id.shape)  # and bandwidth 0
+    bandwidth[chan_id > 0] = choices[np.concatenate(
+        [rng.integers(len(choices), size=k) for rng, k in zip(rngs, n_chan.tolist())])]
+    betas = np.array([rng.uniform(*beta_range, size=n_fixed) for rng in rngs])
 
     # One fading row per (PoA, channel) in use there, in key order. Each such
     # pair carries exactly one link, and the macrocell's links come last.
+    first = np.stack([poa_1, chan_1], axis=2)
     rows = np.concatenate([
-        np.column_stack([poa_1, chan_1])[np.lexsort((chan_1, poa_1))],
-        np.column_stack([np.full(p.n_ues, macro), pool + np.arange(1, p.n_ues + 1)]),
-    ])
-    fading = rng.exponential(1.0, size=(len(rows), n))
-    keys = np.empty((n, len(rows), 3), dtype=np.int64)
-    keys[..., 0] = np.arange(1, n + 1)[:, None]
-    keys[..., 1:] = rows
+        np.take_along_axis(first, np.lexsort((chan_1, poa_1))[..., None], axis=1),
+        np.stack(np.broadcast_arrays(macro, pool[:, None] + np.arange(1, p.n_ues + 1)), axis=2),
+    ], axis=1)
+    fading = np.array([rng.exponential(1.0, size=(n + p.n_ues, n)) for rng in rngs])
     # Keep (u, PoA, c) only where UE u transmits on channel c.
     dual = np.arange(n) < p.n_ues
-    chan_2 = np.where(dual, pool + np.arange(1, n + 1), 0)
-    kept = (rows[:, 1] == chan_1[:, None]) | (rows[:, 1] == chan_2[:, None])
-
+    chan_2 = np.where(dual, pool[:, None] + np.arange(1, n + 1), 0)
+    tb, ue_i, row = ((rows[:, None, :, 1] == chan_1[..., None])
+                     | (rows[:, None, :, 1] == chan_2[..., None])).nonzero()
+    poa, chan = rows[tb, row].T
     record = ScenarioArrays(
-        links=np.column_stack([np.arange(1, n + 1), poa_1, chan_1,
-                               np.where(dual, macro, 0), chan_2]),
-        p_max=np.full(n, p.p_max, dtype=float),
-        beta=np.concatenate([np.zeros(p.n_ues), betas]),
-        chan_id=np.arange(1, len(bandwidths) + 1),
-        bandwidth=bandwidths,
+        links=np.stack(np.broadcast_arrays(np.arange(1, n + 1), poa_1, chan_1,
+                                           np.where(dual, macro, 0), chan_2), axis=2),
+        p_max=np.full((t, n), p.p_max, dtype=float),
+        beta=np.concatenate([np.zeros((t, p.n_ues)), betas], axis=1),
+        chan_id=chan_id,
+        bandwidth=bandwidth,
         capacity=np.array(_capacities(p), dtype=float),
         relays=np.arange(p.n_relays),
         picos=np.arange(p.n_relays, p.n_relays + p.n_picos),
         macro=macro - 1,
-        gains=Gains(keys[kept], (path[:, rows[:, 0] - 1] * fading.T)[kept]),
+        gains=Gains(np.column_stack([tb, ue_i + 1, poa, chan]),
+                    path[tb, ue_i, poa - 1] * fading[tb, row, ue_i]),
         noise_psd=p.noise_psd,
         tau=p.tau,
         z=p.z_factor,
     )
-    return record, poa_xy, ue_xy
+    return record, points, ue
+
+
+def _draw_one(p: GenParams, n_fixed: int, beta_range: tuple[float, float]
+              ) -> tuple[ScenarioArrays, list, list]:
+    """The draw of ``p.seed``, a batch of one: the scenario's record, then the
+    PoA and UE positions, which only its objects hold, as [x, y] and (x, y)."""
+    r, points, ue = _draw(p, [p.seed], n_fixed, beta_range)
+    r = r._replace(links=r.links[0], p_max=r.p_max[0], beta=r.beta[0], chan_id=r.chan_id[0],
+                   bandwidth=r.bandwidth[0].tolist(),
+                   gains=Gains(r.gains.keys[:, 1:].copy(), r.gains.values))
+    return r, points[0].tolist(), list(map(tuple, ue[0].tolist()))
 
 
 def _generate(p: GenParams, n_fixed: int,
               beta_range: tuple[float, float]) -> Scenario:
     """The scenario of the draw, its objects built from the record and the
     positions."""
-    r, poa_xy, ue_xy = _draw(p, n_fixed, beta_range)
+    r, poa_xy, ue_xy = _draw_one(p, n_fixed, beta_range)
     kinds = [PoAKind.RELAY] * p.n_relays + [PoAKind.PICOCELL] * p.n_picos + [PoAKind.MACROCELL]
     poas = [PoA(id=k + 1, kind=kind, position=tuple(xy), backhaul_capacity=cap)
             for k, (kind, xy, cap) in enumerate(zip(kinds, poa_xy, _capacities(p)))]
     channels = [Channel(id=c + 1, bandwidth=b) for c, b in enumerate(r.bandwidth)]
-    ues = []
-    for (i, poa_1, chan_1, poa_2, chan_2), xy, beta in zip(r.links.tolist(), ue_xy,
-                                                           r.beta.tolist()):
-        second = (dict(poa_2=poa_2, chan_2=chan_2) if poa_2
-                  else dict(fixed_sinr_target=beta))
-        ues.append(UE(id=i, position=xy, p_max=p.p_max, poa_1=poa_1, chan_1=chan_1, **second))
-    return Scenario(
-        poas=poas,
-        ues=ues,
-        channels=channels,
-        gains=r.gains,
-        noise_psd=p.noise_psd,
-        tau=p.tau,
-        z_factor=p.z_factor,
-        meta={"generator": "generate_mixed" if n_fixed else "generate",
-              "seed": p.seed},
-    )
+    ues = [UE(id=i, position=xy, p_max=p.p_max, poa_1=poa_1, chan_1=chan_1,
+              **(dict(poa_2=poa_2, chan_2=chan_2) if poa_2 else dict(fixed_sinr_target=beta)))
+           for (i, poa_1, chan_1, poa_2, chan_2), xy, beta
+           in zip(r.links.tolist(), ue_xy, r.beta.tolist())]
+    return Scenario(poas=poas, ues=ues, channels=channels, gains=r.gains, noise_psd=p.noise_psd,
+                    tau=p.tau, z_factor=p.z_factor,
+                    meta={"generator": "generate_mixed" if n_fixed else "generate",
+                          "seed": p.seed})
 
 
 def generate(p: GenParams) -> Scenario:
@@ -257,7 +274,7 @@ def generate(p: GenParams) -> Scenario:
 def generate_arrays(p: GenParams) -> ScenarioArrays:
     """The record ``build_matrices`` reads off ``generate(p)``, from the same
     draw, without building the scenario's objects."""
-    return _draw(p, 0, (1.0, 1.0))[0]
+    return _draw_one(p, 0, (1.0, 1.0))[0]
 
 
 def generate_mixed(p: GenParams, n_fixed: int,

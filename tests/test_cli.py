@@ -250,6 +250,16 @@ class TestRunCommand:
             for g in d["gains"]:
                 g[3] = own.get(tuple(g[:3]), 1e-30)  # next to no interference
             d["ues"][0]["p_max"], d["ues"][1]["p_max"] = 1.5, 1e-3
+        elif case == "rate_ceiling":  # SINR 1e10 on a 1e308 Hz channel: the rate is inf
+            d["noise_psd"] = 1e-308
+            d["channels"][0]["bandwidth"] = 1e308  # channel 1, which both first links use
+            own = {(1, 1, 1): 1e10, (2, 3, 1): 1e10}
+            for g in d["gains"]:
+                g[3] = own.get(tuple(g[:3]), 1e-30)
+        elif case == "sinr_ceiling":  # d about 8e-307: p_max / d is inf
+            d["noise_psd"] = 5e-324
+            for ue in d["ues"]:
+                ue["p_max"] = 1e9
         else:  # UE 1's link 2 into UE 2's link 2, relative to UE 2's own gain
             ue = d["ues"][1]
             own = 1e-300 if case == "cross_ratio" else 1e-290
@@ -269,6 +279,8 @@ class TestRunCommand:
         ("huge_bandwidth", "UE 1 link 1: worst-case effective interference times the other "
                            "link's bandwidth is inf"),
         ("bandwidth_sum", "UE 1 link 1: bandwidth plus the other link's bandwidth is inf"),
+        ("rate_ceiling", "UE 1 link 1: rate ceiling w * log2(1 + p_max / d) is inf"),
+        ("sinr_ceiling", "UE 1 link 1: SINR ceiling p_max / d is inf"),
     ])
     def test_link_beyond_float_range_is_validation_error(self, tmp_path, capsys, case,
                                                          message):

@@ -25,6 +25,7 @@ from duplink import (
 )
 from duplink.backhaul import rate_differentials
 from duplink.cli import PRESETS, main
+import duplink.engine
 from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo
 from duplink.scenarios import LIMITED_BACKHAUL
 
@@ -360,6 +361,69 @@ class TestMonteCarlo:
         assert len(radii) == 200
 
 
+def contractive_draws(point, trials, seeds):
+    """The per-trial loop ``monte_carlo`` once ran under ``require_contractive``:
+    each trial draws attempt after attempt until its waterfilling iteration
+    contracts. Returns the accepted attempt of each trial, or raises at the
+    first trial that runs out of attempts."""
+    accepted = []
+    for trial in range(trials):
+        for attempt in range(duplink.engine._MAX_ATTEMPTS):
+            m = build_matrices(generate(replace(point.params,
+                                                seed=_trial_seed(seeds, 0, trial, attempt))))
+            if spectral_radius(build_system(m)[0]) < 1.0:
+                break
+        else:
+            raise RuntimeError(f"no contractive scenario found for point "
+                               f"{point.sweep_value!r}, trial {trial} after "
+                               f"{duplink.engine._MAX_ATTEMPTS} attempts")
+        accepted.append(attempt)
+    return accepted
+
+
+class TestContractiveRedraws:
+    """The rejected trials of a point are drawn again together, each with its
+    next attempt's seed, and end as the per-trial loop's trials did."""
+
+    # A 2 km drop radius rejects about a quarter of the draws: at base seed
+    # 3 the six trials take attempts 2, 4, 1, 0, 2 and 0.
+    point = SweepPoint("radius_m", 2000.0, GenParams(n_ues=21, radius_m=2000.0))
+
+    def test_redraws_match_the_per_trial_loop(self, monkeypatch):
+        accepted = contractive_draws(self.point, 6, 3)
+        assert accepted == [2, 4, 1, 0, 2, 0]
+        batches, draw = [], duplink.engine._draw
+        monkeypatch.setattr(duplink.engine, "_draw",
+                            lambda p, seeds: batches.append(list(seeds)) or draw(p, seeds))
+        rows = monte_carlo([self.point], ("bdt", "wf"), trials=6, seeds=3, max_iter=30,
+                           require_contractive=True)
+        # Attempt k re-draws exactly the trials the loop had not accepted by then.
+        assert batches == [[_trial_seed(3, 0, t, k) for t in range(6) if accepted[t] >= k]
+                           for k in range(max(accepted) + 1)]
+        # Trial order, each trial on the network of its accepted seed.
+        expected = []
+        for trial, attempt in enumerate(accepted):
+            m = build_matrices(generate(replace(self.point.params,
+                                                seed=_trial_seed(3, 0, trial, attempt))))
+            for policy in ("bdt", "wf"):
+                trace = run(m, policy, max_iter=30)
+                expected.append((policy, trial, trace.metrics["eta_n_normalized"],
+                                 trace.metrics["avg_total_power"], trace.verdict.converged))
+        assert [(r["policy"], r["trial"], r["eta_n_normalized"], r["avg_total_power"],
+                 r["converged"]) for r in rows] == expected
+
+    def test_names_the_lowest_trial_out_of_attempts(self, monkeypatch):
+        # With one attempt each, trials 1 and 3 of base seed 2 find no
+        # contractive draw; the loop stopped at trial 1.
+        monkeypatch.setattr(duplink.engine, "_MAX_ATTEMPTS", 1)
+        with pytest.raises(RuntimeError) as want:
+            contractive_draws(self.point, 6, 2)
+        assert "trial 1 after 1 attempts" in str(want.value)
+        with pytest.raises(RuntimeError) as got:
+            monte_carlo([self.point], ("wf",), trials=6, seeds=2, require_contractive=True)
+        assert str(got.value) == str(want.value)
+
+
 def separate_runs(point, policies, trials, seeds, **kwargs):
     """The rows of ``monte_carlo`` with every trial and policy run alone,
     plus each run's verdict kind."""
@@ -437,6 +501,13 @@ class TestLockstep:
             run(stack, lambda m, now, report: (now.p1, now.p2))
         with pytest.raises(ValueError, match="unknown policy 'anneal'"):
             run(stack, ["wf", "anneal"])
+
+    def test_stack_needs_one_policy_name_per_network(self):
+        stack = stack_matrices([build_matrices(worked_example())] * 3)
+        for names in (["wf", "bdt"], ["wf"] * 4):
+            with pytest.raises(ValueError, match=f"^{len(names)} policy names for a stack "
+                                                 "of 3 networks$"):
+                run(stack, names)
 
     def test_stack_takes_no_sink(self):
         stack = stack_matrices([build_matrices(worked_example())] * 2)

@@ -28,7 +28,7 @@ from duplink import (
     worked_example,
 )
 from duplink.metrics import CrossGainMatrices
-from duplink.scenarios import _draw
+from duplink.scenarios import _draw, _draw_one
 
 from conftest import (fixed_ue_on_macro_channel, gain_dict, random_system,
                       scalar_interference, synthetic_topology, with_gains)
@@ -169,7 +169,7 @@ class TestScenarioRecord:
     def test_record_path_builds_the_object_path_network(self, tmp_path_factory, inputs):
         p, n_fixed = inputs
         if n_fixed:
-            s, record = generate_mixed(p, n_fixed), _draw(p, n_fixed, (1.0, 4.0))[0]
+            s, record = generate_mixed(p, n_fixed), _draw_one(p, n_fixed, (1.0, 4.0))[0]
         else:
             s, record = generate(p), generate_arrays(p)
         want = build_matrices(s)
@@ -207,6 +207,54 @@ class TestScenarioRecord:
                   build_matrices(load_scenario(path))):
             assert m.bandwidth_in_use.hex() == (1.0).hex()
             assert m.w1.tolist() == [1e-16, 1e-16] and m.w2.tolist() == [1e-16, 1.0]
+
+
+@st.composite
+def batch_inputs(draw):
+    """(GenParams, n_fixed, seeds): ``record_inputs`` at any path-loss
+    exponent, drawn for one to six seeds. The last bandwidth choices are not
+    whole numbers, so their sums round, and a sum in another order than the
+    channel order shows in ``bandwidth_in_use``."""
+    params, n_fixed = draw(record_inputs())
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    choices = draw(st.sampled_from([params.bandwidth_choices, (1e6 / 3, 7e5 + 0.1, 1e7 / 7)]))
+    return (replace(params, alpha=draw(st.floats(2.0, 6.0)), bandwidth_choices=choices),
+            n_fixed, seeds)
+
+
+# 21+2 UEs dropped 600 m around their cells, so some join a busier cell: at
+# these seeds the rows hold 26, 25, 25, 25, 26 and 25 channels and 152 to 172
+# gains.
+RAGGED = (GenParams(n_ues=21, radius_m=600.0), 2, [1, 2, 3, 4, 5, 6])
+
+
+class TestBatchRecord:
+    """``build_matrices`` of a batch record (``monte_carlo``'s path) against
+    the stacked networks of its scenarios generated one at a time."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(inputs=batch_inputs())
+    @example(inputs=RAGGED)
+    @example(inputs=(GenParams(n_ues=0, n_relays=2, n_picos=2), 5, [3, 4]))  # fixed-SINR only
+    @example(inputs=(GenParams(n_ues=0), 0, [1, 2, 3]))  # no UEs
+    def test_batch_builds_the_stack_of_its_scenarios(self, inputs):
+        p, n_fixed, seeds = inputs
+        record = _draw(p, seeds, n_fixed, (1.0, 4.0))[0]
+        alone = [generate_mixed(replace(p, seed=seed), n_fixed) if n_fixed
+                 else generate(replace(p, seed=seed)) for seed in seeds]
+        stack = build_matrices(record)
+        assert_same_bits(stack, stack_matrices([build_matrices(s) for s in alone]))
+        # Every generated channel is in use, and Python adds them in channel order.
+        assert stack.bandwidth_in_use.tolist() == [sum(c.bandwidth for c in s.channels)
+                                                   for s in alone]
+
+    def test_ragged_example_is_ragged(self):
+        p, n_fixed, seeds = RAGGED
+        r = _draw(p, seeds, n_fixed, (1.0, 4.0))[0]
+        assert (r.chan_id > 0).sum(axis=1).tolist() == [
+            len(generate_mixed(replace(p, seed=seed), n_fixed).channels) for seed in seeds]
+        assert len(set((r.chan_id > 0).sum(axis=1).tolist())) > 1
+        assert len(set(np.bincount(r.gains.keys[:, 0]).tolist())) > 1
 
 
 class TestEffectiveInterference:
