@@ -29,7 +29,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .metrics import CrossGainMatrices, _sum_left_to_right
+from .metrics import CrossGainMatrices, _Links, _sum_left_to_right
 
 
 class BackhaulState(IntEnum):
@@ -48,26 +48,27 @@ class BackhaulState(IntEnum):
     S9 = 9
 
 
-# State code by (category of V1, category of V2), with categories
-# 0: V >= 0, 1: -tau <= V < 0, 2: V < -tau.
+# State code by (level of V1, level of V2), where a level counts the
+# thresholds -tau and 0 that V reaches: 2 for V >= 0, 1 for -tau <= V < 0
+# (tolerable), 0 for V < -tau (overloaded).
 _STATE_TABLE = np.array([
-    [1, 3, 5],
-    [2, 4, 7],
-    [6, 8, 9],
+    [9, 8, 6],
+    [7, 4, 2],
+    [5, 3, 1],
 ])
 
 
-def _category(v, neg_tau):
+def _level(v, neg_tau):
     """0, 1 or 2 per the table above, for a scalar or an array of V, given
     -tau."""
-    return 2 - (v >= neg_tau) - (v >= 0)
+    return np.add(v >= neg_tau, v >= 0, dtype=np.int8)
 
 
 def classify_state(v1: float, v2: float, tau: float) -> BackhaulState:
     """Unique backhaul state for a pair of rate differentials."""
     if not tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
-    return BackhaulState(int(_STATE_TABLE[_category(v1, -tau), _category(v2, -tau)]))
+    return BackhaulState(int(_STATE_TABLE[_level(v1, -tau), _level(v2, -tau)]))
 
 
 @dataclass
@@ -103,27 +104,34 @@ def rate_differentials(
     magnitude of a negative differential is what the adaptation policy
     reacts to. On a stack of networks (``stack_matrices``) every row is
     reported as if alone.
+
+    ``run`` passes its resolved batch as ``m``, and the link-pair rates it
+    iterates as ``rate1`` with ``rate2`` None.
     """
-    if not m.tau > 0:  # NaN too
+    k = m if isinstance(m, _Links) else m._links
+    if not k.tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
-    index = m._bin_index
-    shape = (*index.shape[:-2], m.n_poas + 1)  # the bins of one row, per row
-    rates = np.empty(index.shape)
-    rates[..., 0], rates[..., 1] = rate1, rate2
-    load = np.bincount(index.ravel(), rates.ravel(), math.prod(shape)).reshape(shape)
-    carried = np.minimum(m.capacity, load[..., :-1])
-    gamma = _sum_left_to_right(carried[..., m.relays])
-    eta_n = np.minimum(m.capacity[m.macro], load[..., m.macro] + gamma)
-    eta_n = eta_n + _sum_left_to_right(carried[..., m.picos])
-    v = np.zeros(load.shape)  # the last bin, where no PoA is, stays at V = 0
-    v[..., :-1] = m.capacity - load[..., :-1]
-    v[..., m.macro] -= gamma
-    headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
-    v[..., m.relays] = np.minimum(m.capacity[m.relays], headroom) - load[..., m.relays]
-    v_links = v.ravel()[index]  # V of each link's PoA, (..., n, 2)
-    category = _category(v_links, -m.tau)
-    state = np.where(m.dual, _STATE_TABLE[category[..., 0], category[..., 1]], 0)
-    if len(shape) == 1:
+    if rate2 is None:
+        rates = rate1
+    else:
+        rates = np.empty(k.d.shape)
+        rates[..., 0], rates[..., 1] = rate1, rate2
+    load = np.bincount(k.index, rates.ravel(), k.bins).reshape(k.bin_shape)
+    carried = np.minimum(k.capacity, load[..., :-1])
+    gamma = _sum_left_to_right(carried[..., k.relays])
+    eta_n = np.minimum(k.cap_macro, load[..., k.macro] + gamma)
+    eta_n = eta_n + _sum_left_to_right(carried[..., k.picos])
+    v = k.capacity_bins - load
+    v[..., -1] = 0.0  # the last bin, where no PoA is, reads V = 0
+    v[..., k.macro] -= gamma
+    headroom = np.maximum(v[..., k.macro], 0.0)[..., None]
+    v[..., k.relays] = np.minimum(k.cap_relays, headroom) - load[..., k.relays]
+    v_links = v.ravel()[k.index].reshape(rates.shape)  # V of each link's PoA
+    level = _level(v_links, k.neg_tau)
+    state = _STATE_TABLE[level[..., 0], level[..., 1]]
+    if k.single is not None:
+        state = np.where(k.single, 0, state)
+    if len(k.bin_shape) == 1:
         eta_n, gamma = float(eta_n), float(gamma)
     return BackhaulReport(eta_n=eta_n, load=load[..., :-1], v=v[..., :-1],
                           gamma_relay_sum=gamma, v1=v_links[..., 0], v2=v_links[..., 1],

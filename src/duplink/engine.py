@@ -14,19 +14,24 @@ hands every iterate to a sink, such as ``TraceCsv``. A Monte Carlo sweep
 runs all trials and policies of a sweep point as one stack.
 
 ``step`` takes a policy name, one name per network of a stack, or a
-callable. For names it first resolves a plan: which rule each UE runs, the
-terms of the rules that do not change between iterations, and the checks
-of the arguments that stay fixed (bandwidths and budgets of the dual UEs,
-bdt's z, the SINR targets of the single-link UEs). ``run`` resolves the
-plan once per batch, and so makes those checks before the first iteration;
-networks that leave the batch take their rows of it with them. The checks
-that depend on the iterate run at every step: effective interference > 0
-for the rules, the power budget of each decision, and an active link's
-interference in ``compute_state``.
+callable. For names it first resolves a batch (``_Batch``): which rule each
+UE runs, the terms of the rules that do not change between iterations,
+the network resolved for ``compute_state`` and ``rate_differentials`` as
+link pairs, and the checks of the arguments that stay fixed (bandwidths and
+budgets of the dual UEs, bdt's z, the SINR targets of the single-link
+UEs). ``run`` resolves the batch once, and so makes those checks before
+the first iteration; it then calls ``step``, ``compute_state`` and
+``rate_differentials`` on the batch and on the (..., n, 2) link pairs of
+the iterate. A network that leaves takes its rows of the batch, the
+iterate and the detector's history with it. The checks that depend on the
+iterate run at every step: the power budget of each decision, an active
+link's interference in ``compute_state``, and, where ``compute_state``
+found an effective interference <= 0, the rules' check that it is > 0.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Union
@@ -34,7 +39,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
-from .metrics import _PER_NETWORK, CrossGainMatrices, PowerState, build_matrices, compute_state
+from .metrics import (_PER_NETWORK, CrossGainMatrices, PowerState, _state_of, build_matrices,
+                      compute_state)
 from .network import _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
@@ -74,99 +80,114 @@ class Trace:
     metrics: dict
 
 
-def _policy_names(policy) -> list:
-    """The distinct names in ``policy`` (a callable has none), in order of
-    first use. ``policy`` is a callable, a policy name, or one policy name
-    per network of a stack; ValueError on an unknown name."""
-    if callable(policy):
-        return []
-    names = list(dict.fromkeys(np.atleast_1d(policy).tolist()))
-    for name in names:
-        if name not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    return names
-
-
 def initial_state(m: CrossGainMatrices,
                   p0: Optional[tuple[np.ndarray, np.ndarray]] = None) -> PowerState:
-    """Default start: each UE splits its budget equally over its links."""
-    if p0 is not None:
-        return compute_state(m, p0[0], p0[1])
-    half = m.p_max / 2
-    return compute_state(m, half, np.where(m.dual, half, 0.0))
+    """Default start: each UE splits its budget equally over its links.
+
+    A given start ``p0 = (p1, p2)`` must have the networks' shape, be finite
+    and >= 0, keep p1 + p2 within p_max (up to the policies' feasibility
+    slack) and put no power on an absent second link; ValueError names the
+    first UE that does not.
+    """
+    if p0 is None:
+        half = m.p_max / 2
+        return compute_state(m, half, np.where(m.dual, half, 0.0))
+    p1, p2 = (np.asarray(p, dtype=float) for p in p0)
+    if p1.shape != m.p_max.shape or p2.shape != m.p_max.shape:
+        raise ValueError(f"p0 must be two power vectors of shape {m.p_max.shape}")
+    for bad, why in (
+            (~(np.isfinite(p1) & np.isfinite(p2) & (p1 >= 0) & (p2 >= 0)),
+             "powers must be finite and >= 0"),
+            (~(p1 + p2 <= m.p_max * (1 + _FEAS_SLACK)), "p1 + p2 exceeds p_max"),
+            (~m.dual & (p2 != 0), "a single-link UE's p2 must be 0")):
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"p0 of UE {m.ue_id[i]}: {why}, got ({p1[i]}, {p2[i]}) "
+                             f"with p_max {m.p_max[i]}")
+    return compute_state(m, p1, p2)
 
 
-@dataclass
-class _Plan:
-    """A policy resolved for one batch of networks: the rule each UE runs
-    and the terms of the rules that stay fixed while the batch iterates.
-    A mask is None where no UE runs that rule."""
+class _Batch:
+    """A policy resolved on a network or a stack of networks: everything
+    ``step`` reads, derived once, so that ``run`` iterates on it.
 
-    custom: Optional[PolicyFn]  # a callable deciding every UE, else None
-    cap: np.ndarray             # the feasibility ceiling p_max * (1 + slack)
-    bdt: Optional[np.ndarray] = None
-    greedy: Optional[np.ndarray] = None
-    single: Optional[np.ndarray] = None
-    w1p: Optional[np.ndarray] = None   # w1 * p_max
-    wsum: Optional[np.ndarray] = None  # w1 + w2
-    # bdt's coefficients of link y's next power in state s under the stack's
-    # z at [y - 1, :, s - 1], (2, 3, 9); ``take`` keeps it whole.
-    bdt_table: Optional[np.ndarray] = None
+    ``links`` is the network resolved for ``compute_state`` and
+    ``rate_differentials``; its ``single`` masks the fixed-SINR UEs. Per
+    row of a stack: the budgets ``p_max``, the feasibility ceiling ``cap`` =
+    p_max * (1 + slack), waterfilling's fixed terms ``w1p`` = w1 * p_max and
+    ``wsum`` = w1 + w2, the SINR targets ``beta``, the masks of the UEs that
+    run bdt's table and greedy (None where no UE runs that rule), the UE ids
+    and ``bandwidth_in_use``. bdt's coefficients of link y's next power in
+    state s under the stack's z sit at ``bdt_table[y - 1, :, s - 1]``,
+    (2, 3, 9). A callable policy (``custom``) decides every UE of one
+    network ``m``.
+    """
 
-    def take(self, rows) -> _Plan:
-        """The plan of the networks at ``rows`` (a mask) of the batch."""
-        out = {f.name: getattr(self, f.name)[rows] for f in fields(self)
-               if f.name not in ("custom", "bdt_table") and getattr(self, f.name) is not None}
-        for rule in ("bdt", "greedy", "single"):
-            if rule in out and not out[rule].any():
-                out[rule] = None
-        return replace(self, **out)
+    _ROWS = ("p_max", "cap", "w1p", "wsum", "beta", "bdt", "greedy", "ue_id", "bandwidth")
+
+    def __init__(self, m: CrossGainMatrices, policy):
+        """Resolve ``policy`` (see ``step``) on ``m``. The arguments of each
+        rule that do not change between iterations are checked here, with
+        the policy functions' messages: bandwidths and budgets of the dual
+        UEs, bdt's z and the single-link UEs' SINR targets; ValueError on an
+        unknown name."""
+        self.m, self.custom, self.links = m, (policy if callable(policy) else None), m._links
+        self.p_max, self.cap = m.p_max, m.p_max * (1 + _FEAS_SLACK)
+        self.w1p, self.wsum, self.beta = m.w1 * m.p_max, m.w1 + m.w2, m.beta
+        self.ue_id, self.bandwidth = m.ue_id, m.bandwidth_in_use
+        self.bdt = self.greedy = self.bdt_table = None
+        if self.custom is not None:
+            return
+        for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
+            if name not in POLICY_NAMES:
+                raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+        dual, per_row = m.dual, np.asarray(policy)[..., None]
+        self.bdt, self.greedy = (mask if mask.any() else None for mask in
+                                 (dual & (per_row == "bdt"), dual & (per_row == "greedy")))
+        _check_budget(m.p_max[dual], m.w1[dual], m.w2[dual])
+        if self.bdt is not None:
+            _check_z(z := np.asarray(m.z, dtype=float))
+            self.bdt_table = np.moveaxis(_bdt_coefficients(np.arange(1, 10), z), 0, -1)
+        if self.links.single is not None:
+            _check_beta(m.beta[self.links.single])
+
+    def take(self, rows: np.ndarray) -> _Batch:
+        """The rows at the indices ``rows`` of a stack's batch."""
+        out = copy.copy(self)
+        for name in self._ROWS:
+            if (value := getattr(self, name)) is not None:
+                setattr(out, name, value.take(rows, axis=0))
+        for rule in ("bdt", "greedy"):
+            if (mask := getattr(out, rule)) is not None and not mask.any():
+                setattr(out, rule, None)
+        out.links = self.links.take(rows)
+        return out
 
 
-def _plan(m: CrossGainMatrices, policy) -> _Plan:
-    """Resolve ``policy`` (see ``step``) on ``m``. The arguments of each
-    rule that do not change between iterations are checked here, with the
-    policy functions' messages: bandwidths and budgets of the dual UEs, bdt's
-    z and the single-link UEs' SINR targets."""
-    cap = m.p_max * (1 + _FEAS_SLACK)
-    if callable(policy):
-        return _Plan(policy, cap)
-    _policy_names(policy)
-    dual, per_row = m.dual, np.asarray(policy)[..., None]
-    bdt, greedy, single = (mask if mask.any() else None for mask in
-                           (dual & (per_row == "bdt"), dual & (per_row == "greedy"), ~dual))
-    _check_budget(m.p_max[dual], m.w1[dual], m.w2[dual])
-    bdt_table = None
-    if bdt is not None:
-        _check_z(z := np.asarray(m.z, dtype=float))
-        bdt_table = np.moveaxis(_bdt_coefficients(np.arange(1, 10), z), 0, -1)
-    if single is not None:
-        _check_beta(m.beta[single])
-    return _Plan(None, cap, bdt, greedy, single, w1p=m.w1 * m.p_max, wsum=m.w1 + m.w2,
-                 bdt_table=bdt_table)
-
-
-def _decide(plan: _Plan, m: CrossGainMatrices, now: PowerState,
-            report: BackhaulReport) -> tuple[np.ndarray, np.ndarray]:
+def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndarray, np.ndarray]:
     """The named rules on every UE at once, each UE taking its own rule's
     result: waterfilling ("wf", "mixed-fm" and bdt's S1), bdt's table,
     greedy, and fixed-SINR on the single-link UEs."""
-    _check_interference(now.e1, np.where(m.dual, now.e2, 1.0))
-    p1, p2 = wf1, wf2 = _waterfill(m.p_max, now.e1, now.e2, m.w1, m.w2, plan.w1p, plan.wsum)
-    if plan.bdt is not None:
+    e1, e2, w1, w2 = now.e1, now.e2, b.links.w1, b.links.w2
+    if now._pairs is None or now._pairs[4]:  # compute_state found some e <= 0
+        _check_interference(e1, np.where(b.links.dual, e2, 1.0))
+    p1, p2 = wf1, wf2 = _waterfill(b.p_max, e1, e2, w1, w2, b.w1p, b.wsum)
+    if b.bdt is not None:
         # Single-link UEs (state 0) pick S9's entry; it is dropped.
-        c = plan.bdt_table.take(report.state - 1, axis=2)
-        t1, t2 = _bdt(c, now.p1, now.p2, m.p_max)
-        tabled = plan.bdt & (report.state != 1)
+        c = b.bdt_table.take(report.state - 1, axis=2)
+        t1, t2 = _bdt(c, now.p1, now.p2, b.p_max)
+        tabled = b.bdt & (report.state != 1)
         p1, p2 = np.where(tabled, t1, p1), np.where(tabled, t2, p2)
-    if plan.greedy is not None:
-        c1 = _rate_cap(now.e1, m.w1, report.v1, plan.greedy)
-        c2 = _rate_cap(now.e2, m.w2, report.v2, plan.greedy)
-        g1, g2 = _greedy(m.p_max, c1, c2, wf1, wf2)
-        p1, p2 = np.where(plan.greedy, g1, p1), np.where(plan.greedy, g2, p2)
-    if plan.single is not None:
-        p1 = np.where(plan.single, _fm(now.e1, m.beta, m.p_max), p1)
-        p2 = np.where(plan.single, 0.0, p2)
+    if b.greedy is not None:  # both links' caps at once, on link pairs
+        e = np.stack((e1, e2), axis=-1) if now._pairs is None else now._pairs[1]
+        v = np.empty(e.shape)
+        v[..., 0], v[..., 1] = report.v1, report.v2
+        c = _rate_cap(e, b.links.w, v, b.greedy[..., None])
+        g1, g2 = _greedy(b.p_max, c[..., 0], c[..., 1], wf1, wf2)
+        p1, p2 = np.where(b.greedy, g1, p1), np.where(b.greedy, g2, p2)
+    if (single := b.links.single) is not None:
+        p1 = np.where(single, _fm(e1, b.beta, b.p_max), p1)
+        p2 = np.where(single, 0.0, p2)
     return p1, p2
 
 
@@ -182,21 +203,23 @@ def step(
     per network. ``run`` resolves the policy once per batch and passes
     that on in its place.
     """
-    plan = policy if isinstance(policy, _Plan) else _plan(m, policy)
-    if plan.custom is not None:
-        p1, p2 = (np.asarray(p, dtype=float) for p in plan.custom(m, now, report))
+    b = policy if isinstance(policy, _Batch) else _Batch(m, policy)
+    if b.custom is not None:
+        p1, p2 = (np.asarray(p, dtype=float) for p in b.custom(b.m, now, report))
     else:
-        p1, p2 = _decide(plan, m, now, report)
-    bad = ~((p1 >= -_FEAS_SLACK) & (p2 >= -_FEAS_SLACK) & (p1 + p2 <= plan.cap))  # NaN too
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
+        p1, p2 = _decide(b, now, report)
+    ok = (p1 >= -_FEAS_SLACK) & (p2 >= -_FEAS_SLACK) & (p1 + p2 <= b.cap)  # NaN fails
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
         raise RuntimeError(
-            f"policy returned infeasible powers for UE {m.ue_id[i]}: "
-            f"({p1[i]}, {p2[i]}) with p_max {m.p_max[i]}"
+            f"policy returned infeasible powers for UE {b.ue_id[i]}: "
+            f"({p1[i]}, {p2[i]}) with p_max {b.p_max[i]}"
         )
-    p1 = np.minimum(np.maximum(p1, 0.0), m.p_max)
-    p2 = np.minimum(np.maximum(p2, 0.0), m.p_max - p1)
-    return compute_state(m, p1, p2)
+    # The next powers, clipped into the budget, straight into a link pair.
+    p = np.empty((*b.p_max.shape, 2))
+    p1 = np.minimum(np.maximum(p1, 0.0), b.p_max, out=p[..., 0])
+    np.minimum(np.maximum(p2, 0.0), b.p_max - p1, out=p[..., 1])
+    return compute_state(b.links, p, None)
 
 
 def run(
@@ -215,8 +238,9 @@ def run(
     Convergence requires the infinity-norm power step to stay below ``eps``
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
-    while still moving. ``sink(state, report)``, if given, receives iterate 0
-    and each later one as the run makes it; the Trace keeps only the last.
+    while still moving. The run starts at ``p0`` (see ``initial_state``).
+    ``sink(state, report)``, if given, receives iterate 0 and each later one
+    as the run makes it; the Trace keeps only the last.
 
     On a stack of networks (``stack_matrices``) ``policy`` is a name or one
     name per network, and the networks iterate in lockstep, each as if
@@ -230,14 +254,14 @@ def run(
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if m.d1.ndim == 1:  # one network runs as it is, a batch of one
-        return _lockstep(m, policy, max_iter, eps, window, p0, sink)[0]
+        return _iterate(m, policy, max_iter, eps, window, p0, sink)[0]
     if callable(policy) or sink is not None:
         raise ValueError("a stack of networks takes policy names and no sink")
     names = np.asarray(policy)
     if names.ndim and len(names) != len(m.d1):
         raise ValueError(f"{len(names)} policy names for a stack of {len(m.d1)} networks")
     names = np.broadcast_to(names, m.d1.shape[:1])
-    return _lockstep(m, names, max_iter, eps, window, p0, None)
+    return _iterate(m, names, max_iter, eps, window, p0, None)
 
 
 # Iterates the detector's buffer holds before it first grows. It doubles
@@ -245,27 +269,35 @@ def run(
 _HISTORY_START = 64
 
 
-def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
-              p0, sink) -> list[Trace]:
+def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
+             p0, sink) -> list[Trace]:
     """The iteration loop of ``run`` over the rows of a stack, or over one
-    network as a batch of one, handing every iterate to ``sink`` if given."""
+    network as a batch of one, handing every iterate to ``sink`` if given.
+
+    The policy is resolved once into a ``_Batch``. The iterate lives in the
+    link pairs of ``compute_state``'s states, and its rates go to
+    ``rate_differentials`` as they are. A network with its verdict leaves:
+    the batch, the state, the report and the detector's history keep the
+    other rows.
+    """
     n = m.n
     b = math.prod(m.d1.shape[:-1])
-    plan = _plan(m, policy)
+    batch = _Batch(m, policy)
     now = initial_state(m, p0)
-    report = rate_differentials(m, now.rate1, now.rate2)
+    report = rate_differentials(batch.links, now._pairs[3], None)
     if sink is not None:
         sink(now, report)
     traces: list = [None] * b
     rows = np.arange(b)           # the stack row of each network still running
-    # powers[k, j] holds iterate k of the j-th running network: p1, then p2.
+    # powers[k, j] holds iterate k of the j-th running network: p1 and p2
+    # of each UE in turn.
     powers = np.empty((min(max_iter, _HISTORY_START) + 1, b, 2 * n))
-    powers[0, :, :n], powers[0, :, n:] = now.p1, now.p2
+    powers[0] = now._pairs[0].reshape(b, 2 * n)
     stable = np.zeros(b, dtype=int)
     iterations = 0
     for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
-        now = step(m, now, plan, report)
-        report = rate_differentials(m, now.rate1, now.rate2)
+        now = step(m, now, batch, report)
+        report = rate_differentials(batch.links, now._pairs[3], None)
         if sink is not None:
             sink(now, report)
         iterations = k + 1
@@ -274,7 +306,7 @@ def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: i
             grown[:k + 1] = powers
             powers = grown
         newest = powers[k + 1]
-        newest[:, :n], newest[:, n:] = now.p1, now.p2
+        newest[...] = now._pairs[0].reshape(newest.shape)
         delta = np.abs(newest - powers[k]).max(axis=1)
         # hit[i, j]: iterate i (earlier and not adjacent) of network j lies
         # within eps of the newest one in every power.
@@ -291,45 +323,46 @@ def _lockstep(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: i
             for j in np.flatnonzero(done).tolist():
                 verdict = (Verdict(CONVERGED, iteration=k + 2 - window) if converged[j]
                            else Verdict(OSCILLATING, period=int(period[j])))
-                traces[rows[j]] = _final(m, now, report, j, verdict, iterations)
-            keep = ~done
+                traces[rows[j]] = _trace(batch, now, report, j, verdict, iterations)
+            keep = np.flatnonzero(~done)
             rows, stable = rows[keep], stable[keep]
             if not rows.size:
                 break
-            m, now, report = m.take(keep), _take(now, keep), _take(report, keep)
-            powers, plan = powers[:, keep], plan.take(keep)
+            batch, powers = batch.take(keep), powers.take(keep, axis=1)
+            now, report = _state_rows(now, keep), _report_rows(report, keep)
 
     verdict = Verdict(MAX_ITERATIONS) if n else Verdict(CONVERGED, iteration=0)
     for j, row in enumerate(rows.tolist()):
-        traces[row] = _final(m, now, report, j, verdict, iterations)
+        traces[row] = _trace(batch, now, report, j, verdict, iterations)
     return traces
 
 
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (PowerState, BackhaulReport)}
+def _state_rows(now: PowerState, rows) -> PowerState:
+    """The state of the networks at ``rows`` of a stack's, from its link pairs."""
+    *pairs, found = now._pairs
+    return _state_of(*(pair[rows] for pair in pairs), found)
 
 
-def _take(obj, rows):
-    """The given rows of a stacked PowerState or BackhaulReport."""
-    return type(obj)(**{name: getattr(obj, name)[rows] for name in _FIELDS[type(obj)]})
+def _report_rows(report: BackhaulReport, rows) -> BackhaulReport:
+    """The report of the networks at ``rows`` of a stack's; one network's
+    scalars become floats."""
+    one = np.ndim(rows) == 0
+    return BackhaulReport(*(float(value[rows]) if one and value.ndim == 1 else value[rows]
+                            for value in (getattr(report, name) for name in _REPORT_FIELDS)))
 
 
-def _row(obj, j: int):
-    """Row ``j`` of a stacked PowerState or BackhaulReport, as one network's."""
-    out = {}
-    for name in _FIELDS[type(obj)]:
-        value = getattr(obj, name)[j]
-        out[name] = float(value) if value.ndim == 0 else value
-    return type(obj)(**out)
+_REPORT_FIELDS = tuple(f.name for f in fields(BackhaulReport))
 
 
-def _final(m: CrossGainMatrices, now: PowerState, report: BackhaulReport, j: int,
+def _trace(batch: _Batch, now: PowerState, report: BackhaulReport, j: int,
            verdict: Verdict, iterations: int) -> Trace:
     """The Trace of batch row ``j`` at its last iterate, with the run's
-    headline numbers as its metrics."""
-    if m.d1.ndim == 1:  # one network, not a stack
-        final, last, bandwidth = now, report, m.bandwidth_in_use
+    headline numbers as its metrics; a stack's row holds views of the
+    batch's arrays."""
+    if batch.p_max.ndim == 1:  # one network, not a stack
+        final, last, bandwidth = now, report, batch.bandwidth
     else:
-        final, last, bandwidth = _row(now, j), _row(report, j), m.bandwidth_in_use[j]
+        final, last, bandwidth = _state_rows(now, j), _report_rows(report, j), batch.bandwidth[j]
     bandwidth = float(bandwidth)
     totals = final.p1 + final.p2
     metrics = {
@@ -429,8 +462,8 @@ def monte_carlo(
             drawn = build_matrices(_draw(point.params, [
                 _trial_seed(seed_list[t], point_idx, 0, attempt) if seed_list is not None
                 else _trial_seed(seeds, point_idx, t, attempt) for t in todo.tolist()])[0])
-            ok = (np.array([spectral_radius(a) < 1.0 for a in build_system(drawn)[0]])
-                  if require_contractive else np.ones(len(todo), dtype=bool))
+            ok = (spectral_radius(build_system(drawn)[0]) < 1.0 if require_contractive
+                  else np.ones(len(todo), dtype=bool))
             if m is None:
                 m = drawn
             else:  # the re-drawn trials take their rows of the point's stack

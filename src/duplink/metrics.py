@@ -32,6 +32,7 @@ engine layers accept either form.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -103,28 +104,64 @@ class CrossGainMatrices:
         return self.capacity.shape[0]
 
     @cached_property
-    def _bin_index(self) -> np.ndarray:
-        """The bin of every access link, (..., n, 2), derived once per object
-        (``take`` and ``replace`` return new ones): row b's PoA p is bin
-        b * (n_poas + 1) + p, and an absent second link lands in the row's
-        last bin, so one bincount adds up the link loads of a whole stack."""
-        batch = self.poa.shape[:-2]
-        return self.poa + (self.n_poas + 1) * np.arange(math.prod(batch)).reshape(*batch, 1, 1)
-
-    @cached_property
-    def _coupling(self) -> tuple:
-        """The terms of e1 and e2 whose coupling block holds a nonzero, as
-        (f, x - 1) pairs for the product f @ p_x, in the order of the module
-        docstring; derived once per object, as ``_bin_index`` is. For finite
-        powers a skipped block would add +0.0 to a sum that starts at
-        d >= +0.0, which leaves every bit as it is."""
-        return tuple(tuple((f, x) for f, x in terms if f.any())
-                     for terms in (((self.f11, 0), (self.f21, 1)),
-                                   ((self.f22, 1), (self.f12, 0))))
+    def _links(self) -> _Links:
+        """The network resolved for ``compute_state`` and
+        ``rate_differentials``, derived once per object (``take`` and
+        ``replace`` return new ones, so change a network with ``replace``)."""
+        return _Links(self)
 
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
+
+
+class _Links:
+    """A network or a stack resolved once for ``compute_state`` and
+    ``rate_differentials``, as (..., n, 2) link pairs. Per row: ``d``,
+    ``w``, ``poa``, ``dual`` (``single`` is None when every UE is dual),
+    and ``index``, the bincount bin of every link: row b's PoA p is bin
+    b * (n_poas + 1) + p, and an absent second link lands in the row's last
+    bin, so one bincount of ``bins`` adds up the link loads of a stack.
+    ``terms`` holds, per link y, the (f, x - 1) pairs of the products
+    f @ p_x whose block holds a nonzero, in the order of the module
+    docstring; for finite powers a skipped block would add +0.0 to a sum
+    that starts at d >= +0.0. The backhaul layout, its capacities and -tau
+    are shared by every row.
+    """
+
+    _ROWS = ("d", "w", "poa", "dual")  # what ``take`` compacts
+
+    def __init__(self, m: CrossGainMatrices):
+        self.d = np.stack((m.d1, m.d2), axis=-1)
+        self.w = np.stack((m.w1, m.w2), axis=-1)
+        self.terms = tuple(tuple((f, x) for f, x in terms if f.any())
+                           for terms in (((m.f11, 0), (m.f21, 1)), ((m.f22, 1), (m.f12, 0))))
+        self.poa, self.dual = m.poa, m.dual
+        self.n_poas, self.capacity = m.n_poas, m.capacity
+        self.capacity_bins = np.append(m.capacity, 0.0)
+        self.relays, self.picos, self.macro = m.relays, m.picos, m.macro
+        self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
+        self.tau, self.neg_tau = m.tau, -m.tau
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set what follows from the per-row arrays."""
+        batch = self.poa.shape[:-2]
+        rows = math.prod(batch)
+        self.w1, self.w2 = self.w[..., 0], self.w[..., 1]
+        self.single = None if self.dual.all() else ~self.dual
+        self.index = (self.poa + (self.n_poas + 1) * np.arange(rows).reshape(*batch, 1, 1)).ravel()
+        self.bins, self.bin_shape = rows * (self.n_poas + 1), (*batch, self.n_poas + 1)
+
+    def take(self, rows: np.ndarray):
+        """The rows at the indices ``rows`` of a stack, as a new object."""
+        out = copy.copy(self)
+        for name in self._ROWS:
+            setattr(out, name, getattr(self, name).take(rows, axis=0))
+        out.terms = tuple(tuple((f.take(rows, axis=0), x) for f, x in terms)
+                          for terms in self.terms)
+        out._derive()
+        return out
 
 
 # The backhaul layout and the policy constants, which every network of a
@@ -155,7 +192,9 @@ def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
 
 @dataclass
 class PowerState:
-    """Transmit powers of one iteration plus the quantities derived from them."""
+    """Transmit powers of one iteration plus the quantities derived from them.
+    ``compute_state`` also keeps in ``_pairs`` the link pairs p, e, sinr and
+    rate whose columns the fields are, and whether some e is <= 0."""
 
     p1: np.ndarray
     p2: np.ndarray
@@ -165,6 +204,8 @@ class PowerState:
     sinr2: np.ndarray
     rate1: np.ndarray
     rate2: np.ndarray
+
+    _pairs = None  # not a field: set by compute_state, dropped by ``replace``
 
 
 def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
@@ -310,17 +351,24 @@ def _apply(f: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (f @ p[..., None])[..., 0]
 
 
-def _interference(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+def _pair(links: _Links, p1, p2) -> np.ndarray:
+    """``p1`` and ``p2`` as the columns of one (..., n, 2) link pair."""
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    shape = links.d.shape[:-1]
+    if p1.shape != shape or p2.shape != shape:
+        raise ValueError(f"power vectors must have shape {shape}")
+    p = np.empty((*shape, 2))
+    p[..., 0], p[..., 1] = p1, p2
+    return p
+
+
+def _interference(links: _Links, p: np.ndarray) -> np.ndarray:
     """e1 and e2 of the module docstring as one (..., n, 2) array, from the
-    coupling blocks that hold a nonzero."""
-    if p1.shape != m.d1.shape or p2.shape != m.d1.shape:
-        raise ValueError(f"power vectors must have shape {m.d1.shape}")
-    e = np.empty((*m.d1.shape, 2))
-    p = (p1, p2)
-    for y, (d, terms) in enumerate(zip((m.d1, m.d2), m._coupling)):
+    link-pair powers ``p`` and the coupling blocks that hold a nonzero."""
+    e = links.d.copy()
+    for y, terms in enumerate(links.terms):
         for f, x in terms:
-            d = d + _apply(f, p[x])
-        e[..., y] = d
+            e[..., y] += _apply(f, p[..., x])
     return e
 
 
@@ -328,37 +376,39 @@ def effective_interference(
     m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-plus-interference seen by each link, normalized by own gain."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    e = _interference(m, p1, p2)
+    e = _interference(m._links, _pair(m._links, p1, p2))
     return e[..., 0], e[..., 1]
-
-
-def _link(p: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SINR p/e (0 where e <= 0) and Shannon rate w * log2(1 + SINR) of
-    every link, for powers >= 0; the rate is zero where p or w is zero."""
-    off = e <= 0
-    if not off.any():
-        sinr = p / e
-    elif (off & (p > 0) & (w > 0)).any():
-        raise ValueError("nonpositive effective interference on an active link")
-    else:
-        sinr = np.divide(p, e, out=np.zeros(p.shape), where=~off)
-    return sinr, w * np.log2(1.0 + sinr)
 
 
 def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> PowerState:
     """PowerState with interference, SINR and rates derived from the powers,
-    for both links in one pass over (..., n, 2) arrays.
+    for both links in one pass over (..., n, 2) link pairs: SINR p/e (0
+    where e <= 0) and Shannon rate w * log2(1 + SINR), zero where p or w is
+    zero. Raises ValueError when an active link (p > 0, w > 0) sees
+    nonpositive effective interference.
 
-    Raises ValueError when an active link (p > 0, w > 0) sees nonpositive
-    effective interference.
+    ``run`` passes its resolved batch as ``m``, and the link-pair powers it
+    iterates as ``p1`` with ``p2`` None.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    e = _interference(m, p1, p2)
-    p, w = np.empty(e.shape), np.empty(e.shape)
-    p[..., 0], p[..., 1], w[..., 0], w[..., 1] = p1, p2, m.w1, m.w2
-    sinr, rate = _link(p, e, w)
-    return PowerState(p1=p1, p2=p2, e1=e[..., 0], e2=e[..., 1], sinr1=sinr[..., 0],
-                      sinr2=sinr[..., 1], rate1=rate[..., 0], rate2=rate[..., 1])
+    links = m if isinstance(m, _Links) else m._links
+    p = p1 if p2 is None else _pair(links, p1, p2)
+    e = _interference(links, p)
+    off = e <= 0
+    found = bool(off.any())
+    if not found:
+        sinr = p / e
+    elif (off & (p > 0) & (links.w > 0)).any():
+        raise ValueError("nonpositive effective interference on an active link")
+    else:
+        sinr = np.divide(p, e, out=np.zeros(p.shape), where=~off)
+    return _state_of(p, e, sinr, links.w * np.log2(1.0 + sinr), found)
+
+
+def _state_of(p: np.ndarray, e: np.ndarray, sinr: np.ndarray, rate: np.ndarray,
+              found: bool) -> PowerState:
+    """The PowerState whose fields are the columns of the link pairs given;
+    ``found`` tells whether some link of the pairs' batch sees e <= 0."""
+    state = PowerState(p[..., 0], p[..., 1], e[..., 0], e[..., 1], sinr[..., 0], sinr[..., 1],
+                       rate[..., 0], rate[..., 1])
+    state._pairs = p, e, sinr, rate, found
+    return state

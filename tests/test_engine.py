@@ -1,6 +1,6 @@
 import csv
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ import duplink.engine
 from duplink.engine import SweepPoint, _trial_seed, aggregate, monte_carlo
 from duplink.scenarios import LIMITED_BACKHAUL
 
-from conftest import run_collecting, with_gains, write_trace_csv
+from conftest import random_system, run_collecting, with_gains, write_trace_csv
 
 
 def report_of(m, state):
@@ -351,9 +351,9 @@ class TestMonteCarlo:
         # rejected, and the trial gives up after a fixed number of draws.
         import duplink.equilibrium
 
-        radii = []
+        radii = []  # one radius per draw, from one call per draw batch
         monkeypatch.setattr(duplink.equilibrium, "spectral_radius",
-                            lambda a: radii.append(1.0) or 1.0)
+                            lambda a: radii.extend([1.0] * len(a)) or np.ones(len(a)))
         with pytest.raises(RuntimeError, match="no contractive scenario found for point 2, "
                                                "trial 0 after 200 attempts"):
             monte_carlo([SweepPoint("x", 2, GenParams(n_ues=2))], ["wf"], trials=1, seeds=0,
@@ -475,11 +475,14 @@ class TestLockstep:
                 alone = run(m, policy, max_iter=40, p0=(p0[0][i], p0[1][i]))
                 assert trace.verdict == alone.verdict
                 assert trace.metrics == alone.metrics
-                np.testing.assert_array_equal(trace.state.p1, alone.state.p1)
-                np.testing.assert_array_equal(trace.state.p2, alone.state.p2)
-                np.testing.assert_array_equal(trace.report.state,
-                                              alone.report.state)
-                assert trace.report.eta_n == alone.report.eta_n
+                # Every field of the last state and report, bit for bit.
+                for got, want in ((trace.state, alone.state), (trace.report, alone.report)):
+                    for f in fields(want):
+                        a, b = getattr(got, f.name), getattr(want, f.name)
+                        assert type(a) is type(b), f.name
+                        a, b = np.asarray(a), np.asarray(b)
+                        assert (a.shape, a.dtype) == (b.shape, b.dtype), f.name
+                        assert a.tobytes() == b.tobytes(), f.name
 
     def test_stack_rejects_other_layouts(self):
         base = build_matrices(generate(GenParams(n_ues=6, seed=1)))
@@ -524,6 +527,134 @@ class TestLockstep:
         policies = ("greedy", "bdt", "wf")
         rows = monte_carlo([point], policies, trials=3, seeds=seed, max_iter=30)
         assert rows == separate_runs(point, policies, 3, seed, max_iter=30)[0]
+
+
+class TestStart:
+    """A start p0 is checked before the first state is computed, on one
+    network and on a stack, and the error names the first UE at fault."""
+
+    @staticmethod
+    def starts(m):
+        """(p1, p2, message) of each bad start on ``m``: its UE 1 is at fault."""
+        p_max = m.p_max
+        first = np.zeros(p_max.shape, dtype=bool)
+        first[..., 0] = True
+        half = np.where(m.dual, p_max / 2, 0.0)
+        return [
+            (3 * p_max, 3 * p_max, r"p1 \+ p2 exceeds p_max, got \(3\.0, 3\.0\)"),
+            (np.where(first, -0.1, half), half, r"powers must be finite and >= 0, got \(-0\.1,"),
+            (np.where(first, np.nan, half), half, r"powers must be finite and >= 0, got \(nan,"),
+            (half, np.where(first, np.inf, half), r"powers must be finite and >= 0, got .*, inf\)"),
+        ]
+
+    def test_one_network(self):
+        m = build_matrices(worked_example())
+        for p1, p2, message in self.starts(m):
+            iterates = []
+            with pytest.raises(ValueError, match=r"^p0 of UE 1: " + message):
+                run(m, "bdt", p0=(p1, p2), sink=lambda *it: iterates.append(it))
+            assert not iterates
+            with pytest.raises(ValueError, match=r"^p0 of UE 1: " + message):
+                initial_state(m, (p1, p2))
+
+    def test_stack_names_the_row_at_fault(self):
+        # Row 1 of the stack holds UE ids 101 and 102; row 0 starts well.
+        m = build_matrices(worked_example())
+        stack = stack_matrices([m, replace(m, ue_id=m.ue_id + 100)])
+        good = (np.full(2, 0.5), np.full(2, 0.5))
+        for p1, p2, message in self.starts(m):
+            with pytest.raises(ValueError, match=r"^p0 of UE 101: " + message):
+                run(stack, ["bdt", "wf"], p0=(np.stack([good[0], p1]), np.stack([good[1], p2])))
+
+    def test_second_link_of_a_single_link_ue(self):
+        m = mixed_network()
+        single = int(np.argmax(~m.dual))
+        p2 = np.where(m.dual, m.p_max / 2, 0.0)
+        p2[single] = 0.25
+        message = rf"^p0 of UE {m.ue_id[single]}: a single-link UE's p2 must be 0"
+        with pytest.raises(ValueError, match=message):
+            run(m, "mixed-fm", p0=(m.p_max / 2, p2))
+        with pytest.raises(ValueError, match=message):
+            run(stack_matrices([m, m]), "bdt", p0=(np.stack([m.p_max / 2] * 2),
+                                                  np.stack([np.where(m.dual, 0.5, 0.0), p2])))
+
+    def test_shape(self):
+        m = build_matrices(worked_example())
+        for p0 in ((np.ones(3), np.zeros(3)), (np.ones(2), np.zeros((1, 2)))):
+            with pytest.raises(ValueError, match=r"p0 must be two power vectors of shape \(2,\)"):
+                run(m, "wf", p0=p0)
+        stack = stack_matrices([m, m])
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            run(stack, "wf", p0=(np.full(2, 0.5), np.full(2, 0.5)))
+
+    def test_start_within_the_feasibility_slack_runs(self):
+        # p1 + p2 may pass p_max by the policies' feasibility slack.
+        m = build_matrices(worked_example())
+        p1 = np.full(2, 0.25)
+        trace = run(m, "wf", p0=(p1, m.p_max * (1 + 1e-10) - p1))
+        assert trace.verdict.converged
+
+
+class TestStackErrors:
+    """A network in a stack fails as it fails alone: with the same
+    exception, naming its own UE, at the same point of the run."""
+
+    @staticmethod
+    def nan_in_first_row_on_call(monkeypatch, call):
+        """Make the waterfilling kernel return NaN for the first row of its
+        batch from its ``call``-th call on."""
+        waterfill, calls = duplink.engine._waterfill, []
+
+        def patched(p_max, *args):
+            p1, p2 = waterfill(p_max, *args)
+            calls.append(None)
+            if len(calls) >= call:
+                p1 = p1.copy()
+                p1[0] = np.nan
+            return p1, p2
+
+        monkeypatch.setattr(duplink.engine, "_waterfill", patched)
+
+    def test_nan_decision_names_the_rows_ue(self, monkeypatch):
+        # Alone, greedy oscillates at iteration 6, wf converges at 16 and
+        # bdt at 43. At call 10 the batch's first row is stack row 1, the wf
+        # row, whose UEs are 101 and 102.
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        stack = stack_matrices([m, replace(m, ue_id=m.ue_id + 100),
+                                replace(m, ue_id=m.ue_id + 200)])
+        self.nan_in_first_row_on_call(monkeypatch, 10)
+        with pytest.raises(RuntimeError, match=r"^policy returned infeasible powers for UE 101: "
+                                               r"\(nan, "):
+            run(stack, ["greedy", "wf", "bdt"], max_iter=50, window=3)
+
+    def test_nonpositive_tau(self):
+        m = build_matrices(worked_example())
+        for tau in (0.0, -1.0, float("nan")):
+            bad = replace(m, tau=tau)
+            iterates = []
+            with pytest.raises(ValueError, match="^tau must be > 0$"):
+                run(bad, "wf", sink=lambda *it: iterates.append(it))
+            assert not iterates
+            with pytest.raises(ValueError, match="^tau must be > 0$"):
+                run(stack_matrices([bad, bad]), ["wf", "bdt"])
+
+    def test_nonpositive_interference(self):
+        # UE 1's link 1 sees e1 < 0. Active, the first state fails; idle, the
+        # first state stands and the first decision fails.
+        m = random_system(np.random.default_rng(3), 3, coupling=0.01)
+        m = replace(m, d1=np.array([-1.0, 0.01, 0.01]))
+        active = (np.full(3, 0.5), np.full(3, 0.5))
+        idle = (np.array([0.0, 0.5, 0.5]), np.array([1.0, 0.5, 0.5]))
+        stack = stack_matrices([replace(m, d1=np.full(3, 0.01)), m])
+        for p0, error, message, states in (
+                (active, ValueError, "^nonpositive effective interference on an active link$", 0),
+                (idle, ValueError, "^effective interference must be > 0$", 1)):
+            iterates = []
+            with pytest.raises(error, match=message):
+                run(m, "wf", p0=p0, sink=lambda *it: iterates.append(it))
+            assert len(iterates) == states
+            with pytest.raises(error, match=message):
+                run(stack, ["wf", "bdt"], p0=tuple(np.stack([x, x]) for x in p0))
 
 
 class TestEngineBytes:

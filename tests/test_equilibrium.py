@@ -154,10 +154,30 @@ class TestPerComponent:
         dense = float(np.max(np.abs(np.linalg.eigvals(m))))
         assert spectral_radius(m) == pytest.approx(dense, rel=1e-12, abs=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(permuted_blocks(sparse=True), min_size=1, max_size=5))
+    def test_stacked_radii_match_each_alone(self, ms):
+        # Zero-padded to one size; one eigenvalue call per component size
+        # of the whole stack, each radius with the bits of its matrix alone.
+        n = max(len(m) for m in ms)
+        stack = np.zeros((len(ms), n, n))
+        for b, m in enumerate(ms):
+            stack[b, :len(m), :len(m)] = m
+        alone = np.array([spectral_radius(a) for a in stack])
+        sizes = {len(idx) for a in stack for idx in _components(a)}
+        eigvals, calls = np.linalg.eigvals, []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+            radii = spectral_radius(stack)
+        np.testing.assert_array_equal(radii.view(np.int64), alone.view(np.int64))
+        assert sorted(shape[1] for shape in calls) == sorted(sizes)
+
     def test_empty_and_nonsquare(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0
-        with pytest.raises(ValueError, match="square"):
-            spectral_radius(np.ones((3, 2)))
+        np.testing.assert_array_equal(spectral_radius(np.zeros((3, 0, 0))), np.zeros(3))
+        for shape in ((3, 2), (2, 3, 2), (4,), (1, 2, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                spectral_radius(np.ones(shape))
 
     @pytest.mark.parametrize("make", [
         worked_example,
