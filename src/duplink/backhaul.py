@@ -19,6 +19,7 @@ backhaul-state transmission policy:
     S9  both overloaded
 
 where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
+A report holds each UE's pair as a (..., n, 2) link pair, ``v_links``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .metrics import CrossGainMatrices, _Links, _sum_left_to_right
+from .metrics import CrossGainMatrices, _link, _Links, _sum_left_to_right
 
 
 class BackhaulState(IntEnum):
@@ -77,16 +78,19 @@ class BackhaulReport:
 
     Per-PoA arrays are indexed by PoA index (PoA id - 1), per-UE arrays by
     UE index. The report of a stack of networks has a leading batch axis on
-    every field, the scalars included.
+    every field, the scalars included. ``v1`` and ``v2`` are views of the
+    columns of ``v_links``.
     """
 
     eta_n: float               # end-to-end network capacity (max-flow)
     load: np.ndarray           # per PoA: access-rate demand
     v: np.ndarray              # per PoA: rate differential
     gamma_relay_sum: float     # relay traffic carried into the MBS
-    v1: np.ndarray             # per UE: V of its link-1 PoA
-    v2: np.ndarray             # per UE: V of its link-2 PoA, 0 without one
+    v_links: np.ndarray        # per UE and link x, (..., n, 2): V of its link-x PoA,
+                               # 0 where the UE has no second link
     state: np.ndarray          # per UE: BackhaulState code, 0 on single-link UEs
+
+    v1, v2 = _link("v_links", 1), _link("v_links", 2)
 
 
 def rate_differentials(
@@ -134,5 +138,4 @@ def rate_differentials(
     if len(k.bin_shape) == 1:
         eta_n, gamma = float(eta_n), float(gamma)
     return BackhaulReport(eta_n=eta_n, load=load[..., :-1], v=v[..., :-1],
-                          gamma_relay_sum=gamma, v1=v_links[..., 0], v2=v_links[..., 1],
-                          state=state)
+                          gamma_relay_sum=gamma, v_links=v_links, state=state)

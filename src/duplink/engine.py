@@ -21,12 +21,14 @@ link pairs, and the checks of the arguments that stay fixed (bandwidths and
 budgets of the dual UEs, bdt's z, the SINR targets of the single-link
 UEs). ``run`` resolves the batch once, and so makes those checks before
 the first iteration; it then calls ``step``, ``compute_state`` and
-``rate_differentials`` on the batch and on the (..., n, 2) link pairs of
-the iterate. A network that leaves takes its rows of the batch, the
-iterate and the detector's history with it. The checks that depend on the
-iterate run at every step: the power budget of each decision, an active
-link's interference in ``compute_state``, and, where ``compute_state``
-found an effective interference <= 0, the rules' check that it is > 0.
+``rate_differentials`` on the batch and on the iterate, the (..., n, 2)
+link pairs that are the fields of a ``PowerState`` and the ``v_links`` of a
+``BackhaulReport``. A network that leaves takes its rows of the batch, the
+iterate and the detector's history with it, and the leaving rows' headline
+numbers are found together. The checks that depend on the iterate run at
+every step: the power budget of each decision, an active link's
+interference in ``compute_state``, and, where some effective interference
+is <= 0, the rules' check that it is > 0.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
-from .metrics import (_PER_NETWORK, CrossGainMatrices, PowerState, _state_of, build_matrices,
-                      compute_state)
+from .metrics import _PER_NETWORK, CrossGainMatrices, PowerState, build_matrices, compute_state
 from .network import _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
@@ -169,7 +170,7 @@ def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndar
     result: waterfilling ("wf", "mixed-fm" and bdt's S1), bdt's table,
     greedy, and fixed-SINR on the single-link UEs."""
     e1, e2, w1, w2 = now.e1, now.e2, b.links.w1, b.links.w2
-    if now._pairs is None or now._pairs[4]:  # compute_state found some e <= 0
+    if (now.e <= 0).any():
         _check_interference(e1, np.where(b.links.dual, e2, 1.0))
     p1, p2 = wf1, wf2 = _waterfill(b.p_max, e1, e2, w1, w2, b.w1p, b.wsum)
     if b.bdt is not None:
@@ -179,10 +180,7 @@ def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndar
         tabled = b.bdt & (report.state != 1)
         p1, p2 = np.where(tabled, t1, p1), np.where(tabled, t2, p2)
     if b.greedy is not None:  # both links' caps at once, on link pairs
-        e = np.stack((e1, e2), axis=-1) if now._pairs is None else now._pairs[1]
-        v = np.empty(e.shape)
-        v[..., 0], v[..., 1] = report.v1, report.v2
-        c = _rate_cap(e, b.links.w, v, b.greedy[..., None])
+        c = _rate_cap(now.e, b.links.w, report.v_links, b.greedy[..., None])
         g1, g2 = _greedy(b.p_max, c[..., 0], c[..., 1], wf1, wf2)
         p1, p2 = np.where(b.greedy, g1, p1), np.where(b.greedy, g2, p2)
     if (single := b.links.single) is not None:
@@ -222,6 +220,14 @@ def step(
     return compute_state(b.links, p, None)
 
 
+def _check_integral(**values) -> None:
+    """TypeError naming the first argument that is not an int or a numpy
+    integer (a bool is neither)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def run(
     m: CrossGainMatrices,
     policy: Policy,
@@ -234,7 +240,8 @@ def run(
     """Iterate the chosen policy and classify the outcome.
 
     ``policy`` is a name from ``POLICY_NAMES`` or a callable
-    ``policy(m, now, report) -> (p1, p2)`` over all UEs.
+    ``policy(m, now, report) -> (p1, p2)`` over all UEs. ``max_iter`` and
+    ``window`` are ints or numpy integers (TypeError otherwise).
     Convergence requires the infinity-norm power step to stay below ``eps``
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
@@ -247,6 +254,7 @@ def run(
     alone; a network leaves the batch once it has its verdict. The result
     is one Trace per network; a stack takes no sink.
     """
+    _check_integral(max_iter=max_iter, window=window)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if window < 1:
@@ -274,8 +282,8 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     """The iteration loop of ``run`` over the rows of a stack, or over one
     network as a batch of one, handing every iterate to ``sink`` if given.
 
-    The policy is resolved once into a ``_Batch``. The iterate lives in the
-    link pairs of ``compute_state``'s states, and its rates go to
+    The policy is resolved once into a ``_Batch``. The iterate is the link
+    pairs of ``compute_state``'s states, and its rates go to
     ``rate_differentials`` as they are. A network with its verdict leaves:
     the batch, the state, the report and the detector's history keep the
     other rows.
@@ -284,20 +292,20 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     b = math.prod(m.d1.shape[:-1])
     batch = _Batch(m, policy)
     now = initial_state(m, p0)
-    report = rate_differentials(batch.links, now._pairs[3], None)
+    report = rate_differentials(batch.links, now.rate, None)
     if sink is not None:
         sink(now, report)
-    traces: list = [None] * b
+    traces = np.empty(b, dtype=object)
     rows = np.arange(b)           # the stack row of each network still running
     # powers[k, j] holds iterate k of the j-th running network: p1 and p2
     # of each UE in turn.
     powers = np.empty((min(max_iter, _HISTORY_START) + 1, b, 2 * n))
-    powers[0] = now._pairs[0].reshape(b, 2 * n)
+    powers[0] = now.p.reshape(b, 2 * n)
     stable = np.zeros(b, dtype=int)
     iterations = 0
     for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
         now = step(m, now, batch, report)
-        report = rate_differentials(batch.links, now._pairs[3], None)
+        report = rate_differentials(batch.links, now.rate, None)
         if sink is not None:
             sink(now, report)
         iterations = k + 1
@@ -306,7 +314,7 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
             grown[:k + 1] = powers
             powers = grown
         newest = powers[k + 1]
-        newest[...] = now._pairs[0].reshape(newest.shape)
+        newest[...] = now.p.reshape(newest.shape)
         delta = np.abs(newest - powers[k]).max(axis=1)
         # hit[i, j]: iterate i (earlier and not adjacent) of network j lies
         # within eps of the newest one in every power.
@@ -320,58 +328,45 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
         if done.any():
             # An oscillation's period counts back to the latest such iterate.
             period = 2 + np.argmax(hit[::-1], axis=0) if oscillating.any() else None
-            for j in np.flatnonzero(done).tolist():
-                verdict = (Verdict(CONVERGED, iteration=k + 2 - window) if converged[j]
-                           else Verdict(OSCILLATING, period=int(period[j])))
-                traces[rows[j]] = _trace(batch, now, report, j, verdict, iterations)
+            js = np.flatnonzero(done)
+            verdicts = [Verdict(CONVERGED, iteration=k + 2 - window) if converged[j]
+                        else Verdict(OSCILLATING, period=int(period[j])) for j in js.tolist()]
+            traces[rows[js]] = _traces(batch, now, report, js, verdicts, iterations)
             keep = np.flatnonzero(~done)
             rows, stable = rows[keep], stable[keep]
             if not rows.size:
                 break
             batch, powers = batch.take(keep), powers.take(keep, axis=1)
-            now, report = _state_rows(now, keep), _report_rows(report, keep)
+            now, report = _take(now, keep), _take(report, keep)
 
     verdict = Verdict(MAX_ITERATIONS) if n else Verdict(CONVERGED, iteration=0)
-    for j, row in enumerate(rows.tolist()):
-        traces[row] = _trace(batch, now, report, j, verdict, iterations)
-    return traces
+    traces[rows] = _traces(batch, now, report, np.arange(len(rows)), [verdict] * len(rows),
+                           iterations)
+    return traces.tolist()
 
 
-def _state_rows(now: PowerState, rows) -> PowerState:
-    """The state of the networks at ``rows`` of a stack's, from its link pairs."""
-    *pairs, found = now._pairs
-    return _state_of(*(pair[rows] for pair in pairs), found)
-
-
-def _report_rows(report: BackhaulReport, rows) -> BackhaulReport:
-    """The report of the networks at ``rows`` of a stack's; one network's
-    scalars become floats."""
+def _take(x, rows):
+    """The PowerState or BackhaulReport ``x`` of a stack at ``rows``; at one
+    row, its scalars become floats."""
     one = np.ndim(rows) == 0
-    return BackhaulReport(*(float(value[rows]) if one and value.ndim == 1 else value[rows]
-                            for value in (getattr(report, name) for name in _REPORT_FIELDS)))
+    return type(x)(*(float(value[rows]) if one and value.ndim == 1 else value[rows]
+                     for value in (getattr(x, f.name) for f in fields(x))))
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(BackhaulReport))
-
-
-def _trace(batch: _Batch, now: PowerState, report: BackhaulReport, j: int,
-           verdict: Verdict, iterations: int) -> Trace:
-    """The Trace of batch row ``j`` at its last iterate, with the run's
-    headline numbers as its metrics; a stack's row holds views of the
-    batch's arrays."""
-    if batch.p_max.ndim == 1:  # one network, not a stack
-        final, last, bandwidth = now, report, batch.bandwidth
-    else:
-        final, last, bandwidth = _state_rows(now, j), _report_rows(report, j), batch.bandwidth[j]
-    bandwidth = float(bandwidth)
-    totals = final.p1 + final.p2
-    metrics = {
-        "eta_n_final": last.eta_n,
-        "eta_n_normalized": last.eta_n / bandwidth if bandwidth > 0 else 0.0,
-        "avg_total_power": float(np.mean(totals)) if totals.size else 0.0,
-        "iterations_run": iterations,
-    }
-    return Trace(final, last, verdict, metrics)
+def _traces(batch: _Batch, now: PowerState, report: BackhaulReport, js: np.ndarray,
+            verdicts: list[Verdict], iterations: int) -> list[Trace]:
+    """The Traces of batch rows ``js`` at their last iterate, with the run's
+    headline numbers as their metrics, found for all the rows at once; a
+    stack's row holds views of the batch's arrays."""
+    one = batch.p_max.ndim == 1  # one network, not a stack
+    p = (now.p[None] if one else now.p)[js]
+    eta, bandwidth = np.atleast_1d(report.eta_n)[js], np.atleast_1d(batch.bandwidth)[js]
+    normalized = np.divide(eta, bandwidth, out=np.zeros(len(js)), where=bandwidth > 0)
+    power = (p[..., 0] + p[..., 1]).mean(axis=-1) if p.shape[-2] else np.zeros(len(js))
+    return [Trace(now if one else _take(now, j), report if one else _take(report, j), verdict,
+                  {"eta_n_final": float(e), "eta_n_normalized": float(e_n),
+                   "avg_total_power": float(a), "iterations_run": iterations})
+            for j, verdict, e, e_n, a in zip(js.tolist(), verdicts, eta, normalized, power)]
 
 
 _STATE_NAMES = np.array([""] + [state.name for state in BackhaulState], dtype=object)
@@ -434,7 +429,8 @@ def monte_carlo(
     """Seeded sweep: every policy sees the same scenario in a given trial.
 
     ``seeds`` is either a base seed (per-trial seeds are derived from it) or
-    an explicit per-trial seed list. A point's trials are drawn and built as
+    an explicit per-trial seed list; ``trials`` and every seed are ints or
+    numpy integers (TypeError otherwise). A point's trials are drawn and built as
     one batch (``build_matrices`` of the generator's batch record), each the
     network ``build_matrices(generate(...))`` gives, bit for bit. With
     ``require_contractive`` a trial whose waterfilling iteration matrix has a
@@ -447,11 +443,13 @@ def monte_carlo(
     """
     from .equilibrium import build_system, spectral_radius
 
+    seed_list = list(seeds) if isinstance(seeds, Iterable) else None
+    _check_integral(trials=trials, **({"seeds": seeds} if seed_list is None else
+                                      {f"seeds[{i}]": seed for i, seed in enumerate(seed_list)}))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not policies:
         raise ValueError("need at least one policy")
-    seed_list = list(seeds) if not isinstance(seeds, int) else None
     if seed_list is not None and len(seed_list) < trials:
         raise ValueError(f"need {trials} seeds, got {len(seed_list)}")
 

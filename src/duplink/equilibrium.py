@@ -60,29 +60,27 @@ def spectral_radius(m: np.ndarray) -> float | np.ndarray:
     connected component of ``m``'s nonzero pattern (``_components``).
 
     Given a stack of square matrices, (B, n, n), the radius of each, as an
-    array: the components of the same size share one stacked eigenvalue
-    call, which gives each component the bits of its own call.
+    array. The components of the same size, across the stack, share one
+    stacked eigenvalue call, which gives each component the bits of its own
+    call; a single matrix is a stack of one.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ValueError("matrix must be square")
-    if m.shape[-1] == 0:
-        return 0.0 if m.ndim == 2 else np.zeros(len(m))
+    if m.ndim == 2:
+        return float(spectral_radius(m[None])[0])
+    by_size: dict[int, list] = {}  # component size -> (matrix, indices) of each
+    for b, a in enumerate(m):
+        for idx in _components(a):
+            by_size.setdefault(len(idx), []).append((b, idx))
+    radii = np.zeros(len(m))
     try:
-        if m.ndim == 2:
-            return max(float(np.max(np.abs(np.linalg.eigvals(m[np.ix_(idx, idx)]))))
-                       for idx in _components(m))
-        by_size: dict[int, list] = {}  # component size -> (matrix, indices) of each
-        for b, a in enumerate(m):
-            for idx in _components(a):
-                by_size.setdefault(len(idx), []).append((b, idx))
-        radii = np.zeros(len(m))
         for parts in by_size.values():
             eig = np.linalg.eigvals(np.array([m[b][np.ix_(idx, idx)] for b, idx in parts]))
-            np.maximum.at(radii, [b for b, _ in parts], np.max(np.abs(eig), axis=1))
-        return radii
+            np.maximum.at(radii, [b for b, _ in parts], np.max(np.abs(eig), axis=1, initial=0.0))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigenvalue computation failed: {exc}") from exc
+    return radii
 
 
 def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:

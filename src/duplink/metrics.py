@@ -14,7 +14,8 @@ the noise powers normalized the same way. Only the blocks that hold a
 nonzero are multiplied, in this order; on a generated scenario that is
 ``f11`` alone, since no link-1 channel is a macrocell channel and macrocell
 channels are private. ``compute_state`` then derives SINR and rate of both
-links in one pass over (..., n, 2) arrays.
+links in one pass over (..., n, 2) arrays, and a ``PowerState`` holds these
+link pairs as its fields.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
@@ -190,22 +191,26 @@ def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
                              for name in _PER_NETWORK})
 
 
+def _link(pair: str, x: int) -> property:
+    """A read-only view of the field ``pair``'s column for link ``x``."""
+    return property(lambda self: getattr(self, pair)[..., x - 1], doc=f"{pair} of link {x}")
+
+
 @dataclass
 class PowerState:
-    """Transmit powers of one iteration plus the quantities derived from them.
-    ``compute_state`` also keeps in ``_pairs`` the link pairs p, e, sinr and
-    rate whose columns the fields are, and whether some e is <= 0."""
+    """Transmit powers of one iteration plus the quantities derived from
+    them, as (..., n, 2) link pairs whose column x - 1 holds link x:
+    powers ``p``, effective interference ``e``, ``sinr`` and ``rate``.
+    ``p1``..``rate2`` are views of one column each."""
 
-    p1: np.ndarray
-    p2: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    sinr1: np.ndarray
-    sinr2: np.ndarray
-    rate1: np.ndarray
-    rate2: np.ndarray
+    p: np.ndarray
+    e: np.ndarray
+    sinr: np.ndarray
+    rate: np.ndarray
 
-    _pairs = None  # not a field: set by compute_state, dropped by ``replace``
+    p1, p2, e1, e2 = _link("p", 1), _link("p", 2), _link("e", 1), _link("e", 2)
+    sinr1, sinr2, rate1, rate2 = (_link("sinr", 1), _link("sinr", 2),
+                                  _link("rate", 1), _link("rate", 2))
 
 
 def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
@@ -394,21 +399,10 @@ def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> Power
     p = p1 if p2 is None else _pair(links, p1, p2)
     e = _interference(links, p)
     off = e <= 0
-    found = bool(off.any())
-    if not found:
+    if not off.any():
         sinr = p / e
     elif (off & (p > 0) & (links.w > 0)).any():
         raise ValueError("nonpositive effective interference on an active link")
     else:
         sinr = np.divide(p, e, out=np.zeros(p.shape), where=~off)
-    return _state_of(p, e, sinr, links.w * np.log2(1.0 + sinr), found)
-
-
-def _state_of(p: np.ndarray, e: np.ndarray, sinr: np.ndarray, rate: np.ndarray,
-              found: bool) -> PowerState:
-    """The PowerState whose fields are the columns of the link pairs given;
-    ``found`` tells whether some link of the pairs' batch sees e <= 0."""
-    state = PowerState(p[..., 0], p[..., 1], e[..., 0], e[..., 1], sinr[..., 0], sinr[..., 1],
-                       rate[..., 0], rate[..., 1])
-    state._pairs = p, e, sinr, rate, found
-    return state
+    return PowerState(p, e, sinr, links.w * np.log2(1.0 + sinr))

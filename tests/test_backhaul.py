@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from duplink import (
     UE,
+    BackhaulReport,
     BackhaulState,
     Channel,
     Gains,
@@ -207,6 +208,29 @@ class TestRateDifferentials:
         for tau in (0.0, float("nan")):
             with pytest.raises(ValueError, match="tau must be > 0"):
                 rate_differentials(replace(m, tau=tau), rate1, rate2)
+
+
+class TestLinkPairs:
+    def test_fields_hold_v_as_link_pairs(self):
+        assert [f.name for f in fields(BackhaulReport)] == [
+            "eta_n", "load", "v", "gamma_relay_sum", "v_links", "state"]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_v1_and_v2_are_views_of_v_links(self, stacked, rng):
+        m = build_matrices(generate_mixed(GenParams(n_ues=5, seed=3, backhaul_scale=0.2), 2))
+        if stacked:
+            m = stack_matrices([m, m])
+        rates = rng.uniform(0, 40e6, size=(2, *m.d1.shape))
+        rep = rate_differentials(m, rates[0], np.where(m.dual, rates[1], 0.0))
+        assert rep.v_links.shape == (*m.d1.shape, 2)
+        for x, column in ((1, rep.v1), (2, rep.v2)):
+            assert np.shares_memory(column, rep.v_links[..., x - 1])
+            np.testing.assert_array_equal(column, rep.v_links[..., x - 1])
+            at = (0,) * column.ndim
+            column[at] = -123.0 * x
+            assert rep.v_links[at + (x - 1,)] == -123.0 * x
+        with pytest.raises(AttributeError):
+            rep.v1 = rep.v2
 
 
 class TestClassifyState:

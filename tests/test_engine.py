@@ -200,6 +200,20 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown policy"):
             run(build_matrices(worked_example()), "anneal")
 
+    @pytest.mark.parametrize("name,value", [
+        ("window", 2.5), ("max_iter", 2.5), ("window", 5.0), ("max_iter", True),
+        ("window", "5"), ("max_iter", np.float64(20.0))])
+    def test_counts_must_be_integers(self, name, value):
+        # A fractional window would count iterations in halves.
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            run(build_matrices(worked_example()), "wf", **{name: value})
+
+    def test_numpy_integer_counts(self):
+        m = build_matrices(worked_example())
+        got = run(m, "wf", max_iter=np.int64(40), window=np.int32(5))
+        want = run(m, "wf", max_iter=40, window=5)
+        assert got.verdict == want.verdict and got.metrics == want.metrics
+
 
 def mixed_network():
     """A network with both dual-connectivity and fixed-SINR UEs."""
@@ -305,6 +319,29 @@ class TestMonteCarlo:
         assert a == b
         with pytest.raises(ValueError):
             monte_carlo(points, ["wf"], trials=3, seeds=[11, 22])
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(trials=2.0), "trials must be an integer, got 2.0"),
+        (dict(trials=True), "trials must be an integer, got True"),
+        (dict(seeds=7.0), "seeds must be an integer, got 7.0"),
+        (dict(seeds=[1.5, 2.5]), r"seeds\[0\] must be an integer, got 1.5"),
+        (dict(seeds=[1, True]), r"seeds\[1\] must be an integer, got True"),
+        (dict(seeds=np.array([1.0, 2.0])), r"seeds\[0\] must be an integer, got "),
+        (dict(seeds="12"), r"seeds\[0\] must be an integer, got '1'"),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, kwargs, message):
+        points = [SweepPoint("n_ues", 4, GenParams(n_ues=4))]
+        with pytest.raises(TypeError, match=message):
+            monte_carlo(points, ["wf"], **{"trials": 2, "seeds": 7, **kwargs}, max_iter=5)
+
+    def test_numpy_integer_seeds(self):
+        points = [SweepPoint("n_ues", 4, GenParams(n_ues=4))]
+        want = monte_carlo(points, ["wf"], trials=2, seeds=7, max_iter=15)
+        assert monte_carlo(points, ["wf"], trials=np.int64(2), seeds=np.int64(7),
+                           max_iter=15) == want
+        listed = monte_carlo(points, ["wf"], trials=2, seeds=[11, 22], max_iter=15)
+        assert monte_carlo(points, ["wf"], trials=2, seeds=np.array([11, 22]),
+                           max_iter=15) == listed
 
     def test_policies_share_scenarios(self):
         points = [SweepPoint("n_ues", 4, GenParams(n_ues=4))]

@@ -158,19 +158,29 @@ class TestPerComponent:
     @given(st.lists(permuted_blocks(sparse=True), min_size=1, max_size=5))
     def test_stacked_radii_match_each_alone(self, ms):
         # Zero-padded to one size; one eigenvalue call per component size
-        # of the whole stack, each radius with the bits of its matrix alone.
+        # of the whole stack, and each radius with the bits of the largest
+        # over its matrix's components, each component's eigenvalues taken
+        # alone. A single matrix is a stack of one.
         n = max(len(m) for m in ms)
         stack = np.zeros((len(ms), n, n))
         for b, m in enumerate(ms):
             stack[b, :len(m), :len(m)] = m
-        alone = np.array([spectral_radius(a) for a in stack])
-        sizes = {len(idx) for a in stack for idx in _components(a)}
+        alone = np.array([max(float(np.max(np.abs(np.linalg.eigvals(a[np.ix_(idx, idx)]))))
+                              for idx in _components(a)) for a in stack])
         eigvals, calls = np.linalg.eigvals, []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
             radii = spectral_radius(stack)
+            sizes = {len(idx) for a in stack for idx in _components(a)}
+            assert sorted(shape[1] for shape in calls) == sorted(sizes)
+            for a, want in zip(stack, alone.tolist()):
+                calls.clear()
+                got = spectral_radius(a)
+                assert type(got) is float
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+                sizes = {len(idx) for idx in _components(a)}
+                assert sorted(shape[1] for shape in calls) == sorted(sizes)
         np.testing.assert_array_equal(radii.view(np.int64), alone.view(np.int64))
-        assert sorted(shape[1] for shape in calls) == sorted(sizes)
 
     def test_empty_and_nonsquare(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from duplink import (
     UE,
     Channel,
+    POLICY_NAMES,
     Gains,
     GenParams,
     PoA,
@@ -21,13 +22,16 @@ from duplink import (
     generate,
     generate_arrays,
     generate_mixed,
+    initial_state,
     load_scenario,
+    rate_differentials,
     save_scenario,
     stack_matrices,
+    step,
     validate_scenario,
     worked_example,
 )
-from duplink.metrics import CrossGainMatrices
+from duplink.metrics import CrossGainMatrices, PowerState
 from duplink.scenarios import _draw, _draw_one
 
 from conftest import (fixed_ue_on_macro_channel, gain_dict, random_system,
@@ -375,6 +379,49 @@ class TestComputeState:
             expected = np.zeros(m.n)
             expected[active] = w[active] * np.log2(1.0 + p[active] / e[active])
             np.testing.assert_array_equal(rate, expected)
+
+
+class TestLinkPairs:
+    """A PowerState holds (..., n, 2) link pairs; p1..rate2 are views of
+    their columns, and the state is nothing but its fields."""
+
+    def test_fields_are_the_pairs(self):
+        assert [f.name for f in fields(PowerState)] == ["p", "e", "sinr", "rate"]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_columns_are_views_of_the_pairs(self, stacked, rng):
+        m = build_matrices(generate_mixed(GenParams(n_ues=5, seed=3), 2))
+        if stacked:
+            m = stack_matrices([m, m])
+        state = initial_state(m)
+        for pair in ("p", "e", "sinr", "rate"):
+            whole = getattr(state, pair)
+            assert whole.shape == (*m.d1.shape, 2)
+            for x in (1, 2):
+                column = getattr(state, f"{pair}{x}")
+                assert np.shares_memory(column, whole[..., x - 1]), (pair, x)
+                np.testing.assert_array_equal(column, whole[..., x - 1])
+                at = (0,) * column.ndim
+                column[at] = value = rng.uniform(10.0, 20.0)
+                assert whole[at + (x - 1,)] == value, (pair, x)
+                with pytest.raises(AttributeError):
+                    setattr(state, f"{pair}{x}", column)
+
+    def test_step_reads_only_the_fields(self):
+        # A state rebuilt by ``replace`` carries nothing but its fields, and
+        # steps to the same next state, alone and stacked.
+        m = build_matrices(generate_mixed(GenParams(n_ues=6, seed=7, backhaul_scale=0.2), 3))
+        stack = stack_matrices([m] * len(POLICY_NAMES))
+        for net, policy in [(m, name) for name in POLICY_NAMES] + [(stack, list(POLICY_NAMES))]:
+            state = initial_state(net)
+            report = rate_differentials(net, state.rate1, state.rate2)
+            for _ in range(3):
+                nxt, again = step(net, state, policy, report), step(net, replace(state), policy,
+                                                                    report)
+                for f in fields(PowerState):
+                    a, b = getattr(nxt, f.name), getattr(again, f.name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+                state, report = nxt, rate_differentials(net, nxt.rate1, nxt.rate2)
 
 
 def dense_state(m, p1, p2) -> dict:

@@ -27,7 +27,10 @@ checkout, including an older one. The manifest covers:
   benchmark makes, with floats written as ``float.hex()``;
 - ``run`` on one stack of four 6+3 mixed networks (``generate_mixed`` seeds
   0-3), each row under its own policy from ``POLICY_NAMES``: every row's
-  verdict, metrics and last powers, with floats written as ``float.hex()``;
+  verdict and metrics, every per-link attribute of its last state (``p1``
+  to ``rate2``) and every attribute of its last report (``eta_n`` to
+  ``state``, ``v1`` and ``v2`` included), read by name and written as
+  ``float.hex()``;
 - the stdout of every demo.
 
 Two manifests that ``diff`` clean mean byte-identical outputs. A run takes
@@ -109,19 +112,32 @@ def seed_list_rows(cli, engine, preset: str):
                                       **kwargs)
 
 
+# What the stacked case hashes of each row's final state and report, by
+# attribute name, so that checkouts storing them differently compare alike.
+STATE_ATTRS = ("p1", "p2", "e1", "e2", "sinr1", "sinr2", "rate1", "rate2")
+REPORT_ATTRS = ("eta_n", "load", "v", "gamma_relay_sum", "v1", "v2", "state")
+
+
+def _hexes(value) -> list[str]:
+    import numpy as np
+
+    return [float(x).hex() for x in np.ravel(value).tolist()]
+
+
 def stacked_mixed_rows(dl) -> list[str]:
     """One line per row of ``run`` on a stack of four mixed networks, each
-    row under its own policy."""
+    row under its own policy: its verdict, metrics, and every per-link
+    attribute of its final state and every attribute of its final report."""
     ms = [dl.build_matrices(dl.generate_mixed(dl.GenParams(n_ues=6, seed=seed), 3))
           for seed in range(len(dl.POLICY_NAMES))]
     traces = dl.run(dl.stack_matrices(ms), list(dl.POLICY_NAMES))
     lines = []
     for policy, trace in zip(dl.POLICY_NAMES, traces):
-        v, final = trace.verdict, trace.state
-        numbers = [float(x).hex() for x in (trace.metrics["eta_n_final"],
-                                            trace.metrics["eta_n_normalized"],
-                                            trace.metrics["avg_total_power"],
-                                            *final.p1.tolist(), *final.p2.tolist())]
+        v = trace.verdict
+        numbers = _hexes([trace.metrics["eta_n_final"], trace.metrics["eta_n_normalized"],
+                          trace.metrics["avg_total_power"]])
+        for obj, attrs in ((trace.state, STATE_ATTRS), (trace.report, REPORT_ATTRS)):
+            numbers += [f"{name}={'/'.join(_hexes(getattr(obj, name)))}" for name in attrs]
         lines.append(",".join([policy, v.kind, str(v.iteration), str(v.period),
                                str(trace.metrics["iterations_run"]), *numbers]))
     return lines
