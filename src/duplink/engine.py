@@ -24,11 +24,10 @@ the first iteration; it then calls ``step``, ``compute_state`` and
 ``rate_differentials`` on the batch and on the iterate, the (..., n, 2)
 link pairs that are the fields of a ``PowerState`` and the ``v_links`` of a
 ``BackhaulReport``. A network that leaves takes its rows of the batch, the
-iterate and the detector's history with it, and the leaving rows' headline
-numbers are found together. The checks that depend on the iterate run at
-every step: the power budget of each decision, an active link's
-interference in ``compute_state``, and, where some effective interference
-is <= 0, the rules' check that it is > 0.
+iterate and the detector's history with it. The checks that depend on the
+iterate run at every step: the power budget of each decision, an active
+link's interference in ``compute_state``, and, where some effective
+interference is <= 0, the rules' check that it is > 0.
 """
 
 from __future__ import annotations
@@ -220,12 +219,13 @@ def step(
     return compute_state(b.links, p, None)
 
 
-def _check_integral(**values) -> None:
-    """TypeError naming the first argument that is not an int or a numpy
-    integer (a bool is neither)."""
+def _integers(**values) -> list[int]:
+    """The values as Python ints; TypeError naming the first that is not an
+    int or a numpy integer (a bool is neither)."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in values.values()]
 
 
 def run(
@@ -254,7 +254,7 @@ def run(
     alone; a network leaves the batch once it has its verdict. The result
     is one Trace per network; a stack takes no sink.
     """
-    _check_integral(max_iter=max_iter, window=window)
+    max_iter, window = _integers(max_iter=max_iter, window=window)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if window < 1:
@@ -295,7 +295,7 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     report = rate_differentials(batch.links, now.rate, None)
     if sink is not None:
         sink(now, report)
-    traces = np.empty(b, dtype=object)
+    traces: list = [None] * b
     rows = np.arange(b)           # the stack row of each network still running
     # powers[k, j] holds iterate k of the j-th running network: p1 and p2
     # of each UE in turn.
@@ -328,10 +328,10 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
         if done.any():
             # An oscillation's period counts back to the latest such iterate.
             period = 2 + np.argmax(hit[::-1], axis=0) if oscillating.any() else None
-            js = np.flatnonzero(done)
-            verdicts = [Verdict(CONVERGED, iteration=k + 2 - window) if converged[j]
-                        else Verdict(OSCILLATING, period=int(period[j])) for j in js.tolist()]
-            traces[rows[js]] = _traces(batch, now, report, js, verdicts, iterations)
+            for j in np.flatnonzero(done).tolist():
+                verdict = (Verdict(CONVERGED, iteration=k + 2 - window) if converged[j]
+                           else Verdict(OSCILLATING, period=int(period[j])))
+                traces[rows[j]] = _trace(batch, now, report, j, verdict, iterations)
             keep = np.flatnonzero(~done)
             rows, stable = rows[keep], stable[keep]
             if not rows.size:
@@ -340,9 +340,9 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
             now, report = _take(now, keep), _take(report, keep)
 
     verdict = Verdict(MAX_ITERATIONS) if n else Verdict(CONVERGED, iteration=0)
-    traces[rows] = _traces(batch, now, report, np.arange(len(rows)), [verdict] * len(rows),
-                           iterations)
-    return traces.tolist()
+    for j, row in enumerate(rows.tolist()):
+        traces[row] = _trace(batch, now, report, j, verdict, iterations)
+    return traces
 
 
 def _take(x, rows):
@@ -353,20 +353,24 @@ def _take(x, rows):
                      for value in (getattr(x, f.name) for f in fields(x))))
 
 
-def _traces(batch: _Batch, now: PowerState, report: BackhaulReport, js: np.ndarray,
-            verdicts: list[Verdict], iterations: int) -> list[Trace]:
-    """The Traces of batch rows ``js`` at their last iterate, with the run's
-    headline numbers as their metrics, found for all the rows at once; a
-    stack's row holds views of the batch's arrays."""
-    one = batch.p_max.ndim == 1  # one network, not a stack
-    p = (now.p[None] if one else now.p)[js]
-    eta, bandwidth = np.atleast_1d(report.eta_n)[js], np.atleast_1d(batch.bandwidth)[js]
-    normalized = np.divide(eta, bandwidth, out=np.zeros(len(js)), where=bandwidth > 0)
-    power = (p[..., 0] + p[..., 1]).mean(axis=-1) if p.shape[-2] else np.zeros(len(js))
-    return [Trace(now if one else _take(now, j), report if one else _take(report, j), verdict,
-                  {"eta_n_final": float(e), "eta_n_normalized": float(e_n),
-                   "avg_total_power": float(a), "iterations_run": iterations})
-            for j, verdict, e, e_n, a in zip(js.tolist(), verdicts, eta, normalized, power)]
+def _trace(batch: _Batch, now: PowerState, report: BackhaulReport, j: int,
+           verdict: Verdict, iterations: int) -> Trace:
+    """The Trace of batch row ``j`` at its last iterate, with the run's
+    headline numbers as its metrics; a stack's row holds views of the
+    batch's arrays."""
+    if batch.p_max.ndim == 1:  # one network, not a stack
+        final, last, bandwidth = now, report, batch.bandwidth
+    else:
+        final, last, bandwidth = _take(now, j), _take(report, j), batch.bandwidth[j]
+    bandwidth = float(bandwidth)
+    totals = final.p1 + final.p2
+    metrics = {
+        "eta_n_final": last.eta_n,
+        "eta_n_normalized": last.eta_n / bandwidth if bandwidth > 0 else 0.0,
+        "avg_total_power": float(np.mean(totals)) if totals.size else 0.0,
+        "iterations_run": iterations,
+    }
+    return Trace(final, last, verdict, metrics)
 
 
 _STATE_NAMES = np.array([""] + [state.name for state in BackhaulState], dtype=object)
@@ -443,9 +447,11 @@ def monte_carlo(
     """
     from .equilibrium import build_system, spectral_radius
 
-    seed_list = list(seeds) if isinstance(seeds, Iterable) else None
-    _check_integral(trials=trials, **({"seeds": seeds} if seed_list is None else
-                                      {f"seeds[{i}]": seed for i, seed in enumerate(seed_list)}))
+    (trials,) = _integers(trials=trials)
+    if isinstance(seeds, Iterable):
+        seed_list = _integers(**{f"seeds[{i}]": seed for i, seed in enumerate(seeds)})
+    else:
+        seed_list, (seeds,) = None, _integers(seeds=seeds)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not policies:

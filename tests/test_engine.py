@@ -213,6 +213,9 @@ class TestRun:
         got = run(m, "wf", max_iter=np.int64(40), window=np.int32(5))
         want = run(m, "wf", max_iter=40, window=5)
         assert got.verdict == want.verdict and got.metrics == want.metrics
+        # The counts become Python ints, so the verdict encodes as JSON.
+        assert type(got.verdict.iteration) is int
+        assert type(got.metrics["iterations_run"]) is int
 
 
 def mixed_network():
