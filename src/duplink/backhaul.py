@@ -20,17 +20,18 @@ backhaul-state transmission policy:
 
 where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 A report holds each UE's pair as a (..., n, 2) link pair, ``v_links``.
+``rate_differentials`` resolves the network it is given on each call;
+``run`` passes its resolved batch and the link-pair rates instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
 
-from .metrics import CrossGainMatrices, _link, _Links, _sum_left_to_right
+from .metrics import CrossGainMatrices, _link, _pair, _sum_left_to_right
 
 
 class BackhaulState(IntEnum):
@@ -107,19 +108,12 @@ def rate_differentials(
     macrocell backhaul has head-room for. Overload is not clamped; the
     magnitude of a negative differential is what the adaptation policy
     reacts to. On a stack of networks (``stack_matrices``) every row is
-    reported as if alone.
-
-    ``run`` passes its resolved batch as ``m``, and the link-pair rates it
-    iterates as ``rate1`` with ``rate2`` None.
+    reported as if alone. ValueError unless ``rate1`` and ``rate2`` both
+    have the networks' shape.
     """
-    k = m if isinstance(m, _Links) else m._links
-    if not k.tau > 0:  # NaN too
+    if not m.tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
-    if rate2 is None:
-        rates = rate1
-    else:
-        rates = np.empty(k.d.shape)
-        rates[..., 0], rates[..., 1] = rate1, rate2
+    k, rates = _pair(m, rate1, rate2, "rate")
     load = np.bincount(k.index, rates.ravel(), k.bins).reshape(k.bin_shape)
     carried = np.minimum(k.capacity, load[..., :-1])
     gamma = _sum_left_to_right(carried[..., k.relays])

@@ -14,25 +14,25 @@ hands every iterate to a sink, such as ``TraceCsv``. A Monte Carlo sweep
 runs all trials and policies of a sweep point as one stack.
 
 ``step`` takes a policy name, one name per network of a stack, or a
-callable. For names it first resolves a batch (``_Batch``): which rule each
-UE runs, the terms of the rules that do not change between iterations,
-the network resolved for ``compute_state`` and ``rate_differentials`` as
-link pairs, and the checks of the arguments that stay fixed (bandwidths and
-budgets of the dual UEs, bdt's z, the SINR targets of the single-link
-UEs). ``run`` resolves the batch once, and so makes those checks before
-the first iteration; it then calls ``step``, ``compute_state`` and
-``rate_differentials`` on the batch and on the iterate, the (..., n, 2)
-link pairs that are the fields of a ``PowerState`` and the ``v_links`` of a
-``BackhaulReport``. A network that leaves takes its rows of the batch, the
-iterate and the detector's history with it. The checks that depend on the
-iterate run at every step: the power budget of each decision, an active
-link's interference in ``compute_state``, and, where some effective
-interference is <= 0, the rules' check that it is > 0.
+callable, and resolves the network with it into a batch (``_Batch``) on
+each call: the network's link pairs (``metrics._Links``) plus which rule
+each UE runs, the rules' terms that do not change between iterations, and
+the checks of the arguments that stay fixed (bandwidths and budgets of the
+dual UEs, bdt's z, the SINR targets of the single-link UEs). ``run``
+resolves the batch once, as it starts, and so makes those checks before the
+first iteration. It then calls ``step``, ``compute_state`` and
+``rate_differentials`` by their names in this module on the batch and on
+the iterate, the (..., n, 2) link pairs that are the fields of a
+``PowerState`` and the ``v_links`` of a ``BackhaulReport``; only the batch
+passes a link pair with its second array None. A network that leaves takes
+its rows of the batch, the iterate and the detector's history with it. The
+checks that depend on the iterate run at every step: the power budget of
+each decision, an active link's interference in ``compute_state``, and,
+where some effective interference is <= 0, the rules' check that it is > 0.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -40,7 +40,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
-from .metrics import _PER_NETWORK, CrossGainMatrices, PowerState, build_matrices, compute_state
+from .metrics import (_PER_NETWORK, CrossGainMatrices, PowerState, _Links, build_matrices,
+                      compute_state)
 from .network import _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
@@ -107,23 +108,22 @@ def initial_state(m: CrossGainMatrices,
     return compute_state(m, p1, p2)
 
 
-class _Batch:
-    """A policy resolved on a network or a stack of networks: everything
-    ``step`` reads, derived once, so that ``run`` iterates on it.
-
-    ``links`` is the network resolved for ``compute_state`` and
-    ``rate_differentials``; its ``single`` masks the fixed-SINR UEs. Per
-    row of a stack: the budgets ``p_max``, the feasibility ceiling ``cap`` =
-    p_max * (1 + slack), waterfilling's fixed terms ``w1p`` = w1 * p_max and
-    ``wsum`` = w1 + w2, the SINR targets ``beta``, the masks of the UEs that
+class _Batch(_Links):
+    """A policy resolved on a network or a stack of networks: its link
+    pairs (``_Links``) plus everything ``step`` reads, derived once, so that
+    ``run`` iterates on it and passes it to ``compute_state`` and
+    ``rate_differentials`` in place of the network. Per row of a stack: the
+    budgets ``p_max``, the SINR targets ``beta``, the masks of the UEs that
     run bdt's table and greedy (None where no UE runs that rule), the UE ids
-    and ``bandwidth_in_use``. bdt's coefficients of link y's next power in
-    state s under the stack's z sit at ``bdt_table[y - 1, :, s - 1]``,
-    (2, 3, 9). A callable policy (``custom``) decides every UE of one
-    network ``m``.
+    and ``bandwidth``, the network's ``bandwidth_in_use``. From these
+    ``_derive`` sets the feasibility ceiling ``cap`` = p_max * (1 + slack)
+    and waterfilling's fixed terms ``w1p`` = w1 * p_max and ``wsum`` = w1 +
+    w2. bdt's coefficients of link y's next power in state s under the
+    stack's z sit at ``bdt_table[y - 1, :, s - 1]``, (2, 3, 9). A callable
+    policy (``custom``) decides every UE of one network ``m``.
     """
 
-    _ROWS = ("p_max", "cap", "w1p", "wsum", "beta", "bdt", "greedy", "ue_id", "bandwidth")
+    _ROWS = _Links._ROWS + ("p_max", "beta", "bdt", "greedy", "ue_id", "bandwidth")
 
     def __init__(self, m: CrossGainMatrices, policy):
         """Resolve ``policy`` (see ``step``) on ``m``. The arguments of each
@@ -131,46 +131,42 @@ class _Batch:
         the policy functions' messages: bandwidths and budgets of the dual
         UEs, bdt's z and the single-link UEs' SINR targets; ValueError on an
         unknown name."""
-        self.m, self.custom, self.links = m, (policy if callable(policy) else None), m._links
-        self.p_max, self.cap = m.p_max, m.p_max * (1 + _FEAS_SLACK)
-        self.w1p, self.wsum, self.beta = m.w1 * m.p_max, m.w1 + m.w2, m.beta
-        self.ue_id, self.bandwidth = m.ue_id, m.bandwidth_in_use
+        self.m, self.custom = m, (policy if callable(policy) else None)
+        self.p_max, self.beta, self.ue_id, self.bandwidth = (m.p_max, m.beta, m.ue_id,
+                                                             m.bandwidth_in_use)
         self.bdt = self.greedy = self.bdt_table = None
+        if self.custom is None:
+            for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
+                if name not in POLICY_NAMES:
+                    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+            per_row = np.asarray(policy)[..., None]
+            self.bdt, self.greedy = m.dual & (per_row == "bdt"), m.dual & (per_row == "greedy")
+        super().__init__(m)
         if self.custom is not None:
             return
-        for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
-            if name not in POLICY_NAMES:
-                raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-        dual, per_row = m.dual, np.asarray(policy)[..., None]
-        self.bdt, self.greedy = (mask if mask.any() else None for mask in
-                                 (dual & (per_row == "bdt"), dual & (per_row == "greedy")))
-        _check_budget(m.p_max[dual], m.w1[dual], m.w2[dual])
+        _check_budget(m.p_max[m.dual], m.w1[m.dual], m.w2[m.dual])
         if self.bdt is not None:
             _check_z(z := np.asarray(m.z, dtype=float))
             self.bdt_table = np.moveaxis(_bdt_coefficients(np.arange(1, 10), z), 0, -1)
-        if self.links.single is not None:
-            _check_beta(m.beta[self.links.single])
+        if self.single is not None:
+            _check_beta(m.beta[self.single])
 
-    def take(self, rows: np.ndarray) -> _Batch:
-        """The rows at the indices ``rows`` of a stack's batch."""
-        out = copy.copy(self)
-        for name in self._ROWS:
-            if (value := getattr(self, name)) is not None:
-                setattr(out, name, value.take(rows, axis=0))
-        for rule in ("bdt", "greedy"):
-            if (mask := getattr(out, rule)) is not None and not mask.any():
-                setattr(out, rule, None)
-        out.links = self.links.take(rows)
-        return out
+    def _derive(self) -> None:
+        super()._derive()
+        self.cap = self.p_max * (1 + _FEAS_SLACK)
+        self.w1p, self.wsum = self.w1 * self.p_max, self.w1 + self.w2
+        for rule in ("bdt", "greedy"):  # a rule no UE runs is None
+            if (mask := getattr(self, rule)) is not None and not mask.any():
+                setattr(self, rule, None)
 
 
 def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndarray, np.ndarray]:
     """The named rules on every UE at once, each UE taking its own rule's
     result: waterfilling ("wf", "mixed-fm" and bdt's S1), bdt's table,
     greedy, and fixed-SINR on the single-link UEs."""
-    e1, e2, w1, w2 = now.e1, now.e2, b.links.w1, b.links.w2
+    e1, e2, w1, w2 = now.e1, now.e2, b.w1, b.w2
     if (now.e <= 0).any():
-        _check_interference(e1, np.where(b.links.dual, e2, 1.0))
+        _check_interference(e1, np.where(b.dual, e2, 1.0))
     p1, p2 = wf1, wf2 = _waterfill(b.p_max, e1, e2, w1, w2, b.w1p, b.wsum)
     if b.bdt is not None:
         # Single-link UEs (state 0) pick S9's entry; it is dropped.
@@ -179,10 +175,10 @@ def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndar
         tabled = b.bdt & (report.state != 1)
         p1, p2 = np.where(tabled, t1, p1), np.where(tabled, t2, p2)
     if b.greedy is not None:  # both links' caps at once, on link pairs
-        c = _rate_cap(now.e, b.links.w, report.v_links, b.greedy[..., None])
+        c = _rate_cap(now.e, b.w, report.v_links, b.greedy[..., None])
         g1, g2 = _greedy(b.p_max, c[..., 0], c[..., 1], wf1, wf2)
         p1, p2 = np.where(b.greedy, g1, p1), np.where(b.greedy, g2, p2)
-    if (single := b.links.single) is not None:
+    if (single := b.single) is not None:
         p1 = np.where(single, _fm(e1, b.beta, b.p_max), p1)
         p2 = np.where(single, 0.0, p2)
     return p1, p2
@@ -197,8 +193,8 @@ def step(
     A policy name applies to the dual-connectivity UEs; single-link UEs
     always run the fixed-SINR update. A callable decides every UE. On a
     stack of networks (``stack_matrices``) ``policy`` may also hold one name
-    per network. ``run`` resolves the policy once per batch and passes
-    that on in its place.
+    per network. ``step`` resolves ``m`` with the policy on every call;
+    ``run`` resolves them once and passes that batch in its place.
     """
     b = policy if isinstance(policy, _Batch) else _Batch(m, policy)
     if b.custom is not None:
@@ -216,7 +212,7 @@ def step(
     p = np.empty((*b.p_max.shape, 2))
     p1 = np.minimum(np.maximum(p1, 0.0), b.p_max, out=p[..., 0])
     np.minimum(np.maximum(p2, 0.0), b.p_max - p1, out=p[..., 1])
-    return compute_state(b.links, p, None)
+    return compute_state(b, p, None)
 
 
 def _integers(**values) -> list[int]:
@@ -282,8 +278,9 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     """The iteration loop of ``run`` over the rows of a stack, or over one
     network as a batch of one, handing every iterate to ``sink`` if given.
 
-    The policy is resolved once into a ``_Batch``. The iterate is the link
-    pairs of ``compute_state``'s states, and its rates go to
+    The network and the policy are resolved once into a ``_Batch``, which
+    also stands in for the network in ``initial_state``. The iterate is the
+    link pairs of ``compute_state``'s states, and its rates go to
     ``rate_differentials`` as they are. A network with its verdict leaves:
     the batch, the state, the report and the detector's history keep the
     other rows.
@@ -291,8 +288,8 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     n = m.n
     b = math.prod(m.d1.shape[:-1])
     batch = _Batch(m, policy)
-    now = initial_state(m, p0)
-    report = rate_differentials(batch.links, now.rate, None)
+    now = initial_state(batch, p0)
+    report = rate_differentials(batch, now.rate, None)
     if sink is not None:
         sink(now, report)
     traces: list = [None] * b
@@ -305,7 +302,7 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     iterations = 0
     for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
         now = step(m, now, batch, report)
-        report = rate_differentials(batch.links, now.rate, None)
+        report = rate_differentials(batch, now.rate, None)
         if sink is not None:
             sink(now, report)
         iterations = k + 1

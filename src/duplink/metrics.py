@@ -15,7 +15,9 @@ nonzero are multiplied, in this order; on a generated scenario that is
 ``f11`` alone, since no link-1 channel is a macrocell channel and macrocell
 channels are private. ``compute_state`` then derives SINR and rate of both
 links in one pass over (..., n, 2) arrays, and a ``PowerState`` holds these
-link pairs as its fields.
+link pairs as its fields. Each public call resolves the network it is given
+into link pairs (``_Links``), so it sees an in-place edit of the arrays;
+``run`` resolves its network once, as it starts.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-columns involving link 2) identically zero.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -104,25 +105,20 @@ class CrossGainMatrices:
     def n_poas(self) -> int:
         return self.capacity.shape[0]
 
-    @cached_property
-    def _links(self) -> _Links:
-        """The network resolved for ``compute_state`` and
-        ``rate_differentials``, derived once per object (``take`` and
-        ``replace`` return new ones, so change a network with ``replace``)."""
-        return _Links(self)
-
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
 
 
 class _Links:
-    """A network or a stack resolved once for ``compute_state`` and
-    ``rate_differentials``, as (..., n, 2) link pairs. Per row: ``d``,
-    ``w``, ``poa``, ``dual`` (``single`` is None when every UE is dual),
-    and ``index``, the bincount bin of every link: row b's PoA p is bin
-    b * (n_poas + 1) + p, and an absent second link lands in the row's last
-    bin, so one bincount of ``bins`` adds up the link loads of a stack.
+    """A network or a stack resolved for ``compute_state`` and
+    ``rate_differentials``, as (..., n, 2) link pairs. A public call
+    resolves one per call; ``run`` resolves one ``_Batch``, which adds the
+    rules, when it starts. Per row: ``d``, ``w``, ``poa``, ``dual``
+    (``single`` is None when every UE is dual), and ``index``, the bincount
+    bin of every link: row b's PoA p is bin b * (n_poas + 1) + p, and an
+    absent second link lands in the row's last bin, so one bincount of
+    ``bins`` adds up the link loads of a stack.
     ``terms`` holds, per link y, the (f, x - 1) pairs of the products
     f @ p_x whose block holds a nonzero, in the order of the module
     docstring; for finite powers a skipped block would add +0.0 to a sum
@@ -130,7 +126,7 @@ class _Links:
     are shared by every row.
     """
 
-    _ROWS = ("d", "w", "poa", "dual")  # what ``take`` compacts
+    _ROWS = ("d", "w", "poa", "dual")  # what ``take`` compacts, unless None
 
     def __init__(self, m: CrossGainMatrices):
         self.d = np.stack((m.d1, m.d2), axis=-1)
@@ -158,7 +154,8 @@ class _Links:
         """The rows at the indices ``rows`` of a stack, as a new object."""
         out = copy.copy(self)
         for name in self._ROWS:
-            setattr(out, name, getattr(self, name).take(rows, axis=0))
+            if (value := getattr(self, name)) is not None:
+                setattr(out, name, value.take(rows, axis=0))
         out.terms = tuple(tuple((f.take(rows, axis=0), x) for f, x in terms)
                           for terms in self.terms)
         out._derive()
@@ -356,15 +353,19 @@ def _apply(f: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (f @ p[..., None])[..., 0]
 
 
-def _pair(links: _Links, p1, p2) -> np.ndarray:
-    """``p1`` and ``p2`` as the columns of one (..., n, 2) link pair."""
-    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+def _pair(m, a1, a2, what: str) -> tuple[_Links, np.ndarray]:
+    """The network ``m`` resolved, and ``a1`` and ``a2`` as the columns of
+    one (..., n, 2) link pair; ValueError names ``what`` unless both have
+    the networks' shape. Only an ``m`` resolved already, ``run``'s batch,
+    may pass its link pair as ``a1`` with ``a2`` None."""
+    links = m if isinstance(m, _Links) else _Links(m)
+    if links is m and a2 is None:
+        return links, a1
+    a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
     shape = links.d.shape[:-1]
-    if p1.shape != shape or p2.shape != shape:
-        raise ValueError(f"power vectors must have shape {shape}")
-    p = np.empty((*shape, 2))
-    p[..., 0], p[..., 1] = p1, p2
-    return p
+    if a1.shape != shape or a2.shape != shape:
+        raise ValueError(f"{what} vectors must have shape {shape}")
+    return links, np.stack((a1, a2), axis=-1)
 
 
 def _interference(links: _Links, p: np.ndarray) -> np.ndarray:
@@ -381,7 +382,7 @@ def effective_interference(
     m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-plus-interference seen by each link, normalized by own gain."""
-    e = _interference(m._links, _pair(m._links, p1, p2))
+    e = _interference(*_pair(m, p1, p2, "power"))
     return e[..., 0], e[..., 1]
 
 
@@ -390,13 +391,10 @@ def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> Power
     for both links in one pass over (..., n, 2) link pairs: SINR p/e (0
     where e <= 0) and Shannon rate w * log2(1 + SINR), zero where p or w is
     zero. Raises ValueError when an active link (p > 0, w > 0) sees
-    nonpositive effective interference.
-
-    ``run`` passes its resolved batch as ``m``, and the link-pair powers it
-    iterates as ``p1`` with ``p2`` None.
+    nonpositive effective interference, or when ``p1`` and ``p2`` do not
+    both have the networks' shape.
     """
-    links = m if isinstance(m, _Links) else m._links
-    p = p1 if p2 is None else _pair(links, p1, p2)
+    links, p = _pair(m, p1, p2, "power")
     e = _interference(links, p)
     off = e <= 0
     if not off.any():

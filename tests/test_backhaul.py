@@ -19,7 +19,9 @@ from duplink import (
     generate_mixed,
     rate_differentials,
     stack_matrices,
+    worked_example,
 )
+from duplink.scenarios import LIMITED_BACKHAUL
 
 from conftest import scalar_rate_differentials
 
@@ -231,6 +233,28 @@ class TestLinkPairs:
             assert rep.v_links[at + (x - 1,)] == -123.0 * x
         with pytest.raises(AttributeError):
             rep.v1 = rep.v2
+
+
+class TestRateShapes:
+    @pytest.mark.parametrize("rate1,rate2", [
+        (np.ones(2), None), (None, np.ones(2)), (np.ones(1), np.ones(1)), (1.0, 1.0),
+        (np.ones(3), np.ones(3)), (np.ones(2), np.ones(3)),
+    ], ids=["rate2-none", "rate1-none", "short", "scalars", "long", "ragged"])
+    def test_rate_shapes_are_checked(self, rate1, rate2):
+        m = build_matrices(worked_example())
+        with pytest.raises(ValueError, match=r"^rate vectors must have shape \(2,\)$"):
+            rate_differentials(m, rate1, rate2)
+
+    def test_in_place_edit_is_seen(self):
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        rates = np.array([30e6, 20e6]), np.array([10e6, 40e6])
+        rate_differentials(m, *rates)
+        m.capacity[:] = m.capacity * 0.5
+        m.tau = m.tau * 3
+        got, want = rate_differentials(m, *rates), rate_differentials(replace(m), *rates)
+        for f in fields(BackhaulReport):
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+            assert a.tobytes() == b.tobytes(), f.name
 
 
 class TestClassifyState:

@@ -697,6 +697,37 @@ class TestStackErrors:
                 run(stack, ["wf", "bdt"], p0=tuple(np.stack([x, x]) for x in p0))
 
 
+class TestResolution:
+    """``run`` resolves the network it is given when it starts, and calls
+    the per-layer functions through ``duplink.engine``, where the benchmark's
+    tracer hooks them."""
+
+    def test_in_place_edit_is_seen(self):
+        m = build_matrices(worked_example())
+        initial_state(m)
+        m.w1[0] *= 2  # as monte_carlo writes rows of a stack in place
+        got, want = run(m, "wf", max_iter=400), run(replace(m), "wf", max_iter=400)
+        assert got.verdict == want.verdict
+        assert got.metrics == want.metrics
+        assert got.state.p.tobytes() == want.state.p.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_layer_calls_go_through_the_engine_namespace(self, monkeypatch, stacked):
+        calls = dict.fromkeys(("compute_state", "rate_differentials", "step"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(duplink.engine, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(duplink.engine, name, counted)
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        if stacked:
+            traces = run(stack_matrices([m] * 3), ["wf", "bdt", "greedy"], max_iter=100)
+            assert [t.metrics["iterations_run"] for t in traces] == [18, 45, 6]
+        else:
+            assert run(m, "bdt", max_iter=100).metrics["iterations_run"] == 45
+        assert calls == {"compute_state": 46, "rate_differentials": 46, "step": 45}
+
+
 class TestEngineBytes:
     """The engine's output bits are pinned, so a change that moves the last
     bit of ``step``, ``compute_state`` or ``rate_differentials`` fails here.

@@ -424,6 +424,35 @@ class TestLinkPairs:
                 state, report = nxt, rate_differentials(net, nxt.rate1, nxt.rate2)
 
 
+class TestPublicCalls:
+    """A public call resolves the network it is given, and takes two vectors."""
+
+    def test_in_place_edit_is_seen(self):
+        m = build_matrices(worked_example())
+        p1, p2 = np.array([0.3, 0.6]), np.array([0.7, 0.4])
+        compute_state(m, p1, p2)
+        m.d1[0] *= 2
+        got, want = compute_state(m, p1, p2), compute_state(replace(m), p1, p2)
+        for f in fields(PowerState):
+            assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+        assert got.e1[0] != compute_state(build_matrices(worked_example()), p1, p2).e1[0]
+
+    @pytest.mark.parametrize("p1,p2", [
+        (np.ones(2), None), (None, np.ones(2)), (np.ones(1), np.ones(1)), (1.0, 1.0),
+        (np.ones(3), np.ones(3)), (np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2))),
+    ], ids=["p2-none", "p1-none", "short", "scalars", "long", "ragged", "stack-shaped"])
+    def test_power_shapes_are_checked(self, p1, p2):
+        m = build_matrices(worked_example())
+        for call in (compute_state, effective_interference):
+            with pytest.raises(ValueError, match=r"^power vectors must have shape \(2,\)$"):
+                call(m, p1, p2)
+
+    def test_stack_takes_stacked_vectors(self):
+        stack = stack_matrices([build_matrices(worked_example())] * 3)
+        with pytest.raises(ValueError, match=r"^power vectors must have shape \(3, 2\)$"):
+            compute_state(stack, np.ones(2), np.ones(2))
+
+
 def dense_state(m, p1, p2) -> dict:
     """e, SINR and rate of both links from all four coupling blocks, each
     link on its own: the formula of the metrics module docstring."""
