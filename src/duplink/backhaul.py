@@ -111,19 +111,20 @@ def rate_differentials(
     reported as if alone. ValueError unless ``rate1`` and ``rate2`` both
     have the networks' shape.
     """
+    k, rates = _pair(m, rate1, rate2, "rate")
+    m = k.m
     if not m.tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
-    k, rates = _pair(m, rate1, rate2, "rate")
     load = np.bincount(k.index, rates.ravel(), k.bins).reshape(k.bin_shape)
-    carried = np.minimum(k.capacity, load[..., :-1])
-    gamma = _sum_left_to_right(carried[..., k.relays])
-    eta_n = np.minimum(k.cap_macro, load[..., k.macro] + gamma)
-    eta_n = eta_n + _sum_left_to_right(carried[..., k.picos])
+    carried = np.minimum(m.capacity, load[..., :-1])
+    gamma = _sum_left_to_right(carried[..., m.relays])
+    eta_n = np.minimum(k.cap_macro, load[..., m.macro] + gamma)
+    eta_n = eta_n + _sum_left_to_right(carried[..., m.picos])
     v = k.capacity_bins - load
     v[..., -1] = 0.0  # the last bin, where no PoA is, reads V = 0
-    v[..., k.macro] -= gamma
-    headroom = np.maximum(v[..., k.macro], 0.0)[..., None]
-    v[..., k.relays] = np.minimum(k.cap_relays, headroom) - load[..., k.relays]
+    v[..., m.macro] -= gamma
+    headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
+    v[..., m.relays] = np.minimum(k.cap_relays, headroom) - load[..., m.relays]
     v_links = v.ravel()[k.index].reshape(rates.shape)  # V of each link's PoA
     level = _level(v_links, k.neg_tau)
     state = _STATE_TABLE[level[..., 0], level[..., 1]]

@@ -34,7 +34,7 @@ where some effective interference is <= 0, the rules' check that it is > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -90,9 +90,14 @@ def initial_state(m: CrossGainMatrices,
     slack) and put no power on an absent second link; ValueError names the
     first UE that does not.
     """
+    return compute_state(m, *_start(m, p0))
+
+
+def _start(m: CrossGainMatrices, p0) -> tuple[np.ndarray, np.ndarray]:
+    """The powers ``(p1, p2)`` of ``initial_state``, checked."""
     if p0 is None:
         half = m.p_max / 2
-        return compute_state(m, half, np.where(m.dual, half, 0.0))
+        return half, np.where(m.dual, half, 0.0)
     p1, p2 = (np.asarray(p, dtype=float) for p in p0)
     if p1.shape != m.p_max.shape or p2.shape != m.p_max.shape:
         raise ValueError(f"p0 must be two power vectors of shape {m.p_max.shape}")
@@ -105,25 +110,22 @@ def initial_state(m: CrossGainMatrices,
             i = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"p0 of UE {m.ue_id[i]}: {why}, got ({p1[i]}, {p2[i]}) "
                              f"with p_max {m.p_max[i]}")
-    return compute_state(m, p1, p2)
+    return p1, p2
 
 
 class _Batch(_Links):
-    """A policy resolved on a network or a stack of networks: its link
-    pairs (``_Links``) plus everything ``step`` reads, derived once, so that
-    ``run`` iterates on it and passes it to ``compute_state`` and
-    ``rate_differentials`` in place of the network. Per row of a stack: the
-    budgets ``p_max``, the SINR targets ``beta``, the masks of the UEs that
-    run bdt's table and greedy (None where no UE runs that rule), the UE ids
-    and ``bandwidth``, the network's ``bandwidth_in_use``. From these
-    ``_derive`` sets the feasibility ceiling ``cap`` = p_max * (1 + slack)
-    and waterfilling's fixed terms ``w1p`` = w1 * p_max and ``wsum`` = w1 +
-    w2. bdt's coefficients of link y's next power in state s under the
-    stack's z sit at ``bdt_table[y - 1, :, s - 1]``, (2, 3, 9). A callable
-    policy (``custom``) decides every UE of one network ``m``.
+    """A policy resolved on a network or a stack of networks: the network
+    resolved (``_Links``) plus the rules and everything ``step`` reads of
+    them, derived once, so that ``run`` iterates on it and passes it to
+    ``compute_state`` and ``rate_differentials`` in place of the network.
+    Per row of a stack: the masks of the UEs that run bdt's table and
+    greedy (None where no UE runs that rule), and, from the network's
+    arrays, the feasibility ceiling ``cap`` = p_max * (1 + slack) and
+    waterfilling's fixed terms ``w1p`` = w1 * p_max and ``wsum`` = w1 + w2.
+    bdt's coefficients of link y's next power in state s under the stack's
+    z sit at ``bdt_table[y - 1, :, s - 1]``, (2, 3, 9). A callable policy
+    (``custom``) decides every UE of the one network ``m``.
     """
-
-    _ROWS = _Links._ROWS + ("p_max", "beta", "bdt", "greedy", "ue_id", "bandwidth")
 
     def __init__(self, m: CrossGainMatrices, policy):
         """Resolve ``policy`` (see ``step``) on ``m``. The arguments of each
@@ -131,19 +133,16 @@ class _Batch(_Links):
         the policy functions' messages: bandwidths and budgets of the dual
         UEs, bdt's z and the single-link UEs' SINR targets; ValueError on an
         unknown name."""
-        self.m, self.custom = m, (policy if callable(policy) else None)
-        self.p_max, self.beta, self.ue_id, self.bandwidth = (m.p_max, m.beta, m.ue_id,
-                                                             m.bandwidth_in_use)
-        self.bdt = self.greedy = self.bdt_table = None
-        if self.custom is None:
-            for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
-                if name not in POLICY_NAMES:
-                    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-            per_row = np.asarray(policy)[..., None]
-            self.bdt, self.greedy = m.dual & (per_row == "bdt"), m.dual & (per_row == "greedy")
         super().__init__(m)
+        self.custom = policy if callable(policy) else None
+        self.bdt = self.greedy = self.bdt_table = None
         if self.custom is not None:
             return
+        for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
+            if name not in POLICY_NAMES:
+                raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+        per_row = np.asarray(policy)[..., None]
+        self._rules(m.dual & (per_row == "bdt"), m.dual & (per_row == "greedy"))
         _check_budget(m.p_max[m.dual], m.w1[m.dual], m.w2[m.dual])
         if self.bdt is not None:
             _check_z(z := np.asarray(m.z, dtype=float))
@@ -153,33 +152,42 @@ class _Batch(_Links):
 
     def _derive(self) -> None:
         super()._derive()
-        self.cap = self.p_max * (1 + _FEAS_SLACK)
-        self.w1p, self.wsum = self.w1 * self.p_max, self.w1 + self.w2
-        for rule in ("bdt", "greedy"):  # a rule no UE runs is None
-            if (mask := getattr(self, rule)) is not None and not mask.any():
-                setattr(self, rule, None)
+        m = self.m
+        self.cap = m.p_max * (1 + _FEAS_SLACK)
+        self.w1p, self.wsum = m.w1 * m.p_max, m.w1 + m.w2
+
+    def _rules(self, bdt, greedy) -> None:
+        """Set the masks of the rules; a rule no UE runs is None."""
+        self.bdt, self.greedy = (None if mask is None or not mask.any() else mask
+                                 for mask in (bdt, greedy))
+
+    def take(self, rows: np.ndarray):
+        out = super().take(rows)
+        out._rules(*(None if mask is None else mask.take(rows, axis=0)
+                     for mask in (self.bdt, self.greedy)))
+        return out
 
 
 def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndarray, np.ndarray]:
     """The named rules on every UE at once, each UE taking its own rule's
     result: waterfilling ("wf", "mixed-fm" and bdt's S1), bdt's table,
     greedy, and fixed-SINR on the single-link UEs."""
-    e1, e2, w1, w2 = now.e1, now.e2, b.w1, b.w2
+    m, e1, e2 = b.m, now.e1, now.e2
     if (now.e <= 0).any():
-        _check_interference(e1, np.where(b.dual, e2, 1.0))
-    p1, p2 = wf1, wf2 = _waterfill(b.p_max, e1, e2, w1, w2, b.w1p, b.wsum)
+        _check_interference(e1, np.where(m.dual, e2, 1.0))
+    p1, p2 = wf1, wf2 = _waterfill(m.p_max, e1, e2, m.w1, m.w2, b.w1p, b.wsum)
     if b.bdt is not None:
         # Single-link UEs (state 0) pick S9's entry; it is dropped.
         c = b.bdt_table.take(report.state - 1, axis=2)
-        t1, t2 = _bdt(c, now.p1, now.p2, b.p_max)
+        t1, t2 = _bdt(c, now.p1, now.p2, m.p_max)
         tabled = b.bdt & (report.state != 1)
         p1, p2 = np.where(tabled, t1, p1), np.where(tabled, t2, p2)
     if b.greedy is not None:  # both links' caps at once, on link pairs
-        c = _rate_cap(now.e, b.w, report.v_links, b.greedy[..., None])
-        g1, g2 = _greedy(b.p_max, c[..., 0], c[..., 1], wf1, wf2)
+        c = _rate_cap(now.e, m.w, report.v_links, b.greedy[..., None])
+        g1, g2 = _greedy(m.p_max, c[..., 0], c[..., 1], wf1, wf2)
         p1, p2 = np.where(b.greedy, g1, p1), np.where(b.greedy, g2, p2)
     if (single := b.single) is not None:
-        p1 = np.where(single, _fm(e1, b.beta, b.p_max), p1)
+        p1 = np.where(single, _fm(e1, m.beta, m.p_max), p1)
         p2 = np.where(single, 0.0, p2)
     return p1, p2
 
@@ -201,17 +209,18 @@ def step(
         p1, p2 = (np.asarray(p, dtype=float) for p in b.custom(b.m, now, report))
     else:
         p1, p2 = _decide(b, now, report)
+    p_max = b.m.p_max
     ok = (p1 >= -_FEAS_SLACK) & (p2 >= -_FEAS_SLACK) & (p1 + p2 <= b.cap)  # NaN fails
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
         raise RuntimeError(
-            f"policy returned infeasible powers for UE {b.ue_id[i]}: "
-            f"({p1[i]}, {p2[i]}) with p_max {b.p_max[i]}"
+            f"policy returned infeasible powers for UE {b.m.ue_id[i]}: "
+            f"({p1[i]}, {p2[i]}) with p_max {p_max[i]}"
         )
     # The next powers, clipped into the budget, straight into a link pair.
-    p = np.empty((*b.p_max.shape, 2))
-    p1 = np.minimum(np.maximum(p1, 0.0), b.p_max, out=p[..., 0])
-    np.minimum(np.maximum(p2, 0.0), b.p_max - p1, out=p[..., 1])
+    p = np.empty((*p_max.shape, 2))
+    p1 = np.minimum(np.maximum(p1, 0.0), p_max, out=p[..., 0])
+    np.minimum(np.maximum(p2, 0.0), p_max - p1, out=p[..., 1])
     return compute_state(b, p, None)
 
 
@@ -257,14 +266,14 @@ def run(
         raise ValueError("window must be >= 1")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if m.d1.ndim == 1:  # one network runs as it is, a batch of one
+    if m.p_max.ndim == 1:  # one network runs as it is, a batch of one
         return _iterate(m, policy, max_iter, eps, window, p0, sink)[0]
     if callable(policy) or sink is not None:
         raise ValueError("a stack of networks takes policy names and no sink")
     names = np.asarray(policy)
-    if names.ndim and len(names) != len(m.d1):
-        raise ValueError(f"{len(names)} policy names for a stack of {len(m.d1)} networks")
-    names = np.broadcast_to(names, m.d1.shape[:1])
+    if names.ndim and len(names) != len(m.p_max):
+        raise ValueError(f"{len(names)} policy names for a stack of {len(m.p_max)} networks")
+    names = np.broadcast_to(names, m.p_max.shape[:1])
     return _iterate(m, names, max_iter, eps, window, p0, None)
 
 
@@ -286,9 +295,9 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     other rows.
     """
     n = m.n
-    b = math.prod(m.d1.shape[:-1])
+    b = math.prod(m.p_max.shape[:-1])
     batch = _Batch(m, policy)
-    now = initial_state(batch, p0)
+    now = compute_state(batch, *_start(m, p0))
     report = rate_differentials(batch, now.rate, None)
     if sink is not None:
         sink(now, report)
@@ -355,10 +364,10 @@ def _trace(batch: _Batch, now: PowerState, report: BackhaulReport, j: int,
     """The Trace of batch row ``j`` at its last iterate, with the run's
     headline numbers as its metrics; a stack's row holds views of the
     batch's arrays."""
-    if batch.p_max.ndim == 1:  # one network, not a stack
-        final, last, bandwidth = now, report, batch.bandwidth
+    if batch.m.p_max.ndim == 1:  # one network, not a stack
+        final, last, bandwidth = now, report, batch.m.bandwidth_in_use
     else:
-        final, last, bandwidth = _take(now, j), _take(report, j), batch.bandwidth[j]
+        final, last, bandwidth = _take(now, j), _take(report, j), batch.m.bandwidth_in_use[j]
     bandwidth = float(bandwidth)
     totals = final.p1 + final.p2
     metrics = {
@@ -479,8 +488,7 @@ def monte_carlo(
                 f"trial {todo[0]} after {_MAX_ATTEMPTS} attempts"
             )
         # One row per trial and policy, the policies of a trial side by side.
-        m = replace(m, **{name: np.repeat(getattr(m, name), len(policies), axis=0)
-                          for name in _PER_NETWORK})
+        m = m.take(np.arange(trials).repeat(len(policies)))
         traces = run(m, list(policies) * trials, max_iter=max_iter)
         for i, trace in enumerate(traces):
             rows.append({

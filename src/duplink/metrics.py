@@ -1,7 +1,7 @@
 """Per-link effective interference, SINR, and achievable rate.
 
 The interference coupling of the whole network is condensed into four n x n
-normalized cross-gain matrices. Entry ``f_xy[i, j]`` is the gain with which
+normalized cross-gain blocks. Entry ``f_xy[i, j]`` is the gain with which
 UE j's transmission on its access link x lands in the receiver of UE i's
 access link y, normalized by UE i's own link-y gain. It is zero on the
 diagonal and whenever the two links use different channels, so
@@ -10,17 +10,22 @@ diagonal and whenever the two links use different channels, so
     e2 = d2 + f22 @ p2 + f12 @ p1
 
 reproduces the scalar per-link interference sums exactly. ``d1``/``d2`` are
-the noise powers normalized the same way. Only the blocks that hold a
-nonzero are multiplied, in this order; on a generated scenario that is
-``f11`` alone, since no link-1 channel is a macrocell channel and macrocell
-channels are private. ``compute_state`` then derives SINR and rate of both
-links in one pass over (..., n, 2) arrays, and a ``PowerState`` holds these
-link pairs as its fields. Each public call resolves the network it is given
-into link pairs (``_Links``), so it sees an in-place edit of the arrays;
-``run`` resolves its network once, as it starts.
+the noise powers normalized the same way. A ``CrossGainMatrices`` holds the
+network as link pairs: the blocks as one (..., 2, 2, n, n) array ``f``,
+``f[..., x - 1, y - 1, :, :]`` being f_xy, and noise ``d`` and bandwidths
+``w`` as (..., n, 2) arrays whose column x - 1 holds link x, beside the
+PoA pair ``poa``; ``f11``..``f22``, ``d1``, ``d2``, ``w1`` and ``w2`` are
+views. Only the blocks that hold a nonzero are multiplied, in the order
+above; on a generated scenario that is ``f11`` alone, since no link-1
+channel is a macrocell channel and macrocell channels are private.
+``compute_state`` then derives SINR and rate of both links in one pass over
+(..., n, 2) arrays, and a ``PowerState`` holds these link pairs as its
+fields. Each public call resolves the network it is given (``_Links``), so
+it sees an in-place edit of the arrays; ``run`` resolves its network once,
+as it starts.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
-(d2, w2, and all f-columns involving link 2) identically zero.
+(d2, w2, and all f-blocks involving link 2) identically zero.
 
 ``build_matrices`` assembles these arrays from a ``ScenarioArrays`` record:
 the one the generator draws, or the one read off a ``Scenario``; either
@@ -28,9 +33,9 @@ gives the same bits for the same network. Given a batch record (a sweep
 point's trials) it builds the stack in one pass, bit for bit the stacked
 networks of its rows; one scenario is a batch of one. A stack
 (``stack_matrices`` stacks built networks) holds networks of one layout,
-tau and z; its per-network arrays gain a leading batch axis, one row per
-network, and tau and z stay scalars. ``compute_state`` and the backhaul and
-engine layers accept either form.
+tau and z; its per-network arrays (``_PER_NETWORK``) gain a leading batch
+axis, one row per network, and tau and z stay scalars. ``compute_state``
+and the backhaul and engine layers accept either form.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,13 +51,23 @@ import numpy as np
 from .network import Gains, Scenario, ScenarioArrays
 
 
+def _link(pair: str, x: int, y: int | None = None) -> property:
+    """A read-only view of the field ``pair``'s column for link ``x``, or,
+    given ``y`` too, of its block f_xy."""
+    if y is None:
+        return property(lambda self: getattr(self, pair)[..., x - 1], doc=f"{pair} of link {x}")
+    return property(lambda self: getattr(self, pair)[..., x - 1, y - 1, :, :],
+                    doc=f"{pair} from link {x} into link {y}")
+
+
 @dataclass
 class CrossGainMatrices:
     """The network as arrays, built once per scenario by ``build_matrices``.
 
-    Radio coupling: ``f11``..``f22``, ``d1``/``d2`` and ``w1``/``w2`` as
-    described in the module docstring; ``lam`` is derived from the
-    bandwidths.
+    Radio coupling, as link pairs (see the module docstring): the blocks
+    ``f``, (..., 2, 2, n, n), the normalized noise ``d`` and the bandwidths
+    ``w``, (..., n, 2). ``f11``..``f22``, ``d1``/``d2`` and ``w1``/``w2``
+    are read-only views of them, and ``lam`` is derived from the bandwidths.
 
     Topology: ``poa[i, x - 1]`` is the PoA index (PoA id - 1) of UE i's
     access link x; it is ``n_poas`` where UE i has no second link, so load
@@ -68,18 +84,13 @@ class CrossGainMatrices:
 
     On a stack (``stack_matrices``) every field but the backhaul layout
     (``capacity``, ``relays``, ``picos``, ``macro``) and the policy
-    constants ``tau`` and ``z`` has a leading batch axis: ``f11`` is
-    (B, n, n), ``d1`` is (B, n), ``bandwidth_in_use`` is (B,).
+    constants ``tau`` and ``z`` has a leading batch axis: ``f`` is
+    (B, 2, 2, n, n), ``d`` is (B, n, 2), ``bandwidth_in_use`` is (B,).
     """
 
-    f11: np.ndarray
-    f12: np.ndarray
-    f21: np.ndarray
-    f22: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
+    f: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
     poa: np.ndarray
     dual: np.ndarray
     p_max: np.ndarray
@@ -93,13 +104,16 @@ class CrossGainMatrices:
     ue_id: np.ndarray
     bandwidth_in_use: float
 
+    f11, f12, f21, f22 = _link("f", 1, 1), _link("f", 1, 2), _link("f", 2, 1), _link("f", 2, 2)
+    d1, d2, w1, w2 = _link("d", 1), _link("d", 2), _link("w", 1), _link("w", 2)
+
     @property
     def lam(self) -> np.ndarray:
         return 1.0 / (self.w1 + self.w2)
 
     @property
     def n(self) -> int:
-        return self.d1.shape[-1]
+        return self.p_max.shape[-1]
 
     @property
     def n_poas(self) -> int:
@@ -110,62 +124,68 @@ class CrossGainMatrices:
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
 
 
-class _Links:
-    """A network or a stack resolved for ``compute_state`` and
-    ``rate_differentials``, as (..., n, 2) link pairs. A public call
-    resolves one per call; ``run`` resolves one ``_Batch``, which adds the
-    rules, when it starts. Per row: ``d``, ``w``, ``poa``, ``dual``
-    (``single`` is None when every UE is dual), and ``index``, the bincount
-    bin of every link: row b's PoA p is bin b * (n_poas + 1) + p, and an
-    absent second link lands in the row's last bin, so one bincount of
-    ``bins`` adds up the link loads of a stack.
-    ``terms`` holds, per link y, the (f, x - 1) pairs of the products
-    f @ p_x whose block holds a nonzero, in the order of the module
-    docstring; for finite powers a skipped block would add +0.0 to a sum
-    that starts at d >= +0.0. The backhaul layout, its capacities and -tau
-    are shared by every row.
-    """
-
-    _ROWS = ("d", "w", "poa", "dual")  # what ``take`` compacts, unless None
-
-    def __init__(self, m: CrossGainMatrices):
-        self.d = np.stack((m.d1, m.d2), axis=-1)
-        self.w = np.stack((m.w1, m.w2), axis=-1)
-        self.terms = tuple(tuple((f, x) for f, x in terms if f.any())
-                           for terms in (((m.f11, 0), (m.f21, 1)), ((m.f22, 1), (m.f12, 0))))
-        self.poa, self.dual = m.poa, m.dual
-        self.n_poas, self.capacity = m.n_poas, m.capacity
-        self.capacity_bins = np.append(m.capacity, 0.0)
-        self.relays, self.picos, self.macro = m.relays, m.picos, m.macro
-        self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
-        self.tau, self.neg_tau = m.tau, -m.tau
-        self._derive()
-
-    def _derive(self) -> None:
-        """Set what follows from the per-row arrays."""
-        batch = self.poa.shape[:-2]
-        rows = math.prod(batch)
-        self.w1, self.w2 = self.w[..., 0], self.w[..., 1]
-        self.single = None if self.dual.all() else ~self.dual
-        self.index = (self.poa + (self.n_poas + 1) * np.arange(rows).reshape(*batch, 1, 1)).ravel()
-        self.bins, self.bin_shape = rows * (self.n_poas + 1), (*batch, self.n_poas + 1)
-
-    def take(self, rows: np.ndarray):
-        """The rows at the indices ``rows`` of a stack, as a new object."""
-        out = copy.copy(self)
-        for name in self._ROWS:
-            if (value := getattr(self, name)) is not None:
-                setattr(out, name, value.take(rows, axis=0))
-        out.terms = tuple(tuple((f.take(rows, axis=0), x) for f, x in terms)
-                          for terms in self.terms)
-        out._derive()
-        return out
-
-
 # The backhaul layout and the policy constants, which every network of a
 # stack shares; the other fields are stacked.
 _SHARED = ("capacity", "relays", "picos", "macro", "tau", "z")
 _PER_NETWORK = tuple(f.name for f in fields(CrossGainMatrices) if f.name not in _SHARED)
+
+# Per link y, the (x - 1, y - 1) of the blocks f_xy in e_y's sum, in the
+# order of the module docstring.
+_SUMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
+
+
+class _Links:
+    """A network or a stack resolved for ``compute_state`` and
+    ``rate_differentials``: the network ``m`` itself, whose link pairs they
+    read, and what follows from it. A public call resolves one per call;
+    ``run`` resolves one ``_Batch``, which adds the rules, when it starts.
+    Per row: ``single`` (None when every UE is dual) and ``index``, the
+    bincount bin of every link: row b's PoA p is bin b * (n_poas + 1) + p,
+    and an absent second link lands in the row's last bin, so one bincount
+    of ``bins`` adds up the link loads of a stack. Shared by every row: the
+    capacities by bin, of the relays and of the macrocell, and -tau.
+
+    ``blocks`` holds, per link y, the (x - 1, y - 1) of the blocks f_xy that
+    hold a nonzero in some row, in the order of the module docstring, and
+    ``terms`` the (f_xy, x - 1) pairs of the products f_xy @ p_x; for finite
+    powers a skipped block would add +0.0 to a sum that starts at d >= +0.0.
+    Both are found when first read, so ``rate_differentials`` scans no block,
+    and ``take`` keeps the blocks it found.
+    """
+
+    def __init__(self, m: CrossGainMatrices):
+        self.m, self.n_poas = m, m.n_poas
+        self.capacity_bins = np.append(m.capacity, 0.0)
+        self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
+        self.neg_tau = -m.tau
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set what follows from the per-row arrays of ``m``."""
+        m = self.m
+        batch = m.poa.shape[:-2]
+        rows = math.prod(batch)
+        self.single = None if m.dual.all() else ~m.dual
+        self.index = (m.poa + (self.n_poas + 1) * np.arange(rows).reshape(*batch, 1, 1)).ravel()
+        self.bins, self.bin_shape = rows * (self.n_poas + 1), (*batch, self.n_poas + 1)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        live = self.m.f.any(axis=(-2, -1)).reshape(-1, 2, 2).any(axis=0)
+        return tuple(tuple(xy for xy in blocks if live[xy]) for blocks in _SUMS)
+
+    @cached_property
+    def terms(self) -> tuple:
+        f = self.m.f
+        return tuple(tuple((f[..., x, y, :, :], x) for x, y in blocks) for blocks in self.blocks)
+
+    def take(self, rows: np.ndarray):
+        """The rows at the indices ``rows`` of a stack, as a new object."""
+        out = copy.copy(self)
+        out.m = self.m.take(rows)
+        out.__dict__.pop("terms", None)
+        out._derive()
+        return out
 
 
 def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
@@ -186,11 +206,6 @@ def stack_matrices(ms: Sequence[CrossGainMatrices]) -> CrossGainMatrices:
                              "layout (relays, picos, macro, capacity), tau and z")
     return replace(first, **{name: np.array([getattr(m, name) for m in ms])
                              for name in _PER_NETWORK})
-
-
-def _link(pair: str, x: int) -> property:
-    """A read-only view of the field ``pair``'s column for link ``x``."""
-    return property(lambda self: getattr(self, pair)[..., x - 1], doc=f"{pair} of link {x}")
 
 
 @dataclass
@@ -280,8 +295,8 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
     bandwidth = np.zeros((n_batch, n_channels + 1))  # by batch row and channel id
     bandwidth[np.arange(n_batch)[:, None], r.chan_id] = r.bandwidth
     w_link = bandwidth[bi, chan]
-    w = np.zeros((2, n_batch, n))
-    w[x, bi, row] = w_link
+    w = np.zeros((n_batch, n, 2))
+    w[bi, row, x] = w_link
     p_max = r.p_max[bi, row]
     # An overflow is reported below, as is an infinite interference times the
     # zero second bandwidth of a single-link UE.
@@ -291,8 +306,8 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
         # The most interference a link can see, every source at its p_max,
         # and waterfilling's w2 * e1 and w1 * e2 at that interference.
         worst = noise + np.bincount(a, ratio * p_max[b], minlength=len(ue))
-        crossed = worst * w[1 - x, bi, row]
-        wsum = (w[0] + w[1])[bi, row]  # waterfilling's w1 + w2
+        crossed = worst * w[bi, row, 1 - x]
+        wsum = (w[..., 0] + w[..., 1])[bi, row]  # waterfilling's w1 + w2
         # The most SINR and rate a link can reach: p_max against the noise alone.
         sinr_max = p_max / noise
         rate_max = w_link * np.log2(1.0 + sinr_max)
@@ -318,17 +333,16 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
         j = at[k]
         raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {what} is {float(v[k])!r}, "
                          "out of floating-point range")
-    f = np.zeros((2, 2, n_batch, n, n))  # f[y - 1, x - 1] is f_yx
-    f[x[b], x[a], bi[a], row[a], row[b]] = ratio
-    d = np.zeros((2, n_batch, n))
-    d[x, bi, row] = noise
+    f = np.zeros((n_batch, 2, 2, n, n))  # f[row, x - 1, y - 1] is f_xy: link x into link y
+    f[bi[a], x[b], x[a], row[a], row[b]] = ratio
+    d = np.zeros((n_batch, n, 2))
+    d[bi, row, x] = noise
     poa = np.full((n_batch, n, 2), n_poas)
     poa[bi, row, x] = poa_id - 1
     in_use = np.zeros((n_batch, n_channels + 1), dtype=bool)  # by batch row and channel id
     in_use[bi, chan] = True
     m = CrossGainMatrices(
-        f11=f[0, 0], f12=f[0, 1], f21=f[1, 0], f22=f[1, 1],
-        d1=d[0], d2=d[1], w1=w[0], w2=w[1],
+        f=f, d=d, w=w,
         poa=poa,
         dual=link_poa[..., 1] > 0,
         p_max=r.p_max,
@@ -362,7 +376,7 @@ def _pair(m, a1, a2, what: str) -> tuple[_Links, np.ndarray]:
     if links is m and a2 is None:
         return links, a1
     a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
-    shape = links.d.shape[:-1]
+    shape = links.m.p_max.shape
     if a1.shape != shape or a2.shape != shape:
         raise ValueError(f"{what} vectors must have shape {shape}")
     return links, np.stack((a1, a2), axis=-1)
@@ -371,7 +385,7 @@ def _pair(m, a1, a2, what: str) -> tuple[_Links, np.ndarray]:
 def _interference(links: _Links, p: np.ndarray) -> np.ndarray:
     """e1 and e2 of the module docstring as one (..., n, 2) array, from the
     link-pair powers ``p`` and the coupling blocks that hold a nonzero."""
-    e = links.d.copy()
+    e = links.m.d.copy()
     for y, terms in enumerate(links.terms):
         for f, x in terms:
             e[..., y] += _apply(f, p[..., x])
@@ -395,12 +409,12 @@ def compute_state(m: CrossGainMatrices, p1: np.ndarray, p2: np.ndarray) -> Power
     both have the networks' shape.
     """
     links, p = _pair(m, p1, p2, "power")
-    e = _interference(links, p)
+    e, w = _interference(links, p), links.m.w
     off = e <= 0
     if not off.any():
         sinr = p / e
-    elif (off & (p > 0) & (links.w > 0)).any():
+    elif (off & (p > 0) & (w > 0)).any():
         raise ValueError("nonpositive effective interference on an active link")
     else:
         sinr = np.divide(p, e, out=np.zeros(p.shape), where=~off)
-    return PowerState(p, e, sinr, links.w * np.log2(1.0 + sinr))
+    return PowerState(p, e, sinr, w * np.log2(1.0 + sinr))

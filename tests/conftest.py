@@ -174,15 +174,14 @@ def random_system(rng, n, coupling=0.05):
         np.fill_diagonal(f, 0.0)
         return f
 
+    # Drawn in the order f11, f12, f21, f22, d1, d2, w1, w2.
+    f11, f12, f21, f22 = (cross(coupling) for _ in range(4))
+    d = [rng.uniform(1e-4, 0.1, size=n) for _ in range(2)]
+    w = [rng.choice([1e6, 5e6, 10e6], size=n) for _ in range(2)]
     return CrossGainMatrices(
-        f11=cross(coupling),
-        f12=cross(coupling),
-        f21=cross(coupling),
-        f22=cross(coupling),
-        d1=rng.uniform(1e-4, 0.1, size=n),
-        d2=rng.uniform(1e-4, 0.1, size=n),
-        w1=rng.choice([1e6, 5e6, 10e6], size=n),
-        w2=rng.choice([1e6, 5e6, 10e6], size=n),
+        f=np.array([[f11, f12], [f21, f22]]),
+        d=np.stack(d, axis=-1),
+        w=np.stack(w, axis=-1),
         **synthetic_topology(n),
     )
 

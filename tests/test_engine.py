@@ -253,9 +253,9 @@ class TestConstantChecks:
     @pytest.mark.parametrize("policy", ["wf", "mixed-fm"])
     def test_zero_second_bandwidth_on_a_dual_ue(self, policy):
         m = build_matrices(worked_example())
-        w2 = m.w2.copy()
-        w2[0] = 0.0
-        self.raises_everywhere(replace(m, w2=w2), policy, "bandwidths must be > 0")
+        w = m.w.copy()
+        w[0, 1] = 0.0
+        self.raises_everywhere(replace(m, w=w), policy, "bandwidths must be > 0")
 
 
 class TestMetrics:
@@ -682,10 +682,10 @@ class TestStackErrors:
         # UE 1's link 1 sees e1 < 0. Active, the first state fails; idle, the
         # first state stands and the first decision fails.
         m = random_system(np.random.default_rng(3), 3, coupling=0.01)
-        m = replace(m, d1=np.array([-1.0, 0.01, 0.01]))
+        m = replace(m, d=np.column_stack(([-1.0, 0.01, 0.01], m.d2)))
         active = (np.full(3, 0.5), np.full(3, 0.5))
         idle = (np.array([0.0, 0.5, 0.5]), np.array([1.0, 0.5, 0.5]))
-        stack = stack_matrices([replace(m, d1=np.full(3, 0.01)), m])
+        stack = stack_matrices([replace(m, d=np.column_stack((np.full(3, 0.01), m.d2))), m])
         for p0, error, message, states in (
                 (active, ValueError, "^nonpositive effective interference on an active link$", 0),
                 (idle, ValueError, "^effective interference must be > 0$", 1)):

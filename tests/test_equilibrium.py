@@ -43,9 +43,9 @@ class TestBuildSystem:
 
     def test_cancellation_when_links_mirror(self, rng):
         mat = random_system(rng, 4, coupling=0.1)
-        mat.w2 = mat.w1.copy()
-        mat.f21 = mat.f11.copy()
-        mat.f12 = mat.f22.copy()
+        mat.w[:, 1] = mat.w1
+        mat.f[1, 0] = mat.f11
+        mat.f[0, 1] = mat.f22
         a, _ = build_system(mat)
         np.testing.assert_allclose(a, 0.0, atol=1e-18)
 
@@ -56,7 +56,7 @@ class TestBuildSystem:
         mat = build_matrices(s)
         wide = build_matrices(replace(s, channels=[
             replace(ch, bandwidth=3 * ch.bandwidth + 1e6 * ch.id) for ch in s.channels]))
-        swept = replace(mat, w1=wide.w1, w2=wide.w2, d1=wide.d1, d2=wide.d2)
+        swept = replace(mat, w=wide.w, d=wide.d)
         np.testing.assert_array_equal(swept.lam, 1.0 / (wide.w1 + wide.w2))
         for got, want in zip(build_system(swept), build_system(wide)):
             np.testing.assert_array_equal(got, want)
@@ -290,8 +290,9 @@ class TestMixedPopulationSystem:
         # Without dual UEs no second link transmits, so f21 is zero.
         mat = random_system(rng, 4, coupling=0.05)
         beta = rng.uniform(1, 3, size=4)
-        fixed = replace(mat, dual=np.zeros(4, dtype=bool), beta=beta,
-                        f21=np.zeros((4, 4)))
+        no_f21 = mat.f.copy()
+        no_f21[1, 0] = 0.0
+        fixed = replace(mat, dual=np.zeros(4, dtype=bool), beta=beta, f=no_f21)
         a, c = build_system(fixed)
         np.testing.assert_allclose(a, beta[:, None] * mat.f11, rtol=1e-12)
         np.testing.assert_allclose(c, beta * mat.d1, rtol=1e-12)
@@ -301,8 +302,9 @@ class TestMixedPopulationSystem:
         for _ in range(20):
             mat = random_system(rng, 4, coupling=0.03)
             beta = rng.uniform(1, 3, size=4)
-            fixed = replace(mat, dual=np.zeros(4, dtype=bool), beta=beta,
-                            f21=np.zeros((4, 4)))
+            no_f21 = mat.f.copy()
+            no_f21[1, 0] = 0.0
+            fixed = replace(mat, dual=np.zeros(4, dtype=bool), beta=beta, f=no_f21)
             a, c = build_system(fixed)
             rho = spectral_radius(a)
             if rho >= 1.0:

@@ -325,10 +325,7 @@ class TestLinkRates:
     def rates(self, w1, w2, p1, e1, p2=0.0, e2=1.0):
         n = 1
         m = CrossGainMatrices(
-            f11=np.zeros((n, n)), f12=np.zeros((n, n)),
-            f21=np.zeros((n, n)), f22=np.zeros((n, n)),
-            d1=np.array([e1]), d2=np.array([e2]),
-            w1=np.array([w1]), w2=np.array([w2]),
+            f=np.zeros((2, 2, n, n)), d=np.array([[e1, e2]]), w=np.array([[w1, w2]]),
             **synthetic_topology(n),
         )
         st = compute_state(m, np.array([p1]), np.array([p2]))
@@ -494,8 +491,10 @@ class TestNonzeroBlocks:
         # A block is multiplied for the whole stack when any row holds a
         # nonzero in it; the rows where it is zero keep their bits.
         coupled = random_system(rng, 6, coupling=0.2)
-        zero = np.zeros((6, 6))
-        ms = [coupled, replace(coupled, f12=zero, f21=zero), replace(coupled, f22=zero)]
+        no_f12_f21, no_f22 = coupled.f.copy(), coupled.f.copy()
+        no_f12_f21[[0, 1], [1, 0]] = 0.0
+        no_f22[1, 1] = 0.0
+        ms = [coupled, replace(coupled, f=no_f12_f21), replace(coupled, f=no_f22)]
         stack = stack_matrices(ms)
         p1 = rng.uniform(0.0, 1.0, (3, 6))
         state = compute_state(stack, p1, 1.0 - p1)
