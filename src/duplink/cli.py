@@ -92,15 +92,30 @@ def _write_outputs(out: Path, writers: dict) -> int:
     return EXIT_OK
 
 
-def _equilibrium_payload(m, trace, policy: str) -> dict | None:
+def _system(m) -> tuple[np.ndarray, np.ndarray]:
+    """``build_system``'s ``a`` and ``c`` of the network ``m``; ValueError in
+    ``build_matrices``' form for out-of-range values, naming the first UE
+    whose row of ``a`` or entry of ``c`` is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        a, c = build_system(m)
+    rows = np.column_stack((a, c))  # UE i's link-1 equation
+    if not (ok := np.isfinite(rows)).all():
+        i, j = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"UE {m.ue_id[i]} link 1: an entry of the equilibrium system's "
+                         f"{'a' if j < m.n else 'c'} is {float(rows[i, j])!r}, "
+                         "out of floating-point range")
+    return a, c
+
+
+def _equilibrium_payload(m, a, c, trace, policy: str) -> dict | None:
     """equilibrium.json: the predicted fixed point of the population's affine
-    iteration, when contractive, next to where the run ended.
+    iteration ``p1 = a @ p1 + c`` (``_system``), when contractive, next to
+    where the run ended.
 
     The prediction is the waterfilling fixed point, with fixed-SINR rows on
     single-link UEs; it describes ``policy`` only when that is ``wf`` (or
     ``mixed-fm``, the same update).
     """
-    a, c = build_system(m)
     rho = spectral_radius(a)
     if rho >= 1.0:
         return None
@@ -141,6 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not violations:
         try:
             mat = build_matrices(scenario)
+            a, c = _system(mat)
         except (KeyError, ValueError) as exc:  # a required gain is absent, or out of range
             violations = [exc.args[0]]
     if violations:
@@ -164,7 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             trace = run(mat, args.policy, max_iter=args.iters, eps=args.eps,
                         window=args.window, sink=sink)
             sink.flush()
-        equilibrium = _equilibrium_payload(mat, trace, args.policy)
+        equilibrium = _equilibrium_payload(mat, a, c, trace, args.policy)
         v = trace.verdict
         payload = {**trace.metrics, "verdict": v.kind, "converged_at": v.iteration,
                    "oscillation_period": v.period}

@@ -14,21 +14,20 @@ hands every iterate to a sink, such as ``TraceCsv``. A Monte Carlo sweep
 runs all trials and policies of a sweep point as one stack.
 
 ``step`` takes a policy name, one name per network of a stack, or a
-callable, and resolves the network with it into a batch (``_Batch``) on
-each call: the network's link pairs (``metrics._Links``) plus which rule
-each UE runs, the rules' terms that do not change between iterations, and
-the checks of the arguments that stay fixed (bandwidths and budgets of the
-dual UEs, bdt's z, the SINR targets of the single-link UEs). ``run``
-resolves the batch once, as it starts, and so makes those checks before the
-first iteration. It then calls ``step``, ``compute_state`` and
-``rate_differentials`` by their names in this module on the batch and on
-the iterate, the (..., n, 2) link pairs that are the fields of a
-``PowerState`` and the ``v_links`` of a ``BackhaulReport``; only the batch
-passes a link pair with its second array None. A network that leaves takes
-its rows of the batch, the iterate and the detector's history with it. The
-checks that depend on the iterate run at every step: the power budget of
-each decision, an active link's interference in ``compute_state``, and,
-where some effective interference is <= 0, the rules' check that it is > 0.
+callable, and resolves it with the network into a batch (``_Batch``) on
+each call: the resolved network (``metrics._Links``) plus which rule each
+UE runs and the rules' fixed terms, once the arguments that stay fixed are
+checked (bandwidths and budgets of the dual UEs, bdt's z, the single-link
+UEs' SINR targets). ``run`` resolves the batch once, as it starts. It calls
+``step``, ``compute_state`` and ``rate_differentials`` by their names in
+this module on the batch and on the iterate, the (..., n, 2) link pairs of
+a ``PowerState`` and a ``BackhaulReport``; only the batch passes a link pair
+with its second array None. A network that leaves takes its rows of the
+network (``CrossGainMatrices.take``), of the rule masks, of the iterate and
+of the detector's history with it. The checks that depend on the iterate
+run at every step: the power budget of each decision, an active link's
+interference in ``compute_state``, and, where some effective interference
+is <= 0, the rules' check that it is > 0.
 """
 
 from __future__ import annotations
@@ -88,16 +87,12 @@ def initial_state(m: CrossGainMatrices,
     A given start ``p0 = (p1, p2)`` must have the networks' shape, be finite
     and >= 0, keep p1 + p2 within p_max (up to the policies' feasibility
     slack) and put no power on an absent second link; ValueError names the
-    first UE that does not.
+    first UE that does not. ``run`` passes its batch in place of ``m``.
     """
-    return compute_state(m, *_start(m, p0))
-
-
-def _start(m: CrossGainMatrices, p0) -> tuple[np.ndarray, np.ndarray]:
-    """The powers ``(p1, p2)`` of ``initial_state``, checked."""
+    links, m = m, (m.m if isinstance(m, _Links) else m)
     if p0 is None:
         half = m.p_max / 2
-        return half, np.where(m.dual, half, 0.0)
+        return compute_state(links, half, np.where(m.dual, half, 0.0))
     p1, p2 = (np.asarray(p, dtype=float) for p in p0)
     if p1.shape != m.p_max.shape or p2.shape != m.p_max.shape:
         raise ValueError(f"p0 must be two power vectors of shape {m.p_max.shape}")
@@ -110,29 +105,25 @@ def _start(m: CrossGainMatrices, p0) -> tuple[np.ndarray, np.ndarray]:
             i = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"p0 of UE {m.ue_id[i]}: {why}, got ({p1[i]}, {p2[i]}) "
                              f"with p_max {m.p_max[i]}")
-    return p1, p2
+    return compute_state(links, p1, p2)
 
 
 class _Batch(_Links):
-    """A policy resolved on a network or a stack of networks: the network
-    resolved (``_Links``) plus the rules and everything ``step`` reads of
-    them, derived once, so that ``run`` iterates on it and passes it to
-    ``compute_state`` and ``rate_differentials`` in place of the network.
-    Per row of a stack: the masks of the UEs that run bdt's table and
-    greedy (None where no UE runs that rule), and, from the network's
-    arrays, the feasibility ceiling ``cap`` = p_max * (1 + slack) and
-    waterfilling's fixed terms ``w1p`` = w1 * p_max and ``wsum`` = w1 + w2.
-    bdt's coefficients of link y's next power in state s under the stack's
-    z sit at ``bdt_table[y - 1, :, s - 1]``, (2, 3, 9). A callable policy
+    """A policy resolved on a network or a stack: the network resolved
+    (``_Links``) plus the rules, so that ``run`` passes it to ``step``,
+    ``compute_state`` and ``rate_differentials``. Per row: the masks of the
+    UEs that run bdt's table and greedy (None where no UE runs that rule),
+    the feasibility ceiling ``cap`` = p_max * (1 + slack) and waterfilling's
+    fixed terms ``w1p`` = w1 * p_max and ``wsum`` = w1 + w2. bdt's
+    coefficients of link y's next power in state s under the stack's z sit
+    at ``bdt_table[y - 1, :, s - 1]``, (2, 3, 9). A callable policy
     (``custom``) decides every UE of the one network ``m``.
     """
 
     def __init__(self, m: CrossGainMatrices, policy):
-        """Resolve ``policy`` (see ``step``) on ``m``. The arguments of each
-        rule that do not change between iterations are checked here, with
-        the policy functions' messages: bandwidths and budgets of the dual
-        UEs, bdt's z and the single-link UEs' SINR targets; ValueError on an
-        unknown name."""
+        """Resolve ``policy`` (see ``step``) on ``m`` and check the rules'
+        fixed arguments with the policy functions' messages; ValueError on
+        an unknown name."""
         super().__init__(m)
         self.custom = policy if callable(policy) else None
         self.bdt = self.greedy = self.bdt_table = None
@@ -287,17 +278,16 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     """The iteration loop of ``run`` over the rows of a stack, or over one
     network as a batch of one, handing every iterate to ``sink`` if given.
 
-    The network and the policy are resolved once into a ``_Batch``, which
-    also stands in for the network in ``initial_state``. The iterate is the
-    link pairs of ``compute_state``'s states, and its rates go to
-    ``rate_differentials`` as they are. A network with its verdict leaves:
-    the batch, the state, the report and the detector's history keep the
-    other rows.
+    The network and the policy are resolved once into a ``_Batch``. The
+    iterate is the link pairs of ``compute_state``'s states, and its rates
+    go to ``rate_differentials`` as they are. A network with its verdict
+    leaves: the batch, the state, the report and the detector's history
+    keep the other rows.
     """
     n = m.n
     b = math.prod(m.p_max.shape[:-1])
     batch = _Batch(m, policy)
-    now = compute_state(batch, *_start(m, p0))
+    now = initial_state(batch, p0)
     report = rate_differentials(batch, now.rate, None)
     if sink is not None:
         sink(now, report)
@@ -364,11 +354,9 @@ def _trace(batch: _Batch, now: PowerState, report: BackhaulReport, j: int,
     """The Trace of batch row ``j`` at its last iterate, with the run's
     headline numbers as its metrics; a stack's row holds views of the
     batch's arrays."""
-    if batch.m.p_max.ndim == 1:  # one network, not a stack
-        final, last, bandwidth = now, report, batch.m.bandwidth_in_use
-    else:
-        final, last, bandwidth = _take(now, j), _take(report, j), batch.m.bandwidth_in_use[j]
-    bandwidth = float(bandwidth)
+    one = batch.m.p_max.ndim == 1  # one network, not a stack
+    final, last = (now, report) if one else (_take(now, j), _take(report, j))
+    bandwidth = float(batch.m.bandwidth_in_use if one else batch.m.bandwidth_in_use[j])
     totals = final.p1 + final.p2
     metrics = {
         "eta_n_final": last.eta_n,

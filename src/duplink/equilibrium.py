@@ -87,8 +87,7 @@ def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Iteration matrix ``a`` and offset ``c`` of the first-link powers:
     waterfilling rows for dual UEs, fixed-SINR rows for single-link UEs. On
     a stack (``stack_matrices``), one of each per network."""
-    w1 = m.w1[..., None]
-    w2 = m.w2[..., None]
+    w1, w2 = m.w1[..., None], m.w2[..., None]
     a = m.lam[..., None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
     c = m.lam * (m.w1 * m.p_max - m.w2 * m.d1 + m.w1 * m.d2
                  + _apply(w1 * m.f22 - w2 * m.f21, m.p_max))
@@ -105,8 +104,9 @@ def closed_form_equilibrium(
     ``rho`` is the spectral radius of ``a`` (see ``spectral_radius``); the
     iteration must contract (rho < 1), else ValueError. ``(I - a) p1 = c``
     is solved per weakly connected component of ``a`` (``_components``).
-    Raises LinAlgError when a solve fails or the residual of the whole
-    system is not negligible. Dual UEs spend
+    Raises LinAlgError when a solve fails, the fixed point lies outside
+    the float range, or the residual of the whole system is not negligible
+    (or NaN). Dual UEs spend
     the rest of their budget on link 2; single-link UEs have p2* = 0. The
     prediction describes the true dynamics only when p1* lies strictly
     inside (0, p_max).
@@ -119,9 +119,12 @@ def closed_form_equilibrium(
             p1[idx] = np.linalg.solve(np.eye(len(idx)) - a[np.ix_(idx, idx)], c[idx])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"(I - M) solve failed: {exc}") from exc
-    residual = np.max(np.abs(p1 - c - a @ p1), initial=0.0)
+    if not np.isfinite(p1).all():
+        raise np.linalg.LinAlgError("fixed point out of floating-point range")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
+        residual = np.max(np.abs(p1 - c - a @ p1), initial=0.0)
     scale = max(1.0, np.max(np.abs(p1), initial=0.0))
-    if residual > _RESIDUAL_TOL * scale:
+    if not residual <= _RESIDUAL_TOL * scale:  # NaN too
         raise np.linalg.LinAlgError(f"fixed-point residual too large: {residual:.3e}")
     return p1, np.where(m.dual, m.p_max - p1, 0.0)
 

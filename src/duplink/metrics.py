@@ -11,31 +11,27 @@ diagonal and whenever the two links use different channels, so
 
 reproduces the scalar per-link interference sums exactly. ``d1``/``d2`` are
 the noise powers normalized the same way. A ``CrossGainMatrices`` holds the
-network as link pairs: the blocks as one (..., 2, 2, n, n) array ``f``,
-``f[..., x - 1, y - 1, :, :]`` being f_xy, and noise ``d`` and bandwidths
-``w`` as (..., n, 2) arrays whose column x - 1 holds link x, beside the
-PoA pair ``poa``; ``f11``..``f22``, ``d1``, ``d2``, ``w1`` and ``w2`` are
-views. Only the blocks that hold a nonzero are multiplied, in the order
-above; on a generated scenario that is ``f11`` alone, since no link-1
-channel is a macrocell channel and macrocell channels are private.
-``compute_state`` then derives SINR and rate of both links in one pass over
-(..., n, 2) arrays, and a ``PowerState`` holds these link pairs as its
-fields. Each public call resolves the network it is given (``_Links``), so
-it sees an in-place edit of the arrays; ``run`` resolves its network once,
-as it starts.
+network as link pairs: ``f[..., x - 1, y - 1, :, :]`` is f_xy, and noise
+``d``, bandwidths ``w`` and PoAs ``poa`` are (..., n, 2) arrays whose column
+x - 1 holds link x; ``f11``..``w2`` are views. Only the blocks that hold a
+nonzero are multiplied, in the order above; on a generated scenario that is
+``f11`` alone, since no link-1 channel is a macrocell channel and macrocell
+channels are private. ``compute_state`` derives SINR and rate of both links
+in one pass, and a ``PowerState`` holds these link pairs as its fields.
+Each public call resolves the network it is given (``_Links``), so it sees
+an in-place edit of the arrays; ``run`` resolves its network once.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-blocks involving link 2) identically zero.
 
-``build_matrices`` assembles these arrays from a ``ScenarioArrays`` record:
-the one the generator draws, or the one read off a ``Scenario``; either
-gives the same bits for the same network. Given a batch record (a sweep
-point's trials) it builds the stack in one pass, bit for bit the stacked
-networks of its rows; one scenario is a batch of one. A stack
-(``stack_matrices`` stacks built networks) holds networks of one layout,
-tau and z; its per-network arrays (``_PER_NETWORK``) gain a leading batch
-axis, one row per network, and tau and z stay scalars. ``compute_state``
-and the backhaul and engine layers accept either form.
+``build_matrices`` assembles these arrays from a ``ScenarioArrays`` record,
+the generator's or a ``Scenario``'s, with the same bits for the same
+network. Given a batch record (a sweep point's trials) it builds their stack
+in one pass, bit for bit the stacked networks; one scenario is a batch of
+one. A stack (``stack_matrices`` stacks built networks) holds networks of
+one layout, tau and z; its per-network arrays (``_PER_NETWORK``) gain a
+leading batch axis, and tau and z stay scalars. ``compute_state`` and the
+backhaul and engine layers accept either form.
 """
 
 from __future__ import annotations
@@ -51,13 +47,11 @@ import numpy as np
 from .network import Gains, Scenario, ScenarioArrays
 
 
-def _link(pair: str, x: int, y: int | None = None) -> property:
-    """A read-only view of the field ``pair``'s column for link ``x``, or,
-    given ``y`` too, of its block f_xy."""
-    if y is None:
-        return property(lambda self: getattr(self, pair)[..., x - 1], doc=f"{pair} of link {x}")
-    return property(lambda self: getattr(self, pair)[..., x - 1, y - 1, :, :],
-                    doc=f"{pair} from link {x} into link {y}")
+def _link(pair: str, *links: int) -> property:
+    """A read-only view of the field ``pair``'s column for link x, or, given
+    links x and y, of its block f_xy."""
+    at = (..., *(x - 1 for x in links), *(slice(None),) * (2 * len(links) - 2))
+    return property(lambda self: getattr(self, pair)[at], doc=f"{pair} of link(s) {links}")
 
 
 @dataclass
@@ -66,8 +60,8 @@ class CrossGainMatrices:
 
     Radio coupling, as link pairs (see the module docstring): the blocks
     ``f``, (..., 2, 2, n, n), the normalized noise ``d`` and the bandwidths
-    ``w``, (..., n, 2). ``f11``..``f22``, ``d1``/``d2`` and ``w1``/``w2``
-    are read-only views of them, and ``lam`` is derived from the bandwidths.
+    ``w``, (..., n, 2), with read-only views ``f11``..``f22``, ``d1``,
+    ``d2``, ``w1`` and ``w2``; ``lam`` is derived from the bandwidths.
 
     Topology: ``poa[i, x - 1]`` is the PoA index (PoA id - 1) of UE i's
     access link x; it is ``n_poas`` where UE i has no second link, so load
@@ -115,10 +109,6 @@ class CrossGainMatrices:
     def n(self) -> int:
         return self.p_max.shape[-1]
 
-    @property
-    def n_poas(self) -> int:
-        return self.capacity.shape[0]
-
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
@@ -129,32 +119,25 @@ class CrossGainMatrices:
 _SHARED = ("capacity", "relays", "picos", "macro", "tau", "z")
 _PER_NETWORK = tuple(f.name for f in fields(CrossGainMatrices) if f.name not in _SHARED)
 
-# Per link y, the (x - 1, y - 1) of the blocks f_xy in e_y's sum, in the
-# order of the module docstring.
-_SUMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
+_BLOCKS = ((0, 0), (1, 0), (1, 1), (0, 1))  # f11, f21, f22, f12 as (x - 1, y - 1)
 
 
 class _Links:
-    """A network or a stack resolved for ``compute_state`` and
-    ``rate_differentials``: the network ``m`` itself, whose link pairs they
-    read, and what follows from it. A public call resolves one per call;
-    ``run`` resolves one ``_Batch``, which adds the rules, when it starts.
-    Per row: ``single`` (None when every UE is dual) and ``index``, the
-    bincount bin of every link: row b's PoA p is bin b * (n_poas + 1) + p,
-    and an absent second link lands in the row's last bin, so one bincount
-    of ``bins`` adds up the link loads of a stack. Shared by every row: the
-    capacities by bin, of the relays and of the macrocell, and -tau.
-
-    ``blocks`` holds, per link y, the (x - 1, y - 1) of the blocks f_xy that
-    hold a nonzero in some row, in the order of the module docstring, and
-    ``terms`` the (f_xy, x - 1) pairs of the products f_xy @ p_x; for finite
-    powers a skipped block would add +0.0 to a sum that starts at d >= +0.0.
-    Both are found when first read, so ``rate_differentials`` scans no block,
-    and ``take`` keeps the blocks it found.
+    """A network or a stack ``m`` resolved for ``compute_state`` and
+    ``rate_differentials``: once per public call, and once per ``run`` as its
+    ``_Batch``, which adds the rules. Per row: ``single`` (None when every UE
+    is dual) and ``index``, the bincount bin of every link: row b's PoA p is
+    bin b * (n_poas + 1) + p, and an absent second link lands in the row's
+    last bin, so one bincount of ``bins`` adds up a stack's link loads.
+    Shared: the capacities by bin, of the relays and of the macrocell, and
+    -tau. ``blocks``, found when first read (``rate_differentials`` reads
+    none) and kept by ``take``, are the blocks f_xy, in the module
+    docstring's order, that hold a nonzero in some row; a skipped block
+    would add +0.0 to a sum that starts at d >= +0.0.
     """
 
     def __init__(self, m: CrossGainMatrices):
-        self.m, self.n_poas = m, m.n_poas
+        self.m, self.n_poas = m, len(m.capacity)
         self.capacity_bins = np.append(m.capacity, 0.0)
         self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
         self.neg_tau = -m.tau
@@ -172,18 +155,12 @@ class _Links:
     @cached_property
     def blocks(self) -> tuple:
         live = self.m.f.any(axis=(-2, -1)).reshape(-1, 2, 2).any(axis=0)
-        return tuple(tuple(xy for xy in blocks if live[xy]) for blocks in _SUMS)
-
-    @cached_property
-    def terms(self) -> tuple:
-        f = self.m.f
-        return tuple(tuple((f[..., x, y, :, :], x) for x, y in blocks) for blocks in self.blocks)
+        return tuple(xy for xy in _BLOCKS if live[xy])
 
     def take(self, rows: np.ndarray):
         """The rows at the indices ``rows`` of a stack, as a new object."""
         out = copy.copy(self)
         out.m = self.m.take(rows)
-        out.__dict__.pop("terms", None)
         out._derive()
         return out
 
@@ -342,17 +319,8 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
     in_use = np.zeros((n_batch, n_channels + 1), dtype=bool)  # by batch row and channel id
     in_use[bi, chan] = True
     m = CrossGainMatrices(
-        f=f, d=d, w=w,
-        poa=poa,
-        dual=link_poa[..., 1] > 0,
-        p_max=r.p_max,
-        beta=r.beta,
-        capacity=r.capacity,
-        relays=r.relays,
-        picos=r.picos,
-        macro=r.macro,
-        tau=r.tau,
-        z=r.z,
+        f=f, d=d, w=w, poa=poa, dual=link_poa[..., 1] > 0, p_max=r.p_max, beta=r.beta,
+        capacity=r.capacity, relays=r.relays, picos=r.picos, macro=r.macro, tau=r.tau, z=r.z,
         ue_id=ue_id.copy(),
         # Added in channel order, as the scenario lists them.
         bandwidth_in_use=_sum_left_to_right(np.where(
@@ -385,10 +353,9 @@ def _pair(m, a1, a2, what: str) -> tuple[_Links, np.ndarray]:
 def _interference(links: _Links, p: np.ndarray) -> np.ndarray:
     """e1 and e2 of the module docstring as one (..., n, 2) array, from the
     link-pair powers ``p`` and the coupling blocks that hold a nonzero."""
-    e = links.m.d.copy()
-    for y, terms in enumerate(links.terms):
-        for f, x in terms:
-            e[..., y] += _apply(f, p[..., x])
+    e, f = links.m.d.copy(), links.m.f
+    for x, y in links.blocks:
+        e[..., y] += _apply(f[..., x, y, :, :], p[..., x])
     return e
 
 

@@ -73,14 +73,16 @@ def waterfill(p_max, e1, e2, w1, w2):
 
 def _rate_cap(e, w, r, at):
     # e*(2^(r/w) - 1) on the UEs of the mask ``at`` whose r is not <= 0,
-    # inf where the exponent passes _MAX_EXP, and 0 everywhere else. The
-    # power is Python's: numpy's vectorized power can differ from it in the
-    # last bit, and policy outputs must not depend on the numpy build.
+    # inf where the exponent passes _MAX_EXP or the cap passes the float
+    # range, and 0 everywhere else. The power is Python's: numpy's
+    # vectorized power can differ from it in the last bit, and policy
+    # outputs must not depend on the numpy build.
     cap = np.zeros(r.shape)
     at = at & ~(r <= 0)
-    exponent = r[at] / w[at]
-    pow2 = np.array([2.0 ** x for x in np.minimum(exponent, _MAX_EXP).tolist()])
-    cap[at] = np.where(exponent > _MAX_EXP, np.inf, e[at] * (pow2 - 1.0))
+    with np.errstate(over="ignore"):  # an overflow gives the infinite cap
+        exponent = r[at] / w[at]
+        pow2 = np.array([2.0 ** x for x in np.minimum(exponent, _MAX_EXP).tolist()])
+        cap[at] = np.where(exponent > _MAX_EXP, np.inf, e[at] * (pow2 - 1.0))
     return cap
 
 

@@ -15,6 +15,7 @@ from duplink import (
     Scenario,
     build_matrices,
     classify_state,
+    compute_state,
     generate,
     generate_mixed,
     rate_differentials,
@@ -255,6 +256,23 @@ class TestRateShapes:
         for f in fields(BackhaulReport):
             a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
             assert a.tobytes() == b.tobytes(), f.name
+
+    def test_scans_no_coupling_block(self):
+        # The backhaul sums read no coupling block, so a public call does
+        # not look for the blocks that hold a nonzero; compute_state does.
+        class Unscannable(np.ndarray):
+            def any(self, *args, **kwargs):
+                raise AssertionError("a coupling block was scanned")
+
+        m = build_matrices(generate_mixed(GenParams(n_ues=8, seed=1, backhaul_scale=0.2), 3))
+        blind = replace(m, f=m.f.view(Unscannable))
+        rate1, rate2 = np.full(m.n, 20e6), np.where(m.dual, 10e6, 0.0)
+        got, want = rate_differentials(blind, rate1, rate2), rate_differentials(m, rate1, rate2)
+        for f in fields(BackhaulReport):
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+            assert a.tobytes() == b.tobytes(), f.name
+        with pytest.raises(AssertionError, match="scanned"):
+            compute_state(blind, m.p_max / 2, np.where(m.dual, m.p_max / 2, 0.0))
 
 
 class TestClassifyState:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,9 @@ import pytest
 import duplink
 from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, engine, generate,
                      generate_mixed, run, save_scenario, spectral_radius, worked_example)
+from duplink import cli
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
-from duplink.network import load_scenario, scenario_to_dict
+from duplink.network import Gains, load_scenario, scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
 
 from conftest import fixed_ue_on_macro_channel
@@ -535,6 +538,110 @@ class TestRunCommand:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+
+
+def magnitude_variants(count):
+    """The first ``count`` files of a seeded fuzz family (numpy seed 0): the
+    limited-backhaul worked example with each noise PSD, bandwidth, p_max,
+    backhaul capacity and gain replaced, with a probability drawn per file
+    from U(0.3, 0.5), by 10^U(-300, 300). About half pass validation."""
+    rng = np.random.default_rng(0)
+    base = worked_example(LIMITED_BACKHAUL)
+    for _ in range(count):
+        q = rng.uniform(0.3, 0.5)
+
+        def draw(value):
+            return float(10.0 ** rng.uniform(-300, 300)) if rng.uniform() < q else value
+
+        noise_psd = draw(base.noise_psd)
+        channels = [replace(ch, bandwidth=draw(ch.bandwidth)) for ch in base.channels]
+        ues = [replace(ue, p_max=draw(ue.p_max)) for ue in base.ues]
+        poas = [replace(p, backhaul_capacity=draw(p.backhaul_capacity)) for p in base.poas]
+        gains = Gains(base.gains.keys, np.array([draw(g) for g in base.gains.values.tolist()]))
+        yield replace(base, poas=poas, ues=ues, channels=channels, gains=gains,
+                      noise_psd=noise_psd)
+
+
+def fixed_point_out_of_range(a, c):
+    """Whether the solution of (I - a) p1 = c lies outside the float range:
+    solved for c scaled down by 2^-600, so that it stays in range, and
+    compared with the largest float scaled the same way."""
+    with np.errstate(all="ignore"):
+        p1 = np.linalg.solve(np.eye(len(c)) - a, c * 2.0 ** -600)
+    return bool(np.max(np.abs(p1)) > np.finfo(float).max * 2.0 ** -600)
+
+
+def finite(*values):
+    return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
+
+
+class TestMagnitudeFuzz:
+    """Every file of the fuzz family stops at validation (exit 3), or runs
+    every policy and the equilibrium payload with finite numbers and no
+    overflow, invalid operation or division by zero. Only a fixed point
+    outside the float range ends in a numerical failure (exit 4)."""
+
+    SYSTEM_OUT_OF_RANGE = 139  # a and c overflow; the eigenvalues used to fail (exit 4)
+    FIXED_POINT_OUT_OF_RANGE = 170  # p1 is about -2e475; it was written as -Infinity
+
+    def test_every_file_stops_or_runs_clean(self):
+        outcomes = {}
+        for k, s in enumerate(magnitude_variants(180)):
+            try:
+                if violations := duplink.validate_scenario(s):
+                    raise ValueError(violations[0])
+                m = build_matrices(s)
+                a, c = cli._system(m)
+            except (KeyError, ValueError) as exc:
+                outcomes[k] = "system" if "equilibrium" in exc.args[0] else 3
+                continue
+            outcomes[k] = 0
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for policy in POLICY_NAMES:
+                    trace = run(m, policy, max_iter=5)
+                    state, report = trace.state, trace.report
+                    assert finite(state.p, state.e, state.sinr, state.rate, report.load,
+                                  report.v, report.v_links, report.eta_n,
+                                  list(trace.metrics.values())), (k, policy)
+                    try:
+                        payload = cli._equilibrium_payload(m, a, c, trace, policy)
+                    except np.linalg.LinAlgError:
+                        assert fixed_point_out_of_range(a, c), (k, policy)
+                        outcomes[k] = 4
+                        continue
+                    assert outcomes[k] == 0, (k, policy)
+                    assert payload is None or finite(*(
+                        v for v in payload.values() if not isinstance(v, (str, bool)))), k
+        assert sum(v == 0 for v in outcomes.values()) > 80
+        assert outcomes[self.SYSTEM_OUT_OF_RANGE] == "system"
+        assert [k for k, v in outcomes.items() if v == 4] == [self.FIXED_POINT_OUT_OF_RANGE]
+
+    def save(self, tmp_path, k):
+        path = tmp_path / "fuzz.json"
+        save_scenario(next(islice(magnitude_variants(k + 1), k, None)), path)
+        return path
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_system_out_of_range_is_validation_error(self, tmp_path, capsys, policy):
+        path, out = self.save(tmp_path, self.SYSTEM_OUT_OF_RANGE), tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(path), "--policy", policy,
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "scenario validation failed:\n  - UE 2 link 1: an entry of the equilibrium "
+            "system's a is -inf, out of floating-point range\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_fixed_point_out_of_range_is_numerical_failure(self, tmp_path, capsys, policy):
+        path, out = self.save(tmp_path, self.FIXED_POINT_OUT_OF_RANGE), tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--policy", policy,
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: numerical failure: fixed point out of floating-point range\n")
+        assert not any(out.iterdir())
 
 
 class TestExperimentCommand:

@@ -727,6 +727,27 @@ class TestResolution:
             assert run(m, "bdt", max_iter=100).metrics["iterations_run"] == 45
         assert calls == {"compute_state": 46, "rate_differentials": 46, "step": 45}
 
+    def test_leaves_keep_the_blocks_found_at_the_start(self):
+        # The batch looks for the coupling blocks that hold a nonzero once;
+        # the rows that leave take their rows of the network with them, and
+        # the rest keep the blocks found.
+        scans = []
+
+        class Counted(np.ndarray):
+            def any(self, *args, **kwargs):
+                scans.append(self.shape)
+                return np.asarray(self).any(*args, **kwargs)
+
+        m = build_matrices(worked_example(LIMITED_BACKHAUL))
+        stack = stack_matrices([m] * 3)
+        policies = ["wf", "bdt", "greedy"]
+        traces = run(replace(stack, f=stack.f.view(Counted)), policies, max_iter=100)
+        assert [t.metrics["iterations_run"] for t in traces] == [18, 45, 6]
+        assert scans == [stack.f.shape]
+        for got, want in zip(traces, run(stack, policies, max_iter=100)):
+            assert got.state.p.tobytes() == want.state.p.tobytes()
+            assert got.metrics == want.metrics
+
 
 class TestEngineBytes:
     """The engine's output bits are pinned, so a change that moves the last

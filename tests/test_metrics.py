@@ -504,6 +504,34 @@ class TestNonzeroBlocks:
                 assert np.array_equal(getattr(state, name)[i], getattr(alone, name)), name
 
 
+class TestNetworkLinkPairs:
+    """The network is held as link pairs; its per-link arrays are views."""
+
+    def test_fields_hold_the_network_as_link_pairs(self):
+        assert [f.name for f in fields(CrossGainMatrices)] == [
+            "f", "d", "w", "poa", "dual", "p_max", "beta", "capacity", "relays", "picos",
+            "macro", "tau", "z", "ue_id", "bandwidth_in_use"]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_per_link_arrays_are_views_of_the_pairs(self, stacked):
+        m = build_matrices(fixed_ue_on_macro_channel())
+        if stacked:
+            m = stack_matrices([m, m])
+        n = m.n
+        assert m.f.shape == (*m.p_max.shape[:-1], 2, 2, n, n)
+        assert m.d.shape == m.w.shape == m.poa.shape == (*m.p_max.shape, 2)
+        views = {f"f{x}{y}": ("f", (..., x - 1, y - 1, slice(None), slice(None)))
+                 for x in (1, 2) for y in (1, 2)}
+        views.update({f"{pair}{x}": (pair, (..., x - 1)) for pair in "dw" for x in (1, 2)})
+        for name, (pair, at) in views.items():
+            view = getattr(m, name)
+            assert np.shares_memory(view, getattr(m, pair)), name
+            np.testing.assert_array_equal(view, getattr(m, pair)[at])
+            with pytest.raises(AttributeError):
+                setattr(m, name, view.copy())
+        np.testing.assert_array_equal(m.lam, 1.0 / (m.w[..., 0] + m.w[..., 1]))
+
+
 class TestStackedNetworks:
     """Each row of a stack computes the bits of its network alone."""
 
