@@ -20,8 +20,8 @@ backhaul-state transmission policy:
 
 where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 A report holds each UE's pair as a (..., n, 2) link pair, ``v_links``.
-``rate_differentials`` resolves the network it is given on each call;
-``run`` passes its resolved batch and the link-pair rates instead.
+``rate_differentials`` resolves the network it is given on each call, and
+reads no coupling block; ``run`` passes its batch and link-pair rates.
 """
 
 from __future__ import annotations
