@@ -126,7 +126,7 @@ def rate_differentials(
     headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
     v[..., m.relays] = np.minimum(k.cap_relays, headroom) - load[..., m.relays]
     v_links = v.ravel()[k.index].reshape(rates.shape)  # V of each link's PoA
-    level = _level(v_links, k.neg_tau)
+    level = _level(v_links, -m.tau)
     state = _STATE_TABLE[level[..., 0], level[..., 1]]
     if k.single is not None:
         state = np.where(k.single, 0, state)

@@ -109,8 +109,7 @@ def _system(m) -> tuple[np.ndarray, np.ndarray]:
 
 def _equilibrium_payload(m, a, c, trace, policy: str) -> dict | None:
     """equilibrium.json: the predicted fixed point of the population's affine
-    iteration ``p1 = a @ p1 + c`` (``_system``), when contractive, next to
-    where the run ended.
+    iteration (``a`` and ``c``), when contractive, next to where it ended.
 
     The prediction is the waterfilling fixed point, with fixed-SINR rows on
     single-link UEs; it describes ``policy`` only when that is ``wf`` (or

@@ -33,7 +33,7 @@ is <= 0, the rules' check that it is > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -117,13 +117,13 @@ class _Batch(_Links):
     fixed terms ``w1p`` = w1 * p_max and ``wsum`` = w1 + w2. bdt's
     coefficients of link y's next power in state s under the stack's z sit
     at ``bdt_table[y - 1, :, s - 1]``, (2, 3, 9). A callable policy
-    (``custom``) decides every UE of the one network ``m``.
+    (``custom``) decides every UE of the one network ``m``. Under names, the
+    network keeps ``f`` up to the last block read, so a leave copies no more.
     """
 
     def __init__(self, m: CrossGainMatrices, policy):
-        """Resolve ``policy`` (see ``step``) on ``m`` and check the rules'
-        fixed arguments with the policy functions' messages; ValueError on
-        an unknown name."""
+        """Resolve ``policy`` (see ``step``) on ``m``, checking the rules' fixed
+        arguments with the policies' messages; ValueError on an unknown name."""
         super().__init__(m)
         self.custom = policy if callable(policy) else None
         self.bdt = self.greedy = self.bdt_table = None
@@ -140,6 +140,8 @@ class _Batch(_Links):
             self.bdt_table = np.moveaxis(_bdt_coefficients(np.arange(1, 10), z), 0, -1)
         if self.single is not None:
             _check_beta(m.beta[self.single])
+        x, y = np.max([(-1, -1), *self.blocks], axis=0) + 1
+        self.m = replace(m, f=m.f[..., :x, :y, :, :])
 
     def _derive(self) -> None:
         super()._derive()

@@ -129,8 +129,8 @@ class _Links:
     is dual) and ``index``, the bincount bin of every link: row b's PoA p is
     bin b * (n_poas + 1) + p, and an absent second link lands in the row's
     last bin, so one bincount of ``bins`` adds up a stack's link loads.
-    Shared: the capacities by bin, of the relays and of the macrocell, and
-    -tau. ``blocks``, found when first read (``rate_differentials`` reads
+    Shared: the capacities by bin, of the relays and of the macrocell.
+    ``blocks``, found when first read (``rate_differentials`` reads
     none) and kept by ``take``, are the blocks f_xy, in the module
     docstring's order, that hold a nonzero in some row; a skipped block
     would add +0.0 to a sum that starts at d >= +0.0.
@@ -140,7 +140,6 @@ class _Links:
         self.m, self.n_poas = m, len(m.capacity)
         self.capacity_bins = np.append(m.capacity, 0.0)
         self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
-        self.neg_tau = -m.tau
         self._derive()
 
     def _derive(self) -> None:

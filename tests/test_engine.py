@@ -747,6 +747,9 @@ class TestResolution:
         for got, want in zip(traces, run(stack, policies, max_iter=100)):
             assert got.state.p.tobytes() == want.state.p.tobytes()
             assert got.metrics == want.metrics
+        # A generated stack couples link 1 alone, so its rows carry f11 alone.
+        gen = stack_matrices([build_matrices(generate(GenParams(n_ues=5, seed=s))) for s in (1, 2)])
+        assert duplink.engine._Batch(gen, "wf").m.f.shape == (2, 1, 1, 5, 5)
 
 
 class TestEngineBytes:
