@@ -111,7 +111,9 @@ class CrossGainMatrices:
 
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
+        rows = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else rows
+        return replace(self, **{name: getattr(self, name).take(rows, axis=0)
+                                for name in _PER_NETWORK})
 
 
 # The backhaul layout and the policy constants, which every network of a
