@@ -124,16 +124,17 @@ class _Batch(_Links):
     def __init__(self, m: CrossGainMatrices, policy):
         """Resolve ``policy`` (see ``step``) on ``m``, checking the rules' fixed
         arguments with the policies' messages; ValueError on an unknown name."""
-        super().__init__(m)
         self.custom = policy if callable(policy) else None
         self.bdt = self.greedy = self.bdt_table = None
+        if self.custom is None:
+            for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
+                if name not in POLICY_NAMES:
+                    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+            per_row = np.asarray(policy)[..., None]
+            self.bdt, self.greedy = m.dual & (per_row == "bdt"), m.dual & (per_row == "greedy")
+        super().__init__(m)
         if self.custom is not None:
             return
-        for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
-            if name not in POLICY_NAMES:
-                raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-        per_row = np.asarray(policy)[..., None]
-        self._rules(m.dual & (per_row == "bdt"), m.dual & (per_row == "greedy"))
         _check_budget(m.p_max[m.dual], m.w1[m.dual], m.w2[m.dual])
         if self.bdt is not None:
             _check_z(z := np.asarray(m.z, dtype=float))
@@ -143,22 +144,15 @@ class _Batch(_Links):
         x, y = np.max([(-1, -1), *self.blocks], axis=0) + 1
         self.m = replace(m, f=m.f[..., :x, :y, :, :])
 
-    def _derive(self) -> None:
+    def _derive(self, rows=None) -> None:
         super()._derive()
         m = self.m
         self.cap = m.p_max * (1 + _FEAS_SLACK)
         self.w1p, self.wsum = m.w1 * m.p_max, m.w1 + m.w2
-
-    def _rules(self, bdt, greedy) -> None:
-        """Set the masks of the rules; a rule no UE runs is None."""
-        self.bdt, self.greedy = (None if mask is None or not mask.any() else mask
-                                 for mask in (bdt, greedy))
-
-    def take(self, rows: np.ndarray):
-        out = super().take(rows)
-        out._rules(*(None if mask is None else mask.take(rows, axis=0)
-                     for mask in (self.bdt, self.greedy)))
-        return out
+        for rule in ("bdt", "greedy"):  # a take keeps the rows; a rule no UE runs is None
+            if (mask := getattr(self, rule)) is not None:
+                mask = mask if rows is None else mask.take(rows, axis=0)
+                setattr(self, rule, mask if mask.any() else None)
 
 
 def _decide(b: _Batch, now: PowerState, report: BackhaulReport) -> tuple[np.ndarray, np.ndarray]:

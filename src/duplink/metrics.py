@@ -64,7 +64,7 @@ class CrossGainMatrices:
     ``d2``, ``w1`` and ``w2``; ``lam`` is derived from the bandwidths.
 
     Topology: ``poa[i, x - 1]`` is the PoA index (PoA id - 1) of UE i's
-    access link x; it is ``n_poas`` where UE i has no second link, so load
+    access link x; it is the PoA count where UE i has no second link, so load
     put there lands on no PoA. ``dual`` flags dual-connectivity UEs,
     ``p_max`` holds the power budgets and ``beta`` the fixed SINR targets
     (0 on dual UEs).
@@ -111,9 +111,7 @@ class CrossGainMatrices:
 
     def take(self, rows) -> CrossGainMatrices:
         """The networks at ``rows`` (indices or a mask) of a stack."""
-        rows = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else rows
-        return replace(self, **{name: getattr(self, name).take(rows, axis=0)
-                                for name in _PER_NETWORK})
+        return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
 
 
 # The backhaul layout and the policy constants, which every network of a
@@ -144,8 +142,9 @@ class _Links:
         self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
         self._derive()
 
-    def _derive(self) -> None:
-        """Set what follows from the per-row arrays of ``m``."""
+    def _derive(self, rows=None) -> None:
+        """Set what follows from the per-row arrays of ``m``, whose ``rows``
+        a take kept."""
         m = self.m
         batch = m.poa.shape[:-2]
         rows = math.prod(batch)
@@ -162,7 +161,7 @@ class _Links:
         """The rows at the indices ``rows`` of a stack, as a new object."""
         out = copy.copy(self)
         out.m = self.m.take(rows)
-        out._derive()
+        out._derive(rows)
         return out
 
 
