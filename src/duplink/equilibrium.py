@@ -87,7 +87,8 @@ def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Iteration matrix ``a`` and offset ``c`` of the first-link powers:
     waterfilling rows for dual UEs, fixed-SINR rows for single-link UEs. On
     a stack (``stack_matrices``), one of each per network."""
-    w1, w2 = m.w1[..., None], m.w2[..., None]
+    w1 = m.w1[..., None]
+    w2 = m.w2[..., None]
     a = m.lam[..., None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
     c = m.lam * (m.w1 * m.p_max - m.w2 * m.d1 + m.w1 * m.d2
                  + _apply(w1 * m.f22 - w2 * m.f21, m.p_max))
