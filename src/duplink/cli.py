@@ -92,21 +92,6 @@ def _write_outputs(out: Path, writers: dict) -> int:
     return EXIT_OK
 
 
-def _system(m) -> tuple[np.ndarray, np.ndarray]:
-    """``build_system``'s ``a`` and ``c`` of the network ``m``; ValueError in
-    ``build_matrices``' form for out-of-range values, naming the first UE
-    whose row of ``a`` or entry of ``c`` is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        a, c = build_system(m)
-    rows = np.column_stack((a, c))  # UE i's link-1 equation
-    if not (ok := np.isfinite(rows)).all():
-        i, j = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ValueError(f"UE {m.ue_id[i]} link 1: an entry of the equilibrium system's "
-                         f"{'a' if j < m.n else 'c'} is {float(rows[i, j])!r}, "
-                         "out of floating-point range")
-    return a, c
-
-
 def _equilibrium_payload(m, a, c, trace, policy: str) -> dict | None:
     """equilibrium.json: the predicted fixed point of the population's affine
     iteration (``a`` and ``c``), when contractive, next to where it ended.
@@ -155,7 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not violations:
         try:
             mat = build_matrices(scenario)
-            a, c = _system(mat)
+            a, c = build_system(mat)
         except (KeyError, ValueError) as exc:  # a required gain is absent, or out of range
             violations = [exc.args[0]]
     if violations:

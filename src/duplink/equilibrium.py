@@ -14,7 +14,9 @@ prediction is trustworthy when p1* lies strictly inside (0, p_max).
 A single-link UE runs fixed-target-SINR control (Foschini-Miljanic), so its
 row is beta * (d1 + F11 p1 + F21 p2) with p2 = p_max - p1 on dual UEs, i.e.
 a = beta (F11 - F21) and c = beta (d1 + F21 p_max); the system of a mixed
-population stays affine.
+population stays affine. ``build_system`` rejects a network whose a or c
+leaves the float range, in ``build_matrices``' message form; ``duplink run``
+calls it before the run.
 """
 
 from __future__ import annotations
@@ -86,14 +88,26 @@ def spectral_radius(m: np.ndarray) -> float | np.ndarray:
 def build_system(m: CrossGainMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Iteration matrix ``a`` and offset ``c`` of the first-link powers:
     waterfilling rows for dual UEs, fixed-SINR rows for single-link UEs. On
-    a stack (``stack_matrices``), one of each per network."""
+    a stack (``stack_matrices``), one of each per network.
+
+    ValueError in ``build_matrices``' form when an entry is out of float
+    range, naming the first UE (by row of a stack) whose row of ``a`` or
+    entry of ``c`` is not finite.
+    """
     w1 = m.w1[..., None]
     w2 = m.w2[..., None]
-    a = m.lam[..., None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
-    c = m.lam * (m.w1 * m.p_max - m.w2 * m.d1 + m.w1 * m.d2
-                 + _apply(w1 * m.f22 - w2 * m.f21, m.p_max))
-    a = np.where(m.dual[..., None], a, m.beta[..., None] * (m.f11 - m.f21))
-    c = np.where(m.dual, c, m.beta * (m.d1 + _apply(m.f21, m.p_max)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        a = m.lam[..., None] * (w2 * (m.f21 - m.f11) + w1 * (m.f12 - m.f22))
+        c = m.lam * (m.w1 * m.p_max - m.w2 * m.d1 + m.w1 * m.d2
+                     + _apply(w1 * m.f22 - w2 * m.f21, m.p_max))
+        a = np.where(m.dual[..., None], a, m.beta[..., None] * (m.f11 - m.f21))
+        c = np.where(m.dual, c, m.beta * (m.d1 + _apply(m.f21, m.p_max)))
+    rows = np.concatenate((a, c[..., None]), axis=-1)  # UE i's link-1 equation
+    if not (ok := np.isfinite(rows)).all():
+        *i, j = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"UE {m.ue_id[tuple(i)]} link 1: an entry of the equilibrium system's "
+                         f"{'a' if j < m.n else 'c'} is {float(rows[(*i, j)])!r}, "
+                         "out of floating-point range")
     return a, c
 
 

@@ -26,11 +26,14 @@ Single-link UEs occupy regular rows/columns with their second-link entries
 
 ``build_matrices`` assembles these arrays from a ``ScenarioArrays`` record,
 the generator's or a ``Scenario``'s, with the same bits for the same
-network. Given a batch record (a sweep point's trials) it builds their stack
-in one pass, bit for bit the stacked networks; one scenario is a batch of
-one. A stack (``stack_matrices`` stacks built networks) holds networks of
-one layout, tau and z; its per-network arrays (``_PER_NETWORK``) gain a
-leading batch axis, and tau and z stay scalars. ``compute_state`` and the
+network. It rejects a network on which some expression of a run could
+leave the float range: one table holds each such expression at the corner
+of the envelope d <= e <= worst where it is largest. Given a batch record
+(a sweep point's trials) it builds their stack in one pass, bit for bit
+the stacked networks; one scenario is a batch of one. A stack
+(``stack_matrices`` stacks built networks) holds networks of one layout,
+tau and z; its per-network arrays (``_PER_NETWORK``) gain a leading batch
+axis, and tau and z stay scalars. ``compute_state`` and the
 backhaul and engine layers accept either form.
 """
 
@@ -44,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Gains, Scenario, ScenarioArrays
+from .network import Scenario, ScenarioArrays
 
 
 def _link(pair: str, *links: int) -> property:
@@ -221,15 +224,17 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
     The own gain of every access link and the cross gain of every co-channel
     pair of links are found with one ``searchsorted`` on the gain keys,
     offset by batch row. Raises KeyError naming the first needed gain that
-    is missing, and ValueError naming the first link whose normalized noise
-    is zero or infinite, or whose entry in the range table below is
-    infinite. A batch reports the first fault of its lowest faulty row.
+    is missing, and ValueError naming the first link of the float-range
+    table that is out of range: each row is an expression a run evaluates,
+    at the corner of the interference envelope d <= e <= worst (every source
+    at its p_max) that makes it largest, and normalized noise must also be
+    nonzero. The first bad entry is the one of the lowest batch row, then
+    table row, UE and link.
     """
     r = s if isinstance(s, ScenarioArrays) else ScenarioArrays.of(s)
-    if one := r.links.ndim == 2:  # a batch of one, with batch row 0 on its gain keys
+    if one := r.links.ndim == 2:  # a batch of one, whose gain keys have no batch row
         r = r._replace(links=r.links[None], p_max=r.p_max[None], beta=r.beta[None],
-                       chan_id=r.chan_id[None], bandwidth=np.array(r.bandwidth, dtype=float)[None],
-                       gains=Gains(np.pad(r.gains.keys, ((0, 0), (1, 0))), r.gains.values))
+                       chan_id=r.chan_id[None], bandwidth=np.array(r.bandwidth, dtype=float)[None])
     n_batch, n = r.links.shape[:2]
     n_poas = len(r.capacity)
     n_channels = r.chan_id.shape[1]
@@ -240,26 +245,28 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
     # link - 1, UE id, PoA id, channel id.
     present = link_chan > 0
     bi, row, x = present.nonzero()
-    ue, poa_id, chan = ue_id[bi, row], link_poa[present], link_chan[present]
+    slot = np.flatnonzero(present)  # each link's place in a (n_batch, n, 2) link pair
+    ui = slot // 2  # its UE's place in a (n_batch, n) array
+    ue, poa_id, chan = ue_id.ravel()[ui], link_poa[present], link_chan[present]
     # Co-channel pairs of a row: receiver link a, transmitter link b. A UE's
     # two links use distinct channels, so b is another UE's link unless b == a.
-    slots = np.where(present, link_chan, 0).reshape(n_batch, 2 * n)
-    same = (slots[..., None] == slots[:, None]) & (slots > 0)[..., None]
-    same[:, np.arange(2 * n), np.arange(2 * n)] = False
+    # An absent link gets a negative channel of its own, so it pairs with none.
+    slots = np.where(present, link_chan, -1 - np.arange(2 * n).reshape(n, 2))
+    same = slots.reshape(n_batch, 2 * n, 1) == slots.reshape(n_batch, 1, 2 * n)
+    same.reshape(n_batch, -1)[:, ::2 * n + 1] = False  # the diagonal: a link with itself
     # Slot s = (batch row * n + UE index) * 2 + link - 1 holds link link[s].
     a, b = np.divmod(np.flatnonzero(same), 2 * n)  # slot of a; slot of b within its row
     link = np.cumsum(present) - 1
     a, b = link[a], link[a - a % (2 * n) + b]
 
-    def code(bi, ue_id, poa_id, chan_id):
-        # One-to-one and increasing in the key: validated ids are 1..n,
-        # 1..n_poas and 1..n_channels.
-        return (((bi * n + ue_id - 1) * n_poas + poa_id - 1) * n_channels + chan_id - 1)
-
-    keys = code(*r.gains.keys.T)
+    # A key's code (batch row, UE id, PoA id, channel id) @ radix is one-to-one
+    # and increasing in the key: validated ids are 1..n, 1..n_poas and 1..n_channels.
+    # The keys of one scenario lack the batch row, which is 0.
+    radix = np.array([n * n_poas * n_channels, n_poas * n_channels, n_channels, 1])
+    keys = r.gains.keys @ radix[-r.gains.keys.shape[1]:]
     # Each link's own path, then each pair's path from b's UE to a's PoA.
     wanted = [np.concatenate((v, v[t])) for v, t in ((bi, a), (ue, b), (poa_id, a), (chan, a))]
-    q = code(*wanted)
+    q = radix @ np.array(wanted)
     at = np.searchsorted(keys, q)
     found = np.concatenate((keys, [-1]))[at] == q
     if not found.all():
@@ -272,50 +279,54 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
     bandwidth = np.zeros((n_batch, n_channels + 1))  # by batch row and channel id
     bandwidth[np.arange(n_batch)[:, None], r.chan_id] = r.bandwidth
     w_link = bandwidth[bi, chan]
-    w = np.zeros((n_batch, n, 2))
-    w[bi, row, x] = w_link
-    p_max = r.p_max[bi, row]
-    # An overflow is reported below, as is an infinite interference times the
-    # zero second bandwidth of a single-link UE.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    w, d = np.zeros((2, n_batch, n, 2))
+    poa = np.full((n_batch, n, 2), n_poas)
+    w.ravel()[slot], poa.ravel()[slot] = w_link, poa_id - 1
+    p_max = r.p_max.ravel()[ui]
+    w1, w2 = np.take(w.reshape(-1, 2), ui, axis=0).T  # each link's UE's bandwidths
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         noise, ratio = r.noise_psd * w_link / g_own, g_cross / g_own[a]
-        budget = w_link * p_max  # waterfilling's w * p_max
-        # The most interference a link can see, every source at its p_max,
-        # and waterfilling's w2 * e1 and w1 * e2 at that interference.
+        d.ravel()[slot] = noise
+        # The envelope d <= e <= worst of each link's interference: worst has
+        # every source at its p_max.
         worst = noise + np.bincount(a, ratio * p_max[b], minlength=len(ue))
-        crossed = worst * w[bi, row, 1 - x]
-        wsum = (w[..., 0] + w[..., 1])[bi, row]  # waterfilling's w1 + w2
-        # The most SINR and rate a link can reach: p_max against the noise alone.
-        sinr_max = p_max / noise
-        rate_max = w_link * np.log2(1.0 + sinr_max)
-    links = np.arange(len(ue))
-    # The range table: what, the link of each value, the values, which are out of range.
-    checks = [("normalized noise", links, noise, ~((0 < noise) & (noise < math.inf))),
-              ("bandwidth times p_max", links, budget, budget == math.inf),
-              ("a cross-gain ratio", a, ratio, ratio == math.inf),
-              ("worst-case effective interference", links, worst, worst == math.inf),
-              ("worst-case effective interference times the other link's bandwidth",
-               links, crossed, crossed == math.inf),
-              ("bandwidth plus the other link's bandwidth", links, wsum, wsum == math.inf),
-              ("SINR ceiling p_max / d", links, sinr_max, sinr_max == math.inf),
-              ("rate ceiling w * log2(1 + p_max / d)", links, rate_max, rate_max == math.inf)]
-    bad = np.concatenate([out for *_, out in checks])
-    if bad.any():  # a run would end in NaN or a division by zero
-        rows = bi[np.concatenate([at for _, at, *_ in checks])]
-        k = int(np.argmax(bad & (rows == rows[bad].min())))
-        for what, at, v, out in checks:
-            if k < len(out):
-                break
-            k -= len(out)
-        j = at[k]
-        raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {what} is {float(v[k])!r}, "
+        # Waterfilling's split with this link at its worst case and the other
+        # at its noise: its least value on link 1, its greatest on link 2.
+        e1, e2 = np.where(x, [other := d.ravel()[slot ^ 1], worst], [worst, other])
+        rates = w_link * np.log2(1.0 + p_max / noise)  # each link's rate ceiling
+        # The backhaul sums of rate_differentials, every link at its rate ceiling.
+        load = np.bincount(bi * n_poas + poa_id - 1, rates, n_batch * n_poas).reshape(n_batch, -1)
+        carried = np.minimum(r.capacity, load)
+        relayed = load[:, r.macro] + _sum_left_to_right(carried[:, r.relays])
+        eta_n = np.minimum(r.capacity[r.macro], relayed) + _sum_left_to_right(carried[:, r.picos])
+        # The range table: each row, per link, what a run evaluates, at the
+        # corner of the envelope that makes it largest. A network's sums are
+        # on each of its links.
+        table = [("normalized noise", noise), ("bandwidth times p_max", w_link * p_max),
+                 ("worst-case effective interference", worst),
+                 ("bandwidth plus the other link's bandwidth", (wsum := w1 + w2)),
+                 ("SINR ceiling p_max / d", p_max / noise),
+                 ("rate ceiling w * log2(1 + p_max / d)", rates),
+                 ("waterfilling's split (w1 * p_max - w2 * e1 + w1 * e2) / (w1 + w2) at this "
+                  "link's worst-case interference", (w1 * p_max - w2 * e1 + w1 * e2) / wsum),
+                 ("fixed-SINR target beta times worst-case interference",
+                  r.beta.ravel()[ui] * worst),
+                 ("its PoA's load at every link's rate ceiling", load[bi, poa_id - 1]),
+                 ("the macrocell's load plus relay traffic at every link's rate ceiling",
+                  relayed[bi]),
+                 ("eta_n at every link's rate ceiling", eta_n[bi]),
+                 ("the sum of every UE's p_max", r.p_max.sum(axis=-1)[bi])]
+    values = np.array([v for _, v in table])
+    if not (np.isfinite(values).all() and noise.all()):
+        # A run would leave the float range: name the first bad entry by batch
+        # row, table row, UE and link.
+        bad = ~np.isfinite(values)
+        bad[0] |= noise == 0
+        k, j = np.argwhere(bad & (bi == bi[bad.any(axis=0)][0]))[0]
+        raise ValueError(f"UE {ue[j]} link {x[j] + 1}: {table[k][0]} is {float(values[k, j])!r}, "
                          "out of floating-point range")
     f = np.zeros((n_batch, 2, 2, n, n))  # f[row, x - 1, y - 1] is f_xy: link x into link y
     f[bi[a], x[b], x[a], row[a], row[b]] = ratio
-    d = np.zeros((n_batch, n, 2))
-    d[bi, row, x] = noise
-    poa = np.full((n_batch, n, 2), n_poas)
-    poa[bi, row, x] = poa_id - 1
     in_use = np.zeros((n_batch, n_channels + 1), dtype=bool)  # by batch row and channel id
     in_use[bi, chan] = True
     m = CrossGainMatrices(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, engi
                      generate_mixed, run, save_scenario, spectral_radius, worked_example)
 from duplink import cli
 from duplink.cli import SUMMARY_COLUMNS, TRIAL_COLUMNS, main
-from duplink.network import Gains, load_scenario, scenario_to_dict
+from duplink.network import Gains, load_scenario, scenario_from_dict, scenario_to_dict
 from duplink.scenarios import LIMITED_BACKHAUL
 
 from conftest import fixed_ue_on_macro_channel
@@ -229,14 +230,33 @@ class TestRunCommand:
 
     @staticmethod
     def beyond_float_range(case):
-        """A file that passes validate_scenario, but whose link noise or
-        interference leaves float64 range once normalized."""
+        """A file that passes validate_scenario, but on which some expression
+        of a run leaves float64 range."""
         if case == "underflow":  # noise_psd * bandwidth / gain is 0
             d = scenario_to_dict(generate(GenParams(n_ues=1, n_relays=1, n_picos=0, seed=2)))
             d["noise_psd"] = 5e-324
             for g in d["gains"]:
                 g[3] = 1e10
             return d
+        if case == "split_numerator":  # w1 * p_max + w1 * e2 overflows at UE 1's worst e2
+            gains = {(1, 1, 1): 1.0, (1, 3, 2): 1.0, (2, 2, 2): 1.0, (2, 3, 2): 3.0,
+                     (2, 3, 1): 1e-307, (1, 2, 2): 1e-300, (2, 1, 1): 1e-300, (1, 3, 1): 1e-320}
+            return layout_file([(5e306, (1, 1), (3, 2)), (5e306, (2, 2), (3, 1))],
+                               10.0, 0.1, gains)
+        if case == "fixed_sinr_target":  # beta * e overflows; f11 is not in build_system's c
+            gains = {(1, 1, 1): 1e-10, (1, 3, 2): 1e-10, (2, 2, 1): 1e-10, (1, 2, 1): 1e-9,
+                     (2, 1, 1): 1e-30}
+            return layout_file([(100.0, (1, 1), (3, 2)), (1.0, (2, 1), 1e307)], 1e6, 1e-25, gains)
+        if case in ("power_sum", "unlimited_load"):  # own gains 1, cross gains 1e-300
+            own = {(1, 1, 1), (1, 3, 2), (2, 3, 1), (2, 2, 2)}
+            gains = {(u, p, c): 1.0 if (u, p, c) in own else 1e-300
+                     for u, p, c in [*own, (1, 3, 1), (2, 1, 1), (1, 2, 2), (2, 3, 2)]}
+            if case == "power_sum":  # the budgets add up to inf in avg_total_power's mean
+                return layout_file([(1e308, (1, 1), (3, 2)), (1e308, (3, 1), (2, 2))],
+                                   1e-10, 1e20, gains)
+            # two finite rate ceilings add up to inf at the macrocell
+            return layout_file([(1.0, (1, 1), (3, 2)), (1.0, (3, 1), (2, 2))], 1e307, 1e-312,
+                               gains, capacity=math.inf)
         d = scenario_to_dict(worked_example())
         if case == "huge_noise":
             d["noise_psd"] = 1e308
@@ -278,13 +298,18 @@ class TestRunCommand:
         ("underflow", "UE 1 link 1: normalized noise is 0.0"),
         ("huge_noise", "UE 1 link 1: normalized noise is inf"),
         ("tiny_gains", "UE 1 link 1: normalized noise is inf"),
-        ("cross_ratio", "UE 2 link 2: a cross-gain ratio is inf"),
+        ("cross_ratio", "UE 2 link 2: worst-case effective interference is inf"),
         ("huge_interference", "UE 2 link 2: worst-case effective interference is inf"),
-        ("huge_bandwidth", "UE 1 link 1: worst-case effective interference times the other "
-                           "link's bandwidth is inf"),
+        ("huge_bandwidth", "UE 1 link 1: bandwidth plus the other link's bandwidth is inf"),
         ("bandwidth_sum", "UE 1 link 1: bandwidth plus the other link's bandwidth is inf"),
         ("rate_ceiling", "UE 1 link 1: rate ceiling w * log2(1 + p_max / d) is inf"),
         ("sinr_ceiling", "UE 1 link 1: SINR ceiling p_max / d is inf"),
+        ("split_numerator", "UE 1 link 2: waterfilling's split (w1 * p_max - w2 * e1 + w1 * e2)"
+                            " / (w1 + w2) at this link's worst-case interference is inf"),
+        ("fixed_sinr_target", "UE 2 link 1: fixed-SINR target beta times worst-case "
+                              "interference is inf"),
+        ("unlimited_load", "UE 1 link 2: its PoA's load at every link's rate ceiling is inf"),
+        ("power_sum", "UE 1 link 1: the sum of every UE's p_max is inf"),
     ])
     def test_link_beyond_float_range_is_validation_error(self, tmp_path, capsys, case,
                                                          message):
@@ -318,9 +343,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_nan_decision_is_numerical_failure(self, tmp_path, capsys, monkeypatch, policy):
-        # No validated file reaches this guard: with w1 + w2 finite, every
-        # term of the waterfilling split is checked, and an infinite split is
-        # clipped into [0, p_max]. So the waterfilling kernel returns NaN
+        # No validated file reaches this guard: the waterfilling split is
+        # checked at both corners of the interference envelope, and its
+        # clipping keeps it in [0, p_max]. So the waterfilling kernel returns NaN
         # here, and the run stops with exit 4 before it writes anything.
         # Unlimited backhaul puts both UEs in S1 under bdt, and their greedy
         # caps are infinite, so every policy waterfills.
@@ -541,26 +566,69 @@ class TestRunCommand:
 
 
 
-def magnitude_variants(count):
-    """The first ``count`` files of a seeded fuzz family (numpy seed 0): the
-    limited-backhaul worked example with each noise PSD, bandwidth, p_max,
-    backhaul capacity and gain replaced, with a probability drawn per file
-    from U(0.3, 0.5), by 10^U(-300, 300). About half pass validation."""
+def layout_file(ues, bandwidth, noise_psd, gains, capacity=None):
+    """A scenario dict on the worked example's PoAs (relay 1, picocell 2,
+    macrocell 3): two channels of ``bandwidth`` Hz, and UEs given as (p_max,
+    link 1, link 2) or, single-link, as (p_max, link 1, fixed SINR target),
+    with each link a (PoA id, channel id) pair. ``gains`` maps (UE id, PoA id,
+    channel id) to the gain; ``capacity``, if given, is every PoA's."""
+    d = scenario_to_dict(worked_example())
+    d.update(channels=[{"id": 1, "bandwidth": bandwidth}, {"id": 2, "bandwidth": bandwidth}],
+             noise_psd=noise_psd, gains=[[*key, g] for key, g in sorted(gains.items())])
+    d["ues"] = [{"id": i, "position": [1000.0 * i, -1000.0], "p_max": p_max,
+                 "poa_1": link1[0], "chan_1": link1[1],
+                 **({"poa_2": other[0], "chan_2": other[1]} if isinstance(other, tuple)
+                    else {"fixed_sinr_target": other})}
+                for i, (p_max, link1, other) in enumerate(ues, 1)]
+    for p in d["poas"] if capacity is not None else ():
+        p["backhaul_capacity"] = capacity
+    return d
+
+
+def fuzz_family(base, count, capacity):
+    """The first ``count`` files of a seeded fuzz family (numpy seed 0) on the
+    scenario ``base``: each noise PSD, bandwidth, p_max, fixed SINR target and
+    gain replaced, with a probability q drawn per file from U(0.3, 0.5), by
+    10^U(-300, 300); each backhaul capacity becomes ``capacity(draw, rng,
+    value)``."""
     rng = np.random.default_rng(0)
-    base = worked_example(LIMITED_BACKHAUL)
     for _ in range(count):
         q = rng.uniform(0.3, 0.5)
 
-        def draw(value):
+        def draw(value, q=q):
             return float(10.0 ** rng.uniform(-300, 300)) if rng.uniform() < q else value
 
         noise_psd = draw(base.noise_psd)
         channels = [replace(ch, bandwidth=draw(ch.bandwidth)) for ch in base.channels]
-        ues = [replace(ue, p_max=draw(ue.p_max)) for ue in base.ues]
-        poas = [replace(p, backhaul_capacity=draw(p.backhaul_capacity)) for p in base.poas]
+        ues = [replace(ue, p_max=draw(ue.p_max),
+                       fixed_sinr_target=ue.fixed_sinr_target and draw(ue.fixed_sinr_target))
+               for ue in base.ues]
+        poas = [replace(p, backhaul_capacity=capacity(draw, rng, p.backhaul_capacity))
+                for p in base.poas]
         gains = Gains(base.gains.keys, np.array([draw(g) for g in base.gains.values.tolist()]))
         yield replace(base, poas=poas, ues=ues, channels=channels, gains=gains,
                       noise_psd=noise_psd)
+
+
+def magnitude_variants(count):
+    """The limited-backhaul worked example's fuzz family, its capacities
+    drawn like the other values. About half pass validation."""
+    return fuzz_family(worked_example(LIMITED_BACKHAUL), count,
+                       lambda draw, rng, value: draw(value))
+
+
+def coupled_variants(count):
+    """The fuzz family of a network with the couplings the worked example
+    lacks: link 1 of UE 1 and link 2 of UE 2 share channel 1 with the
+    single-link UE 3, and each capacity is unlimited with probability 1/2,
+    else 10^U(-300, 300). About 40% pass validation."""
+    links = {1: ((1, 1), (3, 2)), 2: ((2, 2), (3, 1)), 3: ((2, 1), 1.0)}
+    gains = {(u, p, c): 1.0 if links[u][0] == (p, c) or links[u][1] == (p, c) else 0.1
+             for u in links for p in (1, 2, 3) for c in (1, 2)
+             if c == 1 or u != 3 and p != 1}
+    base = scenario_from_dict(layout_file([(1.0, *links[u]) for u in links], 10.0, 0.1, gains))
+    return fuzz_family(base, count, lambda draw, rng, value:
+                       math.inf if rng.uniform() < 0.5 else draw(value, q=1.0))
 
 
 def fixed_point_out_of_range(a, c):
@@ -576,8 +644,55 @@ def finite(*values):
     return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
 
 
+def strict_json(payload):
+    """``payload`` as its JSON file holds it, parsed strictly: ValueError on
+    Infinity or NaN."""
+    def reject(word):
+        raise ValueError(f"{word} in a JSON output")
+    return json.loads(json.dumps(payload), parse_constant=reject)
+
+
+def fuzz_outcomes(files):
+    """What ``duplink run`` does with each file, by index: 3 if it stops at
+    validation ("system" if at ``build_system``), 4 if the closed form's fixed
+    point lies outside the float range, else 0. A file that is not stopped
+    must run every policy and the equilibrium payload under
+    ``np.errstate(over/invalid/divide="raise")`` with finite numbers, V being
+    +inf only at an unlimited PoA, and JSON payloads without Infinity or NaN."""
+    outcomes = {}
+    for k, s in enumerate(files):
+        try:
+            if violations := duplink.validate_scenario(s):
+                raise ValueError(violations[0])
+            m = build_matrices(s)
+            a, c = build_system(m)
+        except (KeyError, ValueError) as exc:
+            outcomes[k] = "system" if "equilibrium" in exc.args[0] else 3
+            continue
+        outcomes[k] = 0
+        unlimited = np.append(m.capacity == math.inf, False)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for policy in POLICY_NAMES:
+                trace = run(m, policy, max_iter=5)
+                state, report = trace.state, trace.report
+                assert finite(state.p, state.e, state.sinr, state.rate, report.load,
+                              report.eta_n), (k, policy)
+                for v, at in ((report.v, unlimited[:-1]), (report.v_links, unlimited[m.poa])):
+                    assert (np.isfinite(v) | (v == math.inf) & at).all(), (k, policy)
+                strict_json(trace.metrics)
+                try:
+                    payload = cli._equilibrium_payload(m, a, c, trace, policy)
+                except np.linalg.LinAlgError:
+                    assert fixed_point_out_of_range(a, c), (k, policy)
+                    outcomes[k] = 4
+                    continue
+                assert outcomes[k] == 0, (k, policy)
+                strict_json(payload)
+    return outcomes
+
+
 class TestMagnitudeFuzz:
-    """Every file of the fuzz family stops at validation (exit 3), or runs
+    """Every file of the fuzz families stops at validation (exit 3), or runs
     every policy and the equilibrium payload with finite numbers and no
     overflow, invalid operation or division by zero. Only a fixed point
     outside the float range ends in a numerical failure (exit 4)."""
@@ -586,36 +701,32 @@ class TestMagnitudeFuzz:
     FIXED_POINT_OUT_OF_RANGE = 170  # p1 is about -2e475; it was written as -Infinity
 
     def test_every_file_stops_or_runs_clean(self):
-        outcomes = {}
-        for k, s in enumerate(magnitude_variants(180)):
-            try:
-                if violations := duplink.validate_scenario(s):
-                    raise ValueError(violations[0])
-                m = build_matrices(s)
-                a, c = cli._system(m)
-            except (KeyError, ValueError) as exc:
-                outcomes[k] = "system" if "equilibrium" in exc.args[0] else 3
-                continue
-            outcomes[k] = 0
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for policy in POLICY_NAMES:
-                    trace = run(m, policy, max_iter=5)
-                    state, report = trace.state, trace.report
-                    assert finite(state.p, state.e, state.sinr, state.rate, report.load,
-                                  report.v, report.v_links, report.eta_n,
-                                  list(trace.metrics.values())), (k, policy)
-                    try:
-                        payload = cli._equilibrium_payload(m, a, c, trace, policy)
-                    except np.linalg.LinAlgError:
-                        assert fixed_point_out_of_range(a, c), (k, policy)
-                        outcomes[k] = 4
-                        continue
-                    assert outcomes[k] == 0, (k, policy)
-                    assert payload is None or finite(*(
-                        v for v in payload.values() if not isinstance(v, (str, bool)))), k
+        outcomes = fuzz_outcomes(magnitude_variants(180))
         assert sum(v == 0 for v in outcomes.values()) > 80
         assert outcomes[self.SYSTEM_OUT_OF_RANGE] == "system"
         assert [k for k, v in outcomes.items() if v == 4] == [self.FIXED_POINT_OUT_OF_RANGE]
+
+    def test_every_coupled_file_stops_or_runs_clean(self):
+        files = list(coupled_variants(150))
+        outcomes = fuzz_outcomes(files)
+        assert sum(v == 0 for v in outcomes.values()) > 50
+        assert any(v == 0 and any(p.backhaul_capacity == math.inf for p in files[k].poas)
+                   for k, v in outcomes.items())
+
+    def test_fixed_sinr_target_out_of_range_is_validation_error(self):
+        # Coupled file 232: beta * e overflowed in the fixed-SINR update, and
+        # every policy ran to exit 0 after the warning.
+        s = next(islice(coupled_variants(233), 232, None))
+        with pytest.raises(ValueError, match="^UE 3 link 1: fixed-SINR target beta times "
+                           "worst-case interference is inf"):
+            build_matrices(s)
+
+    def test_system_out_of_range_is_raised_by_build_system(self):
+        s = next(islice(magnitude_variants(self.SYSTEM_OUT_OF_RANGE + 1),
+                        self.SYSTEM_OUT_OF_RANGE, None))
+        with pytest.raises(ValueError, match="^UE 2 link 1: an entry of the equilibrium "
+                           "system's a is -inf, out of floating-point range$"):
+            build_system(build_matrices(s))
 
     def save(self, tmp_path, k):
         path = tmp_path / "fuzz.json"
