@@ -4,7 +4,9 @@ The end-to-end network capacity is the max-flow of the two-tier topology:
 picocells forward directly to the backbone, relays forward through the
 macrocell, so relay traffic competes with macrocell access traffic for the
 macrocell backhaul. Because the graph is series-parallel the max flow
-collapses to nested min() terms and needs no general-purpose solver.
+collapses to nested min() terms and needs no general-purpose solver; they
+are written once, in ``metrics._max_flow``, which ``build_matrices`` also
+calls for its float-range table.
 
 A PoA's rate differential V is its backhaul capacity minus the access-rate
 demand placed on it; V < 0 marks the backhaul as a bottleneck. Each UE's pair
@@ -21,7 +23,8 @@ backhaul-state transmission policy:
 where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 A report holds each UE's pair as a (..., n, 2) link pair, ``v_links``.
 ``rate_differentials`` resolves the network it is given on each call, and
-reads no coupling block; ``run`` passes its batch and link-pair rates.
+reads no coupling block; ``run`` passes its batch as the network, with its
+link-pair rates and None.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .metrics import CrossGainMatrices, _link, _pair, _sum_left_to_right
+from .metrics import CrossGainMatrices, _link, _max_flow, _pair
 
 
 class BackhaulState(IntEnum):
@@ -116,10 +119,7 @@ def rate_differentials(
     if not m.tau > 0:  # NaN too
         raise ValueError("tau must be > 0")
     load = np.bincount(k.index, rates.ravel(), k.bins).reshape(k.bin_shape)
-    carried = np.minimum(m.capacity, load[..., :-1])
-    gamma = _sum_left_to_right(carried[..., m.relays])
-    eta_n = np.minimum(k.cap_macro, load[..., m.macro] + gamma)
-    eta_n = eta_n + _sum_left_to_right(carried[..., m.picos])
+    gamma, eta_n = _max_flow(m.capacity, load[..., :-1], m.relays, m.picos, m.macro)
     v = k.capacity_bins - load
     v[..., -1] = 0.0  # the last bin, where no PoA is, reads V = 0
     v[..., m.macro] -= gamma

@@ -81,6 +81,18 @@ def _write_rows(columns: list[str], rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
+def _out_dir(text: str) -> Path | None:
+    """The output directory, created with its parents; None once the reason
+    it cannot be is printed."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
+        return None
+    return out
+
+
 def _write_outputs(out: Path, writers: dict) -> int:
     """Call each writer on its file in ``out``; exit 2 at the first that fails."""
     for name, write in writers.items():
@@ -149,11 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
+    if (out := _out_dir(args.out)) is None:
         return EXIT_USAGE
 
     # trace.csv streams to a pending file, renamed once all is ready and removed on failure.
@@ -174,9 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "equilibrium.json": partial(Path.unlink, missing_ok=True) if equilibrium is None
             else lambda path: path.write_text(json.dumps(equilibrium, indent=2))}):
             return code
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:  # writing the pending trace; _write_outputs reports its own
         print(f"error: cannot write output: {out / 'trace.csv'}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
@@ -250,21 +255,11 @@ PRESETS = {
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     points, kwargs = PRESETS[args.preset]()
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
+    if (out := _out_dir(args.out)) is None:
         return EXIT_USAGE
 
     policies = kwargs.pop("policies")
-    try:
-        rows = monte_carlo(points, policies, trials=args.trials, seeds=args.seed,
-                           **kwargs)
-    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    rows = monte_carlo(points, policies, trials=args.trials, seeds=args.seed, **kwargs)
     for row in rows:
         row["preset"] = args.preset
         row["converged"] = int(row["converged"])
@@ -319,7 +314,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
+        # The loader's RecursionError, a RuntimeError, is an exit 3 in cmd_run.
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def console_main() -> None:

@@ -16,13 +16,15 @@ runs all trials and policies of a sweep point as one stack.
 ``step`` takes a policy name, one name per network of a stack, or a
 callable, and resolves it with the network into a batch (``_Batch``) on
 each call: the resolved network (``metrics._Links``) plus which rule each
-UE runs and the rules' fixed terms, once the arguments that stay fixed are
-checked (bandwidths and budgets of the dual UEs, bdt's z, the single-link
-UEs' SINR targets). ``run`` resolves the batch once, as it starts. It calls
-``step``, ``compute_state`` and ``rate_differentials`` by their names in
-this module on the batch and on the iterate, the (..., n, 2) link pairs of
-a ``PowerState`` and a ``BackhaulReport``; only the batch passes a link pair
-with its second array None. A network that leaves takes its rows of the
+UE runs and the rules' fixed terms, once the names' shape and the
+arguments that stay fixed are checked (bandwidths and budgets of the dual
+UEs, bdt's z, the single-link UEs' SINR targets). ``run`` resolves the
+batch once, as it starts, and every layer takes a network or that batch as
+``m``: it calls ``initial_state``, ``step``, ``compute_state`` and
+``rate_differentials`` by their names in this module with the batch as
+``m`` and the iterate, the (..., n, 2) link pairs of a ``PowerState`` and a
+``BackhaulReport``; only the batch passes a link pair with its second
+array None. A network that leaves takes its rows of the
 network (``CrossGainMatrices.take``), of the rule masks, of the iterate and
 of the detector's history with it. The checks that depend on the iterate
 run at every step: the power budget of each decision, an active link's
@@ -123,14 +125,20 @@ class _Batch(_Links):
 
     def __init__(self, m: CrossGainMatrices, policy):
         """Resolve ``policy`` (see ``step``) on ``m``, checking the rules' fixed
-        arguments with the policies' messages; ValueError on an unknown name."""
+        arguments with the policies' messages. ValueError unless the names
+        are one name or, on a stack, one name per network, each known."""
         self.custom = policy if callable(policy) else None
         self.bdt = self.greedy = self.bdt_table = None
         if self.custom is None:
-            for name in dict.fromkeys(np.atleast_1d(policy).tolist()):  # in order of first use
+            names, batch = np.asarray(policy), m.p_max.shape[:-1]
+            if names.shape not in ((), batch):
+                count = len(names) if names.ndim == 1 else f"an array of shape {names.shape} of"
+                where = f"a stack of {batch[0]} networks" if batch else "one network"
+                raise ValueError(f"{count} policy names for {where}")
+            for name in dict.fromkeys(names.ravel().tolist()):  # in order of first use
                 if name not in POLICY_NAMES:
                     raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-            per_row = np.asarray(policy)[..., None]
+            per_row = names[..., None]
             self.bdt, self.greedy = m.dual & (per_row == "bdt"), m.dual & (per_row == "greedy")
         super().__init__(m)
         if self.custom is not None:
@@ -188,10 +196,11 @@ def step(
     A policy name applies to the dual-connectivity UEs; single-link UEs
     always run the fixed-SINR update. A callable decides every UE. On a
     stack of networks (``stack_matrices``) ``policy`` may also hold one name
-    per network. ``step`` resolves ``m`` with the policy on every call;
-    ``run`` resolves them once and passes that batch in its place.
+    per network; any other shape of names raises ValueError. ``step``
+    resolves ``m`` with the policy on every call; ``run`` resolves them once
+    and passes that batch as ``m``, with ``policy`` None.
     """
-    b = policy if isinstance(policy, _Batch) else _Batch(m, policy)
+    b = m if isinstance(m, _Batch) else _Batch(m, policy)
     if b.custom is not None:
         p1, p2 = (np.asarray(p, dtype=float) for p in b.custom(b.m, now, report))
     else:
@@ -253,15 +262,9 @@ def run(
         raise ValueError("window must be >= 1")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if m.p_max.ndim == 1:  # one network runs as it is, a batch of one
-        return _iterate(m, policy, max_iter, eps, window, p0, sink)[0]
-    if callable(policy) or sink is not None:
+    if m.p_max.ndim > 1 and (callable(policy) or sink is not None):
         raise ValueError("a stack of networks takes policy names and no sink")
-    names = np.asarray(policy)
-    if names.ndim and len(names) != len(m.p_max):
-        raise ValueError(f"{len(names)} policy names for a stack of {len(m.p_max)} networks")
-    names = np.broadcast_to(names, m.p_max.shape[:1])
-    return _iterate(m, names, max_iter, eps, window, p0, None)
+    return _iterate(m, policy, max_iter, eps, window, p0, sink)
 
 
 # Iterates the detector's buffer holds before it first grows. It doubles
@@ -270,9 +273,10 @@ _HISTORY_START = 64
 
 
 def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
-             p0, sink) -> list[Trace]:
+             p0, sink) -> Trace | list[Trace]:
     """The iteration loop of ``run`` over the rows of a stack, or over one
-    network as a batch of one, handing every iterate to ``sink`` if given.
+    network as a batch of one, handing every iterate to ``sink`` if given;
+    the Trace of each row, or of the one network.
 
     The network and the policy are resolved once into a ``_Batch``. The
     iterate is the link pairs of ``compute_state``'s states, and its rates
@@ -296,7 +300,7 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     stable = np.zeros(b, dtype=int)
     iterations = 0
     for k in range(max_iter if n else 0):  # an empty network has nothing to iterate
-        now = step(m, now, batch, report)
+        now = step(batch, now, None, report)
         report = rate_differentials(batch, now.rate, None)
         if sink is not None:
             sink(now, report)
@@ -334,7 +338,7 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     verdict = Verdict(MAX_ITERATIONS) if n else Verdict(CONVERGED, iteration=0)
     for j, row in enumerate(rows.tolist()):
         traces[row] = _trace(batch, now, report, j, verdict, iterations)
-    return traces
+    return traces if m.p_max.ndim > 1 else traces[0]
 
 
 def _take(x, rows):

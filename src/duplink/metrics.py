@@ -28,7 +28,9 @@ Single-link UEs occupy regular rows/columns with their second-link entries
 the generator's or a ``Scenario``'s, with the same bits for the same
 network. It rejects a network on which some expression of a run could
 leave the float range: one table holds each such expression at the corner
-of the envelope d <= e <= worst where it is largest. Given a batch record
+of the envelope d <= e <= worst where it is largest. Its backhaul sums come
+from ``_max_flow``, the max-flow that ``rate_differentials`` forms, so the
+table checks the sums a run adds. Given a batch record
 (a sweep point's trials) it builds their stack in one pass, bit for bit
 the stacked networks; one scenario is a batch of one. A stack
 (``stack_matrices`` stacks built networks) holds networks of one layout,
@@ -132,7 +134,7 @@ class _Links:
     is dual) and ``index``, the bincount bin of every link: row b's PoA p is
     bin b * (n_poas + 1) + p, and an absent second link lands in the row's
     last bin, so one bincount of ``bins`` adds up a stack's link loads.
-    Shared: the capacities by bin, of the relays and of the macrocell.
+    Shared: the capacities by bin and of the relays.
     ``blocks``, found when first read (``rate_differentials`` reads
     none) and kept by ``take``, are the blocks f_xy, in the module
     docstring's order, that hold a nonzero in some row; a skipped block
@@ -142,7 +144,7 @@ class _Links:
     def __init__(self, m: CrossGainMatrices):
         self.m, self.n_poas = m, len(m.capacity)
         self.capacity_bins = np.append(m.capacity, 0.0)
-        self.cap_relays, self.cap_macro = m.capacity[m.relays], m.capacity[m.macro]
+        self.cap_relays = m.capacity[m.relays]
         self._derive()
 
     def _derive(self, rows=None) -> None:
@@ -150,10 +152,10 @@ class _Links:
         a take kept."""
         m = self.m
         batch = m.poa.shape[:-2]
-        rows = math.prod(batch)
+        count = math.prod(batch)
         self.single = None if m.dual.all() else ~m.dual
-        self.index = (m.poa + (self.n_poas + 1) * np.arange(rows).reshape(*batch, 1, 1)).ravel()
-        self.bins, self.bin_shape = rows * (self.n_poas + 1), (*batch, self.n_poas + 1)
+        self.index = (m.poa + (self.n_poas + 1) * np.arange(count).reshape(*batch, 1, 1)).ravel()
+        self.bins, self.bin_shape = count * (self.n_poas + 1), (*batch, self.n_poas + 1)
 
     @cached_property
     def blocks(self) -> tuple:
@@ -214,6 +216,17 @@ def _sum_left_to_right(x: np.ndarray) -> np.ndarray:
     if not x.shape[-1]:
         return np.zeros(x.shape[:-1])
     return np.add.accumulate(x, axis=-1)[..., -1]
+
+
+def _max_flow(capacity, load, relays, picos, macro) -> tuple[np.ndarray, np.ndarray]:
+    """The relay traffic carried into the macrocell and eta_n, the max-flow
+    of the two-tier backhaul, given the access load of each PoA by PoA index
+    in the last axis: each small cell carries min(capacity, load), relays
+    through the macrocell backhaul and picocells straight to the backbone."""
+    carried = np.minimum(capacity, load)
+    gamma = _sum_left_to_right(carried[..., relays])
+    return gamma, (np.minimum(capacity[macro], load[..., macro] + gamma)
+                   + _sum_left_to_right(carried[..., picos]))
 
 
 def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
@@ -296,9 +309,12 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
         rates = w_link * np.log2(1.0 + p_max / noise)  # each link's rate ceiling
         # The backhaul sums of rate_differentials, every link at its rate ceiling.
         load = np.bincount(bi * n_poas + poa_id - 1, rates, n_batch * n_poas).reshape(n_batch, -1)
-        carried = np.minimum(r.capacity, load)
-        relayed = load[:, r.macro] + _sum_left_to_right(carried[:, r.relays])
-        eta_n = np.minimum(r.capacity[r.macro], relayed) + _sum_left_to_right(carried[:, r.picos])
+        gamma, eta_n = _max_flow(r.capacity, load, r.relays, r.picos, r.macro)
+        in_use = np.zeros((n_batch, n_channels + 1), dtype=bool)  # by batch row and channel id
+        in_use[bi, chan] = True
+        # Added in channel order, as the scenario lists them.
+        bandwidth_in_use = _sum_left_to_right(np.where(
+            in_use[np.arange(n_batch)[:, None], r.chan_id], r.bandwidth, 0.0))
         # The range table: each row, per link, what a run evaluates, at the
         # corner of the envelope that makes it largest. A network's sums are
         # on each of its links.
@@ -313,9 +329,10 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
                   r.beta.ravel()[ui] * worst),
                  ("its PoA's load at every link's rate ceiling", load[bi, poa_id - 1]),
                  ("the macrocell's load plus relay traffic at every link's rate ceiling",
-                  relayed[bi]),
+                  (load[:, r.macro] + gamma)[bi]),
                  ("eta_n at every link's rate ceiling", eta_n[bi]),
-                 ("the sum of every UE's p_max", r.p_max.sum(axis=-1)[bi])]
+                 ("the sum of every UE's p_max", r.p_max.sum(axis=-1)[bi]),
+                 ("the summed bandwidth of the channels in use", bandwidth_in_use[bi])]
     values = np.array([v for _, v in table])
     if not (np.isfinite(values).all() and noise.all()):
         # A run would leave the float range: name the first bad entry by batch
@@ -327,16 +344,10 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
                          "out of floating-point range")
     f = np.zeros((n_batch, 2, 2, n, n))  # f[row, x - 1, y - 1] is f_xy: link x into link y
     f[bi[a], x[b], x[a], row[a], row[b]] = ratio
-    in_use = np.zeros((n_batch, n_channels + 1), dtype=bool)  # by batch row and channel id
-    in_use[bi, chan] = True
     m = CrossGainMatrices(
         f=f, d=d, w=w, poa=poa, dual=link_poa[..., 1] > 0, p_max=r.p_max, beta=r.beta,
         capacity=r.capacity, relays=r.relays, picos=r.picos, macro=r.macro, tau=r.tau, z=r.z,
-        ue_id=ue_id.copy(),
-        # Added in channel order, as the scenario lists them.
-        bandwidth_in_use=_sum_left_to_right(np.where(
-            in_use[np.arange(n_batch)[:, None], r.chan_id], r.bandwidth, 0.0)),
-    )
+        ue_id=ue_id.copy(), bandwidth_in_use=bandwidth_in_use)
     return replace(m.take(0), bandwidth_in_use=float(m.bandwidth_in_use[0])) if one else m
 
 

@@ -33,7 +33,7 @@ from enum import Enum
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -250,65 +250,57 @@ def _is_point(x) -> bool:
     return isinstance(x, (tuple, list)) and len(x) == 2 and all(map(_is_float64, x))
 
 
-# (what a field must be, its test); None is legal only in the optional fields.
-_INTEGER = ("an integer", _is_int)
-_NUMBER = ("a number", _is_number)
-_POINT = ("two numbers in float64 range", _is_point)
-_OPTIONAL = ("poa_2", "chan_2", "fixed_sinr_target")
+def _exactly(*types) -> Callable[[Iterable], bool]:
+    """A column test: every value's exact type is one of ``types``."""
+    allowed = set(types)
+    return lambda column: set(map(type, column)) <= allowed
 
 
-def _types_pass(s: Scenario) -> bool:
-    """Whether ``_type_errors`` would find nothing, told one column at a time
-    by exact type; False sends the check down its walk field by field, which
-    also settles what this does not accept (an int coordinate, a subclass)."""
-    def types(objs, *names) -> set:
-        return set(chain.from_iterable(map(type, map(attrgetter(name), objs)) for name in names))
+def _float_pairs(column: Iterable) -> bool:
+    """A column test: every value is a tuple or list of two floats."""
+    column = list(column)
+    return (set(map(type, column)) <= {tuple, list} and set(map(len, column)) <= {2}
+            and set(map(type, chain.from_iterable(column))) <= {float})
 
-    number, unset = {int, float}, type(None)
-    points = list(map(attrgetter("position"), [*s.poas, *s.ues]))
-    return all(found <= allowed for found, allowed in (
-        (types([s], "noise_psd", "tau", "z_factor"), number),
-        (types([*s.poas, *s.channels, *s.ues], "id") | types(s.ues, "poa_1", "chan_1"), {int}),
-        (types(s.ues, "poa_2", "chan_2"), {int, unset}),
-        (types(s.poas, "backhaul_capacity") | types(s.channels, "bandwidth")
-         | types(s.ues, "p_max"), number),
-        (types(s.ues, "fixed_sinr_target"), {*number, unset}),
-        (types(s.poas, "kind"), {PoAKind}),
-        (set(map(type, points)), {tuple, list}),
-    )) and set(map(len, points)) <= {2} and set(map(type, chain(*points))) <= {float}
+
+# A field rule: what the field must be, a test of its whole column by exact
+# types, and the test of one value, which also settles what the column test
+# does not accept (an int coordinate, a subclass). None is legal only where
+# the column test allows it.
+_INTEGER = ("an integer", _exactly(int), _is_int)
+_NUMBER = ("a number", _exactly(int, float), _is_number)
+_POINT = ("two numbers in float64 range", _float_pairs, _is_point)
+_KIND = (f"one of {', '.join(k.value for k in PoAKind)}", _exactly(PoAKind),
+         lambda x: isinstance(x, PoAKind))
+_LINK_2 = ("an integer", _exactly(int, type(None)), lambda x: x is None or _is_int(x))
+_TARGET = ("a number", _exactly(int, float, type(None)), lambda x: x is None or _is_number(x))
+
+# Per kind of object: the label of an object, the objects, and the rules of
+# their fields in message order.
+_FIELD_RULES = (
+    ("", lambda s: [s], (("noise_psd", _NUMBER), ("tau", _NUMBER), ("z_factor", _NUMBER))),
+    ("PoA {.id!r}: ", attrgetter("poas"), (("id", _INTEGER), ("backhaul_capacity", _NUMBER),
+                                           ("position", _POINT), ("kind", _KIND))),
+    ("channel {.id!r}: ", attrgetter("channels"), (("id", _INTEGER), ("bandwidth", _NUMBER))),
+    ("UE {.id!r}: ", attrgetter("ues"), (
+        ("id", _INTEGER), ("poa_1", _INTEGER), ("chan_1", _INTEGER), ("poa_2", _LINK_2),
+        ("chan_2", _LINK_2), ("p_max", _NUMBER), ("fixed_sinr_target", _TARGET),
+        ("position", _POINT))),
+)
 
 
 def _type_errors(s: Scenario) -> list[str]:
-    """One message per field of the wrong type: ids and links must be
-    integers and the other numbers int or float, never bool."""
-    if _types_pass(s):
-        return []
+    """One message per field of the wrong type, object by object: ids and
+    links must be integers and the other numbers int or float, never bool.
+    Only a column that fails its exact-type test is walked value by value."""
     bad: list[str] = []
-
-    def check(label: str, obj, names: tuple[str, ...], rule) -> None:
-        kind, ok = rule
-        for name in names:
-            value = getattr(obj, name)
-            if not (ok(value) or (value is None and name in _OPTIONAL)):
-                bad.append(f"{label}{name} must be {kind}, got {value!r}")
-
-    check("", s, ("noise_psd", "tau", "z_factor"), _NUMBER)
-    for p in s.poas:
-        label = f"PoA {p.id!r}: "
-        check(label, p, ("id",), _INTEGER)
-        check(label, p, ("backhaul_capacity",), _NUMBER)
-        check(label, p, ("position",), _POINT)
-        if not isinstance(p.kind, PoAKind):
-            bad.append(f"{label}kind must be one of "
-                       f"{', '.join(k.value for k in PoAKind)}, got {p.kind!r}")
-    for c in s.channels:
-        check(f"channel {c.id!r}: ", c, ("id",), _INTEGER)
-        check(f"channel {c.id!r}: ", c, ("bandwidth",), _NUMBER)
-    for u in s.ues:
-        label = f"UE {u.id!r}: "
-        check(label, u, ("id", "poa_1", "chan_1", "poa_2", "chan_2"), _INTEGER)
-        check(label, u, ("p_max", "fixed_sinr_target"), _NUMBER)
-        check(label, u, ("position",), _POINT)
+    for label, objects, rules in _FIELD_RULES:
+        objs = objects(s)
+        walk = [(name, words, ok) for name, (words, fits, ok) in rules
+                if not fits(map(attrgetter(name), objs))]
+        bad += [f"{label.format(obj)}{name} must be {words}, got {value!r}"
+                for obj in (objs if walk else ()) for name, words, ok in walk
+                if not ok(value := getattr(obj, name))]
     return bad
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duplink
 from duplink import (POLICY_NAMES, GenParams, build_matrices, build_system, engine, generate,
@@ -247,6 +250,10 @@ class TestRunCommand:
             gains = {(1, 1, 1): 1e-10, (1, 3, 2): 1e-10, (2, 2, 1): 1e-10, (1, 2, 1): 1e-9,
                      (2, 1, 1): 1e-30}
             return layout_file([(100.0, (1, 1), (3, 2)), (1.0, (2, 1), 1e307)], 1e6, 1e-25, gains)
+        if case == "bandwidth_in_use":  # each UE's pair and rates are finite; 7 channels are not
+            return scenario_to_dict(generate(GenParams(
+                n_ues=6, seed=1, p_max=4e-20, noise_psd=1e-320, gain_scale=1e12,
+                bandwidth_choices=(4e307,))))
         if case in ("power_sum", "unlimited_load"):  # own gains 1, cross gains 1e-300
             own = {(1, 1, 1), (1, 3, 2), (2, 3, 1), (2, 2, 2)}
             gains = {(u, p, c): 1.0 if (u, p, c) in own else 1e-300
@@ -310,6 +317,7 @@ class TestRunCommand:
                               "interference is inf"),
         ("unlimited_load", "UE 1 link 2: its PoA's load at every link's rate ceiling is inf"),
         ("power_sum", "UE 1 link 1: the sum of every UE's p_max is inf"),
+        ("bandwidth_in_use", "UE 1 link 1: the summed bandwidth of the channels in use is inf"),
     ])
     def test_link_beyond_float_range_is_validation_error(self, tmp_path, capsys, case,
                                                          message):
@@ -691,6 +699,27 @@ def fuzz_outcomes(files):
     return outcomes
 
 
+@st.composite
+def scaled_generated(draw):
+    """A small ``generate`` or ``generate_mixed`` scenario whose noise PSD,
+    p_max, gain scale, bandwidth choices, capacities and SINR targets are
+    the defaults scaled by 10^U(-300, 300), each within ``_check_params``'
+    rules (a capacity may overflow to inf, which is legal)."""
+    def scale(value):
+        return value * 10.0 ** draw(st.floats(-300, 300))
+
+    cells = draw(st.integers(1, 3))
+    n_relays = draw(st.integers(0, cells))
+    params = GenParams(n_ues=draw(st.integers(0, 4)), n_relays=n_relays, n_picos=cells - n_relays,
+                       bandwidth_choices=tuple(map(scale, (1e6, 5e6)[:draw(st.integers(1, 2))])),
+                       eta_relay=scale(100e6), eta_pico=scale(200e6), eta_macro=scale(1000e6),
+                       p_max=scale(1.0), noise_psd=scale(1e-19), gain_scale=scale(100.0),
+                       seed=draw(st.integers(0, 2 ** 31)))
+    n_fixed = draw(st.integers(0, 3))
+    beta_range = tuple(sorted((scale(1.0), scale(4.0))))
+    return generate_mixed(params, n_fixed, beta_range) if n_fixed else generate(params)
+
+
 class TestMagnitudeFuzz:
     """Every file of the fuzz families stops at validation (exit 3), or runs
     every policy and the equilibrium payload with finite numbers and no
@@ -712,6 +741,15 @@ class TestMagnitudeFuzz:
         assert sum(v == 0 for v in outcomes.values()) > 50
         assert any(v == 0 and any(p.backhaul_capacity == math.inf for p in files[k].poas)
                    for k, v in outcomes.items())
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(scaled_generated())
+    def test_scaled_generated_file_stops_or_runs_clean(self, s):
+        # The saved file as duplink run reads it; numpy warnings raise anywhere.
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_scenario(s, path := Path(tmp) / "scenario.json")
+            assert fuzz_outcomes([load_scenario(path)])[0] in (0, 3, "system")
 
     def test_fixed_sinr_target_out_of_range_is_validation_error(self):
         # Coupled file 232: beta * e overflowed in the fixed-SINR update, and

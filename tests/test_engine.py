@@ -552,6 +552,27 @@ class TestLockstep:
                                                  "of 3 networks$"):
                 run(stack, names)
 
+    def test_names_are_one_name_or_one_per_network(self):
+        # run and step take the same shapes: one name, or on a stack one name
+        # per network.
+        m = build_matrices(worked_example())
+        stack = stack_matrices([m] * 3)
+        for net, names, message in (
+                (m, ["bdt"], "^1 policy names for one network$"),
+                (m, ["wf", "greedy"], "^2 policy names for one network$"),
+                (stack, ["wf"], "^1 policy names for a stack of 3 networks$"),
+                (stack, [["wf"]] * 3,
+                 r"^an array of shape \(3, 1\) of policy names for a stack of 3 networks$")):
+            now = initial_state(net)
+            report = rate_differentials(net, now.rate1, now.rate2)
+            with pytest.raises(ValueError, match=message):
+                run(net, names)
+            with pytest.raises(ValueError, match=message):
+                step(net, now, names, report)
+        now = initial_state(stack)
+        report = rate_differentials(stack, now.rate1, now.rate2)
+        assert np.array_equal(step(stack, now, ["wf"] * 3, report).p, step(stack, now, "wf", report).p)
+
     def test_stack_takes_no_sink(self):
         stack = stack_matrices([build_matrices(worked_example())] * 2)
         with pytest.raises(ValueError, match="no sink"):
