@@ -22,8 +22,8 @@ backhaul-state transmission policy:
 
 where "tolerable" means -tau <= V < 0 and "overloaded" means V < -tau.
 A report holds each UE's pair as a (..., n, 2) link pair, ``v_links``.
-``rate_differentials`` resolves the network it is given on each call, and
-reads no coupling block; ``run`` passes its batch as the network, with its
+``rate_differentials`` reads no coupling block of the network it resolves
+(``metrics._Links``); ``run`` passes its batch as the network, with its
 link-pair rates and None.
 """
 
@@ -63,17 +63,17 @@ _STATE_TABLE = np.array([
 ])
 
 
-def _level(v, neg_tau):
-    """0, 1 or 2 per the table above, for a scalar or an array of V, given
-    -tau."""
-    return np.add(v >= neg_tau, v >= 0, dtype=np.int8)
+def _level(v, tau):
+    """0, 1 or 2 per the table above, for a scalar or an array of V;
+    ValueError unless tau > 0 (a NaN tau included)."""
+    if not tau > 0:
+        raise ValueError("tau must be > 0")
+    return np.add(v >= -tau, v >= 0, dtype=np.int8)
 
 
 def classify_state(v1: float, v2: float, tau: float) -> BackhaulState:
     """Unique backhaul state for a pair of rate differentials."""
-    if not tau > 0:  # NaN too
-        raise ValueError("tau must be > 0")
-    return BackhaulState(int(_STATE_TABLE[_level(v1, -tau), _level(v2, -tau)]))
+    return BackhaulState(int(_STATE_TABLE[_level(v1, tau), _level(v2, tau)]))
 
 
 @dataclass
@@ -116,17 +116,15 @@ def rate_differentials(
     """
     k, rates = _pair(m, rate1, rate2, "rate")
     m = k.m
-    if not m.tau > 0:  # NaN too
-        raise ValueError("tau must be > 0")
     load = np.bincount(k.index, rates.ravel(), k.bins).reshape(k.bin_shape)
     gamma, eta_n = _max_flow(m.capacity, load[..., :-1], m.relays, m.picos, m.macro)
     v = k.capacity_bins - load
     v[..., -1] = 0.0  # the last bin, where no PoA is, reads V = 0
     v[..., m.macro] -= gamma
     headroom = np.maximum(v[..., m.macro], 0.0)[..., None]
-    v[..., m.relays] = np.minimum(k.cap_relays, headroom) - load[..., m.relays]
+    v[..., m.relays] = np.minimum(m.capacity[m.relays], headroom) - load[..., m.relays]
     v_links = v.ravel()[k.index].reshape(rates.shape)  # V of each link's PoA
-    level = _level(v_links, -m.tau)
+    level = _level(v_links, m.tau)
     state = _STATE_TABLE[level[..., 0], level[..., 1]]
     if k.single is not None:
         state = np.where(k.single, 0, state)

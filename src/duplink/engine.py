@@ -8,42 +8,38 @@ vector has been stable for a window of iterations, or is flagged as
 oscillating when it revisits an earlier, non-adjacent iterate without
 settling.
 
-One loop serves every run: it advances a stack of networks in lockstep,
-each row as if alone, and one network runs unstacked as a batch of one that
-hands every iterate to a sink, such as ``TraceCsv``. A Monte Carlo sweep
-runs all trials and policies of a sweep point as one stack.
+One loop, ``run``'s, serves every run: it advances a stack of networks in
+lockstep, each row as if alone, and one network runs unstacked as a batch
+of one that hands every iterate to a sink, such as ``TraceCsv``. A Monte
+Carlo sweep runs all trials and policies of a sweep point as one stack.
 
 ``step`` takes a policy name, one name per network of a stack, or a
-callable, and resolves it with the network into a batch (``_Batch``) on
-each call: the resolved network (``metrics._Links``) plus which rule each
-UE runs and the rules' fixed terms, once the names' shape and the
-arguments that stay fixed are checked (bandwidths and budgets of the dual
-UEs, bdt's z, the single-link UEs' SINR targets). ``run`` resolves the
-batch once, as it starts, and every layer takes a network or that batch as
-``m``: it calls ``initial_state``, ``step``, ``compute_state`` and
-``rate_differentials`` by their names in this module with the batch as
-``m`` and the iterate, the (..., n, 2) link pairs of a ``PowerState`` and a
-``BackhaulReport``; only the batch passes a link pair with its second
-array None. A network that leaves takes its rows of the
-network (``CrossGainMatrices.take``), of the rule masks, of the iterate and
-of the detector's history with it. The checks that depend on the iterate
-run at every step: the power budget of each decision, an active link's
-interference in ``compute_state``, and, where some effective interference
-is <= 0, the rules' check that it is > 0.
+callable. ``run`` resolves the network and the policy once into a batch
+(``_Batch``: the resolved network plus which rule each UE runs and the
+rules' fixed terms, once the names' shape and the arguments that stay
+fixed are checked) and passes it as ``m`` to ``initial_state``, ``step``,
+``compute_state`` and ``rate_differentials``, by their names in this
+module, with the iterate as link pairs; only the batch passes a link pair
+with its second array None. What a batch derives, and what it keeps when a
+network leaves with its verdict, is stated in ``metrics._Links``; the
+iterate and the report leave by ``metrics._take``. The checks that depend
+on the iterate run at every step: the power budget of each decision, an
+active link's interference in ``compute_state``, and, where some effective
+interference is <= 0, the rules' check that it is > 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .backhaul import BackhaulReport, BackhaulState, rate_differentials
-from .metrics import (_PER_NETWORK, CrossGainMatrices, PowerState, _Links, build_matrices,
-                      compute_state)
-from .network import _reprs
+from .metrics import (_PER_NETWORK, CrossGainMatrices, PowerState, _Links, _take,
+                      build_matrices, compute_state)
+from .network import _POSITIVE, _integers, _reprs
 from .policies import (POLICY_NAMES, _bdt, _bdt_coefficients, _check_beta, _check_budget,
                        _check_interference, _check_z, _fm, _greedy, _rate_cap, _waterfill)
 from .scenarios import GenParams, _draw
@@ -146,7 +142,7 @@ class _Batch(_Links):
         _check_budget(m.p_max[m.dual], m.w1[m.dual], m.w2[m.dual])
         if self.bdt is not None:
             _check_z(z := np.asarray(m.z, dtype=float))
-            self.bdt_table = np.moveaxis(_bdt_coefficients(np.arange(1, 10), z), 0, -1)
+            self.bdt_table = _bdt_coefficients(np.arange(1, 10), z)
         if self.single is not None:
             _check_beta(m.beta[self.single])
         x, y = np.max([(-1, -1), *self.blocks], axis=0) + 1
@@ -220,13 +216,9 @@ def step(
     return compute_state(b, p, None)
 
 
-def _integers(**values) -> list[int]:
-    """The values as Python ints; TypeError naming the first that is not an
-    int or a numpy integer (a bool is neither)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    return [int(value) for value in values.values()]
+# Iterates the detector's buffer holds before it first grows. It doubles
+# when full, so its memory follows the iterations actually run.
+_HISTORY_START = 64
 
 
 def run(
@@ -242,7 +234,8 @@ def run(
 
     ``policy`` is a name from ``POLICY_NAMES`` or a callable
     ``policy(m, now, report) -> (p1, p2)`` over all UEs. ``max_iter`` and
-    ``window`` are ints or numpy integers (TypeError otherwise).
+    ``window`` are ints or numpy integers, and ``eps`` a number, never a
+    bool (TypeError otherwise).
     Convergence requires the infinity-norm power step to stay below ``eps``
     for ``window`` consecutive iterations. Oscillation is declared when the
     trajectory returns to within ``eps`` of an earlier, non-adjacent iterate
@@ -253,37 +246,21 @@ def run(
     On a stack of networks (``stack_matrices``) ``policy`` is a name or one
     name per network, and the networks iterate in lockstep, each as if
     alone; a network leaves the batch once it has its verdict. The result
-    is one Trace per network; a stack takes no sink.
+    is one Trace per network; a stack takes no sink. One loop serves both,
+    one network being a batch of one (see the module docstring).
     """
     max_iter, window = _integers(max_iter=max_iter, window=window)
+    if isinstance(eps, bool) or not isinstance(eps, (int, float, np.integer, np.floating)):
+        raise TypeError(f"eps must be a number, got {eps!r}")
+    eps = eps.item() if isinstance(eps, np.generic) else eps  # the value rule takes int or float
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not _POSITIVE.ok(eps):
+        raise ValueError(_POSITIVE.error("eps", eps))
     if m.p_max.ndim > 1 and (callable(policy) or sink is not None):
         raise ValueError("a stack of networks takes policy names and no sink")
-    return _iterate(m, policy, max_iter, eps, window, p0, sink)
-
-
-# Iterates the detector's buffer holds before it first grows. It doubles
-# when full, so its memory follows the iterations actually run.
-_HISTORY_START = 64
-
-
-def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: int,
-             p0, sink) -> Trace | list[Trace]:
-    """The iteration loop of ``run`` over the rows of a stack, or over one
-    network as a batch of one, handing every iterate to ``sink`` if given;
-    the Trace of each row, or of the one network.
-
-    The network and the policy are resolved once into a ``_Batch``. The
-    iterate is the link pairs of ``compute_state``'s states, and its rates
-    go to ``rate_differentials`` as they are. A network with its verdict
-    leaves: the batch, the state, the report and the detector's history
-    keep the other rows.
-    """
     n = m.n
     b = math.prod(m.p_max.shape[:-1])
     batch = _Batch(m, policy)
@@ -339,14 +316,6 @@ def _iterate(m: CrossGainMatrices, policy, max_iter: int, eps: float, window: in
     for j, row in enumerate(rows.tolist()):
         traces[row] = _trace(batch, now, report, j, verdict, iterations)
     return traces if m.p_max.ndim > 1 else traces[0]
-
-
-def _take(x, rows):
-    """The PowerState or BackhaulReport ``x`` of a stack at ``rows``; at one
-    row, its scalars become floats."""
-    one = np.ndim(rows) == 0
-    return type(x)(*(float(value[rows]) if one and value.ndim == 1 else value[rows]
-                     for value in (getattr(x, f.name) for f in fields(x))))
 
 
 def _trace(batch: _Batch, now: PowerState, report: BackhaulReport, j: int,

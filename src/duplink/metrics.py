@@ -18,8 +18,8 @@ nonzero are multiplied, in the order above; on a generated scenario that is
 ``f11`` alone, since no link-1 channel is a macrocell channel and macrocell
 channels are private. ``compute_state`` derives SINR and rate of both links
 in one pass, and a ``PowerState`` holds these link pairs as its fields.
-Each public call resolves the network it is given (``_Links``), so it sees
-an in-place edit of the arrays; ``run`` resolves its network once.
+How a call resolves the network it is given, and how rows of a stack are
+taken, is stated once, in ``_Links`` and ``_take``.
 
 Single-link UEs occupy regular rows/columns with their second-link entries
 (d2, w2, and all f-blocks involving link 2) identically zero.
@@ -57,6 +57,22 @@ def _link(pair: str, *links: int) -> property:
     links x and y, of its block f_xy."""
     at = (..., *(x - 1 for x in links), *(slice(None),) * (2 * len(links) - 2))
     return property(lambda self: getattr(self, pair)[at], doc=f"{pair} of link(s) {links}")
+
+
+def _take(x, rows):
+    """The rows ``rows`` of a stack's ``CrossGainMatrices``, ``PowerState``
+    or ``BackhaulReport`` ``x``, as a new object of its type: the one take
+    of a stack, for ``CrossGainMatrices.take``, a run's leaves and its
+    finished rows. Every field but the network's shared ones (``_SHARED``)
+    takes ``rows`` on its leading batch axis. Given indices or a mask, the
+    fields are copies. Given one index, they are views, and a field with
+    one value per network becomes a float, as on one network
+    (``bandwidth_in_use``) or its report (``eta_n``)."""
+    one = np.ndim(rows) == 0
+    # The field names in order, without the cost of a fields(x) call.
+    return type(x)(*(value if name in _SHARED else float(value[rows]) if one and value.ndim == 1
+                     else value[rows]
+                     for name in x.__dataclass_fields__ for value in (getattr(x, name),)))
 
 
 @dataclass
@@ -114,9 +130,7 @@ class CrossGainMatrices:
     def n(self) -> int:
         return self.p_max.shape[-1]
 
-    def take(self, rows) -> CrossGainMatrices:
-        """The networks at ``rows`` (indices or a mask) of a stack."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in _PER_NETWORK})
+    take = _take
 
 
 # The backhaul layout and the policy constants, which every network of a
@@ -128,34 +142,39 @@ _BLOCKS = ((0, 0), (1, 0), (1, 1), (0, 1))  # f11, f21, f22, f12 as (x - 1, y - 
 
 
 class _Links:
-    """A network or a stack ``m`` resolved for ``compute_state`` and
-    ``rate_differentials``: once per public call, and once per ``run`` as its
-    ``_Batch``, which adds the rules. Per row: ``single`` (None when every UE
-    is dual) and ``index``, the bincount bin of every link: row b's PoA p is
-    bin b * (n_poas + 1) + p, and an absent second link lands in the row's
-    last bin, so one bincount of ``bins`` adds up a stack's link loads.
-    Shared: the capacities by bin and of the relays.
-    ``blocks``, found when first read (``rate_differentials`` reads
-    none) and kept by ``take``, are the blocks f_xy, in the module
-    docstring's order, that hold a nonzero in some row; a skipped block
-    would add +0.0 to a sum that starts at d >= +0.0.
+    """A network or a stack ``m`` resolved: what the layers read besides its
+    arrays. This docstring states how a network is resolved and taken; the
+    ``engine`` and ``backhaul`` docstrings and the README point here.
+
+    A public call (``compute_state``, ``rate_differentials``, ``step``, ...)
+    resolves the network it is given, so it sees an in-place edit of the
+    arrays. ``run`` resolves its network once, as its ``_Batch``, which adds
+    the rules; it reads the arrays in place, and an edit made while it runs
+    reaches them but not what was derived from them. ``_derive`` sets all
+    that follows from the arrays: the single-link mask ``single`` (None
+    when every UE is dual); the bincount bin ``index`` of every link, where
+    row b's PoA p is bin b * (PoAs + 1) + p and an absent second link lands
+    in the row's last bin, so one bincount of ``bins`` adds up a stack's
+    link loads; and the capacities by bin. ``blocks``, found when first
+    read (``rate_differentials`` reads none), are the blocks f_xy, in the
+    module docstring's order, that hold a nonzero in some row; a skipped
+    block would add +0.0 to a sum that starts at d >= +0.0. ``take`` keeps
+    rows of a stack: the network's (``_take``), then ``_derive`` again;
+    ``blocks`` alone is kept as it was.
     """
 
     def __init__(self, m: CrossGainMatrices):
-        self.m, self.n_poas = m, len(m.capacity)
-        self.capacity_bins = np.append(m.capacity, 0.0)
-        self.cap_relays = m.capacity[m.relays]
+        self.m = m
         self._derive()
 
     def _derive(self, rows=None) -> None:
-        """Set what follows from the per-row arrays of ``m``, whose ``rows``
-        a take kept."""
+        """Set what follows from ``m``, whose ``rows`` a take kept."""
         m = self.m
-        batch = m.poa.shape[:-2]
-        count = math.prod(batch)
+        batch, per_row = m.poa.shape[:-2], len(m.capacity) + 1
+        self.bins, self.bin_shape = math.prod(batch) * per_row, (*batch, per_row)
         self.single = None if m.dual.all() else ~m.dual
-        self.index = (m.poa + (self.n_poas + 1) * np.arange(count).reshape(*batch, 1, 1)).ravel()
-        self.bins, self.bin_shape = count * (self.n_poas + 1), (*batch, self.n_poas + 1)
+        self.index = (m.poa + np.arange(0, self.bins, per_row).reshape(*batch, 1, 1)).ravel()
+        self.capacity_bins = np.concatenate((m.capacity, [0.0]))
 
     @cached_property
     def blocks(self) -> tuple:
@@ -165,7 +184,7 @@ class _Links:
     def take(self, rows: np.ndarray):
         """The rows at the indices ``rows`` of a stack, as a new object."""
         out = copy.copy(self)
-        out.m = self.m.take(rows)
+        out.m = _take(self.m, rows)
         out._derive(rows)
         return out
 
@@ -348,7 +367,7 @@ def build_matrices(s: Scenario | ScenarioArrays) -> CrossGainMatrices:
         f=f, d=d, w=w, poa=poa, dual=link_poa[..., 1] > 0, p_max=r.p_max, beta=r.beta,
         capacity=r.capacity, relays=r.relays, picos=r.picos, macro=r.macro, tau=r.tau, z=r.z,
         ue_id=ue_id.copy(), bandwidth_in_use=bandwidth_in_use)
-    return replace(m.take(0), bandwidth_in_use=float(m.bandwidth_in_use[0])) if one else m
+    return m.take(0) if one else m
 
 
 def _apply(f: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -201,8 +201,8 @@ class Scenario:
     ``gains`` holds the dimensionless channel power gain of each
     (transmitter UE id, receiver PoA id, channel id) path as sorted arrays
     (``Gains``). ``tau`` is the tolerable backhaul overload (bit/s) and
-    ``z_factor`` the multiplicative power reduction constant in (0, 1) used
-    by the backhaul-state policy.
+    ``z_factor`` the multiplicative power reduction constant of the
+    backhaul-state policy (its rule is ``_FRACTION``).
     """
 
     poas: list[PoA]
@@ -229,6 +229,15 @@ class Scenario:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integers(**values) -> list[int]:
+    """The values as Python ints; TypeError naming the first that is not an
+    int or a numpy integer (a bool is neither)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in values.values()]
 
 
 def _is_number(x) -> bool:
@@ -263,17 +272,37 @@ def _float_pairs(column: Iterable) -> bool:
             and set(map(type, chain.from_iterable(column))) <= {float})
 
 
-# A field rule: what the field must be, a test of its whole column by exact
-# types, and the test of one value, which also settles what the column test
-# does not accept (an int coordinate, a subclass). None is legal only where
-# the column test allows it.
-_INTEGER = ("an integer", _exactly(int), _is_int)
-_NUMBER = ("a number", _exactly(int, float), _is_number)
-_POINT = ("two numbers in float64 range", _float_pairs, _is_point)
-_KIND = (f"one of {', '.join(k.value for k in PoAKind)}", _exactly(PoAKind),
-         lambda x: isinstance(x, PoAKind))
-_LINK_2 = ("an integer", _exactly(int, type(None)), lambda x: x is None or _is_int(x))
-_TARGET = ("a number", _exactly(int, float, type(None)), lambda x: x is None or _is_number(x))
+class _Rule(NamedTuple):
+    """A rule on a value: what the value must be (its words), the test of
+    one value, and for a field's type a test of its whole column by exact
+    types. A value that fails the rule is named in one form (``error``)."""
+
+    words: str
+    ok: Callable[[object], bool]
+    fits: Optional[Callable[[Iterable], bool]] = None
+
+    def error(self, name: str, value) -> str:
+        """The message for ``value`` of ``name``, which breaks the rule."""
+        return f"{name} must be {self.words}, got {value!r}"
+
+
+# A field rule: the column test settles most columns at once, and the
+# value test also settles what it does not accept (an int coordinate, a
+# subclass). None is legal only where the column test allows it.
+_INTEGER = _Rule("an integer", _is_int, _exactly(int))
+_NUMBER = _Rule("a number", _is_number, _exactly(int, float))
+_POINT = _Rule("two numbers in float64 range", _is_point, _float_pairs)
+_KIND = _Rule(f"one of {', '.join(k.value for k in PoAKind)}", lambda x: isinstance(x, PoAKind),
+              _exactly(PoAKind))
+_LINK_2 = _Rule("an integer", lambda x: x is None or _is_int(x), _exactly(int, type(None)))
+_TARGET = _Rule("a number", lambda x: x is None or _is_number(x), _exactly(int, float, type(None)))
+
+# The value rules of the scenario fields, which ``validate_scenario``
+# applies once the types pass (an int or a float, whose repr is its str),
+# and of the generator's parameters that fill them.
+_POSITIVE = _Rule("finite and > 0", _positive)
+_CAPACITY = _Rule(">= 0 (inf for unlimited)", lambda x: x in (0, math.inf) or _positive(x))
+_FRACTION = _Rule("in (0, 1)", lambda x: _positive(x) and x < 1)
 
 # Per kind of object: the label of an object, the objects, and the rules of
 # their fields in message order.
@@ -296,11 +325,10 @@ def _type_errors(s: Scenario) -> list[str]:
     bad: list[str] = []
     for label, objects, rules in _FIELD_RULES:
         objs = objects(s)
-        walk = [(name, words, ok) for name, (words, fits, ok) in rules
-                if not fits(map(attrgetter(name), objs))]
-        bad += [f"{label.format(obj)}{name} must be {words}, got {value!r}"
-                for obj in (objs if walk else ()) for name, words, ok in walk
-                if not ok(value := getattr(obj, name))]
+        walk = [(name, rule) for name, rule in rules if not rule.fits(map(attrgetter(name), objs))]
+        bad += [rule.error(f"{label.format(obj)}{name}", value)
+                for obj in (objs if walk else ()) for name, rule in walk
+                if not rule.ok(value := getattr(obj, name))]
     return bad
 
 
@@ -312,7 +340,7 @@ def _gain_errors(s: Scenario) -> list[str]:
     valid = (values > 0) & (values < math.inf)
     return ([f"gain ({u},{p},{c}) names no UE, PoA or channel of the scenario"
              for u, p, c in keys[~known].tolist()]
-            + [f"gain ({u},{p},{c}) must be finite and > 0, got {g!r}"
+            + [_POSITIVE.error(f"gain ({u},{p},{c})", g)
                for (u, p, c), g in zip(keys[~valid].tolist(), values[~valid].tolist())])
 
 
@@ -327,6 +355,7 @@ def validate_scenario(s: Scenario) -> list[str]:
     bad = _type_errors(s)
     if bad:
         return bad
+    positive = _POSITIVE.ok  # the test of the rule, looked up once
 
     # PoA id layout: relays 1..Nr, picocells Nr+1..Nr+Np, one macrocell last.
     n_r = len(s.relays())
@@ -345,20 +374,15 @@ def validate_scenario(s: Scenario) -> list[str]:
                 bad.append(f"picocell {p.id}: picocell ids must be {n_r + 1}..{n_r + n_p}")
             if p.kind is PoAKind.MACROCELL and p.id != n_r + n_p + 1:
                 bad.append(f"macrocell {p.id}: macrocell id must be {n_r + n_p + 1}")
-    for p in s.poas:
-        cap = p.backhaul_capacity
-        if not (cap in (0, math.inf) or _positive(cap)):
-            bad.append(f"PoA {p.id}: backhaul_capacity must be >= 0 "
-                       f"(inf for unlimited), got {cap}")
+    bad += [_CAPACITY.error(f"PoA {p.id}: backhaul_capacity", p.backhaul_capacity)
+            for p in s.poas if not _CAPACITY.ok(p.backhaul_capacity)]
 
     chan_ids = {c.id for c in s.channels}
     if sorted(chan_ids) != list(range(1, len(s.channels) + 1)):
         bad.append(f"channel ids must be 1..{len(s.channels)}, "
                    f"got {sorted(c.id for c in s.channels)}")
-    for c in s.channels:
-        if not _positive(c.bandwidth):
-            bad.append(f"channel {c.id}: bandwidth must be finite and > 0, "
-                       f"got {c.bandwidth}")
+    bad += [_POSITIVE.error(f"channel {c.id}: bandwidth", c.bandwidth)
+            for c in s.channels if not positive(c.bandwidth)]
 
     ue_ids = [u.id for u in s.ues]
     if sorted(ue_ids) != list(range(1, len(s.ues) + 1)):
@@ -366,8 +390,8 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     poa_ids = {p.id for p in s.poas}
     for u in s.ues:
-        if not _positive(u.p_max):
-            bad.append(f"UE {u.id}: p_max must be finite and > 0, got {u.p_max}")
+        if not positive(u.p_max):
+            bad.append(_POSITIVE.error(f"UE {u.id}: p_max", u.p_max))
         if u.poa_1 not in poa_ids:
             bad.append(f"UE {u.id}: unknown PoA {u.poa_1} on link 1")
         if u.chan_1 not in chan_ids:
@@ -386,9 +410,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         else:
             if u.fixed_sinr_target is None:
                 bad.append(f"UE {u.id}: single-link UE needs fixed_sinr_target")
-            elif not _positive(u.fixed_sinr_target):
-                bad.append(f"UE {u.id}: fixed_sinr_target must be finite and > 0, "
-                           f"got {u.fixed_sinr_target}")
+            elif not positive(u.fixed_sinr_target):
+                bad.append(_POSITIVE.error(f"UE {u.id}: fixed_sinr_target", u.fixed_sinr_target))
 
     # No two UEs may transmit to the same PoA on the same channel.
     used: dict[tuple[int, int], tuple[int, int]] = {}
@@ -409,12 +432,9 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     bad += _gain_errors(s)
 
-    if not _positive(s.noise_psd):
-        bad.append(f"noise_psd must be finite and > 0, got {s.noise_psd}")
-    if not _positive(s.tau):
-        bad.append(f"tau must be finite and > 0, got {s.tau}")
-    if not (_positive(s.z_factor) and s.z_factor < 1):
-        bad.append(f"z_factor must be in (0, 1), got {s.z_factor}")
+    bad += [rule.error(name, value) for name, value, rule in (
+        ("noise_psd", s.noise_psd, _POSITIVE), ("tau", s.tau, _POSITIVE),
+        ("z_factor", s.z_factor, _FRACTION)) if not rule.ok(value)]
 
     return bad
 

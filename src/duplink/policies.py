@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .network import _FRACTION
+
 # Exponent guard: 2**x overflows float64 near x = 1024.
 _MAX_EXP = 512.0
 
@@ -43,7 +45,7 @@ def _check_budget(p_max, w1, w2):
 
 def _check_z(z):
     if not ((0.0 < z) & (z < 1.0)).all():
-        raise ValueError("z must be in (0, 1)")
+        raise ValueError(f"z must be {_FRACTION.words}")
 
 
 def _check_beta(beta):
@@ -117,10 +119,10 @@ def greedy_update(p_max, e1, e2, w1, w2, v1_plus, v2_plus):
 
 
 def _bdt_table(z: float) -> np.ndarray:
-    """Backhaul-state policy as a table: per state S1..S9 and link, the
-    coefficients of (p1, p2, p_max) in that link's next power. Every entry
-    is affine in z."""
-    return np.array([
+    """Backhaul-state policy as a table: per link and coefficient of (p1,
+    p2, p_max) in that link's next power, the entry of each state S1..S9,
+    (2, 3, 9). Every entry is affine in z."""
+    return np.moveaxis(np.array([
         [[0, 0, 0], [0, 0, 0]],      # S1: waterfill (row unused)
         [[1, 0, 0], [-1, 0, 1]],     # S2: hold p1, p2 takes the rest of the budget
         [[0, -1, 1], [0, 1, 0]],     # S3: hold p2, p1 takes the rest
@@ -130,7 +132,7 @@ def _bdt_table(z: float) -> np.ndarray:
         [[1, 0, 0], [0, z, 0]],      # S7: hold p1, scale p2
         [[z, 0, 0], [0, 1, 0]],      # S8: scale p1, hold p2
         [[z, 0, 0], [0, z, 0]],      # S9: scale both
-    ], dtype=float)
+    ], dtype=float), 0, -1)
 
 
 _BDT_CONST = _bdt_table(0.0)
@@ -138,8 +140,9 @@ _BDT_Z = _bdt_table(1.0) - _BDT_CONST
 
 
 def _bdt_coefficients(state, z):
-    """The table rows of ``state`` under the factor ``z``, (..., 2, 3)."""
-    return _BDT_CONST[state - 1] + z[..., None, None] * _BDT_Z[state - 1]
+    """The table entries of ``state`` under the factor ``z``, (2, 3, ...);
+    ``z`` broadcasts against ``state``."""
+    return _BDT_CONST[..., state - 1] + z * _BDT_Z[..., state - 1]
 
 
 def _bdt(c, p1_now, p2_now, p_max):
@@ -164,8 +167,7 @@ def bdt_update(state, p1_now, p2_now, p_max, e1, e2, w1, w2, z):
     if ((state < 1) | (state > 9)).any():
         raise ValueError(f"unknown state in {state}")
     p1_now, p2_now, p_max = (np.asarray(a, dtype=float) for a in (p1_now, p2_now, p_max))
-    c = _bdt_coefficients(state, z)
-    p1, p2 = _bdt(np.moveaxis(c, (-2, -1), (0, 1)), p1_now, p2_now, p_max)
+    p1, p2 = _bdt(_bdt_coefficients(state, z), p1_now, p2_now, p_max)
     s1 = state == 1
     if s1.any():
         wf1, wf2 = waterfill(p_max, e1, e2, w1, w2)

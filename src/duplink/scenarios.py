@@ -52,7 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import UE, Channel, Gains, PoA, PoAKind, Scenario, ScenarioArrays, _positive
+from .network import (_CAPACITY, _FRACTION, _POSITIVE, UE, Channel, Gains, PoA, PoAKind, Scenario,
+                      ScenarioArrays, _integers)
 
 AREA_X = 3000.0   # meters
 AREA_Y = 3200.0
@@ -89,17 +90,24 @@ def _capacities(p: GenParams) -> list:
 
 
 def _check_params(p: GenParams, n_fixed: int, beta_range: tuple[float, float]) -> None:
-    """Raise ValueError naming the first parameter out of range, before any
-    draw. A value that fills a scenario field must pass the rule
-    ``validate_scenario`` applies to that field: each bandwidth choice (one
-    or more), p_max, noise_psd, tau and gain_scale finite and > 0, each
-    capacity ``eta_* * backhaul_scale`` >= 0 or inf, z_factor in (0, 1),
-    both ends of ``beta_range`` finite and > 0, and the distances finite."""
-    if p.n_ues < 0 or p.n_relays < 0 or p.n_picos < 0:
+    """Raise TypeError or ValueError naming the first parameter out of
+    range, before any draw. The counts, ``n_fixed`` and the seed are ints or
+    numpy integers, never bools, and >= 0. A value that fills a scenario
+    field must pass the value rule ``validate_scenario`` applies to that
+    field (``network._POSITIVE``, ``_CAPACITY`` and ``_FRACTION``): each
+    bandwidth choice (one or more), p_max, noise_psd, tau and gain_scale by
+    the first, each capacity ``eta_* * backhaul_scale`` by the second and
+    z_factor by the third. ``beta_range`` is two numbers low <= high, each
+    by the first rule, and the distances are finite."""
+    n_ues, n_relays, n_picos, n_fixed, seed = _integers(
+        n_ues=p.n_ues, n_relays=p.n_relays, n_picos=p.n_picos, n_fixed=n_fixed, seed=p.seed)
+    if n_ues < 0 or n_relays < 0 or n_picos < 0:
         raise ValueError("counts must be >= 0")
     if n_fixed < 0:
         raise ValueError("n_fixed must be >= 0")
-    if p.n_relays + p.n_picos == 0 and p.n_ues + n_fixed > 0:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    if n_relays + n_picos == 0 and n_ues + n_fixed > 0:
         raise ValueError("need at least one small cell to anchor first links")
     if not 0 < p.radius_m < math.inf:
         raise ValueError(f"radius_m must be > 0 and finite, got {p.radius_m!r}")
@@ -110,21 +118,25 @@ def _check_params(p: GenParams, n_fixed: int, beta_range: tuple[float, float]) -
     if not p.backhaul_scale > 0:
         raise ValueError("backhaul_scale must be > 0")
     for name in ("eta_relay", "eta_pico", "eta_macro"):
-        cap = getattr(p, name) * p.backhaul_scale
-        if not (cap in (0, math.inf) or _positive(cap)):
-            raise ValueError(f"{name} * backhaul_scale must be >= 0 (inf for unlimited), "
-                             f"got {cap!r}")
-    for name in ("p_max", "noise_psd", "tau", "gain_scale"):
-        if not _positive(value := getattr(p, name)):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    if not (_positive(p.z_factor) and p.z_factor < 1):
-        raise ValueError(f"z_factor must be in (0, 1), got {p.z_factor!r}")
+        if not _CAPACITY.ok(cap := getattr(p, name) * p.backhaul_scale):
+            raise ValueError(_CAPACITY.error(f"{name} * backhaul_scale", cap))
+    for name, rule in (("p_max", _POSITIVE), ("noise_psd", _POSITIVE), ("tau", _POSITIVE),
+                       ("gain_scale", _POSITIVE), ("z_factor", _FRACTION)):
+        if not rule.ok(value := getattr(p, name)):
+            raise ValueError(rule.error(name, value))
     choices = np.asarray(p.bandwidth_choices, dtype=float).tolist()
-    if not (choices and all(map(_positive, choices))):
+    if not (choices and all(map(_POSITIVE.ok, choices))):
         raise ValueError("bandwidth_choices must be one or more finite numbers > 0, "
                          f"got {p.bandwidth_choices!r}")
-    if not all(map(_positive, beta_range)):
+    try:
+        low, high = beta_range
+    except (TypeError, ValueError):
+        raise ValueError(f"beta_range must be two numbers (low, high), "
+                         f"got {beta_range!r}") from None
+    if not (_POSITIVE.ok(low) and _POSITIVE.ok(high)):
         raise ValueError(f"beta_range must be finite numbers > 0, got {beta_range!r}")
+    if low > high:
+        raise ValueError(f"beta_range must have low <= high, got {beta_range!r}")
 
 
 @cache

@@ -477,6 +477,13 @@ class TestRunCommand:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_eps_is_usage_error(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario_file), "--policy", "bdt",
+                     "--eps", "tiny", "--out", str(out)]) == 2
+        assert "argument --eps: must be a finite number > 0, got 'tiny'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_equilibrium_names_policy_and_prediction(self, tmp_path):
         # The prediction is the waterfilling fixed point whatever the policy,
         # so a converged bdt run may sit far from it.
@@ -559,6 +566,19 @@ class TestRunCommand:
         assert not (out / "equilibrium.json").exists()
         with open(out / "trace.csv") as fh:
             assert next(csv.reader(fh))[-2] == "state_9"
+
+    @pytest.mark.parametrize("command", [["run", "--policy", "bdt"],
+                                         ["experiment", "--preset", "fig3", "--trials", "1"]])
+    def test_output_dir_under_a_file_is_usage_error(self, scenario_file, tmp_path, capsys,
+                                                    command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = [*command, "--out", str(taken / "out")]
+        if command[0] == "run":
+            argv += ["--scenario", str(scenario_file)]
+        assert main(argv) == 2
+        assert "error: cannot create output dir: " in capsys.readouterr().err
+        assert taken.read_text() == ""
 
     @pytest.mark.parametrize("name", ["trace.csv", "metrics.json", "equilibrium.json"])
     def test_unwritable_output_is_usage_error(self, scenario_file, tmp_path, capsys, name):

@@ -196,6 +196,19 @@ class TestRun:
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
             run(build_matrices(worked_example()), "wf", eps=eps)
 
+    @pytest.mark.parametrize("eps", [True, "1e-6", None, [1e-6]])
+    def test_eps_must_be_a_number(self, eps):
+        # At the parent eps=True ran with eps 1.0, and "1e-6" failed with
+        # "'<' not supported between instances of 'int' and 'str'".
+        with pytest.raises(TypeError, match="^eps must be a number, got "):
+            run(build_matrices(worked_example()), "wf", eps=eps)
+
+    def test_numpy_eps(self):
+        m = build_matrices(worked_example())
+        got = run(m, "wf", eps=np.float32(1e-6))
+        assert got.verdict == run(m, "wf", eps=float(np.float32(1e-6))).verdict
+        assert run(m, "wf", eps=np.int64(1)).verdict == run(m, "wf", eps=1).verdict
+
     def test_unknown_policy_name(self):
         with pytest.raises(ValueError, match="unknown policy"):
             run(build_matrices(worked_example()), "anneal")

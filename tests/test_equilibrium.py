@@ -110,6 +110,15 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
 
+    def test_eigenvalue_failure_is_named(self, monkeypatch):
+        # No finite input makes eigvals fail, so numpy's call is patched.
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^eigenvalue computation failed: Eigenvalues did not converge$"):
+            spectral_radius(np.diag([0.5, 0.2]))
+
 
 @st.composite
 def permuted_blocks(draw, sparse=False):
@@ -266,6 +275,27 @@ class TestClosedFormEquilibrium:
                 p1 = c + a @ p1
             assert np.max(np.abs(p1 - p1_star)) < 1e-8 * max(1.0, np.max(np.abs(p1_star)))
             done += 1
+
+    def test_solve_failure_is_named(self, monkeypatch):
+        # A contracting a makes I - a nonsingular, so numpy's solve is patched.
+        mat = build_matrices(worked_example())
+        a, c = build_system(mat)
+
+        def fail(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^\(I - M\) solve failed: Singular matrix$"):
+            closed_form_equilibrium(mat, a, c, spectral_radius(a))
+
+    def test_large_residual_is_named(self, monkeypatch):
+        # A solve that is off by 1e-3 in every entry leaves that residual.
+        mat = build_matrices(worked_example())
+        a, c = build_system(mat)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+        with pytest.raises(np.linalg.LinAlgError, match="^fixed-point residual too large: "):
+            closed_form_equilibrium(mat, a, c, spectral_radius(a))
 
     def test_requires_contraction(self, rng):
         mat = random_system(rng, 3, coupling=0.0)

@@ -77,6 +77,12 @@ class TestValidation:
         assert validate_scenario(worked_example()) == []
         assert validate_scenario(worked_example("limited_backhaul")) == []
 
+    def test_macro_of_a_scenario_without_one(self):
+        s = worked_example()
+        no_macro = replace(s, poas=[p for p in s.poas if p.kind is not PoAKind.MACROCELL])
+        with pytest.raises(ValueError, match="^scenario has no macrocell$"):
+            no_macro.macro()
+
     def test_shared_poa_channel_names_both_ues(self):
         s = tiny_scenario()
         intruder = UE(id=2, position=(5.0, 95.0), p_max=1.0,

@@ -56,6 +56,11 @@ class TestWaterfill:
         p1_grid, _ = waterfill_grid_oracle(1.0, 0.3, 0.1, 1e6, 1e6)
         assert p1 == pytest.approx(p1_grid, abs=1e-3)
 
+    @pytest.mark.parametrize("p_max", [0.0, -1.0])
+    def test_budget_must_be_positive(self, p_max):
+        with pytest.raises(ValueError, match="^p_max must be > 0$"):
+            waterfill(p_max, 0.1, 0.1, 1e6, 1e6)
+
     def test_hopeless_link_gets_nothing(self):
         p1, p2 = waterfill(1.0, 10.0, 0.1, 1e6, 1e6)
         assert p1 == 0.0 and p2 == 1.0
@@ -157,6 +162,11 @@ class TestGreedyUpdate:
 
 class TestBdtUpdate:
     E = dict(e1=0.1, e2=0.1, w1=1e6, w2=1e6, z=0.9)
+
+    @pytest.mark.parametrize("state", [0, 10, [1, 10]])
+    def test_unknown_state(self, state):
+        with pytest.raises(ValueError, match="^unknown state in "):
+            bdt_update(state, 0.2, 0.3, 1.0, **self.E)
 
     def test_s1_waterfills(self):
         out = bdt_update(BackhaulState.S1, 0.2, 0.3, 1.0, **self.E)

@@ -143,6 +143,49 @@ class TestGenerateStructure:
         with pytest.raises(ValueError, match="tau must be finite and > 0, got nan"):
             monte_carlo([point], ("bdt", "wf"), trials=1, seeds=0)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: generate(GenParams(n_ues=2.5)), "^n_ues must be an integer, got 2.5$"),
+        (lambda: generate(GenParams(n_relays=True)), "^n_relays must be an integer, got True$"),
+        (lambda: generate_arrays(GenParams(n_picos=4.0)), "^n_picos must be an integer, got 4.0$"),
+        (lambda: generate_mixed(GenParams(n_ues=2), 1.5), "^n_fixed must be an integer, got 1.5$"),
+        (lambda: generate(GenParams(seed=1.0)), "^seed must be an integer, got 1.0$"),
+        (lambda: generate(GenParams(seed="1")), "^seed must be an integer, got '1'$")])
+    def test_counts_and_seed_must_be_integers(self, make, message):
+        # At the parent numpy raised "'float' object cannot be interpreted as
+        # an integer" or drew a scenario, naming no parameter.
+        with pytest.raises(TypeError, match=message):
+            make()
+
+    def test_negative_fixed_count_is_named(self):
+        with pytest.raises(ValueError, match="^n_fixed must be >= 0$"):
+            generate_mixed(GenParams(n_ues=2), -1)
+
+    def test_negative_seed_is_named(self):
+        # numpy's "expected non-negative integer" named no parameter.
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            generate(GenParams(seed=-1))
+
+    def test_numpy_integer_counts_draw_the_same_scenario(self):
+        i = np.int64
+        got = generate_mixed(GenParams(n_ues=i(3), n_relays=i(1), n_picos=i(2), seed=i(4)), i(2))
+        want = generate_mixed(GenParams(n_ues=3, n_relays=1, n_picos=2, seed=4), 2)
+        assert scenario_to_dict(got) == scenario_to_dict(want)
+
+    @pytest.mark.parametrize("beta_range,message", [
+        ((4.0, 1.0), r"^beta_range must have low <= high, got \(4.0, 1.0\)$"),
+        ((1.0, 2.0, 3.0), r"^beta_range must be two numbers \(low, high\), got \(1.0, 2.0, 3.0\)$"),
+        ((1.0,), r"^beta_range must be two numbers \(low, high\), got \(1.0,\)$"),
+        (2.0, r"^beta_range must be two numbers \(low, high\), got 2.0$")])
+    def test_beta_range_is_two_numbers_low_to_high(self, beta_range, message):
+        # At the parent numpy raised "high - low < 0" or "uniform() got
+        # multiple values for keyword argument 'size'".
+        with pytest.raises(ValueError, match=message):
+            generate_mixed(GenParams(n_ues=2, seed=1), 2, beta_range)
+
+    def test_equal_beta_range_ends_fix_every_target(self):
+        s = generate_mixed(GenParams(n_ues=2, seed=1), 3, (2.5, 2.5))
+        assert [u.fixed_sinr_target for u in s.ues if not u.dual] == [2.5] * 3
+
 
 @st.composite
 def generator_inputs(draw):

@@ -4,6 +4,7 @@
 Usage (from anywhere):
 
     python tools/output_digests.py path/to/checkout/src > digests.txt
+    python tools/output_digests.py path/to/base/src path/to/change/src
 
 duplink is imported from the given ``src/`` directory and the demos are run
 from the ``demos/`` directory next to it, so the same script checks any
@@ -33,8 +34,12 @@ checkout, including an older one. The manifest covers:
   ``float.hex()``;
 - the stdout of every demo.
 
-Two manifests that ``diff`` clean mean byte-identical outputs. A run takes
-about 20 seconds on a 2-core x86 VM; it is not part of the test suite.
+Two manifests that ``diff`` clean mean byte-identical outputs. Given two
+``src/`` directories, the script makes each tree's manifest in its own
+process, one tree after the other, and compares them: it prints each
+output whose digest differs (or that only one tree has) with both digests,
+then a count, and exits 1 if any output differs. A manifest takes about
+4 seconds per tree on a 2-core x86 VM; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -143,11 +148,38 @@ def stacked_mixed_rows(dl) -> list[str]:
     return lines
 
 
+def manifest(src: str) -> dict[str, str]:
+    """The manifest of the tree ``src``, made by this script in a fresh
+    process: the digest part of each line by output name."""
+    proc = subprocess.run([sys.executable, __file__, src], capture_output=True, text=True,
+                          check=False)
+    if proc.returncode:
+        sys.exit(f"error: the manifest of {src} failed:\n{proc.stderr}")
+    return dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+
+
+def compare(base: str, change: str) -> int:
+    """Print each output whose digests differ between the two trees; 1 if
+    any does, else 0."""
+    a, b = manifest(base), manifest(change)
+    names = [*a, *(name for name in b if name not in a)]
+    differ = [name for name in names if a.get(name) != b.get(name)]
+    for name in differ:
+        print(f"{name}\n  base   {a.get(name, 'absent')}\n  change {b.get(name, 'absent')}")
+    print(f"{len(differ)} of {len(names)} outputs differ")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", help="the src/ directory of a duplink checkout")
+    parser.add_argument("src", nargs="+",
+                        help="the src/ directory of a duplink checkout, or of a base and a change")
     args = parser.parse_args()
-    src = Path(args.src).resolve()
+    if len(args.src) > 2:
+        parser.error("give one or two src/ directories")
+    if len(args.src) == 2:
+        return compare(*args.src)
+    src = Path(args.src[0]).resolve()
     sys.path.insert(0, str(src))
     import duplink as dl
     from duplink import cli, engine
